@@ -17,13 +17,18 @@ to the right-hand side:
 
 with L the coupling and e the Gardner deformation parameter.
 
-Integration is classical fixed-step RK4 or a Lawson integrating-factor
-RK4 (ifrk4) that advances the -f''' term exactly in transform space and
-applies RK4 only to the nonlinear remainder.  A stability guard rejects
-dt beyond 0.5/k_lim^3 (10x relaxed for ifrk4), where k_lim is the largest
+Integration is one fixed-step RK4 loop that keeps the state as the rfft
+coefficients of the stacked even and odd fields.  Each stage transforms
+back once, evaluates the nonlinear terms in physical space, transforms the
+result once and applies the 2/3-rule mask there (Orszag).  The ifrk4
+scheme is the Lawson integrating-factor form: it advances the -f''' term
+exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
+rk4 is the same loop with unit factors and the dispersion folded into
+each stage's right-hand side.  A stability guard rejects dt beyond
+0.5/k_lim^3 (10x relaxed for ifrk4), where k_lim is the largest
 wavenumber the dealias filter lets survive (the full spectrum when
-dealiasing is off); the 2/3-rule filter is applied to the initial state
-and to every nonlinear evaluation, so no active mode ever exceeds k_lim.
+dealiasing is off); the mask is applied to the initial state and to every
+nonlinear evaluation, so no active mode ever exceeds k_lim.
 """
 
 import numpy as np
@@ -221,12 +226,6 @@ def stability_limit(grid, scheme, dealias=True):
     return dt_max
 
 
-def _spectral_apply(field, symbol):
-    spec = np.fft.rfft(field.data, axis=-1) * symbol
-    return type(field)(field.grid, field.descriptor,
-                       np.fft.irfft(spec, n=field.grid.N, axis=-1))
-
-
 def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
               force=False, dealias=True):
     """Advance `state` by `steps` fixed steps of size `dt`.
@@ -250,69 +249,63 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
             f"for this grid; reduce dt (or pass force=True)", dt_max)
 
     kind, lam, eps = state.kind, state.lam, state.epsilon
-
-    def nl(even, odd):
-        return nonlinear_rhs(kind, even, odd, lam, eps, dealias)
-
-    even = state.even.dealiased() if dealias else state.even
-    odd = state.odd.dealiased() if dealias else state.odd
-    current = state.replace_fields(even, odd)
-    records = [current]
-
+    grid, desc = state.grid, state.descriptor
+    n_even = desc.even_dim
+    drop = ~grid.dealias_mask if dealias else np.zeros(grid.N // 2 + 1, bool)
+    dispersion = -grid.derivative_symbol(3)  # f_t = -f''' in transform space
     if scheme == "ifrk4":
         # exp(+i k^3 dt/2): exact half-step of f_t = -f'''
-        e_half = np.exp(state.grid.derivative_symbol(3) * (-0.5 * dt))
-        e_full = e_half * e_half
+        e_half, linear = np.exp(0.5 * dt * dispersion), 0.0
+    else:
+        e_half, linear = 1.0, dispersion
+    e_full = e_half * e_half
+
+    def to_fields(spec):
+        data = np.fft.irfft(spec, n=grid.N, axis=-1)
+        return EvenField(grid, desc, data[:n_even]), OddField(grid, desc, data[n_even:])
+
+    def rhs(spec, even, odd):
+        nl_even, nl_odd = nonlinear_rhs(kind, even, odd, lam, eps, dealias=False)
+        k = np.fft.rfft(np.concatenate((nl_even.data, nl_odd.data)), axis=-1)
+        k[:, drop] = 0.0
+        return k + linear * spec
+
+    # The state lives in transform space as rfft([even; odd]).  Its inverse
+    # transform after each step is the record, the callback state, the
+    # finite check and the input of the next step's k1.
+    spec = np.fft.rfft(np.concatenate((state.even.data, state.odd.data)), axis=-1)
+    current = state
+    if dealias:
+        spec[:, drop] = 0.0
+        current = state.replace_fields(*to_fields(spec))
+    records = [current]
 
     # overflow on the way to a detected blow-up is reported as an
     # exception by the finite check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
-            even, odd = current.even, current.odd
             try:
-                if scheme == "rk4":
-                    k1 = _full_rhs(kind, even, odd, lam, eps, dealias)
-                    k2 = _full_rhs(kind, even + (0.5 * dt) * k1[0],
-                                   odd + (0.5 * dt) * k1[1], lam, eps, dealias)
-                    k3 = _full_rhs(kind, even + (0.5 * dt) * k2[0],
-                                   odd + (0.5 * dt) * k2[1], lam, eps, dealias)
-                    k4 = _full_rhs(kind, even + dt * k3[0], odd + dt * k3[1],
-                                   lam, eps, dealias)
-                    new = []
-                    for c in range(2):
-                        new.append((even, odd)[c] + (dt / 6.0)
-                                   * (k1[c] + 2.0 * k2[c] + 2.0 * k3[c] + k4[c]))
-                else:
-                    k1 = nl(even, odd)
-                    stage = [_spectral_apply((even, odd)[c] + (0.5 * dt) * k1[c],
-                                             e_half) for c in range(2)]
-                    k2 = nl(*stage)
-                    half = [_spectral_apply((even, odd)[c], e_half) for c in range(2)]
-                    stage = [half[c] + (0.5 * dt) * k2[c] for c in range(2)]
-                    k3 = nl(*stage)
-                    full = [_spectral_apply((even, odd)[c], e_full) for c in range(2)]
-                    stage = [full[c] + dt * _spectral_apply(k3[c], e_half)
-                             for c in range(2)]
-                    k4 = nl(*stage)
-                    new = []
-                    for c in range(2):
-                        new.append(full[c] + (dt / 6.0)
-                                   * (_spectral_apply(k1[c], e_full)
-                                      + 2.0 * _spectral_apply(k2[c], e_half)
-                                      + 2.0 * _spectral_apply(k3[c], e_half)
-                                      + k4[c]))
+                k1 = rhs(spec, current.even, current.odd)
+                stage = e_half * (spec + (0.5 * dt) * k1)
+                k2 = rhs(stage, *to_fields(stage))
+                stage = e_half * spec + (0.5 * dt) * k2
+                k3 = rhs(stage, *to_fields(stage))
+                e_half_k3 = e_half * k3
+                stage = e_full * spec + dt * e_half_k3
+                k4 = rhs(stage, *to_fields(stage))
             except NonFiniteFieldError:
                 raise NumericalBlowup(
                     f"non-finite values during step {step} (t={current.time + dt:g})",
                     current, step, current.time + dt)
+            spec = e_full * spec + (dt / 6.0) * (e_full * k1 + 2.0 * (e_half * k2)
+                                                 + 2.0 * e_half_k3 + k4)
 
-            if not (np.all(np.isfinite(new[0].data))
-                    and np.all(np.isfinite(new[1].data))):
+            even, odd = to_fields(spec)
+            if not (np.all(np.isfinite(even.data)) and np.all(np.isfinite(odd.data))):
                 raise NumericalBlowup(
                     f"non-finite values after step {step} (t={current.time + dt:g})",
                     current, step, current.time + dt)
-            current = current.replace_fields(new[0], new[1],
-                                             time=state.time + step * dt)
+            current = current.replace_fields(even, odd, time=state.time + step * dt)
             if callback is not None:
                 callback(current)
             if step % record_every == 0 or step == steps:

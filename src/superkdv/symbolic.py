@@ -668,8 +668,8 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
     re-verified with equal_mod_total_derivative; all odd orders must
     vanish.  Returns a CoefficientTable.
     """
-    if max_order % 2 or max_order > 8:
-        raise SuperKdVError("max_order must be even and at most 8")
+    if max_order % 2 or max_order > 6:
+        raise SuperKdVError("max_order must be even and at most 6")
     coeffs = gardner_coefficients(max_order)
     zero = DiffPolynomial.zero()
     odd_ok = True

@@ -241,15 +241,25 @@ def test_integrate_argument_validation():
         SystemState("breather", st.even, st.odd)
 
 
-def test_ifrk4_matches_rk4_closely_on_smooth_data():
-    st = random_state("extended", "grassmann:2", lam=1.0, N=128, L=40.0)
-    dt, steps = 5e-4, 64
-    a = integrate(st, dt=dt, steps=steps, record_every=steps).final
-    b = integrate(st, dt=dt, steps=steps, scheme="ifrk4",
-                  record_every=steps).final
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("kind,eps", [("modified", 0.0), ("extended", 0.0),
+                                      ("skdv_grassmann", 0.0), ("gardner", 0.3)])
+def test_ifrk4_matches_rk4_closely_on_smooth_data(kind, eps, dealias):
+    # dt = 5e-4 would exceed the rk4 guard on the full N = 128 spectrum
+    st = random_state(kind, "grassmann:2", lam=1.0, N=128, L=40.0, eps=eps)
+    dt, steps = 2.5e-4, 128
+    a = integrate(st, dt=dt, steps=steps, record_every=steps,
+                  dealias=dealias).final
+    b = integrate(st, dt=dt, steps=steps, scheme="ifrk4", record_every=steps,
+                  dealias=dealias).final
     scale = max(a.even.norm(), 1.0)
     assert np.max(np.abs(a.even.data - b.even.data)) < 1e-8 * scale
     assert np.max(np.abs(a.odd.data - b.odd.data)) < 1e-8 * scale
+    if dealias:
+        keep = st.grid.dealias_keep
+        for field in (a.even, a.odd, b.even, b.odd):
+            spec = np.abs(np.fft.rfft(field.data, axis=-1))
+            assert np.max(spec[:, keep + 1:]) < 1e-12 * max(spec.max(), 1.0)
 
 
 def test_nonlinear_rhs_is_dealiased():

@@ -316,6 +316,9 @@ def test_reproduction_rejects_odd_or_large_order():
         reproduce_conserved_quantities(max_order=5)
     with pytest.raises(SuperKdVError):
         reproduce_conserved_quantities(max_order=10)
+    # H_8 is not tabulated, so order 8 must be refused before any trial runs
+    with pytest.raises(SuperKdVError, match="at most 6"):
+        reproduce_conserved_quantities(max_order=8)
 
 
 # -- conservation along the flow ------------------------------------------------
