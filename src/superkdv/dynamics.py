@@ -240,6 +240,8 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         raise SuperKdVError("dt must be positive")
     if steps < 1:
         raise SuperKdVError("steps must be >= 1")
+    if record_every < 1:
+        raise SuperKdVError("record_every must be >= 1")
     if scheme not in ("rk4", "ifrk4"):
         raise SuperKdVError(f"unknown scheme {scheme!r}")
     dt_max = stability_limit(state.grid, scheme, dealias)

@@ -1,25 +1,17 @@
 """Conserved quantities of the flows and drift reports over trajectories.
 
-For the extended system the first four conserved integrals are
-
-  H0 = int u
-  H2 = int u^2 + L [xi', xi]
-  H4 = int 2 u^3 + (u')^2 + 4 L u [xi', xi] + L [xi'', xi']
-  H6 = int 5 u^4 + 10 u (u')^2 + (u'')^2 + 15 L u^2 [xi', xi]
-           - 2 L u [xi'', xi'] - 8 L u [xi''', xi]
-           + 3 L^2 [xi', xi]^2 + L [xi''', xi'']
-
-with L the coupling.  The [xi', xi]^2 term is kept for fidelity to the
-densities produced by the deformation expansion even though a product of
-brackets sharing an argument vanishes identically in every admissible
-finite-dimensional realization, so it contributes nothing numerically.
+For the extended system the conserved integrals are H0, H2, H4 and H6,
+the quadratures of the densities that symbolic.conserved_density_poly(n)
+defines; conserved_densities evaluates those polynomials on the fields.
 
 The modified system conserves the integral of
 
   h = 1/2 (v')^2 + 1/2 v^4 + 1/2 L^2 [eta, eta']^2
       + 1/2 L [eta'', eta'] + 3/2 L v^2 [eta', eta]
 
-which reduces to 1/2 u^2 + L/2 [xi', xi] under the Miura substitution.
+which reduces to 1/2 u^2 + L/2 [xi', xi], half the H2 density, under the
+Miura substitution.  h stays written out here, in v and eta, because the
+symbolic engine knows only the symbols u and xi.
 
 drift_report evaluates the quantities appropriate to a trajectory's
 system (the H_k for extended and skdv_grassmann, int h for modified, and
@@ -32,6 +24,7 @@ import numpy as np
 from .algebra import value_norm
 from .errors import SuperKdVError
 from .fields import quadrature
+from .symbolic import _Evaluator, conserved_density_poly
 
 H_LABELS = ("H0", "H2", "H4", "H6")
 DRIFT_FLOOR = 1e-12
@@ -42,37 +35,9 @@ def conserved_densities(u, xi, lam, which=H_LABELS):
     bad = [w for w in which if w not in H_LABELS]
     if bad:
         raise SuperKdVError(f"unknown conserved quantities {bad}; have {H_LABELS}")
-    out = {}
-    up = u.derivative(1)
-    have_odd = bool(xi.data.shape[0]) and lam != 0.0
-    if have_odd:
-        xip = xi.derivative(1)
-        c10 = xip.commutator(xi)
-        c21 = xi.derivative(2).commutator(xip)
-    if "H0" in which:
-        out["H0"] = u
-    if "H2" in which:
-        h = u * u
-        if have_odd:
-            h = h + lam * c10
-        out["H2"] = h
-    if "H4" in which:
-        h = 2.0 * ((u * u) * u) + up * up
-        if have_odd:
-            h = h + (4.0 * lam) * (u * c10) + lam * c21
-        out["H4"] = h
-    if "H6" in which:
-        u2 = u * u
-        h = 5.0 * (u2 * u2) + 10.0 * (u * (up * up)) + u.derivative(2) * u.derivative(2)
-        if have_odd:
-            xippp = xi.derivative(3)
-            h = (h + (15.0 * lam) * (u2 * c10)
-                 + (-2.0 * lam) * (u * c21)
-                 + (-8.0 * lam) * (u * xippp.commutator(xi))
-                 + (3.0 * lam * lam) * (c10 * c10)
-                 + lam * xippp.commutator(xi.derivative(2)))
-        out["H6"] = h
-    return out
+    evaluate = _Evaluator(u, xi, lam)
+    return {label: evaluate(conserved_density_poly(int(label[1:])))
+            for label in H_LABELS if label in which}
 
 
 def conserved_quantities(u, xi, lam, which=H_LABELS):
@@ -97,10 +62,7 @@ def hamiltonian_density(v, eta, lam):
 
 def reduced_hamiltonian_density(u, xi, lam):
     """What hamiltonian_density becomes in the extended variables."""
-    h = 0.5 * (u * u)
-    if xi.data.shape[0] and lam != 0.0:
-        h = h + (0.5 * lam) * xi.derivative(1).commutator(xi)
-    return h
+    return 0.5 * conserved_densities(u, xi, lam, ("H2",))["H2"]
 
 
 class ConservedReport:

@@ -9,6 +9,8 @@ solutions of the modified system to solutions of the extended one, and
 does the same for the deformed (gardner) system at deformation e.  Both
 facts are checked numerically here by comparing a centered time
 difference of the mapped trajectory against the extended right-hand side.
+The inverse of the gardner map is the power series in e whose
+coefficients are symbolic.gardner_coefficients, evaluated on the fields.
 
 The supersymmetry generator with constant odd parameter p is
 
@@ -21,7 +23,8 @@ import numpy as np
 
 from .dynamics import SystemState, Trajectory, integrate, rhs_state
 from .errors import SuperKdVError
-from .fields import OddField
+from .fields import EvenField, OddField
+from .symbolic import _Evaluator, gardner_coefficients
 
 
 def miura(v, eta, lam):
@@ -44,25 +47,16 @@ def gardner_map(z, sigma, lam, eps):
 
 def inverse_gardner_series(u, xi, lam, eps, order=8):
     """Invert the gardner map as a power series in eps, truncated at the
-    given order.  The residual of the round trip is O(eps^(order+1))."""
+    given order (at most 10): z = sum eps^n z_n and sigma = sum eps^n s_n
+    over the symbolic coefficients (z_n, s_n).  The residual of the round
+    trip is O(eps^(order+1))."""
     if order < 0:
         raise SuperKdVError("series order must be >= 0")
-    zs, ss = [u], [xi]
-    for n in range(1, order + 1):
-        zn = -zs[n - 1].derivative(1)
-        sn = -ss[n - 1].derivative(1)
-        for a in range(n - 1):
-            b = n - 2 - a
-            zn = zn - zs[a] * zs[b]
-            if xi.data.shape[0] and lam != 0.0:
-                zn = zn + (-lam) * ss[a].derivative(1).commutator(ss[b])
-            sn = sn - zs[a] * ss[b]
-        zs.append(zn)
-        ss.append(sn)
-    z, s = zs[0], ss[0]
-    for n in range(1, order + 1):
-        z = z + (eps ** n) * zs[n]
-        s = s + (eps ** n) * ss[n]
+    evaluate = _Evaluator(u, xi, lam)
+    z, s = EvenField.zeros(u.grid, u.descriptor), OddField.zeros(u.grid, u.descriptor)
+    for n, (zn, sn) in enumerate(gardner_coefficients(order)):
+        z = z + (eps ** n) * evaluate(zn)
+        s = s + (eps ** n) * evaluate(sn)
     return z, s
 
 

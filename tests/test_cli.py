@@ -81,6 +81,7 @@ def test_invalid_combinations_exit_2(tmp_path):
                 "--out", tmp_path / "z"]) == 2
     assert run(["simulate", "--algebra", "grassmann:99",
                 "--out", tmp_path / "w"]) == 2
+    assert run(["simulate", "--record-every", 0, "--out", tmp_path / "v"]) == 2
 
 
 def test_stability_guard_refusal_exit_2(tmp_path, capsys):

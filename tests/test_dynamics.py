@@ -233,6 +233,9 @@ def test_integrate_argument_validation():
         integrate(st, dt=-1e-4, steps=5)
     with pytest.raises(SuperKdVError):
         integrate(st, dt=1e-4, steps=0)
+    for record_every in (0, -3):
+        with pytest.raises(SuperKdVError):
+            integrate(st, dt=1e-4, steps=5, record_every=record_every)
     with pytest.raises(SuperKdVError):
         integrate(st, dt=1e-4, steps=5, scheme="euler")
     with pytest.raises(SuperKdVError):

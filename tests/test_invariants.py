@@ -96,6 +96,39 @@ def test_bracket_square_term_contributes_nothing():
     assert sq.norm() < 1e-12
 
 
+def handwritten_densities(u, xi, lam):
+    """H0-H6 written out in field arithmetic, as an independent reference
+    for the symbolic densities conserved_quantities evaluates."""
+    up, upp = u.derivative(1), u.derivative(2)
+    xip, xipp, xippp = xi.derivative(1), xi.derivative(2), xi.derivative(3)
+    c10, c21 = xip.commutator(xi), xipp.commutator(xip)
+    u2 = u * u
+    return {
+        "H0": u,
+        "H2": u2 + lam * c10,
+        "H4": (2.0 * (u2 * u) + up * up + (4.0 * lam) * (u * c10) + lam * c21),
+        "H6": (5.0 * (u2 * u2) + 10.0 * (u * (up * up)) + upp * upp
+               + (15.0 * lam) * (u2 * c10) + (-2.0 * lam) * (u * c21)
+               + (-8.0 * lam) * (u * xippp.commutator(xi))
+               + (3.0 * lam * lam) * (c10 * c10)
+               + lam * xippp.commutator(xipp)),
+    }
+
+
+@pytest.mark.parametrize("desc_str", ["grassmann:4", "symplectic:2"])
+def test_conserved_quantities_match_handwritten_densities(desc_str):
+    grid = PeriodicGrid(20.0, 128)
+    desc = AlgebraDescriptor.from_string(desc_str)
+    u, xi = build_initial_condition(
+        "random_bandlimited(max_mode=5,amplitude=0.5,seed=17)", grid, desc)
+    lam = -1.3
+    vals = conserved_quantities(u, xi, lam)
+    for label, density in handwritten_densities(u, xi, lam).items():
+        ref = quadrature(density)
+        assert ref.norm() > 1e-3
+        assert (vals[label] - ref).norm() <= 1e-12 * ref.norm()
+
+
 def test_unknown_quantity_label_rejected():
     grid = PeriodicGrid(20.0, 64)
     desc = AlgebraDescriptor.from_string("scalar")

@@ -262,8 +262,13 @@ def test_gardner_coefficient_leading_orders():
 
 
 def test_gardner_order_limit():
+    from superkdv.transforms import inverse_gardner_series
+
     with pytest.raises(SuperKdVError):
         gardner_coefficients(11)
+    u, xi = random_fields("grassmann:3")
+    with pytest.raises(SuperKdVError):
+        inverse_gardner_series(u, xi, 1.0, 0.1, order=11)
 
 
 def test_gardner_grading_preserved():
@@ -272,17 +277,34 @@ def test_gardner_grading_preserved():
         assert s.is_odd()
 
 
+def numeric_inverse_series(u, xi, lam, eps, order):
+    """The inverse-deformation recursion written out in field arithmetic,
+    as an independent reference for the symbolic coefficients."""
+    zs, ss = [u], [xi]
+    for n in range(1, order + 1):
+        zn = -zs[n - 1].derivative(1)
+        sn = -ss[n - 1].derivative(1)
+        for a in range(n - 1):
+            b = n - 2 - a
+            zn = zn - zs[a] * zs[b]
+            zn = zn + (-lam) * ss[a].derivative(1).commutator(ss[b])
+            sn = sn - zs[a] * ss[b]
+        zs.append(zn)
+        ss.append(sn)
+    z, s = zs[0], ss[0]
+    for n in range(1, order + 1):
+        z = z + (eps ** n) * zs[n]
+        s = s + (eps ** n) * ss[n]
+    return z, s
+
+
 def test_symbolic_matches_numeric_inverse_series():
     from superkdv.transforms import inverse_gardner_series
 
     u, xi = random_fields("grassmann:3", seed=9, n=128)
     lam, eps, order = 0.8, 0.3, 4
-    z_num, s_num = inverse_gardner_series(u, xi, lam, eps, order=order)
-    z_sym = EvenField.zeros(u.grid, u.descriptor)
-    s_sym = OddField.zeros(u.grid, u.descriptor)
-    for n, (zp, sp) in enumerate(gardner_coefficients(order)):
-        z_sym = z_sym + eps ** n * instantiate(zp, u, xi, lam)
-        s_sym = s_sym + eps ** n * instantiate(sp, u, xi, lam)
+    z_num, s_num = numeric_inverse_series(u, xi, lam, eps, order)
+    z_sym, s_sym = inverse_gardner_series(u, xi, lam, eps, order=order)
     assert (z_sym - z_num).norm() <= 1e-10 * max(z_num.norm(), 1.0)
     assert (s_sym - s_num).norm() <= 1e-10 * max(s_num.norm(), 1.0)
 
