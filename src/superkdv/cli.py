@@ -18,8 +18,8 @@ from .algebra import AlgebraDescriptor, OddValue, validate_algebra
 from .dynamics import SystemState, integrate
 from .errors import NumericalBlowup, StabilityError, SuperKdVError
 from .fields import PeriodicGrid, RandomBandlimitedIC, build_initial_condition, parse_ic, quadrature
-from .invariants import (H_LABELS, drift_report, hamiltonian_density,
-                         reduced_hamiltonian_density)
+from .invariants import (drift_report, hamiltonian_density,
+                         reduced_hamiltonian_density, tracked_labels)
 from .symbolic import reproduce_conserved_quantities
 from .transforms import (fd_flow_residual, flow_commutation_defect, gardner_map,
                          inverse_gardner_series, miura, susy_variation,
@@ -100,11 +100,9 @@ def _positive(cfg, key, kind=float):
 
 def _tracked_labels(cfg, system):
     track = cfg["track"]
-    if track is None:
-        return ("H",) if system == "modified" else H_LABELS
     if isinstance(track, str):
         track = [t.strip() for t in track.split(",") if t.strip()]
-    return tuple(track)
+    return tracked_labels(system, track)
 
 
 def _resolve_ic(cfg):
@@ -155,7 +153,6 @@ def cmd_simulate(args):
     outdir = args.out
     if not outdir:
         raise UsageError("--out DIR is required")
-    os.makedirs(outdir, exist_ok=True)
     manifest = {
         "command": "simulate",
         "system": system,
@@ -174,8 +171,8 @@ def cmd_simulate(args):
         "record_every": record_every,
         "dealias": dealias,
     }
-    snapshots.write_manifest(manifest, os.path.join(outdir, "manifest.json"))
 
+    # a refused run writes nothing: the manifest follows the integration
     try:
         traj = integrate(state, dt, steps, scheme=scheme,
                          record_every=record_every, force=bool(cfg["force"]),
@@ -183,9 +180,13 @@ def cmd_simulate(args):
     except StabilityError as exc:
         raise UsageError(f"{exc}; rerun with --force to override")
     except NumericalBlowup as exc:
-        snapshots.write_snapshot(exc.last_state,
+        traj, blowup = None, exc
+    os.makedirs(outdir, exist_ok=True)
+    snapshots.write_manifest(manifest, os.path.join(outdir, "manifest.json"))
+    if traj is None:
+        snapshots.write_snapshot(blowup.last_state,
                                  os.path.join(outdir, "snapshot_last.json"))
-        print(f"numeric blow-up at step {exc.step} (t = {exc.time:g}); "
+        print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
               f"last finite state saved", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -2,20 +2,16 @@
 
 All systems share the linear dispersion -f''' on every field; the
 remaining terms are polynomial in the fields and their first two
-derivatives.  Signs follow from moving everything but the time derivative
-to the right-hand side:
+derivatives.  The extended and gardner terms are written once, in
+conservative form D(flux) + source, as symbolic.nonlinear_terms; each
+evaluation takes D of the stacked [even flux; odd flux] with one
+transform pair.  skdv_grassmann (Grassmann only) is extended with its
+3 L [xi'', xi] written as -6 L xi xi''.  The modified system is written
+out here, in v and eta, with L the coupling:
 
-  modified        v_t = -v''' + 6 v^2 v' + 3 L (v [eta', eta])'
-                  eta_t = -eta''' + 3 v^2 eta' + 3 v v' eta
-                          - L [eta, eta'] eta' - (L/2) [eta, eta''] eta
-  extended        u_t = -u''' + 6 u u' + 3 L [xi'', xi]
-                  xi_t = -xi''' + 3 (u xi)'
-  skdv_grassmann  u_t = -u''' + 6 u u' - 6 L xi xi''   (Grassmann only;
-                  identical to extended because [xi'', xi] = -2 xi xi'')
-  gardner         z_t = (-z'' + 3 z^2 + 3 L [s', s] + e^2 (2 z^3 + 3 L z [s', s]))'
-                  s_t = (-s'' + 3 z s)' + 3 e^2 (z^2 s' + z z' s + L [s', s] s')
-
-with L the coupling and e the Gardner deformation parameter.
+  v_t = -v''' + 6 v^2 v' + 3 L (v [eta', eta])'
+  eta_t = -eta''' + 3 v^2 eta' + 3 v v' eta
+          - L [eta, eta'] eta' - (L/2) [eta, eta''] eta
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields.  Each stage transforms
@@ -36,6 +32,7 @@ import numpy as np
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError)
 from .fields import EvenField, OddField
+from .symbolic import _Evaluator, nonlinear_terms
 
 SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
 
@@ -94,59 +91,44 @@ def _nl_modified(v, eta, lam, eps):
     return nl_even, nl_odd
 
 
-def _nl_extended(u, xi, lam, eps):
-    nl_even = 6.0 * (u * u.derivative(1))
-    if xi.data.shape[0] and lam != 0.0:
-        nl_even = nl_even + (3.0 * lam) * xi.derivative(2).commutator(xi)
-    nl_odd = 3.0 * (u * xi).derivative(1)
-    return nl_even, nl_odd
-
-
-def _nl_skdv(u, xi, lam, eps):
-    if u.descriptor.kind != "grassmann":
+def _nl_flux_form(kind, even, odd, lam, eps):
+    """D(flux) + source from symbolic.nonlinear_terms, with one derivative
+    transform pair for the stacked [even flux; odd flux]."""
+    grid, n_even = even.grid, even.data.shape[0]
+    skdv = kind == "skdv_grassmann"
+    if skdv and even.descriptor.kind != "grassmann":
         raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
-    nl_even = 6.0 * (u * u.derivative(1))
-    if lam != 0.0:
-        nl_even = nl_even + (-6.0 * lam) * xi.odd_mul(xi.derivative(2))
-    nl_odd = 3.0 * (u * xi).derivative(1)
-    return nl_even, nl_odd
-
-
-def _nl_gardner(z, sigma, lam, eps):
-    zp = z.derivative(1)
-    z2 = z * z
-    flux = 3.0 * z2
-    odd_dim = sigma.data.shape[0]
-    if odd_dim and lam != 0.0:
-        comm = sigma.derivative(1).commutator(sigma)
-        flux = flux + (3.0 * lam) * comm
-    if eps != 0.0:
-        cubic = 2.0 * (z2 * z)
-        if odd_dim and lam != 0.0:
-            cubic = cubic + (3.0 * lam) * (z * comm)
-        flux = flux + (eps * eps) * cubic
-    nl_even = flux.derivative(1)
-    nl_odd = (3.0 * (z * sigma)).derivative(1)
-    if eps != 0.0:
-        sp = sigma.derivative(1)
-        extra = (z2 * sp) + ((z * zp) * sigma)
-        if odd_dim and lam != 0.0:
-            extra = extra + lam * (comm * sp)
-        nl_odd = nl_odd + (3.0 * eps * eps) * extra
-    return nl_even, nl_odd
-
-
-_NONLINEAR = {
-    "modified": _nl_modified,
-    "extended": _nl_extended,
-    "skdv_grassmann": _nl_skdv,
-    "gardner": _nl_gardner,
-}
+    evaluate = _Evaluator(even, odd, lam)
+    flux = np.zeros((n_even + odd.data.shape[0], grid.N))
+    source = np.zeros_like(flux)
+    for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
+        weight = eps ** power
+        if weight == 0.0:
+            continue
+        for out, polys in ((flux, fluxes), (source, () if skdv else sources)):
+            for rows, poly in zip((out[:n_even], out[n_even:]), polys):
+                for data in evaluate.terms(poly):
+                    rows += weight * data
+    if skdv and lam != 0.0:
+        # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
+        # bracket-only grammar cannot write
+        source[:n_even] += (-6.0 * lam) * odd.odd_mul(odd.derivative(2)).data
+    if not np.all(np.isfinite(flux)):
+        raise NonFiniteFieldError("non-finite samples in spectral derivative")
+    spec = np.fft.rfft(flux, axis=-1) * grid.derivative_symbol(1)
+    total = np.fft.irfft(spec, n=grid.N, axis=-1) + source
+    return (EvenField(grid, even.descriptor, total[:n_even]),
+            OddField(grid, even.descriptor, total[n_even:]))
 
 
 def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
     """Everything except the -f''' dispersion, dealiased when requested."""
-    nl_even, nl_odd = _NONLINEAR[kind](even, odd, lam, eps)
+    if kind == "modified":
+        nl_even, nl_odd = _nl_modified(even, odd, lam, eps)
+    elif kind in SYSTEM_KINDS:
+        nl_even, nl_odd = _nl_flux_form(kind, even, odd, lam, eps)
+    else:
+        raise SuperKdVError(f"unknown system kind {kind!r}")
     if dealias:
         nl_even = nl_even.dealiased()
         nl_odd = nl_odd.dealiased()

@@ -113,24 +113,30 @@ class ConservedReport:
         return "\n".join(lines)
 
 
+def tracked_labels(kind, quantities=None):
+    """The labels drift_report evaluates for a system, checked before any
+    work: int h ("H") for modified, a choice of H_LABELS otherwise."""
+    have = ("H",) if kind == "modified" else H_LABELS
+    labels = have if quantities is None else tuple(quantities)
+    if not labels or not set(labels) <= set(have):
+        raise SuperKdVError(f"cannot track {list(labels)} for the {kind} system; "
+                            f"choose from {list(have)}")
+    return labels
+
+
 def drift_report(traj, quantities=None):
     """Evaluate the conserved quantities appropriate to traj's system at
     every record and report their relative drifts."""
     kind = traj.kind
     lam = traj.lam
+    labels = tracked_labels(kind, quantities)
+    channel_labels = traj[0].descriptor.even_labels
     if kind == "modified":
-        labels = ("H",) if quantities is None else tuple(quantities)
-        if labels != ("H",):
-            raise SuperKdVError(
-                "the modified system conserves the quadrature of its "
-                "hamiltonian density; track quantities=('H',)")
         series = [quadrature(hamiltonian_density(s.even, s.odd, lam)).coords
                   for s in traj]
-        values = {"H": np.array(series)}
-        channel_labels = traj[0].descriptor.even_labels
-        return ConservedReport(kind, traj.times, labels, channel_labels, values)
+        return ConservedReport(kind, traj.times, labels, channel_labels,
+                               {"H": np.array(series)})
 
-    labels = H_LABELS if quantities is None else tuple(quantities)
     if kind == "gardner":
         from .transforms import to_extended
         states = [to_extended(s) for s in traj]
@@ -142,5 +148,4 @@ def drift_report(traj, quantities=None):
         for label in labels:
             per_label[label].append(vals[label].coords)
     values = {label: np.array(rows) for label, rows in per_label.items()}
-    channel_labels = traj[0].descriptor.even_labels
     return ConservedReport(kind, traj.times, labels, channel_labels, values)

@@ -8,7 +8,6 @@ same configuration can be compared with a plain byte diff.
 """
 
 import json
-import os
 
 import numpy as np
 
@@ -137,7 +136,7 @@ def _ticks(lo, hi, count=5):
     return [lo + i * step for i in range(count)]
 
 
-def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
+def write_line_plot(path, x, series, title="", xlabel=""):
     """Standalone SVG with one polyline per named series.
 
     series maps label -> sequence of y values (same length as x).
@@ -196,11 +195,6 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
         parts.append(f'<text x="{_MARGIN_L + box_w // 2}" y="{_HEIGHT - 10}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12">{xlabel}</text>')
-    if ylabel:
-        cy = _MARGIN_T + box_h // 2
-        parts.append(f'<text x="16" y="{cy}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 16 {cy})">{ylabel}</text>')
     for i, (label, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{_fmt(px(float(xv)))},{_fmt(py(float(yv)))}"
@@ -229,9 +223,3 @@ def write_manifest(config, path):
     doc = dict(config)
     doc["code_version"] = __version__
     dump_json(doc, path)
-
-
-def snapshot_paths(outdir):
-    names = sorted(n for n in os.listdir(outdir)
-                   if n.startswith("snapshot_") and n.endswith(".json"))
-    return [os.path.join(outdir, n) for n in names]

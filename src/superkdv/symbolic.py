@@ -742,13 +742,39 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# nonlinear terms of the extended and gardner systems
+
+# power of e -> ((even flux, odd flux), (even source, odd source))
+_NONLINEAR_TEXTS = {
+    "extended": {0: (("3*u^2", "3*u*xi"), ("3*L*[xi'',xi]", "0"))},
+    "gardner": {
+        0: (("3*u^2 + 3*L*[xi',xi]", "3*u*xi"), ("0", "0")),
+        2: (("2*u^3 + 3*L*u*[xi',xi]", "0"),
+            ("0", "3*u^2*xi' + 3*u*u'*xi + 3*L*[xi',xi]*xi'")),
+    },
+}
+
+
+@lru_cache(maxsize=None)
+def nonlinear_terms(kind):
+    """Nonlinear terms of the extended or gardner system, in conservative
+    form: (power of e, (even flux, odd flux), (even source, odd source))
+    triples, each field's term being the sum of e^power (D(flux) + source)
+    over them.  Parsed once per kind and shared; treat as read-only."""
+    if kind not in _NONLINEAR_TEXTS:
+        raise SuperKdVError(f"no nonlinear terms written for system {kind!r}")
+    return tuple((power, tuple(map(parse, fluxes)), tuple(map(parse, sources)))
+                 for power, (fluxes, sources) in _NONLINEAR_TEXTS[kind].items())
+
+
+# ---------------------------------------------------------------------------
 # formal time derivative along the extended flow
 
 def _rhs_polys():
-    u, xi = DiffPolynomial.u, DiffPolynomial.xi
-    u_t = (-u(3) + (u(0) * u(1)).scaled(6)
-           + DiffPolynomial.bracket(2, 0).scaled(3, 1))
-    xi_t = -xi(3) + (u(1) * xi(0)).scaled(3) + (u(0) * xi(1)).scaled(3)
+    """u_t and xi_t of the extended system: -f''' + D(flux) + source."""
+    ((_, (flux_u, flux_xi), (source_u, source_xi)),) = nonlinear_terms("extended")
+    u_t = -DiffPolynomial.u(3) + flux_u.differentiate_total() + source_u
+    xi_t = -DiffPolynomial.xi(3) + flux_xi.differentiate_total() + source_xi
     return u_t, xi_t
 
 

@@ -65,21 +65,13 @@ def _constant_odd_field(grid, param):
     return OddField(grid, param.descriptor, data)
 
 
-def susy_variation(u, xi, param, lam, use_odd_mul=False):
+def susy_variation(u, xi, param, lam):
     """Supersymmetry generator: du = L [p, xi'], dxi = u p.
 
-    param is a constant odd element (an OddValue).  With use_odd_mul the
-    bracket is replaced by twice the plain odd product, which is the same
-    thing on a grassmann backend.
+    param is a constant odd element (an OddValue).
     """
     pf = _constant_odd_field(u.grid, param)
-    xip = xi.derivative(1)
-    if use_odd_mul:
-        du = (2.0 * lam) * pf.odd_mul(xip)
-    else:
-        du = lam * pf.commutator(xip)
-    dxi = u * pf
-    return du, dxi
+    return lam * pf.commutator(xi.derivative(1)), u * pf
 
 
 def to_extended(state):
@@ -97,7 +89,7 @@ def to_extended_trajectory(traj):
     return Trajectory([to_extended(s) for s in traj])
 
 
-def fd_flow_residual(traj, dealias=True):
+def fd_flow_residual(traj):
     """How well the recorded states solve their own system.
 
     Compares a fourth-order centered time difference of the records
@@ -105,8 +97,8 @@ def fd_flow_residual(traj, dealias=True):
     worst sample deviation relative to the largest right-hand side.
     Needs at least five uniformly spaced records.
 
-    With dealias each record is first projected onto the band the
-    dealiased flow retains: a record mapped from another system (the
+    Each record is first projected onto the band the dealiased flow
+    retains: a record mapped from another system (the
     Miura and gardner maps are quadratic) carries modes above that band,
     which no dealiased flow evolves.
     """
@@ -117,14 +109,12 @@ def fd_flow_residual(traj, dealias=True):
     delta = spacing[0]
     if np.max(np.abs(spacing - delta)) > 1e-9 * max(delta, 1e-12):
         raise SuperKdVError("records are not uniformly spaced in time")
-    records = list(traj)
-    if dealias:
-        records = [s.replace_fields(s.even.dealiased(), s.odd.dealiased())
-                   for s in records]
+    records = [s.replace_fields(s.even.dealiased(), s.odd.dealiased())
+               for s in traj]
     worst = 0.0
     scale = 1e-12
     for i in range(2, len(times) - 2):
-        re, ro = rhs_state(records[i], dealias=dealias)
+        re, ro = rhs_state(records[i])
         scale = max(scale, re.norm(), ro.norm())
         for part in ("even", "odd"):
             f = [getattr(records[j], part).data for j in range(i - 2, i + 3)]
@@ -135,15 +125,13 @@ def fd_flow_residual(traj, dealias=True):
     return worst / scale
 
 
-def flow_commutation_defect(state, param, dt, steps, scheme="rk4", dealias=True):
+def flow_commutation_defect(state, param, dt, steps, scheme="rk4"):
     """Norm of (flow then susy) minus (susy then flow), relative to the
     evolved fields.  Exact commutation gives pure roundoff here."""
     du, dxi = susy_variation(state.even, state.odd, param, state.lam)
     shifted = state.replace_fields(state.even + du, state.odd + dxi)
-    a = integrate(shifted, dt, steps, scheme=scheme, record_every=steps,
-                  dealias=dealias).final
-    b = integrate(state, dt, steps, scheme=scheme, record_every=steps,
-                  dealias=dealias).final
+    a = integrate(shifted, dt, steps, scheme=scheme, record_every=steps).final
+    b = integrate(state, dt, steps, scheme=scheme, record_every=steps).final
     du_b, dxi_b = susy_variation(b.even, b.odd, param, state.lam)
     defect = max(np.max(np.abs(a.even.data - (b.even + du_b).data), initial=0.0),
                  np.max(np.abs(a.odd.data - (b.odd + dxi_b).data), initial=0.0))

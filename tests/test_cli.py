@@ -73,15 +73,19 @@ def test_seed_flag_feeds_random_ic(tmp_path):
 
 
 def test_invalid_combinations_exit_2(tmp_path):
-    assert run(["simulate", "--system", "skdv", "--algebra", "scalar",
-                "--out", tmp_path / "x"]) == 2
-    assert run(["simulate", "--system", "extended", "--gardner-eps", 0.1,
-                "--out", tmp_path / "y"]) == 2
-    assert run(["simulate", "--system", "extended", "--dt", -1,
-                "--out", tmp_path / "z"]) == 2
-    assert run(["simulate", "--algebra", "grassmann:99",
-                "--out", tmp_path / "w"]) == 2
-    assert run(["simulate", "--record-every", 0, "--out", tmp_path / "v"]) == 2
+    refused = {
+        "x": ["--system", "skdv", "--algebra", "scalar"],
+        "y": ["--system", "extended", "--gardner-eps", 0.1],
+        "z": ["--system", "extended", "--dt", -1],
+        "w": ["--algebra", "grassmann:99"],
+        "v": ["--record-every", 0],
+        "m": ["--system", "modified", "--track", "H2"],
+        "e": ["--system", "extended", "--track", "H8"],
+        "t": ["--track", ","],
+    }
+    for name, flags in refused.items():
+        assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
+        assert not (tmp_path / name / "manifest.json").exists(), flags
 
 
 def test_stability_guard_refusal_exit_2(tmp_path, capsys):
@@ -89,6 +93,7 @@ def test_stability_guard_refusal_exit_2(tmp_path, capsys):
                 "--scheme", "rk4", "--t-end", 1, "--out", tmp_path / "g"])
     assert code == 2
     assert "dt" in capsys.readouterr().err
+    assert not (tmp_path / "g" / "manifest.json").exists()
 
 
 def test_blowup_exit_3_saves_last_state(tmp_path):

@@ -6,7 +6,10 @@ Oracles used here:
     right-hand side;
   - a single low Fourier mode of tiny amplitude, which the integrating
     factor scheme must transport exactly up to roundoff;
-  - Richardson ratios between runs at dt and dt/2 for the RK4 order.
+  - Richardson ratios between runs at dt and dt/2 for the RK4 order;
+  - the extended and gardner nonlinear terms written out by hand with
+    field arithmetic (reference_extended, reference_gardner), against the
+    flux-and-source texts the right-hand sides evaluate.
 """
 
 import numpy as np
@@ -28,6 +31,55 @@ def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0):
     even, odd = build_initial_condition(
         f"random_bandlimited(max_mode=5,amplitude=0.4,seed={seed})", grid, desc)
     return SystemState(kind, even, odd, lam=lam, epsilon=eps)
+
+
+def reference_extended(u, xi, lam, eps):
+    nl_even = 6.0 * (u * u.derivative(1))
+    if xi.data.shape[0] and lam != 0.0:
+        nl_even = nl_even + (3.0 * lam) * xi.derivative(2).commutator(xi)
+    nl_odd = 3.0 * (u * xi).derivative(1)
+    return nl_even, nl_odd
+
+
+def reference_gardner(z, sigma, lam, eps):
+    zp = z.derivative(1)
+    z2 = z * z
+    flux = 3.0 * z2
+    odd_dim = sigma.data.shape[0]
+    if odd_dim and lam != 0.0:
+        comm = sigma.derivative(1).commutator(sigma)
+        flux = flux + (3.0 * lam) * comm
+    if eps != 0.0:
+        cubic = 2.0 * (z2 * z)
+        if odd_dim and lam != 0.0:
+            cubic = cubic + (3.0 * lam) * (z * comm)
+        flux = flux + (eps * eps) * cubic
+    nl_even = flux.derivative(1)
+    nl_odd = (3.0 * (z * sigma)).derivative(1)
+    if eps != 0.0:
+        sp = sigma.derivative(1)
+        extra = (z2 * sp) + ((z * zp) * sigma)
+        if odd_dim and lam != 0.0:
+            extra = extra + lam * (comm * sp)
+        nl_odd = nl_odd + (3.0 * eps * eps) * extra
+    return nl_even, nl_odd
+
+
+@pytest.mark.parametrize("desc_str", ["scalar", "grassmann:3", "symplectic:2"])
+@pytest.mark.parametrize("lam", [0.0, -1.3])
+@pytest.mark.parametrize("kind,eps,reference", [
+    ("extended", 0.0, reference_extended),
+    ("gardner", 0.0, reference_gardner),
+    ("gardner", 0.3, reference_gardner),
+])
+def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str):
+    st = random_state(kind, desc_str, lam, eps=eps)
+    got = nonlinear_rhs(kind, st.even, st.odd, lam, eps, dealias=False)
+    want = reference(st.even, st.odd, lam, eps)
+    scale = max(want[0].norm(), want[1].norm())
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.max(np.abs(g.data - w.data), initial=0.0) <= 1e-12 * scale
 
 
 def test_zero_state_is_a_fixed_point():
@@ -242,6 +294,8 @@ def test_integrate_argument_validation():
         SystemState("extended", st.even, st.odd, epsilon=0.5)
     with pytest.raises(SuperKdVError):
         SystemState("breather", st.even, st.odd)
+    with pytest.raises(SuperKdVError):
+        nonlinear_rhs("breather", st.even, st.odd, 0.0)
 
 
 @pytest.mark.parametrize("dealias", [True, False])

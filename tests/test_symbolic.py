@@ -345,6 +345,12 @@ def test_reproduction_rejects_odd_or_large_order():
 
 # -- conservation along the flow ------------------------------------------------
 
+def test_evolutionary_derivative_of_the_fields_is_the_extended_flow():
+    assert evolutionary_derivative(parse("u")) == parse(
+        "-u''' + 6*u*u' + 3*L*[xi'',xi]")
+    assert evolutionary_derivative(parse("xi")) == parse("-xi''' + 3*D(u*xi)")
+
+
 @pytest.mark.parametrize("n", [0, 2, 4, 6])
 def test_conserved_densities_have_vanishing_time_derivative(n):
     rate = evolutionary_derivative(conserved_density_poly(n))

@@ -106,16 +106,6 @@ def test_susy_variation_is_nilpotent(desc_str):
     assert d2xi.norm() < 1e-13 * scale
 
 
-def test_susy_odd_mul_form_matches_bracket_form():
-    u, xi = random_fields("grassmann:3", seed=6)
-    desc = u.descriptor
-    param = OddValue(desc, np.arange(1.0, 1.0 + desc.odd_dim))
-    a_u, a_xi = susy_variation(u, xi, param, lam=0.8)
-    b_u, b_xi = susy_variation(u, xi, param, lam=0.8, use_odd_mul=True)
-    assert np.max(np.abs(a_u.data - b_u.data)) < 1e-13 * max(a_u.norm(), 1.0)
-    assert np.array_equal(a_xi.data, b_xi.data)
-
-
 def test_flow_and_susy_commute():
     grid_fields = random_fields("grassmann:3", seed=2, N=64, L=20.0)
     even, odd = grid_fields
