@@ -26,11 +26,14 @@ Three backends realize the interface:
 
 Basis order is fixed so snapshots are portable: Grassmann monomials by
 ascending generator bitmask, symplectic odd basis e1..en, e(n+1)..e(2n).
-All coordinate arrays carry the channel on the leading axis; trailing
-axes broadcast, so the same tables serve single values (dim,) and grid
-fields (dim, N).
+All coordinate arrays carry the channel on the leading axis, so the same
+tables serve single values (dim,) and grid fields (dim, N).  The two
+operands of a product must have equal trailing axes; they do not
+broadcast, and a mismatch raises SuperKdVError.
 """
 
+import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -146,29 +149,51 @@ def _require_same(d1, d2):
 
 
 class _BilinearMap:
-    """Sparse bilinear product out[k] = sum_(i,j) s*a[i]*b[j] on basis triples."""
+    """Sparse bilinear product out[k] = sum_(i,j) s*a[i]*b[j] on basis triples.
 
-    def __init__(self, triples, out_dim):
+    A call gathers a[i] and b[j] of every triple t into two (nnz,) + shape
+    scratch buffers, multiplies them in place and folds the triples onto
+    the output channels with one matmul by the signed fold matrix,
+    fold[k_t, t] = s_t.  The (out_dim,) + shape result is the only array a
+    call allocates, and it is fresh, so callers may keep and mutate it.
+
+    The gathers use take(mode="clip") because the default mode buffers the
+    output, which would allocate the very (nnz,) + shape array the scratch
+    buffers replace.  Clipping never alters an index: the operand dims are
+    checked first.  The buffers are kept per thread and re-made when the
+    trailing shape changes.
+    """
+
+    def __init__(self, triples, a_dim, b_dim, out_dim):
+        self.dims = (a_dim, b_dim)
         self.out_dim = out_dim
-        triples = sorted(triples, key=lambda t: t[2])
         self.nnz = len(triples)
-        if self.nnz:
-            self.i = np.array([t[0] for t in triples])
-            self.j = np.array([t[1] for t in triples])
-            k = np.array([t[2] for t in triples])
-            self.s = np.array([float(t[3]) for t in triples])
-            # reduceat segment starts: one segment per distinct output index
-            self.k_unique, self.starts = np.unique(k, return_index=True)
+        self.i = np.array([t[0] for t in triples], dtype=np.intp)
+        self.j = np.array([t[1] for t in triples], dtype=np.intp)
+        self.fold = np.zeros((out_dim, self.nnz))
+        self.fold[[t[2] for t in triples], np.arange(self.nnz)] = [t[3] for t in triples]
+        self._scratch = threading.local()
+
+    def _buffers(self, shape):
+        buffers = getattr(self._scratch, "buffers", None)
+        if buffers is None or buffers[0].shape[1:] != shape:
+            buffers = (np.empty((self.nnz,) + shape), np.empty((self.nnz,) + shape))
+            self._scratch.buffers = buffers
+        return buffers
 
     def __call__(self, a, b):
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        out = np.zeros((self.out_dim,) + shape)
-        if not self.nnz:
-            return out
-        contrib = a[self.i] * b[self.j]
-        contrib *= self.s.reshape((-1,) + (1,) * len(shape))
-        out[self.k_unique] = np.add.reduceat(contrib, self.starts, axis=0)
-        return out
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape[:1] + b.shape[:1] != self.dims or a.shape[1:] != b.shape[1:]:
+            raise SuperKdVError(
+                f"operand shapes {a.shape} and {b.shape} do not fit a product "
+                f"of {self.dims[0]} by {self.dims[1]} channels with equal trailing axes")
+        shape = a.shape[1:]
+        left, right = self._buffers(shape)
+        np.take(a, self.i, axis=0, out=left, mode="clip")
+        np.take(b, self.j, axis=0, out=right, mode="clip")
+        left *= right
+        out = self.fold @ left.reshape(self.nnz, math.prod(shape))
+        return out.reshape((self.out_dim,) + shape)
 
 
 def _grassmann_products(n):
@@ -202,7 +227,10 @@ class Algebra:
 
     Arguments are plain coordinate arrays (leading axis = channel).  The
     EvenValue/OddValue wrappers below add descriptor checking for scalar
-    level work; field-level code calls these methods directly.
+    level work; field-level code calls these methods directly.  Every
+    result is a fresh array.  The products gather into scratch buffers
+    kept per thread, so threads may share the one Algebra that
+    get_algebra returns per descriptor.
     """
 
     def __init__(self, descriptor):
@@ -220,12 +248,12 @@ class Algebra:
         else:
             ee, eo, oo = _grassmann_products(descriptor.generators)
             half = oo  # [a,b] = ab - ba evaluated literally below
-        self._ee = _BilinearMap(ee, E)
-        self._eo = _BilinearMap(eo, O)
+        self._ee = _BilinearMap(ee, E, E, E)
+        self._eo = _BilinearMap(eo, E, O, O)
         # one orientation only; the commutator is half(a,b) - half(b,a), which
         # makes antisymmetry bitwise exact instead of roundoff-exact
-        self._half = _BilinearMap(half, E)
-        self._oo = _BilinearMap(oo, E) if oo is not None else None
+        self._half = _BilinearMap(half, O, O, E)
+        self._oo = self._half if oo is not None else None  # grassmann: half is oo
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -239,7 +267,9 @@ class Algebra:
         return self._eo(a, q)
 
     def odd_commutator(self, q1, q2):
-        return self._half(q1, q2) - self._half(q2, q1)
+        out = self._half(q1, q2)
+        out -= self._half(q2, q1)
+        return out
 
     def odd_mul(self, q1, q2):
         if self._oo is None:

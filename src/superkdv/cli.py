@@ -410,7 +410,7 @@ def cmd_plot(args):
     if args.csv:
         try:
             header, rows = snapshots.read_csv(args.csv)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read {args.csv}: {exc}")
         if not rows:
             raise UsageError(f"no data rows in {args.csv}")
@@ -427,7 +427,10 @@ def cmd_plot(args):
         snapshots.write_line_plot(args.out, x, series, title=args.title or "",
                                   xlabel="time")
     else:
-        state = snapshots.read_snapshot(args.snapshot)
+        try:
+            state = snapshots.read_snapshot(args.snapshot)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read {args.snapshot}: {exc}")
         specs = ([c.strip() for c in args.channel.split(",") if c.strip()]
                  if args.channel else ["even:" + state.even.labels[0]])
         series = {}

@@ -77,17 +77,14 @@ class SystemState:
 
 
 def _nl_modified(v, eta, lam, eps):
-    vp = v.derivative(1)
-    nl_even = 6.0 * ((v * v) * vp)
+    vp, etap = v.derivative(1), eta.derivative(1)
+    vv = v * v
+    nl_even = 6.0 * (vv * vp)
+    nl_odd = 3.0 * (vv * etap) + 3.0 * ((v * vp) * eta)
     if eta.data.shape[0] and lam != 0.0:
-        etap = eta.derivative(1)
         nl_even = nl_even + 3.0 * lam * (v * etap.commutator(eta)).derivative(1)
-        nl_odd = (3.0 * ((v * v) * etap) + 3.0 * ((v * vp) * eta)
-                  + (-lam) * (eta.commutator(etap) * etap)
+        nl_odd = (nl_odd + (-lam) * (eta.commutator(etap) * etap)
                   + (-0.5 * lam) * (eta.commutator(eta.derivative(2)) * eta))
-    else:
-        etap = eta.derivative(1)
-        nl_odd = 3.0 * ((v * v) * etap) + 3.0 * ((v * vp) * eta)
     return nl_even, nl_odd
 
 

@@ -67,19 +67,46 @@ def write_snapshot(state, path):
     dump_json(state_to_dict(state), path)
 
 
+_SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "even", "odd")
+
+
 def state_from_dict(doc):
-    grid = PeriodicGrid(doc["L"], doc["N"])
-    desc = AlgebraDescriptor.from_string(doc["algebra"])
+    """Rebuild a SystemState from a snapshot document.
+
+    Malformed content (a missing key or channel, a value that is not a
+    number, a row that is not N long) raises SuperKdVError.
+    """
+    if not isinstance(doc, dict):
+        raise SuperKdVError("a snapshot must be a JSON object")
+    missing = [key for key in _SNAPSHOT_KEYS if key not in doc]
+    if missing:
+        raise SuperKdVError(f"snapshot lacks the keys {missing}")
+    try:
+        grid = PeriodicGrid(doc["L"], doc["N"])
+        desc = AlgebraDescriptor.from_string(str(doc["algebra"]))
+        time, lam = float(doc["time"]), float(doc["lambda"])
+        epsilon = float(doc.get("epsilon", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise SuperKdVError(f"malformed snapshot value: {exc}")
     even = EvenField.zeros(grid, desc)
     odd = OddField.zeros(grid, desc)
-    for field in (even, odd):
-        part = doc["even" if field is even else "odd"]
+    for field, part_name in ((even, "even"), (odd, "odd")):
+        part = doc[part_name]
+        if not isinstance(part, dict):
+            raise SuperKdVError(f"snapshot {part_name!r} must map channel labels to rows")
         for i, label in enumerate(field.labels):
             if label not in part:
                 raise SuperKdVError(f"snapshot missing channel {label!r}")
-            field.data[i] = part[label]
-    return SystemState(doc["system"], even, odd, time=doc["time"],
-                       lam=doc["lambda"], epsilon=doc.get("epsilon", 0.0))
+            try:
+                row = np.asarray(part[label], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SuperKdVError(f"snapshot channel {part_name}:{label}: {exc}")
+            if row.shape != (grid.N,):
+                raise SuperKdVError(
+                    f"snapshot channel {part_name}:{label} holds shape {row.shape}, "
+                    f"not ({grid.N},)")
+            field.data[i] = row
+    return SystemState(doc["system"], even, odd, time=time, lam=lam, epsilon=epsilon)
 
 
 def read_snapshot(path):
@@ -106,12 +133,23 @@ def write_csv(header, rows, path):
 
 
 def read_csv(path):
+    """Header and float rows of a CSV written by write_csv; blank lines are
+    skipped, and a ragged row or a non-numeric cell raises SuperKdVError."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         return [], []
     header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise SuperKdVError(
+                f"csv data row {number} has {len(cells)} cells, header has {len(header)}")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise SuperKdVError(f"csv data row {number}: {exc}")
     return header, rows
 
 

@@ -3,6 +3,10 @@ with the measured values next to the tolerance it was judged against."""
 
 import filecmp
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -233,6 +237,32 @@ def test_criterion_10_byte_determinism(tmp_path):
     ok = sim_same and check_same and plot_same
     verdict(10, ok, f"rerun comparison over {len(files)} simulate artifacts, "
                     "check verdict, and plot: all byte-identical")
+
+
+def test_byte_determinism_across_blas_thread_counts(tmp_path):
+    # The algebra products reduce with a BLAS matmul, so every field value
+    # passes through it.  grassmann:6 at N=256 gives the largest product
+    # tables the benchmark runs, large enough for OpenBLAS to split them
+    # over two threads.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    sim_args = ["simulate", "--system", "modified", "--algebra", "grassmann:6",
+                "--lambda", "1", "--scheme", "rk4", "--grid", "256", "--dt", "2e-4",
+                "--t-end", "0.004", "--record-every", "5", "--seed", "3",
+                "--ic", "random_bandlimited(max_mode=4,amplitude=0.4)"]
+    dirs = {threads: tmp_path / f"threads{threads}" for threads in ("1", "2")}
+    for threads, out in dirs.items():
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "superkdv.cli", *sim_args,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    files = sorted(p.name for p in dirs["1"].iterdir())
+    assert files == sorted(p.name for p in dirs["2"].iterdir())
+    assert len(files) == 7  # manifest, csv, five snapshots
+    same = all(filecmp.cmp(dirs["1"] / n, dirs["2"] / n, shallow=False) for n in files)
+    verdict(10, same, f"{len(files)} simulate artifacts byte-identical with one "
+                      "and with two BLAS threads")
 
 
 @pytest.mark.slow

@@ -263,3 +263,153 @@ def test_broadcast_over_grid_axis():
     stacked = alg.mixed_mul(a, q)
     for x in range(7):
         assert np.allclose(stacked[:, x], alg.mixed_mul(a[:, x], q[:, x]))
+
+
+def oracle_tables(descriptor):
+    """Product triples (i, j, k, s) per table, built without the package:
+    Grassmann ones from oracle_mul, symplectic and scalar ones by hand."""
+    if descriptor.kind == "scalar":
+        return {"ee": [(0, 0, 0, 1)], "eo": [], "oo": []}
+    if descriptor.kind == "symplectic":
+        n = descriptor.generators
+        return {"ee": [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                "eo": [(0, j, j, 1) for j in range(2 * n)],
+                # q*p with only the half of omega that the commutator antisymmetrizes
+                "oo": [(i, n + i, 1, 1) for i in range(n)]}
+    evens, odds = masks_by_parity(descriptor.generators)
+    tables = {}
+    for name, left, right, out in (("ee", evens, evens, evens), ("eo", evens, odds, odds),
+                                   ("oo", odds, odds, evens)):
+        tables[name] = []
+        for ia, ma in enumerate(left):
+            for ib, mb in enumerate(right):
+                sign, mono = oracle_mul(mask_to_tuple(ma), mask_to_tuple(mb))
+                if sign:
+                    k = out.index(sum(1 << g for g in mono))
+                    tables[name].append((ia, ib, k, sign))
+    return tables
+
+
+def oracle_product(triples, out_dim, a, b):
+    out = np.zeros((out_dim,) + a.shape[1:])
+    for i, j, k, s in triples:
+        out[k] += s * a[i] * b[j]
+    return out
+
+
+BACKENDS = ["scalar", "grassmann:2", "grassmann:3", "grassmann:4", "grassmann:5",
+            "grassmann:6", "symplectic:1", "symplectic:2", "symplectic:3"]
+
+
+@pytest.mark.parametrize("text", BACKENDS)
+def test_products_match_per_triple_oracle(text):
+    d = AlgebraDescriptor.from_string(text)
+    alg = get_algebra(d)
+    tables = oracle_tables(d)
+    E, O = d.even_dim, d.odd_dim
+    rng = np.random.default_rng(5)
+    # single values and grids interleaved, so the scratch buffers are re-made
+    for shape in [(), (17,), (), (4, 5), (17,), (3,)]:
+        a, b = rng.uniform(-1, 1, (2, E) + shape)
+        q, p = rng.uniform(-1, 1, (2, O) + shape)
+        pairs = [(alg.even_mul(a, b), oracle_product(tables["ee"], E, a, b)),
+                 (alg.mixed_mul(a, q), oracle_product(tables["eo"], O, a, q))]
+        half_qp = oracle_product(tables["oo"], E, q, p)
+        half_pq = oracle_product(tables["oo"], E, p, q)
+        pairs.append((alg.odd_commutator(q, p), half_qp - half_pq))
+        if d.kind == "grassmann":
+            pairs.append((alg.odd_mul(q, p), half_qp))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            # summation order differs from the oracle's: roundoff only
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13), (text, shape)
+
+
+def test_product_results_do_not_alias():
+    alg = get_algebra(AlgebraDescriptor("grassmann", 4))
+    rng = np.random.default_rng(6)
+    a, b, c = rng.uniform(-1, 1, (3, 8, 32))
+    first = alg.even_mul(a, b)
+    kept = first.copy()
+    second = alg.even_mul(b, c)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    first[:] = 7.0
+    assert np.array_equal(second, alg.even_mul(b, c))
+    comm = alg.odd_commutator(a, c)
+    assert np.array_equal(comm, alg.odd_commutator(a, c))
+    assert not np.shares_memory(comm, alg.odd_commutator(a, c))
+
+
+def test_repeated_product_allocates_only_its_result():
+    import tracemalloc
+
+    d = AlgebraDescriptor("grassmann", 6)
+    alg = get_algebra(d)
+    N = 256
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-1, 1, (2, d.even_dim, N))
+    gather_bytes = len(oracle_tables(d)["ee"]) * N * 8
+    alg.even_mul(a, b)  # first call makes this thread's scratch buffers
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            alg.even_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gather_bytes, (peak, gather_bytes)
+
+
+def test_concurrent_products_match_serial_results():
+    import sys
+    import threading
+
+    d = AlgebraDescriptor("grassmann", 5)
+    alg = get_algebra(d)
+    rng = np.random.default_rng(8)
+    inputs = [rng.uniform(-1, 1, (2, d.even_dim, n)) for n in (256, 96, 256, 128)]
+    serial = [(alg.even_mul(a, b), alg.odd_commutator(a, b)) for a, b in inputs]
+    failures = []
+
+    def worker(offset):
+        for rep in range(150):
+            index = (offset + rep) % len(inputs)
+            a, b = inputs[index]
+            want_mul, want_comm = serial[index]
+            try:
+                same = (np.array_equal(alg.even_mul(a, b), want_mul)
+                        and np.array_equal(alg.odd_commutator(a, b), want_comm))
+            except Exception as exc:  # a thread's exception would go unseen
+                same = exc
+            if same is not True:
+                failures.append((index, same))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_product_operand_shapes_checked():
+    d = AlgebraDescriptor("grassmann", 3)
+    alg = get_algebra(d)
+    E, O = d.even_dim, d.odd_dim
+    bad = [(alg.even_mul, np.zeros(E + 1), np.zeros(E)),       # channel count
+           (alg.mixed_mul, np.zeros(E), np.zeros(O - 1)),
+           (alg.odd_commutator, np.zeros((O, 3)), np.zeros((E + 1, 3))),
+           (alg.odd_mul, np.zeros((O, 7)), np.zeros((O, 8))),    # trailing axes
+           (alg.even_mul, np.zeros((E, 1)), np.zeros((E, 7))),   # no broadcasting
+           (alg.mixed_mul, np.zeros((E, 7)), np.zeros(O)),
+           (alg.even_mul, np.zeros(()), np.zeros(E))]
+    for product, a, b in bad:
+        with pytest.raises(SuperKdVError):
+            product(a, b)

@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from superkdv.algebra import AlgebraDescriptor
 from superkdv.cli import main
-from superkdv.snapshots import load_json, read_csv, read_snapshot
+from superkdv.dynamics import SystemState
+from superkdv.fields import EvenField, OddField, PeriodicGrid
+from superkdv.snapshots import dump_json, load_json, read_csv, read_snapshot, state_to_dict
 
 
 def run(argv):
@@ -190,6 +193,49 @@ def test_plot_empty_csv_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("time,H0[unit]\n")
     assert run(["plot", "--csv", empty, "--out", tmp_path / "x.svg"]) == 2
+
+
+def small_snapshot_doc():
+    grid = PeriodicGrid(40.0, 16)
+    desc = AlgebraDescriptor.from_string("symplectic:1")
+    state = SystemState("extended", EvenField.zeros(grid, desc), OddField.zeros(grid, desc))
+    return state_to_dict(state)
+
+
+def drop_last_sample(doc):
+    doc["even"]["unit"].pop()
+
+
+# flag, file content: None (no file), text, bytes, or an edit of a valid snapshot
+UNREADABLE_PLOT_INPUTS = {
+    "missing-snapshot": ("--snapshot", None),
+    "non-json-snapshot": ("--snapshot", "{not json"),
+    "snapshot-row-not-N-long": ("--snapshot", drop_last_sample),
+    "snapshot-without-L": ("--snapshot", lambda doc: doc.pop("L")),
+    "snapshot-non-numeric-sample": ("--snapshot", lambda doc: doc["odd"]["e1"].__setitem__(0, "x")),
+    "snapshot-not-an-object": ("--snapshot", "[1, 2]"),
+    "non-utf8-snapshot": ("--snapshot", b"\xff\xfe{"),
+    "csv-non-numeric-cell": ("--csv", "time,H0[unit]\n0.0,abc\n"),
+    "csv-ragged-row": ("--csv", "time,H0[unit]\n0.0,1.0\n0.1\n"),
+    "non-utf8-csv": ("--csv", b"time,H0\n\xff,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_PLOT_INPUTS))
+def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
+    flag, content = UNREADABLE_PLOT_INPUTS[case]
+    path = tmp_path / "input"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        doc = small_snapshot_doc()
+        content(doc)
+        dump_json(doc, path)
+    assert run(["plot", flag, path, "--out", tmp_path / "x.svg"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_soliton_snapshot_minimum(tmp_path):
