@@ -8,6 +8,7 @@ artifact byte for byte.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -88,11 +89,20 @@ def resolve_config(args, defaults):
     return cfg
 
 
-def _positive(cfg, key, kind=float):
+def _number(cfg, key, kind=float):
+    """cfg[key] as a finite number of the given kind, else a UsageError."""
     try:
         value = kind(cfg[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a {kind.__name__}")
+        finite = math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise UsageError(f"{key} must be a finite {kind.__name__}, got {cfg[key]!r}")
+    return value
+
+
+def _positive(cfg, key, kind=float):
+    value = _number(cfg, key, kind)
     if value <= 0:
         raise UsageError(f"{key} must be positive, got {value}")
     return value
@@ -105,10 +115,10 @@ def _tracked_labels(cfg, system):
     return tracked_labels(system, track)
 
 
-def _resolve_ic(cfg):
+def _resolve_ic(cfg, seed):
     spec = parse_ic(str(cfg["ic"]))
     if isinstance(spec, RandomBandlimitedIC) and "seed=" not in str(cfg["ic"]):
-        spec.seed = int(cfg["seed"])
+        spec.seed = seed
     return spec
 
 
@@ -131,19 +141,19 @@ def cmd_simulate(args):
     N = _positive(cfg, "grid", int)
     dt = _positive(cfg, "dt")
     t_end = _positive(cfg, "t_end")
-    lam = float(cfg["lambda"])
-    eps = float(cfg["gardner_eps"]) if cfg["gardner_eps"] is not None else 0.0
+    lam = _number(cfg, "lambda")
+    eps = _number(cfg, "gardner_eps") if cfg["gardner_eps"] is not None else 0.0
     scheme = str(cfg["scheme"])
     if scheme not in ("rk4", "ifrk4"):
         raise UsageError(f"unknown scheme {scheme!r}")
-    seed = int(cfg["seed"])
+    seed = _number(cfg, "seed", int)
     steps = max(1, round(t_end / dt))
-    record_every = (int(cfg["record_every"]) if cfg["record_every"] is not None
+    record_every = (_number(cfg, "record_every", int) if cfg["record_every"] is not None
                     else max(1, steps // 50))
     track = _tracked_labels(cfg, system)
     dealias = bool(cfg["dealias"])
 
-    ic_spec = _resolve_ic(cfg)
+    ic_spec = _resolve_ic(cfg, seed)
     grid = PeriodicGrid(L, N)
     even, odd = build_initial_condition(ic_spec, grid, descriptor)
     kind = "skdv_grassmann" if system == "skdv" else system
@@ -232,8 +242,7 @@ def _miura_setup(backend, seed, n=128):
 
 
 def _check_miura(args):
-    lam = args.lam if args.lam is not None else 1.0
-    seed = args.seed if args.seed is not None else 0
+    lam, seed = args.lam, args.seed
     tol_map, tol_ham = 1e-5, 1e-10
     residuals, ok = {}, True
     for backend in ("grassmann:4", "symplectic:1"):
@@ -276,9 +285,7 @@ def _gardner_deviation(eps, lam, seed):
 
 
 def _check_gardner(args):
-    lam = args.lam if args.lam is not None else 1.0
-    eps = args.gardner_eps if args.gardner_eps is not None else 0.1
-    seed = args.seed if args.seed is not None else 0
+    lam, eps, seed = args.lam, args.gardner_eps, args.seed
     residuals, ok = {}, True
 
     grid = PeriodicGrid(40.0, 128)
@@ -322,8 +329,7 @@ def _check_gardner(args):
 
 
 def _check_susy(args):
-    lam = args.lam if args.lam is not None else 1.0
-    seed = args.seed if args.seed is not None else 0
+    lam, seed = args.lam, args.seed
     noise_floor = 1e-9
     residuals, ok = {}, True
     for backend in ("grassmann:4", "symplectic:1"):
@@ -365,8 +371,7 @@ def _check_susy(args):
 
 
 def _check_densities(args):
-    table = reproduce_conserved_quantities(max_order=6,
-                                           seed=args.seed if args.seed else 0)
+    table = reproduce_conserved_quantities(max_order=6, seed=args.seed)
     expected = {0: "1", 2: "-1", 4: "1", 6: "-1"}
     got = {e["n"]: str(e["c"]) for e in table.entries}
     ok = table.all_ok and got == expected
@@ -489,9 +494,9 @@ def build_parser():
     chk = sub.add_parser("check", help="run a verification suite")
     chk.add_argument("suite", choices=sorted(_CHECKS))
     chk.add_argument("--algebra", help="restrict check algebra to one backend")
-    chk.add_argument("--lambda", dest="lam", type=float)
-    chk.add_argument("--gardner-eps", dest="gardner_eps", type=float)
-    chk.add_argument("--seed", type=int)
+    chk.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    chk.add_argument("--gardner-eps", dest="gardner_eps", type=float, default=0.1)
+    chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--out", help="also write the JSON verdict to this file")
     chk.set_defaults(func=cmd_check)
 

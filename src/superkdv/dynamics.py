@@ -2,16 +2,13 @@
 
 All systems share the linear dispersion -f''' on every field; the
 remaining terms are polynomial in the fields and their first two
-derivatives.  The extended and gardner terms are written once, in
-conservative form D(flux) + source, as symbolic.nonlinear_terms; each
-evaluation takes D of the stacked [even flux; odd flux] with one
-transform pair.  skdv_grassmann (Grassmann only) is extended with its
-3 L [xi'', xi] written as -6 L xi xi''.  The modified system is written
-out here, in v and eta, with L the coupling:
-
-  v_t = -v''' + 6 v^2 v' + 3 L (v [eta', eta])'
-  eta_t = -eta''' + 3 v^2 eta' + 3 v v' eta
-          - L [eta, eta'] eta' - (L/2) [eta, eta''] eta
+derivatives.  They are written once, in conservative form D(flux) +
+source, as symbolic.nonlinear_terms, with u and xi standing for each
+system's own fields: (u, xi) for extended, (z, sigma) for gardner and
+(v, eta) for modified.  Each evaluation takes D of the stacked flux rows
+that some flux text writes into (only the even rows for modified) with
+one transform pair.  skdv_grassmann (Grassmann only) is extended with its
+3 L [xi'', xi] written as -6 L xi xi''.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields.  Each stage transforms
@@ -26,6 +23,9 @@ wavenumber the dealias filter lets survive (the full spectrum when
 dealiasing is off); the mask is applied to the initial state and to every
 nonlinear evaluation, so no active mode ever exceeds k_lim.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class SystemState:
     def __init__(self, kind, even, odd, time=0.0, lam=0.0, epsilon=0.0):
         if kind not in SYSTEM_KINDS:
             raise SuperKdVError(f"unknown system kind {kind!r}")
+        time, lam, epsilon = float(time), float(lam), float(epsilon)
+        if not all(map(math.isfinite, (time, lam, epsilon))):
+            raise SuperKdVError("time, lam and epsilon must be finite")
         if even.grid != odd.grid or even.descriptor != odd.descriptor:
             raise SuperKdVError("even and odd fields must share grid and descriptor")
         if kind == "skdv_grassmann" and even.descriptor.kind != "grassmann":
@@ -54,9 +57,7 @@ class SystemState:
         self.kind = kind
         self.even = even
         self.odd = odd
-        self.time = float(time)
-        self.lam = float(lam)
-        self.epsilon = float(epsilon)
+        self.time, self.lam, self.epsilon = time, lam, epsilon
 
     @property
     def grid(self):
@@ -76,36 +77,34 @@ class SystemState:
                 f"eps={self.epsilon}, {self.descriptor}, {self.grid})")
 
 
-def _nl_modified(v, eta, lam, eps):
-    vp, etap = v.derivative(1), eta.derivative(1)
-    vv = v * v
-    nl_even = 6.0 * (vv * vp)
-    nl_odd = 3.0 * (vv * etap) + 3.0 * ((v * vp) * eta)
-    if eta.data.shape[0] and lam != 0.0:
-        nl_even = nl_even + 3.0 * lam * (v * etap.commutator(eta)).derivative(1)
-        nl_odd = (nl_odd + (-lam) * (eta.commutator(etap) * etap)
-                  + (-0.5 * lam) * (eta.commutator(eta.derivative(2)) * eta))
-    return nl_even, nl_odd
+@lru_cache(maxsize=None)
+def _flux_rows(kind, n_even, n_rows):
+    """The stacked rows some flux text of the system writes into, the only
+    ones nonlinear_rhs takes D of (modified has no odd flux)."""
+    terms = nonlinear_terms(kind)
+    has_even, has_odd = (any(not f[part].is_zero() for _, f, _ in terms) for part in (0, 1))
+    return slice(0 if has_even else n_even, n_rows if has_odd else n_even)
 
 
-def _nl_flux_form(kind, even, odd, lam, eps):
-    """D(flux) + source from symbolic.nonlinear_terms, with one derivative
-    transform pair for the stacked [even flux; odd flux]."""
-    grid, n_even = even.grid, even.data.shape[0]
+def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
+    """Everything except the -f''' dispersion, dealiased when requested:
+    D(flux) + source from symbolic.nonlinear_terms, with one derivative
+    transform pair for the stacked flux rows some flux text writes into."""
+    grid, desc, n_even = even.grid, even.descriptor, even.data.shape[0]
     skdv = kind == "skdv_grassmann"
-    if skdv and even.descriptor.kind != "grassmann":
+    if skdv and desc.kind != "grassmann":
         raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
+    kind = "extended" if skdv else kind
+    terms = nonlinear_terms(kind)
     evaluate = _Evaluator(even, odd, lam)
-    flux = np.zeros((n_even + odd.data.shape[0], grid.N))
-    source = np.zeros_like(flux)
-    for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
-        weight = eps ** power
-        if weight == 0.0:
-            continue
-        for out, polys in ((flux, fluxes), (source, () if skdv else sources)):
-            for rows, poly in zip((out[:n_even], out[n_even:]), polys):
-                for data in evaluate.terms(poly):
-                    rows += weight * data
+    source = np.zeros((n_even + odd.data.shape[0], grid.N))
+    rows = _flux_rows(kind, n_even, len(source))
+    flux = np.zeros((rows.stop - rows.start, grid.N))  # holds only those rows
+    for power, fluxes, sources in terms:
+        for out, split, polys in ((flux, n_even - rows.start, fluxes),
+                                  (source, n_even, () if skdv else sources)):
+            for part, poly in zip((out[:split], out[split:]), polys):
+                evaluate.add_to(part, poly, eps ** power)
     if skdv and lam != 0.0:
         # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
         # bracket-only grammar cannot write
@@ -113,22 +112,11 @@ def _nl_flux_form(kind, even, odd, lam, eps):
     if not np.all(np.isfinite(flux)):
         raise NonFiniteFieldError("non-finite samples in spectral derivative")
     spec = np.fft.rfft(flux, axis=-1) * grid.derivative_symbol(1)
-    total = np.fft.irfft(spec, n=grid.N, axis=-1) + source
-    return (EvenField(grid, even.descriptor, total[:n_even]),
-            OddField(grid, even.descriptor, total[n_even:]))
-
-
-def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
-    """Everything except the -f''' dispersion, dealiased when requested."""
-    if kind == "modified":
-        nl_even, nl_odd = _nl_modified(even, odd, lam, eps)
-    elif kind in SYSTEM_KINDS:
-        nl_even, nl_odd = _nl_flux_form(kind, even, odd, lam, eps)
-    else:
-        raise SuperKdVError(f"unknown system kind {kind!r}")
+    source[rows] += np.fft.irfft(spec, n=grid.N, axis=-1)
+    nl_even = EvenField(grid, desc, source[:n_even])
+    nl_odd = OddField(grid, desc, source[n_even:])
     if dealias:
-        nl_even = nl_even.dealiased()
-        nl_odd = nl_odd.dealiased()
+        return nl_even.dealiased(), nl_odd.dealiased()
     return nl_even, nl_odd
 
 

@@ -24,8 +24,8 @@ class PeriodicGrid:
     def __init__(self, L, N):
         L = float(L)
         N = int(N)
-        if L <= 0:
-            raise SuperKdVError("grid length must be positive")
+        if not 0 < L < np.inf:
+            raise SuperKdVError(f"grid length must be positive and finite, got {L}")
         if N < 16 or N & (N - 1):
             raise SuperKdVError(f"grid size must be a power of two >= 16, got {N}")
         self.L = L

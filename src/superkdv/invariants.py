@@ -1,22 +1,18 @@
 """Conserved quantities of the flows and drift reports over trajectories.
 
 For the extended system the conserved integrals are H0, H2, H4 and H6,
-the quadratures of the densities that symbolic.conserved_density_poly(n)
-defines; conserved_densities evaluates those polynomials on the fields.
+the quadratures of the densities symbolic.density_poly defines in u and
+xi under those labels; conserved_densities evaluates them on the fields.
 
-The modified system conserves the integral of
-
-  h = 1/2 (v')^2 + 1/2 v^4 + 1/2 L^2 [eta, eta']^2
-      + 1/2 L [eta'', eta'] + 3/2 L v^2 [eta', eta]
-
-which reduces to 1/2 u^2 + L/2 [xi', xi], half the H2 density, under the
-Miura substitution.  h stays written out here, in v and eta, because the
-symbolic engine knows only the symbols u and xi.
+The modified system conserves the integral of its density h, written
+once as symbolic.density_poly("H") with u and xi standing for v and eta;
+hamiltonian_density evaluates it.  Under the Miura substitution h reduces
+to 1/2 u^2 + L/2 [xi', xi], half the H2 density.
 
 drift_report evaluates the quantities appropriate to a trajectory's
-system (the H_k for extended and skdv_grassmann, int h for modified, and
-the H_k of the mapped fields for gardner) and reports each quantity's
-worst relative excursion from its initial value.
+system (the H_k for extended and skdv_grassmann, int h ("H") for
+modified, and the H_k of the mapped fields for gardner) and reports each
+quantity's worst relative excursion from its initial value.
 """
 
 import numpy as np
@@ -24,7 +20,7 @@ import numpy as np
 from .algebra import value_norm
 from .errors import SuperKdVError
 from .fields import quadrature
-from .symbolic import _Evaluator, conserved_density_poly
+from .symbolic import _Evaluator, density_poly
 
 H_LABELS = ("H0", "H2", "H4", "H6")
 DRIFT_FLOOR = 1e-12
@@ -36,7 +32,7 @@ def conserved_densities(u, xi, lam, which=H_LABELS):
     if bad:
         raise SuperKdVError(f"unknown conserved quantities {bad}; have {H_LABELS}")
     evaluate = _Evaluator(u, xi, lam)
-    return {label: evaluate(conserved_density_poly(int(label[1:])))
+    return {label: evaluate(density_poly(label))
             for label in H_LABELS if label in which}
 
 
@@ -48,16 +44,7 @@ def conserved_quantities(u, xi, lam, which=H_LABELS):
 
 def hamiltonian_density(v, eta, lam):
     """Conserved density of the modified system."""
-    vp = v.derivative(1)
-    v2 = v * v
-    h = 0.5 * (vp * vp) + 0.5 * (v2 * v2)
-    if eta.data.shape[0] and lam != 0.0:
-        etap = eta.derivative(1)
-        c = eta.commutator(etap)
-        h = (h + (0.5 * lam * lam) * (c * c)
-             + (0.5 * lam) * eta.derivative(2).commutator(etap)
-             + (1.5 * lam) * (v2 * etap.commutator(eta)))
-    return h
+    return _Evaluator(v, eta, lam)(density_poly("H"))
 
 
 def reduced_hamiltonian_density(u, xi, lam):
@@ -128,24 +115,14 @@ def drift_report(traj, quantities=None):
     """Evaluate the conserved quantities appropriate to traj's system at
     every record and report their relative drifts."""
     kind = traj.kind
-    lam = traj.lam
     labels = tracked_labels(kind, quantities)
-    channel_labels = traj[0].descriptor.even_labels
-    if kind == "modified":
-        series = [quadrature(hamiltonian_density(s.even, s.odd, lam)).coords
-                  for s in traj]
-        return ConservedReport(kind, traj.times, labels, channel_labels,
-                               {"H": np.array(series)})
-
-    if kind == "gardner":
-        from .transforms import to_extended
-        states = [to_extended(s) for s in traj]
-    else:
-        states = list(traj)
-    per_label = {label: [] for label in labels}
-    for s in states:
-        vals = conserved_quantities(s.even, s.odd, lam, labels)
+    if kind == "gardner":  # its H_k are those of the mapped fields
+        from .transforms import to_extended_trajectory
+        traj = to_extended_trajectory(traj)
+    values = {label: [] for label in labels}
+    for s in traj:
+        evaluate = _Evaluator(s.even, s.odd, s.lam)
         for label in labels:
-            per_label[label].append(vals[label].coords)
-    values = {label: np.array(rows) for label, rows in per_label.items()}
-    return ConservedReport(kind, traj.times, labels, channel_labels, values)
+            values[label].append(quadrature(evaluate(density_poly(label))).coords)
+    return ConservedReport(kind, traj.times, labels, traj[0].descriptor.even_labels,
+                           {label: np.array(rows) for label, rows in values.items()})

@@ -12,6 +12,11 @@ C(a, b) with a < b flips sign), factor lists are sorted, equal monomials
 merge, zero coefficients drop.  Total x-differentiation is the Leibniz
 rule with D C(a, b) = C(a+1, b) + C(a, b+1).
 
+Every formula of the systems is written once here as a text, u and xi
+standing for the fields of the system it belongs to: the densities H0..H6
+(extended u, xi) and h (modified v, eta), each system's nonlinear terms,
+and the Miura and gardner maps (in their source fields v, eta and z, s).
+
 Equality modulo total derivatives is decided by randomized instantiation:
 both sides are evaluated on random band-limited fields over two different
 algebra backends with random couplings, and their quadratures compared.
@@ -209,12 +214,6 @@ class DiffPolynomial:
             if odd is not None:
                 out._merged((even, comms, odd + 1), lp)
         return out
-
-    def differentiated(self, times=1):
-        p = self
-        for _ in range(times):
-            p = p.differentiate_total()
-        return p
 
     def __repr__(self):
         return f"DiffPolynomial({to_text(self)})"
@@ -517,10 +516,13 @@ class _Evaluator:
         return self._products[factors]
 
     def terms(self, poly):
-        """Data of each term of poly that does not vanish on these fields."""
+        """Data of each term of poly that does not vanish on these fields;
+        read-only, as it may be a cached field's own array."""
         for (even, comms, odd), lp in poly.terms.items():
+            if not self.has_odd and (comms or odd is not None):
+                continue
             coeff = _lp_eval_float(lp, self.lam)
-            if coeff == 0.0 or not self.has_odd and (comms or odd is not None):
+            if coeff == 0.0:
                 continue
             factors = even + comms
             if odd is None:
@@ -529,7 +531,14 @@ class _Evaluator:
                 value = self._product(factors) * self._xid(odd)
             else:
                 value = self._xid(odd)
-            yield coeff * value.data
+            yield value.data if coeff == 1.0 else coeff * value.data
+
+    def add_to(self, out, poly, weight=1.0):
+        """Add weight times the value of poly on these fields to the array
+        out; a zero weight evaluates nothing."""
+        if weight != 0.0:
+            for data in self.terms(poly):
+                out += data if weight == 1.0 else weight * data
 
     def __call__(self, poly):
         gradings = poly.gradings()
@@ -537,8 +546,7 @@ class _Evaluator:
             raise GradingError("cannot instantiate a mixed-grading polynomial")
         field = OddField if gradings == {True} else EvenField
         total = field.zeros(self.grid, self.descriptor)
-        for data in self.terms(poly):
-            total.data += data
+        self.add_to(total.data, poly)
         return total
 
 
@@ -652,29 +660,36 @@ def gardner_coefficients(order):
     return tuple(zip(zs, ss))
 
 
+# label -> conserved density (H0..H6 extended, H modified)
 _DENSITY_TEXTS = {
-    0: "u",
-    2: "u^2 + L*[xi',xi]",
-    4: "2*u^3 + u'^2 + 4*L*u*[xi',xi] + L*[xi'',xi']",
-    6: "5*u^4 + 10*u*u'^2 + u''^2 + 15*L*u^2*[xi',xi] - 2*L*u*[xi'',xi']"
-       " - 8*L*u*[xi''',xi] + 3*L^2*[xi',xi]^2 + L*[xi''',xi'']",
+    "H0": "u",
+    "H2": "u^2 + L*[xi',xi]",
+    "H4": "2*u^3 + u'^2 + 4*L*u*[xi',xi] + L*[xi'',xi']",
+    "H6": "5*u^4 + 10*u*u'^2 + u''^2 + 15*L*u^2*[xi',xi] - 2*L*u*[xi'',xi']"
+          " - 8*L*u*[xi''',xi] + 3*L^2*[xi',xi]^2 + L*[xi''',xi'']",
+    "H": "1/2*u'^2 + 1/2*u^4 + 1/2*L^2*[xi,xi']^2 + 1/2*L*[xi'',xi']"
+         " + 3/2*L*u^2*[xi',xi]",
 }
 
 
 @lru_cache(maxsize=None)
-def conserved_density_poly(n):
-    """The H_n density of the extended system, n in {0, 2, 4, 6}: the
-    quadrature of its value on the fields is a conserved quantity.
+def density_poly(label):
+    """The density labelled H0, H2, H4, H6 (extended system) or H
+    (modified system), whose quadrature that system's flow conserves.
 
-    The L^2 [xi', xi]^2 term of H6 is kept for fidelity to the densities
-    the deformation expansion produces, although a product of brackets
-    sharing an argument vanishes in every admissible finite-dimensional
-    realization, so it contributes nothing numerically.  The polynomial
-    is parsed once per n and shared between calls; treat it as read-only.
+    The L^2 [xi', xi]^2 terms of H6 and H vanish in every admissible
+    realization (brackets sharing an argument multiply to zero) but are
+    kept for fidelity to the deformation expansion.  Parsed once per
+    label and shared; treat as read-only.
     """
-    if n not in _DENSITY_TEXTS:
-        raise SuperKdVError(f"no conserved density tabulated for order {n}")
-    return parse(_DENSITY_TEXTS[n])
+    if label not in _DENSITY_TEXTS:
+        raise SuperKdVError(f"no conserved density tabulated for {label!r}")
+    return parse(_DENSITY_TEXTS[label])
+
+
+def conserved_density_poly(n):
+    """The H_n density of the extended system, n in {0, 2, 4, 6}."""
+    return density_poly(f"H{n}")
 
 
 class CoefficientTable:
@@ -742,7 +757,7 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# nonlinear terms of the extended and gardner systems
+# nonlinear terms of the evolution systems and the maps onto the extended one
 
 # power of e -> ((even flux, odd flux), (even source, odd source))
 _NONLINEAR_TEXTS = {
@@ -752,19 +767,37 @@ _NONLINEAR_TEXTS = {
         2: (("2*u^3 + 3*L*u*[xi',xi]", "0"),
             ("0", "3*u^2*xi' + 3*u*u'*xi + 3*L*[xi',xi]*xi'")),
     },
+    "modified": {0: (("2*u^3 + 3*L*u*[xi',xi]", "0"),
+                     ("0", "3*u^2*xi' + 3*u*u'*xi - L*[xi,xi']*xi'"
+                           " - 1/2*L*[xi,xi'']*xi"))},
+}
+
+# power of e -> (image u, image xi)
+_MAP_TEXTS = {
+    "miura": {0: ("u' + u^2 - L*[xi,xi']", "xi' + u*xi")},
+    "gardner": {0: ("u", "xi"), 1: ("u'", "xi'"), 2: ("u^2 + L*[xi',xi]", "u*xi")},
 }
 
 
 @lru_cache(maxsize=None)
 def nonlinear_terms(kind):
-    """Nonlinear terms of the extended or gardner system, in conservative
-    form: (power of e, (even flux, odd flux), (even source, odd source))
-    triples, each field's term being the sum of e^power (D(flux) + source)
-    over them.  Parsed once per kind and shared; treat as read-only."""
+    """Nonlinear terms of a system in conservative form: (power of e,
+    (even flux, odd flux), (even source, odd source)) triples, each field's
+    term being the sum of e^power (D(flux) + source) over them.  Parsed
+    once per kind and shared; treat as read-only."""
     if kind not in _NONLINEAR_TEXTS:
         raise SuperKdVError(f"no nonlinear terms written for system {kind!r}")
     return tuple((power, tuple(map(parse, fluxes)), tuple(map(parse, sources)))
                  for power, (fluxes, sources) in _NONLINEAR_TEXTS[kind].items())
+
+
+@lru_cache(maxsize=None)
+def map_terms(kind):
+    """The "miura" or "gardner" map onto the extended fields as (power of
+    e, (image u, image xi)) pairs, each image the sum of e^power times its
+    polynomial.  Parsed once per kind and shared; treat as read-only."""
+    return tuple((power, tuple(map(parse, images)))
+                 for power, images in _MAP_TEXTS[kind].items())
 
 
 # ---------------------------------------------------------------------------
@@ -786,17 +819,14 @@ def evolutionary_derivative(poly):
     equal_mod_total_derivative(evolutionary_derivative(H), 0).
     """
     u_t, xi_t = _rhs_polys()
-    ut_cache, xit_cache = {0: u_t}, {0: xi_t}
 
+    @lru_cache(maxsize=None)
     def ut(k):
-        if k not in ut_cache:
-            ut_cache[k] = ut(k - 1).differentiate_total()
-        return ut_cache[k]
+        return u_t if k == 0 else ut(k - 1).differentiate_total()
 
+    @lru_cache(maxsize=None)
     def xit(c):
-        if c not in xit_cache:
-            xit_cache[c] = xit(c - 1).differentiate_total()
-        return xit_cache[c]
+        return xi_t if c == 0 else xit(c - 1).differentiate_total()
 
     out = DiffPolynomial()
     for (even, comms, odd), lp in poly.terms.items():

@@ -1,6 +1,6 @@
 """Maps between the evolution systems and the supersymmetry generator.
 
-The substitution u = v' + v^2 - L [eta, eta'], xi = eta' + v eta sends
+The Miura map u = v' + v^2 - L [eta, eta'], xi = eta' + v eta sends
 solutions of the modified system to solutions of the extended one, and
 
   u  = z + e z' + e^2 (z^2 + L [s', s])
@@ -9,8 +9,9 @@ solutions of the modified system to solutions of the extended one, and
 does the same for the deformed (gardner) system at deformation e.  Both
 facts are checked numerically here by comparing a centered time
 difference of the mapped trajectory against the extended right-hand side.
-The inverse of the gardner map is the power series in e whose
-coefficients are symbolic.gardner_coefficients, evaluated on the fields.
+miura and gardner_map evaluate these maps from symbolic.map_terms, where u
+and xi stand for the source fields (v, eta) and (z, s); the inverse of
+the gardner map sums the series in e of symbolic.gardner_coefficients.
 
 The supersymmetry generator with constant odd parameter p is
 
@@ -24,25 +25,27 @@ import numpy as np
 from .dynamics import SystemState, Trajectory, integrate, rhs_state
 from .errors import SuperKdVError
 from .fields import EvenField, OddField
-from .symbolic import _Evaluator, gardner_coefficients
+from .symbolic import _Evaluator, gardner_coefficients, map_terms
+
+
+def _series(terms, even, odd, lam, eps):
+    """Sum of eps^power times each (power, (even poly, odd poly)) pair's values."""
+    evaluate = _Evaluator(even, odd, lam)
+    u, xi = EvenField.zeros(even.grid, even.descriptor), OddField.zeros(even.grid, even.descriptor)
+    for power, polys in terms:
+        for field, poly in zip((u, xi), polys):
+            evaluate.add_to(field.data, poly, eps ** power)
+    return u, xi
 
 
 def miura(v, eta, lam):
     """Image (u, xi) of modified-system fields under the Miura substitution."""
-    etap = eta.derivative(1)
-    u = v.derivative(1) + v * v + (-lam) * eta.commutator(etap)
-    xi = etap + v * eta
-    return u, xi
+    return _series(map_terms("miura"), v, eta, lam, 0.0)
 
 
 def gardner_map(z, sigma, lam, eps):
     """Image (u, xi) of deformed-system fields at deformation eps."""
-    sp = sigma.derivative(1)
-    u = z + eps * z.derivative(1) + (eps * eps) * (z * z)
-    if sigma.data.shape[0] and lam != 0.0:
-        u = u + (eps * eps * lam) * sp.commutator(sigma)
-    xi = sigma + eps * sp + (eps * eps) * (z * sigma)
-    return u, xi
+    return _series(map_terms("gardner"), z, sigma, lam, eps)
 
 
 def inverse_gardner_series(u, xi, lam, eps, order=8):
@@ -52,12 +55,7 @@ def inverse_gardner_series(u, xi, lam, eps, order=8):
     trip is O(eps^(order+1))."""
     if order < 0:
         raise SuperKdVError("series order must be >= 0")
-    evaluate = _Evaluator(u, xi, lam)
-    z, s = EvenField.zeros(u.grid, u.descriptor), OddField.zeros(u.grid, u.descriptor)
-    for n, (zn, sn) in enumerate(gardner_coefficients(order)):
-        z = z + (eps ** n) * evaluate(zn)
-        s = s + (eps ** n) * evaluate(sn)
-    return z, s
+    return _series(enumerate(gardner_coefficients(order)), u, xi, lam, eps)
 
 
 def _constant_odd_field(grid, param):

@@ -85,10 +85,30 @@ def test_invalid_combinations_exit_2(tmp_path):
         "m": ["--system", "modified", "--track", "H2"],
         "e": ["--system", "extended", "--track", "H8"],
         "t": ["--track", ","],
+        "dt_nan": ["--dt", "nan"],
+        "t_end_inf": ["--t-end", "inf"],
+        "L_inf": ["--L", "inf"],
+        "L_nan": ["--L", "nan"],
+        "lam_nan": ["--lambda", "nan"],
+        "lam_inf": ["--lambda", "inf"],
+        "eps_nan": ["--system", "gardner", "--gardner-eps", "nan"],
     }
+    # config values that are not (finite) numbers; json writes NaN and Infinity
+    for key, value in [("seed", "abc"), ("seed", float("nan")),
+                       ("record_every", "x"), ("record_every", float("inf")),
+                       ("lambda", "x"), ("lambda", None), ("gardner_eps", "x"),
+                       ("grid", float("inf"))]:
+        cfg = tmp_path / f"cfg_{key}_{value}.json"
+        cfg.write_text(json.dumps({"system": "gardner", key: value}))
+        refused[cfg.stem] = ["--config", cfg]
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
         assert not (tmp_path / name / "manifest.json").exists(), flags
+
+
+def test_check_refuses_non_finite_coupling(capsys):
+    assert run(["check", "miura", "--lambda", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_stability_guard_refusal_exit_2(tmp_path, capsys):

@@ -7,9 +7,10 @@ Oracles used here:
   - a single low Fourier mode of tiny amplitude, which the integrating
     factor scheme must transport exactly up to roundoff;
   - Richardson ratios between runs at dt and dt/2 for the RK4 order;
-  - the extended and gardner nonlinear terms written out by hand with
-    field arithmetic (reference_extended, reference_gardner), against the
-    flux-and-source texts the right-hand sides evaluate.
+  - the extended, gardner and modified nonlinear terms written out by
+    hand with field arithmetic (reference_extended, reference_gardner,
+    reference_modified), against the flux-and-source texts the
+    right-hand sides evaluate.
 """
 
 import numpy as np
@@ -65,12 +66,26 @@ def reference_gardner(z, sigma, lam, eps):
     return nl_even, nl_odd
 
 
-@pytest.mark.parametrize("desc_str", ["scalar", "grassmann:3", "symplectic:2"])
+def reference_modified(v, eta, lam, eps):
+    vp, etap = v.derivative(1), eta.derivative(1)
+    vv = v * v
+    nl_even = 6.0 * (vv * vp)
+    nl_odd = 3.0 * (vv * etap) + 3.0 * ((v * vp) * eta)
+    if eta.data.shape[0] and lam != 0.0:
+        nl_even = nl_even + 3.0 * lam * (v * etap.commutator(eta)).derivative(1)
+        nl_odd = (nl_odd + (-lam) * (eta.commutator(etap) * etap)
+                  + (-0.5 * lam) * (eta.commutator(eta.derivative(2)) * eta))
+    return nl_even, nl_odd
+
+
+@pytest.mark.parametrize("desc_str", ["scalar", "grassmann:3", "grassmann:6",
+                                      "symplectic:2"])
 @pytest.mark.parametrize("lam", [0.0, -1.3])
 @pytest.mark.parametrize("kind,eps,reference", [
     ("extended", 0.0, reference_extended),
     ("gardner", 0.0, reference_gardner),
     ("gardner", 0.3, reference_gardner),
+    ("modified", 0.0, reference_modified),
 ])
 def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str):
     st = random_state(kind, desc_str, lam, eps=eps)
@@ -294,6 +309,10 @@ def test_integrate_argument_validation():
         SystemState("extended", st.even, st.odd, epsilon=0.5)
     with pytest.raises(SuperKdVError):
         SystemState("breather", st.even, st.odd)
+    for bad in ({"lam": float("nan")}, {"lam": float("inf")}, {"time": float("nan")},
+                {"epsilon": float("nan")}, {"epsilon": float("-inf")}):
+        with pytest.raises(SuperKdVError):
+            SystemState("gardner", st.even, st.odd, **bad)
     with pytest.raises(SuperKdVError):
         nonlinear_rhs("breather", st.even, st.odd, 0.0)
 

@@ -18,8 +18,9 @@ def scalar_field(grid, values):
 
 
 def test_grid_validation():
-    with pytest.raises(SuperKdVError):
-        PeriodicGrid(0.0, 64)
+    for L in (0.0, float("inf"), float("nan")):
+        with pytest.raises(SuperKdVError):
+            PeriodicGrid(L, 64)
     with pytest.raises(SuperKdVError):
         PeriodicGrid(10.0, 48)  # not a power of two
     with pytest.raises(SuperKdVError):

@@ -7,7 +7,9 @@ backend the brackets collapse to constants,
 
 which makes every quantity integrable by hand; those values are asserted
 exactly below.  The modified-system density is checked against its
-reduced form through the substitution u = v' + v^2 - L[eta, eta'].
+reduced form through the substitution u = v' + v^2 - L[eta, eta'], and
+against h written out by hand with field arithmetic
+(reference_hamiltonian_density).
 """
 
 import numpy as np
@@ -136,6 +138,33 @@ def test_unknown_quantity_label_rejected():
     xi = OddField.zeros(grid, desc)
     with pytest.raises(SuperKdVError):
         conserved_quantities(u, xi, 0.0, which=("H0", "H3"))
+
+
+def reference_hamiltonian_density(v, eta, lam):
+    vp = v.derivative(1)
+    v2 = v * v
+    h = 0.5 * (vp * vp) + 0.5 * (v2 * v2)
+    if eta.data.shape[0] and lam != 0.0:
+        etap = eta.derivative(1)
+        c = eta.commutator(etap)
+        h = (h + (0.5 * lam * lam) * (c * c)
+             + (0.5 * lam) * eta.derivative(2).commutator(etap)
+             + (1.5 * lam) * (v2 * etap.commutator(eta)))
+    return h
+
+
+@pytest.mark.parametrize("desc_str", ["scalar", "grassmann:3", "grassmann:6",
+                                      "symplectic:2"])
+@pytest.mark.parametrize("lam", [0.0, 1.2])
+def test_hamiltonian_density_matches_handwritten_terms(desc_str, lam):
+    grid = PeriodicGrid(20.0, 128)
+    desc = AlgebraDescriptor.from_string(desc_str)
+    v, eta = build_initial_condition(
+        "random_bandlimited(max_mode=4,amplitude=0.4,seed=6)", grid, desc)
+    got = hamiltonian_density(v, eta, lam)
+    want = reference_hamiltonian_density(v, eta, lam)
+    assert type(got) is type(want)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12 * want.norm()
 
 
 @pytest.mark.parametrize("desc_str", ["grassmann:3", "symplectic:1"])
