@@ -90,14 +90,18 @@ def resolve_config(args, defaults):
 
 
 def _number(cfg, key, kind=float):
-    """cfg[key] as a finite number of the given kind, else a UsageError."""
+    """cfg[key] as a finite number of the given kind, else a UsageError; an
+    int setting takes an integral float such as 256.0 but not 2.5."""
+    raw = cfg[key]
     try:
-        value = kind(cfg[key])
+        value = kind(raw)
         finite = math.isfinite(value)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
-        raise UsageError(f"{key} must be a finite {kind.__name__}, got {cfg[key]!r}")
+        raise UsageError(f"{key} must be a finite {kind.__name__}, got {raw!r}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise UsageError(f"{key} must be an integer, got {raw!r}")
     return value
 
 
@@ -395,6 +399,8 @@ _CHECKS = {
 
 
 def cmd_check(args):
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     verdict, summary = _CHECKS[args.suite](args)
     verdict = snapshots.jsonable(verdict)
     print(summary, file=sys.stderr)

@@ -5,15 +5,21 @@ remaining terms are polynomial in the fields and their first two
 derivatives.  They are written once, in conservative form D(flux) +
 source, as symbolic.nonlinear_terms, with u and xi standing for each
 system's own fields: (u, xi) for extended, (z, sigma) for gardner and
-(v, eta) for modified.  Each evaluation takes D of the stacked flux rows
-that some flux text writes into (only the even rows for modified) with
-one transform pair.  skdv_grassmann (Grassmann only) is extended with its
-3 L [xi'', xi] written as -6 L xi xi''.
+(v, eta) for modified.  skdv_grassmann (Grassmann only) is extended with
+its 3 L [xi'', xi] written as -6 L xi xi''.
+
+The terms are evaluated between spectra, one stacked transform each way
+(_SpectralRHS).  One irfft gives the fields and the derivatives the terms
+read, taken spectrally as (ik)^a times the field's coefficients; the flux
+and source rows are evaluated on those samples; one rfft of [flux;
+source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
+terms that survive at the run's coupling, their coefficients, derivative
+orders and rows are fixed once per integrate call.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
-coefficients of the stacked even and odd fields.  Each stage transforms
-back once, evaluates the nonlinear terms in physical space, transforms the
-result once and applies the 2/3-rule mask there (Orszag).  The ifrk4
+coefficients of the stacked even and odd fields, so each stage makes one
+irfft and one rfft, and the irfft of each new state is also the next
+step's first stage: 4 of each per step for every system.  The ifrk4
 scheme is the Lawson integrating-factor form: it advances the -f''' term
 exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
 rk4 is the same loop with unit factors and the dispersion folded into
@@ -25,14 +31,14 @@ nonlinear evaluation, so no active mode ever exceeds k_lim.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
+from .algebra import get_algebra
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError)
 from .fields import EvenField, OddField
-from .symbolic import _Evaluator, nonlinear_terms
+from .symbolic import _Evaluator, _live_terms, nonlinear_terms
 
 SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
 
@@ -77,52 +83,142 @@ class SystemState:
                 f"eps={self.epsilon}, {self.descriptor}, {self.grid})")
 
 
-@lru_cache(maxsize=None)
-def _flux_rows(kind, n_even, n_rows):
-    """The stacked rows some flux text of the system writes into, the only
-    ones nonlinear_rhs takes D of (modified has no odd flux)."""
-    terms = nonlinear_terms(kind)
-    has_even, has_odd = (any(not f[part].is_zero() for _, f, _ in terms) for part in (0, 1))
-    return slice(0 if has_even else n_even, n_rows if has_odd else n_even)
+def _rows(even, odd, n_even, n_rows):
+    """The rows of [even; odd] that the parts flagged live cover, as a slice."""
+    return slice(0 if even else n_even, n_rows if odd else n_even)
+
+
+class _SpectralRHS:
+    """The nonlinear terms of one system on one grid and backend at fixed
+    lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
+    spectrum of D(flux) + source, masked by the 2/3 rule when dealias is set.
+
+    Everything static is made here, once: the terms that do not vanish at
+    lam and eps with their float coefficients, the derivative orders they
+    read, the rows some live flux or source writes into, and whether a
+    source is live at all (the scalar extended system has none).
+    `physical` is one stacked irfft of [y; (ik)^a y_even for each u-order
+    a; (ik)^b y_odd for each xi-order b]; a call evaluates the live flux and
+    source rows on those samples and makes one stacked rfft of them.
+    """
+
+    def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
+        skdv = kind == "skdv_grassmann"
+        if skdv and desc.kind != "grassmann":
+            raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
+        n_even, n_odd = desc.even_dim, desc.odd_dim
+        n_rows = n_even + n_odd
+        self.grid, self.desc, self.lam = grid, desc, lam
+        self.n_even, self.n_rows = n_even, n_rows
+        self.algebra = get_algebra(desc)
+        # (even, odd) live terms of the fluxes and of the sources
+        flux, source = ([], []), ([], [])
+        for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
+            for parts, polys in ((flux, fluxes), (source, () if skdv else sources)):
+                for live, poly in zip(parts, polys):
+                    live += _live_terms(poly, lam, bool(n_odd), eps ** power)
+        # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
+        # bracket-only grammar cannot write
+        self.pair_coeff = -6.0 * lam if skdv and n_odd and lam != 0.0 else 0.0
+
+        self.flux_rows = _rows(bool(flux[0]), bool(flux[1]), n_even, n_rows)
+        self.source_rows = _rows(bool(source[0] or self.pair_coeff), bool(source[1]),
+                                 n_even, n_rows)
+        self.n_flux = self.flux_rows.stop - self.flux_rows.start
+        self.n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
+        # rows of the evaluated [flux; source] that each part adds into
+        self.parts = []
+        for offset, rows, (even, odd) in ((0, self.flux_rows, flux),
+                                          (self.n_flux, self.source_rows, source)):
+            split = offset + n_even - rows.start
+            end = offset + rows.stop - rows.start
+            self.parts += [(slice(offset, split), even), (slice(split, end), odd)]
+        self.pair_rows = self.parts[2][0]  # the even source
+        self.parts = [(rows, live) for rows, live in self.parts if live]
+
+        terms = [term for _, live in self.parts for term in live]
+        u_orders = {f for factors, _, _ in terms for f in factors
+                    if not isinstance(f, tuple)}
+        xi_orders = {odd for _, odd, _ in terms if odd is not None}
+        xi_orders.update(o for factors, _, _ in terms for f in factors
+                         if isinstance(f, tuple) for o in f)
+        if self.pair_coeff:
+            xi_orders.add(2)
+        # (rows of the samples, rows of y, order) of each derivative taken
+        self.u_derivatives, self.xi_derivatives = [], []
+        top = n_rows
+        for out, orders, of in ((self.u_derivatives, u_orders, slice(0, n_even)),
+                                (self.xi_derivatives, xi_orders, slice(n_even, n_rows))):
+            for order in sorted(orders - {0}):
+                out.append((slice(top, top + of.stop - of.start), of, order))
+                top += of.stop - of.start
+        self.height = top
+        self.ik = grid.derivative_symbol(1)
+        self.cut = grid.dealias_keep + 1 if dealias else None
+
+    def physical(self, spec):
+        """Samples of the fields and of the derivatives the terms read."""
+        if self.height == self.n_rows:
+            return np.fft.irfft(spec, n=self.grid.N, axis=-1)
+        stacked = np.empty((self.height, spec.shape[-1]), complex)
+        stacked[:self.n_rows] = spec
+        for rows, of, order in self.u_derivatives + self.xi_derivatives:
+            np.multiply(spec[of], self.grid.derivative_symbol(order), out=stacked[rows])
+        return np.fft.irfft(stacked, n=self.grid.N, axis=-1)
+
+    def __call__(self, phys):
+        """ik F + S from the samples `physical` returned, masked."""
+        grid, desc, n_even, n_rows = self.grid, self.desc, self.n_even, self.n_rows
+        xi = phys[n_even:n_rows]
+        xi_derivatives = {order: phys[rows] for rows, _, order in self.xi_derivatives}
+        evaluate = _Evaluator(
+            EvenField(grid, desc, phys[:n_even]), OddField(grid, desc, xi), self.lam,
+            {order: phys[rows] for rows, _, order in self.u_derivatives}, xi_derivatives)
+        values = np.zeros((self.n_values, grid.N))
+        for rows, live in self.parts:
+            evaluate.add_terms(values[rows], live)
+        if self.pair_coeff:
+            values[self.pair_rows] += self.pair_coeff * self.algebra.odd_mul(
+                xi, xi_derivatives[2])
+        if not np.isfinite(values).all():
+            raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
+        spec = np.fft.rfft(values, axis=-1)
+        n_flux = self.n_flux
+        spec[:n_flux] *= self.ik
+        if n_flux == n_rows:
+            k = spec[:n_rows]
+        else:
+            k = np.zeros((n_rows, spec.shape[-1]), complex)
+            k[self.flux_rows] = spec[:n_flux]
+        k[self.source_rows] += spec[n_flux:]
+        if self.cut is not None:
+            k[:, self.cut:] = 0.0
+        return k
+
+
+def _rhs(kind, even, odd, lam, eps, dealias, dispersion):
+    """The nonlinear terms, and the dispersion when asked, as fields: one
+    stacked rfft of the fields, _SpectralRHS, one stacked irfft."""
+    grid, desc = even.grid, even.descriptor
+    nonlinear = _SpectralRHS(kind, grid, desc, lam, eps, dealias)
+    spec = np.fft.rfft(np.concatenate((even.data, odd.data)), axis=-1)
+    k = nonlinear(nonlinear.physical(spec))
+    if dispersion:
+        k -= grid.derivative_symbol(3) * spec
+    data = np.fft.irfft(k, n=grid.N, axis=-1)
+    return (EvenField(grid, desc, data[:desc.even_dim]),
+            OddField(grid, desc, data[desc.even_dim:]))
 
 
 def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
     """Everything except the -f''' dispersion, dealiased when requested:
-    D(flux) + source from symbolic.nonlinear_terms, with one derivative
-    transform pair for the stacked flux rows some flux text writes into."""
-    grid, desc, n_even = even.grid, even.descriptor, even.data.shape[0]
-    skdv = kind == "skdv_grassmann"
-    if skdv and desc.kind != "grassmann":
-        raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
-    kind = "extended" if skdv else kind
-    terms = nonlinear_terms(kind)
-    evaluate = _Evaluator(even, odd, lam)
-    source = np.zeros((n_even + odd.data.shape[0], grid.N))
-    rows = _flux_rows(kind, n_even, len(source))
-    flux = np.zeros((rows.stop - rows.start, grid.N))  # holds only those rows
-    for power, fluxes, sources in terms:
-        for out, split, polys in ((flux, n_even - rows.start, fluxes),
-                                  (source, n_even, () if skdv else sources)):
-            for part, poly in zip((out[:split], out[split:]), polys):
-                evaluate.add_to(part, poly, eps ** power)
-    if skdv and lam != 0.0:
-        # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
-        # bracket-only grammar cannot write
-        source[:n_even] += (-6.0 * lam) * odd.odd_mul(odd.derivative(2)).data
-    if not np.all(np.isfinite(flux)):
-        raise NonFiniteFieldError("non-finite samples in spectral derivative")
-    spec = np.fft.rfft(flux, axis=-1) * grid.derivative_symbol(1)
-    source[rows] += np.fft.irfft(spec, n=grid.N, axis=-1)
-    nl_even = EvenField(grid, desc, source[:n_even])
-    nl_odd = OddField(grid, desc, source[n_even:])
-    if dealias:
-        return nl_even.dealiased(), nl_odd.dealiased()
-    return nl_even, nl_odd
+    D(flux) + source from symbolic.nonlinear_terms, through the same
+    spectral map the integrator steps with."""
+    return _rhs(kind, even, odd, lam, eps, dealias, dispersion=False)
 
 
 def _full_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
-    nl_even, nl_odd = nonlinear_rhs(kind, even, odd, lam, eps, dealias)
-    return nl_even - even.derivative(3), nl_odd - odd.derivative(3)
+    return _rhs(kind, even, odd, lam, eps, dealias, dispersion=True)
 
 
 def rhs_modified(v, eta, lam, dealias=True):
@@ -217,36 +313,37 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
             f"dt={dt:g} exceeds the {scheme} dispersion guard {dt_max:g} "
             f"for this grid; reduce dt (or pass force=True)", dt_max)
 
-    kind, lam, eps = state.kind, state.lam, state.epsilon
     grid, desc = state.grid, state.descriptor
-    n_even = desc.even_dim
-    drop = ~grid.dealias_mask if dealias else np.zeros(grid.N // 2 + 1, bool)
+    n_even, n_rows = desc.even_dim, desc.even_dim + desc.odd_dim
+    nonlinear = _SpectralRHS(state.kind, grid, desc, state.lam, state.epsilon, dealias)
     dispersion = -grid.derivative_symbol(3)  # f_t = -f''' in transform space
     if scheme == "ifrk4":
         # exp(+i k^3 dt/2): exact half-step of f_t = -f'''
-        e_half, linear = np.exp(0.5 * dt * dispersion), 0.0
+        e_half, linear = np.exp(0.5 * dt * dispersion), None
     else:
         e_half, linear = 1.0, dispersion
     e_full = e_half * e_half
 
-    def to_fields(spec):
-        data = np.fft.irfft(spec, n=grid.N, axis=-1)
-        return EvenField(grid, desc, data[:n_even]), OddField(grid, desc, data[n_even:])
+    def rhs(spec, phys):
+        k = nonlinear(phys)
+        if linear is not None:
+            k += linear * spec
+        return k
 
-    def rhs(spec, even, odd):
-        nl_even, nl_odd = nonlinear_rhs(kind, even, odd, lam, eps, dealias=False)
-        k = np.fft.rfft(np.concatenate((nl_even.data, nl_odd.data)), axis=-1)
-        k[:, drop] = 0.0
-        return k + linear * spec
+    def fields(phys):
+        # copies, so that recorded states do not hold the derivative rows
+        return (EvenField(grid, desc, phys[:n_even].copy()),
+                OddField(grid, desc, phys[n_even:n_rows].copy()))
 
-    # The state lives in transform space as rfft([even; odd]).  Its inverse
-    # transform after each step is the record, the callback state, the
-    # finite check and the input of the next step's k1.
+    # The state lives in transform space as rfft([even; odd]).  The stacked
+    # inverse transform after each step gives the record, the callback
+    # state and the finite check, and with its derivative rows it is the
+    # samples of the next step's k1.
     spec = np.fft.rfft(np.concatenate((state.even.data, state.odd.data)), axis=-1)
-    current = state
     if dealias:
-        spec[:, drop] = 0.0
-        current = state.replace_fields(*to_fields(spec))
+        spec[:, nonlinear.cut:] = 0.0
+    phys = nonlinear.physical(spec)
+    current = state.replace_fields(*fields(phys)) if dealias else state
     records = [current]
 
     # overflow on the way to a detected blow-up is reported as an
@@ -254,14 +351,14 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
             try:
-                k1 = rhs(spec, current.even, current.odd)
+                k1 = rhs(spec, phys)
                 stage = e_half * (spec + (0.5 * dt) * k1)
-                k2 = rhs(stage, *to_fields(stage))
+                k2 = rhs(stage, nonlinear.physical(stage))
                 stage = e_half * spec + (0.5 * dt) * k2
-                k3 = rhs(stage, *to_fields(stage))
+                k3 = rhs(stage, nonlinear.physical(stage))
                 e_half_k3 = e_half * k3
                 stage = e_full * spec + dt * e_half_k3
-                k4 = rhs(stage, *to_fields(stage))
+                k4 = rhs(stage, nonlinear.physical(stage))
             except NonFiniteFieldError:
                 raise NumericalBlowup(
                     f"non-finite values during step {step} (t={current.time + dt:g})",
@@ -269,12 +366,12 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
             spec = e_full * spec + (dt / 6.0) * (e_full * k1 + 2.0 * (e_half * k2)
                                                  + 2.0 * e_half_k3 + k4)
 
-            even, odd = to_fields(spec)
-            if not (np.all(np.isfinite(even.data)) and np.all(np.isfinite(odd.data))):
+            phys = nonlinear.physical(spec)
+            if not np.isfinite(phys[:n_rows]).all():
                 raise NumericalBlowup(
                     f"non-finite values after step {step} (t={current.time + dt:g})",
                     current, step, current.time + dt)
-            current = current.replace_fields(even, odd, time=state.time + step * dt)
+            current = current.replace_fields(*fields(phys), time=state.time + step * dt)
             if callback is not None:
                 callback(current)
             if step % record_every == 0 or step == steps:

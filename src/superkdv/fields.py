@@ -34,11 +34,17 @@ class PeriodicGrid:
         self.x = np.arange(N) * self.dx
         self.k = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)  # modes 0..N/2
         self.dealias_keep = N // 3  # highest surviving mode index
+        self._symbols = {}
 
     def derivative_symbol(self, order):
-        sym = (1j * self.k) ** order
-        if order % 2:
-            sym[-1] = 0.0  # Nyquist has no well-defined odd derivative
+        """(ik)^order on the rfft modes, made once per order and read-only."""
+        sym = self._symbols.get(order)
+        if sym is None:
+            sym = (1j * self.k) ** order
+            if order % 2:
+                sym[-1] = 0.0  # Nyquist has no well-defined odd derivative
+            sym.flags.writeable = False
+            self._symbols[order] = sym
         return sym
 
     @property
@@ -298,6 +304,9 @@ def build_initial_condition(spec, grid, descriptor):
     elif isinstance(spec, ZeroIC):
         pass
     elif isinstance(spec, RandomBandlimitedIC):
+        if spec.seed < 0:
+            raise SuperKdVError(f"random_bandlimited needs a non-negative seed, "
+                                f"got {spec.seed}")
         rng = np.random.default_rng(spec.seed)
         modes = np.arange(spec.max_mode + 1)
         basis_cos = np.cos(2.0 * np.pi * np.outer(modes, x) / grid.L)

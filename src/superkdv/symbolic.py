@@ -30,9 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor
+from .algebra import AlgebraDescriptor, get_algebra
 from .errors import ExpressionSyntaxError, GradingError, SuperKdVError
-from .fields import EvenField, OddField, PeriodicGrid, build_initial_condition, quadrature
+from .fields import (EvenField, OddField, PeriodicGrid, _require_compatible,
+                     build_initial_condition, quadrature)
 
 # ---------------------------------------------------------------------------
 # coefficient arithmetic: sparse polynomials in L over Fraction
@@ -478,67 +479,92 @@ def to_text(poly):
 # ---------------------------------------------------------------------------
 # numeric instantiation
 
+def _live_terms(poly, lam, has_odd, weight=1.0):
+    """(factors, odd order, coefficient) of each term of poly that does not
+    vanish at coupling lam on fields with or without odd channels; the
+    factors are the even orders and bracket pairs, the coefficient is
+    evaluated at lam and scaled by weight."""
+    live = []
+    for (even, comms, odd), lp in poly.terms.items():
+        if not has_odd and (comms or odd is not None):
+            continue
+        coeff = weight * _lp_eval_float(lp, lam)
+        if coeff != 0.0:
+            live.append((even + comms, odd, coeff))
+    return live
+
+
 class _Evaluator:
     """Values of polynomials on one set of fields (u, xi) and coupling lam.
 
-    Derivatives, brackets and the product of every prefix of a term's
-    even and bracket factors are cached, so the terms of one polynomial,
-    and every polynomial evaluated through the same evaluator, share
-    them.  Coefficients are evaluated at lam and scale the products.
+    Values are coordinate arrays multiplied with the backend's product
+    tables.  Derivatives, brackets and the product of every prefix of a
+    term's even and bracket factors are cached, so the terms of one
+    polynomial, and every polynomial evaluated through the same
+    evaluator, share them.  Derivative samples the caller already holds
+    come in as u_derivatives and xi_derivatives (order -> array); any
+    other order is taken with Field.derivative on first use.
     """
 
-    def __init__(self, u, xi, lam):
+    def __init__(self, u, xi, lam, u_derivatives=None, xi_derivatives=None):
+        _require_compatible(u, xi)
         self.grid, self.descriptor, self.lam = u.grid, u.descriptor, lam
+        self.algebra = get_algebra(u.descriptor)
         self.has_odd = bool(xi.data.shape[0])
-        self._xi = {0: xi}
-        self._products = {(0,): u}
+        self._u, self._xi_field = u, xi
+        self._xi = {0: xi.data, **(xi_derivatives or {})}
+        self._products = {(0,): u.data}
+        for order, data in (u_derivatives or {}).items():
+            self._products[(order,)] = data
 
     def _xid(self, order):
         if order not in self._xi:
-            self._xi[order] = self._xi[0].derivative(order)
+            self._xi[order] = self._xi_field.derivative(order).data
         return self._xi[order]
 
     def _product(self, factors):
         """Product of u-derivative orders and oriented bracket pairs; the
-        empty product is the unit field."""
+        empty product is the unit."""
         if factors not in self._products:
             if len(factors) > 1:
-                value = self._product(factors[:-1]) * self._product(factors[-1:])
+                value = self.algebra.even_mul(self._product(factors[:-1]),
+                                              self._product(factors[-1:]))
             elif not factors:
-                value = EvenField.zeros(self.grid, self.descriptor)
-                value.data[0] = 1.0
+                value = np.zeros((self.descriptor.even_dim, self.grid.N))
+                value[0] = 1.0
             elif isinstance(factors[0], tuple):
                 a, b = factors[0]
-                value = self._xid(a).commutator(self._xid(b))
+                value = self.algebra.odd_commutator(self._xid(a), self._xid(b))
             else:
-                value = self._products[(0,)].derivative(factors[0])
+                value = self._u.derivative(factors[0]).data
             self._products[factors] = value
         return self._products[factors]
 
+    def _value(self, factors, odd):
+        if odd is None:
+            return self._product(factors)
+        if factors:
+            return self.algebra.mixed_mul(self._product(factors), self._xid(odd))
+        return self._xid(odd)
+
     def terms(self, poly):
         """Data of each term of poly that does not vanish on these fields;
-        read-only, as it may be a cached field's own array."""
-        for (even, comms, odd), lp in poly.terms.items():
-            if not self.has_odd and (comms or odd is not None):
-                continue
-            coeff = _lp_eval_float(lp, self.lam)
-            if coeff == 0.0:
-                continue
-            factors = even + comms
-            if odd is None:
-                value = self._product(factors)
-            elif factors:
-                value = self._product(factors) * self._xid(odd)
-            else:
-                value = self._xid(odd)
-            yield value.data if coeff == 1.0 else coeff * value.data
+        read-only, as it may be a cached array."""
+        for factors, odd, coeff in _live_terms(poly, self.lam, self.has_odd):
+            value = self._value(factors, odd)
+            yield value if coeff == 1.0 else coeff * value
+
+    def add_terms(self, out, live):
+        """Add the value of the _live_terms list live to the array out."""
+        for factors, odd, coeff in live:
+            value = self._value(factors, odd)
+            out += value if coeff == 1.0 else coeff * value
 
     def add_to(self, out, poly, weight=1.0):
         """Add weight times the value of poly on these fields to the array
         out; a zero weight evaluates nothing."""
         if weight != 0.0:
-            for data in self.terms(poly):
-                out += data if weight == 1.0 else weight * data
+            self.add_terms(out, _live_terms(poly, self.lam, self.has_odd, weight))
 
     def __call__(self, poly):
         gradings = poly.gradings()

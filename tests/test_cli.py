@@ -149,6 +149,38 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
 
 
+def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
+    base = {"ic": "random_bandlimited(max_mode=3,amplitude=0.1)", "t_end": 0.01}
+    for key, value in [("seed", 2.5), ("record_every", 1.7), ("grid", 64.5)]:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / key]) == 2, key
+        assert "integer" in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
+    # integral floats are still integers
+    cfg = tmp_path / "integral.json"
+    cfg.write_text(json.dumps({**base, "seed": 3.0, "record_every": 5.0, "grid": 64.0}))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "ok"]) == 0
+    manifest = load_json(tmp_path / "ok" / "manifest.json")
+    assert [manifest["seed"], manifest["record_every"], manifest["N"]] == [3, 5, 64]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--ic", "random_bandlimited(max_mode=3,amplitude=0.1)", "--seed", -1],
+    ["--ic", "random_bandlimited(max_mode=3,amplitude=0.1,seed=-2)"],
+])
+def test_negative_seed_exits_2(flags, tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert run(["simulate", *flags, "--t-end", 0.01, "--out", out]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_refuses_negative_seed(capsys):
+    assert run(["check", "densities", "--seed", -1]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_modified_system_tracks_hamiltonian(tmp_path):
     out = tmp_path / "mod"
     assert run(["simulate", "--system", "modified", "--algebra", "grassmann:2",

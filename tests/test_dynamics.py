@@ -350,3 +350,103 @@ def test_nonlinear_rhs_is_dealiased():
     filtered, _ = nonlinear_rhs("extended", even, odd, 0.0)
     spec = np.fft.rfft(filtered.data[0])
     assert np.max(np.abs(spec[keep + 1:])) < 1e-12 * max(np.abs(spec).max(), 1.0)
+
+
+STEP_SYSTEMS = [("extended", "scalar", 0.0, 0.0), ("extended", "grassmann:3", 1.0, 0.0),
+                ("skdv_grassmann", "grassmann:3", 1.0, 0.0),
+                ("modified", "grassmann:6", 1.0, 0.0), ("gardner", "symplectic:1", 0.8, 0.3)]
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
+@pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS)
+def test_integrate_makes_one_transform_each_way_per_stage(kind, desc_str, lam, eps,
+                                                          scheme, monkeypatch):
+    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.fft, name)
+
+        def transform(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return transform
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+
+    def transforms(steps):
+        counts.update(rfft=0, irfft=0)
+        integrate(st, dt=1e-4, steps=steps, scheme=scheme)
+        return counts["rfft"], counts["irfft"]
+
+    # the difference leaves out the transforms of the initial state
+    one, three = transforms(1), transforms(3)
+    assert (three[0] - one[0], three[1] - one[1]) == (2 * 4, 2 * 4)
+
+
+def _hand_rk4_step(st, dt, scheme, dealias):
+    """One RK4 step assembled from the public nonlinear_rhs and the
+    dispersion, in physical space; ifrk4 is the Lawson form with the exact
+    dispersion propagator exp(-h (ik)^3) applied to whole fields."""
+    grid, desc = st.grid, st.descriptor
+    n_even = desc.even_dim
+
+    def join(even, odd):
+        return np.concatenate((even.data, odd.data))
+
+    def split(data):
+        return EvenField(grid, desc, data[:n_even]), OddField(grid, desc, data[n_even:])
+
+    def nonlinear(y):
+        return join(*nonlinear_rhs(st.kind, *split(y), st.lam, st.epsilon,
+                                   dealias=dealias))
+
+    def propagate(y, h):
+        spec = np.fft.rfft(y, axis=-1) * np.exp(-h * grid.derivative_symbol(3))
+        return np.fft.irfft(spec, n=grid.N, axis=-1)
+
+    def dispersion(y):
+        return -join(*(f.derivative(3) for f in split(y)))
+
+    y = join(st.even, st.odd)
+    if scheme == "rk4":
+        def f(z):
+            return nonlinear(z) + dispersion(z)
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        return split(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    half = 0.5 * dt
+    k1 = nonlinear(y)
+    k2 = nonlinear(propagate(y + half * k1, half))
+    k3 = nonlinear(propagate(y, half) + half * k2)
+    k4 = nonlinear(propagate(y, dt) + dt * propagate(k3, half))
+    return split(propagate(y, dt) + dt / 6.0 * (propagate(k1, dt) + 2.0 * propagate(k2, half)
+                                                + 2.0 * propagate(k3, half) + k4))
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
+@pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS[1:])
+def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, scheme,
+                                                    dealias):
+    # band-limited below N//3, so the initial 2/3 mask changes nothing
+    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
+    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
+    got = integrate(st, dt=dt, steps=1, scheme=scheme, dealias=dealias).final
+    want = _hand_rk4_step(st, dt, scheme, dealias)
+    for g, w in zip((got.even, got.odd), want):
+        assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
+
+
+def test_non_finite_stage_surfaces_as_blowup_during_step():
+    # 3 u^2 overflows in the first stage of the first step
+    st = random_state("extended", "scalar", lam=0.0, N=64, L=20.0)
+    huge = st.replace_fields(EvenField(st.grid, st.descriptor, 1e200 * st.even.data),
+                             st.odd)
+    with pytest.raises(NumericalBlowup, match="during step 1") as info:
+        integrate(huge, dt=1e-4, steps=3, force=True)
+    assert info.value.step == 1
+    assert np.all(np.isfinite(info.value.last_state.even.data))
