@@ -10,7 +10,10 @@ Oracles used here:
   - the extended, gardner and modified nonlinear terms written out by
     hand with field arithmetic (reference_extended, reference_gardner,
     reference_modified), against the flux-and-source texts the
-    right-hand sides evaluate.
+    right-hand sides evaluate;
+  - one RK4 or Lawson RK4 step assembled by hand from the public
+    nonlinear_rhs and the dispersion, against the integrator's fused
+    stages.
 """
 
 import numpy as np
@@ -439,6 +442,7 @@ def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, sc
     want = _hand_rk4_step(st, dt, scheme, dealias)
     for g, w in zip((got.even, got.odd), want):
         assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
+        assert g.data.base is None  # a record does not hold the derivative rows
 
 
 def test_non_finite_stage_surfaces_as_blowup_during_step():
