@@ -157,11 +157,12 @@ class _BilinearMap:
     fold[k_t, t] = s_t.  The (out_dim,) + shape result is the only array a
     call allocates, and it is fresh, so callers may keep and mutate it.
 
-    The gathers use take(mode="clip") because the default mode buffers the
-    output, which would allocate the very (nnz,) + shape array the scratch
-    buffers replace.  Clipping never alters an index: the operand dims are
-    checked first.  The buffers are kept per thread and re-made when the
-    trailing shape changes.
+    The gathers use the take method with mode="clip": the default mode
+    buffers the output, which would allocate the very (nnz,) + shape array
+    the scratch buffers replace, and np.take adds a dispatch layer that
+    costs more than gathering a few rows.  Clipping never alters an index:
+    the operand dims are checked first.  The buffers are kept per thread and
+    re-made when the trailing shape changes.
     """
 
     def __init__(self, triples, a_dim, b_dim, out_dim):
@@ -189,8 +190,8 @@ class _BilinearMap:
                 f"of {self.dims[0]} by {self.dims[1]} channels with equal trailing axes")
         shape = a.shape[1:]
         left, right = self._buffers(shape)
-        np.take(a, self.i, axis=0, out=left, mode="clip")
-        np.take(b, self.j, axis=0, out=right, mode="clip")
+        a.take(self.i, axis=0, out=left, mode="clip")
+        b.take(self.j, axis=0, out=right, mode="clip")
         left *= right
         out = self.fold @ left.reshape(self.nnz, math.prod(shape))
         return out.reshape((self.out_dim,) + shape)
@@ -272,11 +273,29 @@ class Algebra:
         return out
 
     def odd_mul(self, q1, q2):
+        return self._odd_map()(q1, q2)
+
+    def _odd_map(self):
         if self._oo is None:
             raise GradingError(
                 f"the {self.descriptor.kind} backend has no odd*odd product; "
                 "only the commutator is part of the interface")
-        return self._oo(q1, q2)
+        return self._oo
+
+    def gather_fold(self, product):
+        """(i, j, fold) of the named product method, whose value is fold @
+        (a[i] * b[j]), for code that compiles its products itself; read
+        only.  The odd_commutator's holds both halves, half(a, b) - half(b,
+        a), so it equals the method's value up to the order of summation."""
+        if product == "odd_commutator":
+            half = self._half
+            return (np.concatenate((half.i, half.j)), np.concatenate((half.j, half.i)),
+                    np.hstack((half.fold, -half.fold)))
+        if product == "odd_mul":
+            table = self._odd_map()
+        else:
+            table = {"even_mul": self._ee, "mixed_mul": self._eo}[product]
+        return table.i, table.j, table.fold
 
 
 @lru_cache(maxsize=None)

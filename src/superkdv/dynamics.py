@@ -6,7 +6,7 @@ derivatives.  They are written once, in conservative form D(flux) +
 source, as symbolic.nonlinear_terms, with u and xi standing for each
 system's own fields: (u, xi) for extended, (z, sigma) for gardner and
 (v, eta) for modified.  skdv_grassmann (Grassmann only) is extended with
-its 3 L [xi'', xi] written as -6 L xi xi''.
+its 3 L [xi'', xi] written as -6 L xi xi'', one odd_mul op.
 
 The terms are evaluated between spectra, one stacked transform each way
 (_SpectralRHS).  One irfft gives the fields and the derivatives the terms
@@ -14,7 +14,14 @@ read, taken spectrally as (ik)^a times the field's coefficients; the flux
 and source rows are evaluated on those samples; one rfft of [flux;
 source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
 terms that survive at the run's coupling, their coefficients, derivative
-orders and rows are fixed once per integrate call.
+orders and rows are fixed once per integrate call, and so are their
+products: _Program compiles them, through the prefix factorisation
+symbolic._Evaluator uses, into a straight-line list of ops over one
+preallocated stack of sample rows.  An op gathers the rows of one
+product's basis triples, multiplies them and folds them with one matmul
+into its own block of the stack; a bracket is one op whose fold holds
+both halves.  A stage runs the ops and adds each term's coefficient times
+its block into its flux or source rows, with no other arrays made.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
@@ -38,7 +45,7 @@ from .algebra import get_algebra
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError)
 from .fields import EvenField, OddField
-from .symbolic import _Evaluator, _live_terms, nonlinear_terms
+from .symbolic import _live_terms, _TermNodes, nonlinear_terms
 
 SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
 
@@ -88,6 +95,51 @@ def _rows(even, odd, n_even, n_rows):
     return slice(0 if even else n_even, n_rows if odd else n_even)
 
 
+class _Program(_TermNodes):
+    """The products of a system's live terms as a straight-line list of ops
+    over one stack of sample rows.
+
+    A node is the first row of its block in the stack: the fields and the
+    derivatives the terms read sit at the rows given in u_rows and xi_rows
+    (order -> first row), and each op appends the block of one product.
+    An op is (left rows, right rows, fold, first output row): gather the
+    rows of the product's Algebra.gather_fold, offset to its operands'
+    nodes, multiply them, and fold them onto the output channels.  The prefix
+    factorisation is _TermNodes', so the ops are exactly the products an
+    _Evaluator of the same terms makes, one op each.  Nonlinear terms have
+    no constant term, so no unit is ever read.
+    """
+
+    def __init__(self, algebra, u_rows, xi_rows, top):
+        super().__init__()
+        self.algebra = algebra
+        self._u_rows, self._xi_rows = u_rows, xi_rows
+        self.top = top  # the first row no block holds yet
+        self.ops = []
+
+    def op(self, product, a, b):
+        """The node of the named Algebra product of nodes a and b."""
+        i, j, fold = self.algebra.gather_fold(product)
+        node, self.top = self.top, self.top + len(fold)
+        self.ops.append((a + i, b + j, fold, node))
+        return node
+
+    def _u(self, order):
+        return self._u_rows[order]
+
+    def _xid(self, order):
+        return self._xi_rows[order]
+
+    def _bracket(self, a, b):
+        return self.op("odd_commutator", self._xid(a), self._xid(b))
+
+    def _even_mul(self, a, b):
+        return self.op("even_mul", a, b)
+
+    def _mixed_mul(self, a, q):
+        return self.op("mixed_mul", a, q)
+
+
 class _SpectralRHS:
     """The nonlinear terms of one system on one grid and backend at fixed
     lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
@@ -95,11 +147,14 @@ class _SpectralRHS:
 
     Everything static is made here, once: the terms that do not vanish at
     lam and eps with their float coefficients, the derivative orders they
-    read, the rows some live flux or source writes into, and whether a
-    source is live at all (the scalar extended system has none).
-    `physical` is one stacked irfft of [y; (ik)^a y_even for each u-order
-    a; (ik)^b y_odd for each xi-order b]; a call evaluates the live flux and
-    source rows on those samples and makes one stacked rfft of them.
+    read, the rows some live flux or source writes into, and the _Program
+    of their products over one preallocated stack of sample rows.  The
+    stack holds, from the top, the samples `physical` makes (one stacked
+    irfft of [y; (ik)^a y_even for each u-order a; (ik)^b y_odd for each
+    xi-order b]), one block per product, and
+    the evaluated [flux; source] rows.  A call runs the ops, adds each
+    term's coefficient times its node into its flux or source rows, and
+    makes one stacked rfft of those rows.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -108,9 +163,7 @@ class _SpectralRHS:
             raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
         n_even, n_odd = desc.even_dim, desc.odd_dim
         n_rows = n_even + n_odd
-        self.grid, self.desc, self.lam = grid, desc, lam
-        self.n_even, self.n_rows = n_even, n_rows
-        self.algebra = get_algebra(desc)
+        self.grid, self.n_rows = grid, n_rows
         # (even, odd) live terms of the fluxes and of the sources
         flux, source = ([], []), ([], [])
         for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
@@ -119,71 +172,98 @@ class _SpectralRHS:
                     live += _live_terms(poly, lam, bool(n_odd), eps ** power)
         # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
         # bracket-only grammar cannot write
-        self.pair_coeff = -6.0 * lam if skdv and n_odd and lam != 0.0 else 0.0
+        pair = skdv and lam != 0.0
 
         self.flux_rows = _rows(bool(flux[0]), bool(flux[1]), n_even, n_rows)
-        self.source_rows = _rows(bool(source[0] or self.pair_coeff), bool(source[1]),
-                                 n_even, n_rows)
+        self.source_rows = _rows(bool(source[0]) or pair, bool(source[1]), n_even, n_rows)
         self.n_flux = self.flux_rows.stop - self.flux_rows.start
-        self.n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
+        n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
         # rows of the evaluated [flux; source] that each part adds into
-        self.parts = []
+        parts = []
         for offset, rows, (even, odd) in ((0, self.flux_rows, flux),
                                           (self.n_flux, self.source_rows, source)):
             split = offset + n_even - rows.start
             end = offset + rows.stop - rows.start
-            self.parts += [(slice(offset, split), even), (slice(split, end), odd)]
-        self.pair_rows = self.parts[2][0]  # the even source
-        self.parts = [(rows, live) for rows, live in self.parts if live]
+            parts += [(slice(offset, split), even), (slice(split, end), odd)]
 
-        terms = [term for _, live in self.parts for term in live]
+        terms = [term for _, live in parts for term in live]
         u_orders = {f for factors, _, _ in terms for f in factors
                     if not isinstance(f, tuple)}
         xi_orders = {odd for _, odd, _ in terms if odd is not None}
         xi_orders.update(o for factors, _, _ in terms for f in factors
                          if isinstance(f, tuple) for o in f)
-        if self.pair_coeff:
+        if pair:
             xi_orders.add(2)
-        # (rows of the samples, rows of y, order) of each derivative taken
-        self.u_derivatives, self.xi_derivatives = [], []
+        # (rows of the samples, rows of y, (ik)^order) of each derivative
+        # taken, and the first row of each order's samples
+        self.derivatives = []
+        self.u_rows, self.xi_rows = u_rows, xi_rows = {0: 0}, {0: n_even}
         top = n_rows
-        for out, orders, of in ((self.u_derivatives, u_orders, slice(0, n_even)),
-                                (self.xi_derivatives, xi_orders, slice(n_even, n_rows))):
+        for first, orders, of in ((u_rows, u_orders, slice(0, n_even)),
+                                  (xi_rows, xi_orders, slice(n_even, n_rows))):
             for order in sorted(orders - {0}):
-                out.append((slice(top, top + of.stop - of.start), of, order))
+                first[order] = top
+                self.derivatives.append((slice(top, top + of.stop - of.start), of,
+                                         grid.derivative_symbol(order)))
                 top += of.stop - of.start
-        self.height = top
+        height = top
+
+        program = _Program(get_algebra(desc), u_rows, xi_rows, height)
+        # (rows of [flux; source], node, coefficient) of each term, in order
+        sums = [(rows, program._value(factors, odd), coeff)
+                for rows, live in parts for factors, odd, coeff in live]
+        if pair:
+            sums.append((parts[2][0], program.op("odd_mul", n_even, xi_rows[2]),
+                         -6.0 * lam))
+
+        self.stack = np.empty((program.top + n_values, grid.N))
+        self.head = self.stack[:height]
+        self.values = self.stack[program.top:]
+        self.spectra = (np.empty((height, grid.N // 2 + 1), complex)
+                        if self.derivatives else None)
+        widest = max((len(left) for left, _, _, _ in program.ops), default=0)
+        self.buffers = (np.empty((widest, grid.N)), np.empty((widest, grid.N)))
+        self.ops = [(left, right, fold, self.buffers[0][:len(left)],
+                     self.buffers[1][:len(left)], self.stack[node:node + len(fold)])
+                    for left, right, fold, node in program.ops]
+        scratch = np.empty((max(n_even, n_odd), grid.N))
+        self.sums = []
+        for rows, node, coeff in sums:
+            n = rows.stop - rows.start
+            self.sums.append((self.values[rows], self.stack[node:node + n], coeff,
+                              scratch[:n]))
         self.ik = grid.derivative_symbol(1)
         self.cut = grid.dealias_keep + 1 if dealias else None
 
     def physical(self, spec):
-        """Samples of the fields and of the derivatives the terms read."""
-        if self.height == self.n_rows:
-            return np.fft.irfft(spec, n=self.grid.N, axis=-1)
-        stacked = np.empty((self.height, spec.shape[-1]), complex)
-        stacked[:self.n_rows] = spec
-        for rows, of, order in self.u_derivatives + self.xi_derivatives:
-            np.multiply(spec[of], self.grid.derivative_symbol(order), out=stacked[rows])
-        return np.fft.irfft(stacked, n=self.grid.N, axis=-1)
+        """Samples of the fields and of the derivatives the terms read,
+        made into the head of the stack, which is returned.  They stay
+        valid until the next call."""
+        spectra = spec
+        if self.spectra is not None:
+            spectra = self.spectra
+            spectra[:self.n_rows] = spec
+            for rows, of, symbol in self.derivatives:
+                np.multiply(spec[of], symbol, out=spectra[rows])
+        self.head[...] = np.fft.irfft(spectra, n=self.grid.N, axis=-1)
+        return self.head
 
-    def __call__(self, phys):
-        """ik F + S from the samples `physical` returned, masked."""
-        grid, desc, n_even, n_rows = self.grid, self.desc, self.n_even, self.n_rows
-        xi = phys[n_even:n_rows]
-        xi_derivatives = {order: phys[rows] for rows, _, order in self.xi_derivatives}
-        evaluate = _Evaluator(
-            EvenField(grid, desc, phys[:n_even]), OddField(grid, desc, xi), self.lam,
-            {order: phys[rows] for rows, _, order in self.u_derivatives}, xi_derivatives)
-        values = np.zeros((self.n_values, grid.N))
-        for rows, live in self.parts:
-            evaluate.add_terms(values[rows], live)
-        if self.pair_coeff:
-            values[self.pair_rows] += self.pair_coeff * self.algebra.odd_mul(
-                xi, xi_derivatives[2])
-        if not np.isfinite(values).all():
+    def __call__(self):
+        """ik F + S, masked, from the samples the last `physical` call made."""
+        stack = self.stack
+        for left_rows, right_rows, fold, left, right, out in self.ops:
+            stack.take(left_rows, axis=0, out=left, mode="clip")
+            stack.take(right_rows, axis=0, out=right, mode="clip")
+            left *= right
+            np.matmul(fold, left, out=out)
+        self.values.fill(0.0)
+        for out, node, coeff, scratch in self.sums:
+            np.multiply(node, coeff, out=scratch)
+            out += scratch
+        if not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
-        spec = np.fft.rfft(values, axis=-1)
-        n_flux = self.n_flux
+        spec = np.fft.rfft(self.values, axis=-1)
+        n_flux, n_rows = self.n_flux, self.n_rows
         spec[:n_flux] *= self.ik
         if n_flux == n_rows:
             k = spec[:n_rows]
@@ -196,29 +276,33 @@ class _SpectralRHS:
         return k
 
 
-def _rhs(kind, even, odd, lam, eps, dealias, dispersion):
-    """The nonlinear terms, and the dispersion when asked, as fields: one
-    stacked rfft of the fields, _SpectralRHS, one stacked irfft."""
-    grid, desc = even.grid, even.descriptor
+def _rhs(kind, grid, desc, lam, eps, dealias, dispersion, fields):
+    """The nonlinear terms, and the dispersion when asked, at each (even,
+    odd) pair of fields, as fields: one _SpectralRHS for them all, and per
+    pair one stacked rfft, the map and one stacked irfft."""
     nonlinear = _SpectralRHS(kind, grid, desc, lam, eps, dealias)
-    spec = np.fft.rfft(np.concatenate((even.data, odd.data)), axis=-1)
-    k = nonlinear(nonlinear.physical(spec))
-    if dispersion:
-        k -= grid.derivative_symbol(3) * spec
-    data = np.fft.irfft(k, n=grid.N, axis=-1)
-    return (EvenField(grid, desc, data[:desc.even_dim]),
-            OddField(grid, desc, data[desc.even_dim:]))
+    for even, odd in fields:
+        spec = np.fft.rfft(np.concatenate((even.data, odd.data)), axis=-1)
+        nonlinear.physical(spec)
+        k = nonlinear()
+        if dispersion:
+            k -= grid.derivative_symbol(3) * spec
+        data = np.fft.irfft(k, n=grid.N, axis=-1)
+        yield (EvenField(grid, desc, data[:desc.even_dim]),
+               OddField(grid, desc, data[desc.even_dim:]))
 
 
 def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
     """Everything except the -f''' dispersion, dealiased when requested:
     D(flux) + source from symbolic.nonlinear_terms, through the same
     spectral map the integrator steps with."""
-    return _rhs(kind, even, odd, lam, eps, dealias, dispersion=False)
+    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, dealias, False,
+                     [(even, odd)]))
 
 
 def _full_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
-    return _rhs(kind, even, odd, lam, eps, dealias, dispersion=True)
+    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, dealias, True,
+                     [(even, odd)]))
 
 
 def rhs_modified(v, eta, lam, dealias=True):
@@ -240,6 +324,19 @@ def rhs_gardner(z, sigma, lam, eps, dealias=True):
 def rhs_state(state, dealias=True):
     return _full_rhs(state.kind, state.even, state.odd, state.lam,
                      state.epsilon, dealias)
+
+
+def rhs_states(states, dealias=True):
+    """rhs_state of each of several states of one system, grid, backend,
+    lam and eps, as a list, through one _SpectralRHS."""
+    def key(s):
+        return s.kind, s.grid, s.descriptor, s.lam, s.epsilon
+
+    first = states[0]
+    if any(key(s) != key(first) for s in states):
+        raise SuperKdVError("states must share system, grid, backend, lam and eps")
+    return list(_rhs(first.kind, first.grid, first.descriptor, first.lam,
+                     first.epsilon, dealias, True, [(s.even, s.odd) for s in states]))
 
 
 class Trajectory:
@@ -324,8 +421,9 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         e_half, linear = 1.0, dispersion
     e_full = e_half * e_half
 
-    def rhs(spec, phys):
-        k = nonlinear(phys)
+    def rhs(spec):
+        # at spec, whose samples the last nonlinear.physical call made
+        k = nonlinear()
         if linear is not None:
             k += linear * spec
         return k
@@ -351,14 +449,17 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
             try:
-                k1 = rhs(spec, phys)
+                k1 = rhs(spec)
                 stage = e_half * (spec + (0.5 * dt) * k1)
-                k2 = rhs(stage, nonlinear.physical(stage))
+                nonlinear.physical(stage)
+                k2 = rhs(stage)
                 stage = e_half * spec + (0.5 * dt) * k2
-                k3 = rhs(stage, nonlinear.physical(stage))
+                nonlinear.physical(stage)
+                k3 = rhs(stage)
                 e_half_k3 = e_half * k3
                 stage = e_full * spec + dt * e_half_k3
-                k4 = rhs(stage, nonlinear.physical(stage))
+                nonlinear.physical(stage)
+                k4 = rhs(stage)
             except NonFiniteFieldError:
                 raise NumericalBlowup(
                     f"non-finite values during step {step} (t={current.time + dt:g})",

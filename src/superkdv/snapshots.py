@@ -8,6 +8,8 @@ same configuration can be compared with a plain byte diff.
 """
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,8 +36,60 @@ def jsonable(obj):
     return obj
 
 
+class _Unencodable(Exception):
+    """A key or value outside what _encode lays out itself."""
+
+
+def _encode(obj, pad):
+    """json.dumps(jsonable(obj), sort_keys=True, indent=2) for str keys and
+    the values jsonable knows, laid out by hand: the json module's indenting
+    encoder is pure Python and slow on the long float rows of a snapshot.
+    A row of finite floats is joined from float.__repr__, which is what json
+    writes for each; anything else raises _Unencodable."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise _Unencodable
+        inner = pad + "  "
+        items = (f"{encode_basestring_ascii(key)}: {_encode(obj[key], inner)}"
+                 for key in sorted(obj))
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        head, sep, tail = "[\n" + inner, f",\n{inner}", f"\n{pad}]"
+        try:
+            if all(map(math.isfinite, obj)):
+                return head + sep.join(map(float.__repr__, obj)) + tail
+        except (TypeError, OverflowError):
+            pass  # not all floats
+        return head + sep.join(_encode(v, inner) for v in obj) + tail
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if obj is None:
+        return "null"
+    raise _Unencodable
+
+
 def dump_json(obj, path):
-    text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    try:
+        text = _encode(obj, "")
+    except _Unencodable:
+        # json's own verdict (or error) on keys and values _encode leaves out
+        text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -53,10 +107,8 @@ def state_to_dict(state):
         "N": state.grid.N,
         "lambda": state.lam,
         "time": state.time,
-        "even": {label: [float(v) for v in row]
-                 for label, row in state.even.channels().items()},
-        "odd": {label: [float(v) for v in row]
-                for label, row in state.odd.channels().items()},
+        "even": {label: row.tolist() for label, row in state.even.channels().items()},
+        "odd": {label: row.tolist() for label, row in state.odd.channels().items()},
     }
     if state.kind == "gardner":
         doc["epsilon"] = state.epsilon

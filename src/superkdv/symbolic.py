@@ -494,49 +494,35 @@ def _live_terms(poly, lam, has_odd, weight=1.0):
     return live
 
 
-class _Evaluator:
-    """Values of polynomials on one set of fields (u, xi) and coupling lam.
+class _TermNodes:
+    """The value of a term built from the values of its factors: the
+    product of its even and bracket factors is the product of its prefix
+    without the last factor and that factor, made once per distinct prefix
+    and kept, so terms sharing a prefix share its product.  A bare odd
+    factor multiplies that product last.
 
-    Values are coordinate arrays multiplied with the backend's product
-    tables.  Derivatives, brackets and the product of every prefix of a
-    term's even and bracket factors are cached, so the terms of one
-    polynomial, and every polynomial evaluated through the same
-    evaluator, share them.  Derivative samples the caller already holds
-    come in as u_derivatives and xi_derivatives (order -> array); any
-    other order is taken with Field.derivative on first use.
+    Subclasses say what a value is and how it is made: _unit, _u (a
+    u-derivative), _xid (a xi-derivative), _bracket(a, b) for [xi^(a),
+    xi^(b)], _even_mul and _mixed_mul.  _Evaluator computes arrays;
+    dynamics compiles a program of products.
     """
 
-    def __init__(self, u, xi, lam, u_derivatives=None, xi_derivatives=None):
-        _require_compatible(u, xi)
-        self.grid, self.descriptor, self.lam = u.grid, u.descriptor, lam
-        self.algebra = get_algebra(u.descriptor)
-        self.has_odd = bool(xi.data.shape[0])
-        self._u, self._xi_field = u, xi
-        self._xi = {0: xi.data, **(xi_derivatives or {})}
-        self._products = {(0,): u.data}
-        for order, data in (u_derivatives or {}).items():
-            self._products[(order,)] = data
-
-    def _xid(self, order):
-        if order not in self._xi:
-            self._xi[order] = self._xi_field.derivative(order).data
-        return self._xi[order]
+    def __init__(self):
+        self._products = {}
 
     def _product(self, factors):
         """Product of u-derivative orders and oriented bracket pairs; the
         empty product is the unit."""
         if factors not in self._products:
             if len(factors) > 1:
-                value = self.algebra.even_mul(self._product(factors[:-1]),
-                                              self._product(factors[-1:]))
+                value = self._even_mul(self._product(factors[:-1]),
+                                       self._product(factors[-1:]))
             elif not factors:
-                value = np.zeros((self.descriptor.even_dim, self.grid.N))
-                value[0] = 1.0
+                value = self._unit()
             elif isinstance(factors[0], tuple):
-                a, b = factors[0]
-                value = self.algebra.odd_commutator(self._xid(a), self._xid(b))
+                value = self._bracket(*factors[0])
             else:
-                value = self._u.derivative(factors[0]).data
+                value = self._u(factors[0])
             self._products[factors] = value
         return self._products[factors]
 
@@ -544,8 +530,52 @@ class _Evaluator:
         if odd is None:
             return self._product(factors)
         if factors:
-            return self.algebra.mixed_mul(self._product(factors), self._xid(odd))
+            return self._mixed_mul(self._product(factors), self._xid(odd))
         return self._xid(odd)
+
+
+class _Evaluator(_TermNodes):
+    """Values of polynomials on one set of fields (u, xi) and coupling lam.
+
+    Values are coordinate arrays multiplied with the backend's product
+    tables.  Derivatives, brackets and the product of every prefix of a
+    term's even and bracket factors are cached, so the terms of one
+    polynomial, and every polynomial evaluated through the same
+    evaluator, share them.  Derivatives are taken with Field.derivative
+    on first use.
+    """
+
+    def __init__(self, u, xi, lam):
+        _require_compatible(u, xi)
+        super().__init__()
+        self.grid, self.descriptor, self.lam = u.grid, u.descriptor, lam
+        self.algebra = get_algebra(u.descriptor)
+        self.has_odd = bool(xi.data.shape[0])
+        self._u_field, self._xi_field = u, xi
+        self._xi = {0: xi.data}
+        self._products[(0,)] = u.data
+
+    def _xid(self, order):
+        if order not in self._xi:
+            self._xi[order] = self._xi_field.derivative(order).data
+        return self._xi[order]
+
+    def _u(self, order):
+        return self._u_field.derivative(order).data
+
+    def _unit(self):
+        value = np.zeros((self.descriptor.even_dim, self.grid.N))
+        value[0] = 1.0
+        return value
+
+    def _bracket(self, a, b):
+        return self.algebra.odd_commutator(self._xid(a), self._xid(b))
+
+    def _even_mul(self, a, b):
+        return self.algebra.even_mul(a, b)
+
+    def _mixed_mul(self, a, q):
+        return self.algebra.mixed_mul(a, q)
 
     def terms(self, poly):
         """Data of each term of poly that does not vanish on these fields;
@@ -554,17 +584,13 @@ class _Evaluator:
             value = self._value(factors, odd)
             yield value if coeff == 1.0 else coeff * value
 
-    def add_terms(self, out, live):
-        """Add the value of the _live_terms list live to the array out."""
-        for factors, odd, coeff in live:
-            value = self._value(factors, odd)
-            out += value if coeff == 1.0 else coeff * value
-
     def add_to(self, out, poly, weight=1.0):
         """Add weight times the value of poly on these fields to the array
         out; a zero weight evaluates nothing."""
         if weight != 0.0:
-            self.add_terms(out, _live_terms(poly, self.lam, self.has_odd, weight))
+            for factors, odd, coeff in _live_terms(poly, self.lam, self.has_odd, weight):
+                value = self._value(factors, odd)
+                out += value if coeff == 1.0 else coeff * value
 
     def __call__(self, poly):
         gradings = poly.gradings()

@@ -22,7 +22,7 @@ a linear map on states that commutes with the extended flow.
 
 import numpy as np
 
-from .dynamics import SystemState, Trajectory, integrate, rhs_state
+from .dynamics import SystemState, Trajectory, integrate, rhs_states
 from .errors import SuperKdVError
 from .fields import EvenField, OddField
 from .symbolic import _Evaluator, gardner_coefficients, map_terms
@@ -111,8 +111,7 @@ def fd_flow_residual(traj):
                for s in traj]
     worst = 0.0
     scale = 1e-12
-    for i in range(2, len(times) - 2):
-        re, ro = rhs_state(records[i])
+    for i, (re, ro) in enumerate(rhs_states(records[2:-2]), start=2):
         scale = max(scale, re.norm(), ro.norm())
         for part in ("even", "odd"):
             f = [getattr(records[j], part).data for j in range(i - 2, i + 3)]

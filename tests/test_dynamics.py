@@ -13,17 +13,20 @@ Oracles used here:
     right-hand sides evaluate;
   - one RK4 or Lawson RK4 step assembled by hand from the public
     nonlinear_rhs and the dispersion, against the integrator's fused
-    stages.
+    stages;
+  - symbolic._Evaluator on the same live terms and samples, against the
+    compiled product program of a stage.
 """
 
 import numpy as np
 import pytest
 
-from superkdv.algebra import AlgebraDescriptor, value_norm
-from superkdv.dynamics import (SystemState, Trajectory, integrate,
+from superkdv import symbolic
+from superkdv.algebra import Algebra, AlgebraDescriptor, get_algebra, value_norm
+from superkdv.dynamics import (_SpectralRHS, SystemState, Trajectory, integrate,
                                nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
-                               soliton_profile, stability_limit)
+                               rhs_states, soliton_profile, stability_limit)
 from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
@@ -454,3 +457,106 @@ def test_non_finite_stage_surfaces_as_blowup_during_step():
         integrate(huge, dt=1e-4, steps=3, force=True)
     assert info.value.step == 1
     assert np.all(np.isfinite(info.value.last_state.even.data))
+
+
+PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "skdv_grassmann", "extended",
+                                                 "gardner")
+                   for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")
+                   if kind != "skdv_grassmann" or desc_str.startswith("grassmann")]
+
+
+def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
+    """A _SpectralRHS of the system with one stage run on random data."""
+    st = random_state(kind, desc_str, lam, N=64, L=20.0,
+                      eps=eps if kind == "gardner" else 0.0)
+    nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon, dealias)
+    nonlinear.physical(np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1))
+    nonlinear()
+    return st, nonlinear
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("kind,desc_str", PROGRAM_SYSTEMS)
+def test_stage_values_match_the_evaluator(kind, desc_str, dealias):
+    st, nonlinear = _stage(kind, desc_str, dealias)
+    grid, desc, n_even = st.grid, st.descriptor, st.descriptor.even_dim
+    samples = nonlinear.head
+    xi = OddField(grid, desc, samples[n_even:nonlinear.n_rows])
+    evaluate = symbolic._Evaluator(EvenField(grid, desc, samples[:n_even]), xi, st.lam)
+    flux, source = (np.zeros((nonlinear.n_rows, grid.N)) for _ in range(2))
+    skdv = kind == "skdv_grassmann"
+    for power, fluxes, sources in symbolic.nonlinear_terms("extended" if skdv else kind):
+        weight = st.epsilon ** power
+        for out, polys in ((flux, fluxes), (source, () if skdv else sources)):
+            for rows, poly in zip((slice(0, n_even), slice(n_even, None)), polys):
+                evaluate.add_to(out[rows], poly, weight)
+    if skdv:
+        source[:n_even] -= 6.0 * st.lam * get_algebra(desc).odd_mul(
+            xi.data, xi.derivative(2).data)
+    want = np.concatenate((flux[nonlinear.flux_rows], source[nonlinear.source_rows]))
+    assert nonlinear.values.shape == want.shape
+    assert np.max(np.abs(nonlinear.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:3"),
+                                           ("skdv_grassmann", "grassmann:3"),
+                                           ("gardner", "symplectic:2"),
+                                           ("extended", "grassmann:4")])
+def test_stage_makes_no_evaluator_and_no_algebra_product(kind, desc_str, monkeypatch):
+    st = random_state(kind, desc_str, 1.3, N=64, L=20.0,
+                      eps=0.4 if kind == "gardner" else 0.0)
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("even_mul", "mixed_mul", "odd_commutator", "odd_mul"):
+        monkeypatch.setattr(Algebra, name, counting(name, getattr(Algebra, name)))
+    monkeypatch.setattr(symbolic._Evaluator, "__init__",
+                        counting("_Evaluator", symbolic._Evaluator.__init__))
+    integrate(st, dt=1e-4, steps=2, scheme="rk4")
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind,desc_str,ops", [
+    ("extended", "scalar", 1), ("extended", "grassmann:3", 3),
+    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 10),
+    ("gardner", "symplectic:1", 9)])
+def test_stage_op_count(kind, desc_str, ops):
+    _, nonlinear = _stage(kind, desc_str, dealias=True)
+    assert len(nonlinear.ops) == ops
+
+
+@pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:6"),
+                                           ("gardner", "symplectic:2"),
+                                           ("skdv_grassmann", "grassmann:4")])
+def test_gather_buffers_hold_one_product(kind, desc_str):
+    # one op per product: the buffers fit the widest single product, not a
+    # batch of products
+    _, nonlinear = _stage(kind, desc_str, dealias=True)
+    algebra = get_algebra(AlgebraDescriptor.from_string(desc_str))
+    widest = max(len(algebra.gather_fold(name)[0]) for name in ("even_mul", "mixed_mul",
+                                                                "odd_commutator"))
+    widths = [len(left) for left, *_ in nonlinear.ops]
+    assert max(widths) <= widest
+    assert [b.shape for b in nonlinear.buffers] == [(max(widths), 64)] * 2
+
+
+def test_rhs_states_match_rhs_state_one_at_a_time():
+    # one map serves every state, so nothing one state writes into its
+    # stack may leak into the next
+    states = [random_state("modified", "grassmann:3", 1.3, N=64, L=20.0, seed=seed)
+              for seed in (1, 2, 3)]
+    for (re, ro), st in zip(rhs_states(states), states):
+        want_e, want_o = rhs_state(st)
+        assert np.array_equal(re.data, want_e.data)
+        assert np.array_equal(ro.data, want_o.data)
+    other = random_state("modified", "grassmann:3", 0.5, N=64, L=20.0)
+    with pytest.raises(SuperKdVError, match="share"):
+        rhs_states(states + [other])
+    coarse = random_state("modified", "grassmann:3", 1.3, N=32, L=20.0)
+    with pytest.raises(SuperKdVError, match="share"):
+        rhs_states(states + [coarse])

@@ -1,4 +1,5 @@
 import filecmp
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from superkdv.snapshots import (
     load_json,
     read_csv,
     read_snapshot,
+    state_to_dict,
     write_csv,
     write_line_plot,
     write_manifest,
@@ -122,3 +124,38 @@ def test_jsonable_handles_numpy_types():
                     "e": [np.float32(0.5)]})
     assert doc == {"a": 1.5, "b": 2, "c": True, "d": [0.0, 1.0, 2.0], "e": [0.5]}
     assert isinstance(doc["c"], bool)
+
+
+@pytest.mark.parametrize("kind,backend,eps", [
+    ("extended", "scalar", 0.0), ("extended", "grassmann:3", 0.0),
+    ("modified", "symplectic:2", 0.0), ("gardner", "grassmann:3", 0.25)])
+def test_snapshot_bytes_equal_the_json_module(tmp_path, kind, backend, eps):
+    state = sample_state(kind, backend, eps)
+    state.even.data[0, :4] = [-0.0, 1e-300, 1e16, 1e-5]
+    state.odd.data[..., -2:] = [-1e-300, 0.0]
+    path = tmp_path / "snap.json"
+    write_snapshot(state, path)
+    expected = json.dumps(jsonable(state_to_dict(state)), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert ('"epsilon"' in expected) == (kind == "gardner")
+    assert "-0.0," in expected and "1e+16," in expected
+
+
+@pytest.mark.parametrize("doc", [
+    {"b": [1, 2.5, True, None, "x\u00e9"], "a": {"z": [], "y": {}, "x": (np.int64(3),)}},
+    {"rows": np.arange(4.0).reshape(2, 2), "flags": [np.bool_(False), np.float32(0.5)]},
+    {"special": [float("nan"), float("inf"), -float("inf"), 10 ** 400], "f": np.float64(-0.0)},
+    {2: "int keys", 10: "sort as numbers"},
+    [],
+    "top-level string",
+])
+def test_dump_json_bytes_equal_the_json_module(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    dump_json(doc, path)
+    expected = json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_dump_json_refuses_what_json_refuses(tmp_path):
+    with pytest.raises(TypeError):
+        dump_json({"a": {1, 2}}, tmp_path / "doc.json")
