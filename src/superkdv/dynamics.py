@@ -15,13 +15,17 @@ and source rows are evaluated on those samples; one rfft of [flux;
 source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
 terms that survive at the run's coupling, their coefficients, derivative
 orders and rows are fixed once per integrate call, and so are their
-products: _Program compiles them, through the prefix factorisation
-symbolic._Evaluator uses, into a straight-line list of ops over one
-preallocated stack of sample rows.  An op gathers the rows of one
-product's basis triples, multiplies them and folds them with one matmul
-into its own block of the stack; a bracket is one op whose fold holds
-both halves.  A stage runs the ops and adds each term's coefficient times
-its block into its flux or source rows, with no other arrays made.
+products: _Program compiles them into straight-line ops over one
+preallocated stack of sample rows.  An op gathers the rows of products'
+basis triples, multiplies them and folds them with one matmul; a bracket's
+fold holds both halves.  Each flux or source part is factored by
+distributivity: its terms are grouped by the factor they are multiplied
+by last, each group's coefficients fold into one combined operand (the
+modified odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2 L
+[eta'', eta]) eta), and the part is one op that lays its groups'
+coefficient-scaled folds side by side and writes straight into the
+part's rows.  The products inside the groups are made through the prefix
+factorisation symbolic._Evaluator uses, one op each.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
@@ -96,18 +100,26 @@ def _rows(even, odd, n_even, n_rows):
 
 
 class _Program(_TermNodes):
-    """The products of a system's live terms as a straight-line list of ops
-    over one stack of sample rows.
+    """The products of a system's live terms as straight-line lists of ops
+    over one stack of sample rows, factored by distributivity.
 
     A node is the first row of its block in the stack: the fields and the
     derivatives the terms read sit at the rows given in u_rows and xi_rows
-    (order -> first row), and each op appends the block of one product.
-    An op is (left rows, right rows, fold, first output row): gather the
-    rows of the product's Algebra.gather_fold, offset to its operands'
-    nodes, multiply them, and fold them onto the output channels.  The prefix
-    factorisation is _TermNodes', so the ops are exactly the products an
-    _Evaluator of the same terms makes, one op each.  Nonlinear terms have
-    no constant term, so no unit is ever read.
+    (order -> first row), and each product and combined operand appends a
+    block.  An op is (left rows, right rows, fold, first output row): gather
+    the rows of an Algebra.gather_fold, offset to its operands' nodes,
+    multiply them, and fold them onto the output channels.
+
+    `part` makes the whole of one flux or source part one op.  It groups
+    the part's terms by the factor they are multiplied by last: a mixed
+    term by its odd factor, an even term by its first factor, and a lone
+    bracket stays alone.  The other factors of a term are made through the
+    prefix factorisation of _TermNodes, one op per product in `ops`.  A
+    group of several terms multiplies one combined operand, the sum of
+    coefficient times node that `sums` lists; a group of one scales its fold
+    by its coefficient instead.  The part's op lays the groups' gathers and
+    folds side by side.  Every term is at least quadratic, so no unit is
+    ever read.
     """
 
     def __init__(self, algebra, u_rows, xi_rows, top):
@@ -116,13 +128,61 @@ class _Program(_TermNodes):
         self._u_rows, self._xi_rows = u_rows, xi_rows
         self.top = top  # the first row no block holds yet
         self.ops = []
+        self.sums = []  # (node, ((node, coefficient), ...)) of each combined operand
 
-    def op(self, product, a, b):
+    def _block(self, height):
+        node, self.top = self.top, self.top + height
+        return node
+
+    def _op(self, product, a, b):
         """The node of the named Algebra product of nodes a and b."""
         i, j, fold = self.algebra.gather_fold(product)
-        node, self.top = self.top, self.top + len(fold)
+        node = self._block(len(fold))
         self.ops.append((a + i, b + j, fold, node))
         return node
+
+    def _combined(self, members):
+        """The node of the sum of coefficient times product over the
+        (factors, coefficient) members, and the scale left to the fold."""
+        if len(members) == 1:
+            ((factors, coeff),) = members
+            return self._product(factors), coeff
+        terms = tuple((self._product(factors), coeff) for factors, coeff in members)
+        node = self._block(self.algebra.descriptor.even_dim)
+        self.sums.append((node, terms))
+        return node, 1.0
+
+    def part(self, live, extra=()):
+        """(left rows, right rows, fold) of one op whose value is the sum
+        of the live terms and of the extra (product, a, b, coefficient)
+        products of nodes."""
+        groups = {}
+        for factors, odd, coeff in live:
+            if odd is not None:
+                key, rest = ("mixed_mul", odd), factors
+            elif len(factors) > 1:
+                key, rest = ("even_mul", factors[0]), factors[1:]
+            else:
+                key, rest = ("odd_commutator", factors[0]), ()
+            groups.setdefault(key, []).append((rest, coeff))
+        pieces = []
+        for (product, last), members in groups.items():
+            if product == "mixed_mul":
+                a, scale = self._combined(members)
+                pieces.append((product, a, self._xid(last), scale))
+            elif product == "even_mul":
+                b, scale = self._combined(members)
+                pieces.append((product, self._product((last,)), b, scale))
+            else:
+                pieces.append((product, self._xid(last[0]), self._xid(last[1]),
+                               sum(coeff for _, coeff in members)))
+        left, right, folds = [], [], []
+        for product, a, b, scale in pieces + list(extra):
+            i, j, fold = self.algebra.gather_fold(product)
+            left.append(a + i)
+            right.append(b + j)
+            folds.append(scale * fold)
+        return np.concatenate(left), np.concatenate(right), np.concatenate(folds, axis=1)
 
     def _u(self, order):
         return self._u_rows[order]
@@ -131,13 +191,22 @@ class _Program(_TermNodes):
         return self._xi_rows[order]
 
     def _bracket(self, a, b):
-        return self.op("odd_commutator", self._xid(a), self._xid(b))
+        return self._op("odd_commutator", self._xid(a), self._xid(b))
 
     def _even_mul(self, a, b):
-        return self.op("even_mul", a, b)
+        return self._op("even_mul", a, b)
 
     def _mixed_mul(self, a, q):
-        return self.op("mixed_mul", a, q)
+        return self._op("mixed_mul", a, q)
+
+
+def _run(stack, ops):
+    """Run compiled ops over the stack: gather, multiply, fold."""
+    for left_rows, right_rows, fold, left, right, out in ops:
+        stack.take(left_rows, axis=0, out=left, mode="clip")
+        stack.take(right_rows, axis=0, out=right, mode="clip")
+        left *= right
+        np.matmul(fold, left, out=out)
 
 
 class _SpectralRHS:
@@ -151,10 +220,10 @@ class _SpectralRHS:
     of their products over one preallocated stack of sample rows.  The
     stack holds, from the top, the samples `physical` makes (one stacked
     irfft of [y; (ik)^a y_even for each u-order a; (ik)^b y_odd for each
-    xi-order b]), one block per product, and
-    the evaluated [flux; source] rows.  A call runs the ops, adds each
-    term's coefficient times its node into its flux or source rows, and
-    makes one stacked rfft of those rows.
+    xi-order b]), one block per product and per combined operand, and the
+    evaluated [flux; source] rows.  A call runs the product ops, forms the
+    combined operands, runs one op per live part straight into its rows of
+    [flux; source], and makes one stacked rfft of those rows.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -178,7 +247,7 @@ class _SpectralRHS:
         self.source_rows = _rows(bool(source[0]) or pair, bool(source[1]), n_even, n_rows)
         self.n_flux = self.flux_rows.stop - self.flux_rows.start
         n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
-        # rows of the evaluated [flux; source] that each part adds into
+        # rows of the evaluated [flux; source] that each part makes
         parts = []
         for offset, rows, (even, odd) in ((0, self.flux_rows, flux),
                                           (self.n_flux, self.source_rows, source)):
@@ -209,29 +278,39 @@ class _SpectralRHS:
         height = top
 
         program = _Program(get_algebra(desc), u_rows, xi_rows, height)
-        # (rows of [flux; source], node, coefficient) of each term, in order
-        sums = [(rows, program._value(factors, odd), coeff)
-                for rows, live in parts for factors, odd, coeff in live]
-        if pair:
-            sums.append((parts[2][0], program.op("odd_mul", n_even, xi_rows[2]),
-                         -6.0 * lam))
+        # the odd_mul pieces of the even flux, odd flux, even source and
+        # odd source: skdv's pair goes into the even source
+        extras = [(), (), [("odd_mul", n_even, xi_rows[2], -6.0 * lam)] if pair else (), ()]
+        # (left rows, right rows, fold) and first row in [flux; source] of
+        # each part's op
+        made = [(program.part(live, extra), rows.start)
+                for (rows, live), extra in zip(parts, extras) if live or extra]
+        part_ops = [(*op, program.top + first) for op, first in made]
 
         self.stack = np.empty((program.top + n_values, grid.N))
         self.head = self.stack[:height]
         self.values = self.stack[program.top:]
         self.spectra = (np.empty((height, grid.N // 2 + 1), complex)
                         if self.derivatives else None)
-        widest = max((len(left) for left, _, _, _ in program.ops), default=0)
+        widest = max((len(left) for left, _, _, _ in program.ops + part_ops), default=0)
         self.buffers = (np.empty((widest, grid.N)), np.empty((widest, grid.N)))
-        self.ops = [(left, right, fold, self.buffers[0][:len(left)],
+
+        def bound(ops):
+            # each op with its slices of the gather buffers and its output rows
+            return [(left, right, fold, self.buffers[0][:len(left)],
                      self.buffers[1][:len(left)], self.stack[node:node + len(fold)])
-                    for left, right, fold, node in program.ops]
-        scratch = np.empty((max(n_even, n_odd), grid.N))
-        self.sums = []
-        for rows, node, coeff in sums:
-            n = rows.stop - rows.start
-            self.sums.append((self.values[rows], self.stack[node:node + n], coeff,
-                              scratch[:n]))
+                    for left, right, fold, node in ops]
+
+        self.products, self.parts = bound(program.ops), bound(part_ops)
+
+        def rows(node):
+            return self.stack[node:node + n_even]
+
+        # (output, first term, its coefficient, ((term, coefficient), ...))
+        self.sums = [(rows(node), rows(terms[0][0]), terms[0][1],
+                      [(rows(term), coeff) for term, coeff in terms[1:]])
+                     for node, terms in program.sums]
+        self.scratch = np.empty((n_even, grid.N))
         self.ik = grid.derivative_symbol(1)
         self.cut = grid.dealias_keep + 1 if dealias else None
 
@@ -250,16 +329,14 @@ class _SpectralRHS:
 
     def __call__(self):
         """ik F + S, masked, from the samples the last `physical` call made."""
-        stack = self.stack
-        for left_rows, right_rows, fold, left, right, out in self.ops:
-            stack.take(left_rows, axis=0, out=left, mode="clip")
-            stack.take(right_rows, axis=0, out=right, mode="clip")
-            left *= right
-            np.matmul(fold, left, out=out)
-        self.values.fill(0.0)
-        for out, node, coeff, scratch in self.sums:
-            np.multiply(node, coeff, out=scratch)
-            out += scratch
+        stack, scratch = self.stack, self.scratch
+        _run(stack, self.products)
+        for out, first, coeff, rest in self.sums:
+            np.multiply(first, coeff, out=out)
+            for node, coeff in rest:
+                np.multiply(node, coeff, out=scratch)
+                out += scratch
+        _run(stack, self.parts)
         if not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
         spec = np.fft.rfft(self.values, axis=-1)
@@ -425,7 +502,8 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         # at spec, whose samples the last nonlinear.physical call made
         k = nonlinear()
         if linear is not None:
-            k += linear * spec
+            np.multiply(linear, spec, out=tmp)
+            k += tmp
         return k
 
     def fields(phys):
@@ -444,28 +522,53 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     current = state.replace_fields(*fields(phys)) if dealias else state
     records = [current]
 
+    # The stages and the step are formed in place, in two buffers and in
+    # the k arrays, with the operands of each product and the terms of each
+    # sum in the order of the formulas noted beside them.
+    stage, tmp = np.empty_like(spec), np.empty_like(spec)
+    half, sixth = 0.5 * dt, dt / 6.0
+
     # overflow on the way to a detected blow-up is reported as an
     # exception by the finite check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
             try:
                 k1 = rhs(spec)
-                stage = e_half * (spec + (0.5 * dt) * k1)
+                # stage = e_half * (spec + half * k1)
+                np.multiply(half, k1, out=stage)
+                np.add(spec, stage, out=stage)
+                np.multiply(e_half, stage, out=stage)
                 nonlinear.physical(stage)
                 k2 = rhs(stage)
-                stage = e_half * spec + (0.5 * dt) * k2
+                # stage = e_half * spec + half * k2
+                np.multiply(e_half, spec, out=stage)
+                np.multiply(half, k2, out=tmp)
+                stage += tmp
                 nonlinear.physical(stage)
                 k3 = rhs(stage)
-                e_half_k3 = e_half * k3
-                stage = e_full * spec + dt * e_half_k3
+                # k3 = e_half * k3; stage = e_full * spec + dt * k3
+                np.multiply(e_half, k3, out=k3)
+                np.multiply(e_full, spec, out=stage)
+                np.multiply(dt, k3, out=tmp)
+                stage += tmp
                 nonlinear.physical(stage)
                 k4 = rhs(stage)
             except NonFiniteFieldError:
                 raise NumericalBlowup(
                     f"non-finite values during step {step} (t={current.time + dt:g})",
                     current, step, current.time + dt)
-            spec = e_full * spec + (dt / 6.0) * (e_full * k1 + 2.0 * (e_half * k2)
-                                                 + 2.0 * e_half_k3 + k4)
+            # spec = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)
+            #                                 + 2.0 * k3 + k4)
+            np.multiply(e_full, k1, out=k1)
+            np.multiply(e_half, k2, out=k2)
+            np.multiply(2.0, k2, out=k2)
+            k1 += k2
+            np.multiply(2.0, k3, out=k3)
+            k1 += k3
+            k1 += k4
+            np.multiply(sixth, k1, out=k1)
+            np.multiply(e_full, spec, out=stage)
+            np.add(stage, k1, out=spec)
 
             phys = nonlinear.physical(spec)
             if not np.isfinite(phys[:n_rows]).all():

@@ -15,7 +15,9 @@ Oracles used here:
     nonlinear_rhs and the dispersion, against the integrator's fused
     stages;
   - symbolic._Evaluator on the same live terms and samples, against the
-    compiled product program of a stage.
+    compiled product program of a stage;
+  - the RK4 loop written with a fresh array for every stage product and
+    sum, against integrate's in-place stages, bit for bit.
 """
 
 import numpy as np
@@ -448,6 +450,53 @@ def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, sc
         assert g.data.base is None  # a record does not hold the derivative rows
 
 
+def _unbuffered_steps(st, dt, steps, scheme, dealias):
+    """integrate's RK4 loop on the same _SpectralRHS, with a fresh array for
+    every product and sum of the stage formulas; returns the final samples
+    of [even; odd]."""
+    grid, desc = st.grid, st.descriptor
+    nonlinear = _SpectralRHS(st.kind, grid, desc, st.lam, st.epsilon, dealias)
+    dispersion = -grid.derivative_symbol(3)
+    if scheme == "ifrk4":
+        e_half, linear = np.exp(0.5 * dt * dispersion), None
+    else:
+        e_half, linear = 1.0, dispersion
+    e_full = e_half * e_half
+
+    def rhs(spec):
+        nonlinear.physical(spec)
+        k = nonlinear()
+        if linear is not None:
+            k += linear * spec
+        return k
+
+    spec = np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1)
+    if dealias:
+        spec[:, nonlinear.cut:] = 0.0
+    for _ in range(steps):
+        k1 = rhs(spec)
+        k2 = rhs(e_half * (spec + (0.5 * dt) * k1))
+        k3 = rhs(e_half * spec + (0.5 * dt) * k2)
+        e_half_k3 = e_half * k3
+        k4 = rhs(e_full * spec + dt * e_half_k3)
+        spec = e_full * spec + (dt / 6.0) * (e_full * k1 + 2.0 * (e_half * k2)
+                                             + 2.0 * e_half_k3 + k4)
+    return nonlinear.physical(spec)[:desc.even_dim + desc.odd_dim]
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
+@pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS[1:])
+def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, dealias):
+    # the stages are formed in place with the same operations in the same
+    # order, so the fields agree bit for bit
+    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
+    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
+    got = integrate(st, dt=dt, steps=3, scheme=scheme, dealias=dealias).final
+    want = _unbuffered_steps(st, dt, 3, scheme, dealias)
+    assert np.array_equal(np.concatenate((got.even.data, got.odd.data)), want)
+
+
 def test_non_finite_stage_surfaces_as_blowup_during_step():
     # 3 u^2 overflows in the first stage of the first step
     st = random_state("extended", "scalar", lam=0.0, N=64, L=20.0)
@@ -476,9 +525,13 @@ def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
 
 
 @pytest.mark.parametrize("dealias", [True, False])
-@pytest.mark.parametrize("kind,desc_str", PROGRAM_SYSTEMS)
-def test_stage_values_match_the_evaluator(kind, desc_str, dealias):
-    st, nonlinear = _stage(kind, desc_str, dealias)
+@pytest.mark.parametrize("kind,desc_str,lam,eps", [
+    (kind, desc_str, lam, eps) for kind, desc_str in PROGRAM_SYSTEMS
+    # lam = 0 drops every bracket term, eps = 0 the e^2 part of gardner,
+    # so groups shrink to one term and parts vanish
+    for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
+def test_stage_values_match_the_evaluator(kind, desc_str, lam, eps, dealias):
+    st, nonlinear = _stage(kind, desc_str, dealias, lam, eps)
     grid, desc, n_even = st.grid, st.descriptor, st.descriptor.even_dim
     samples = nonlinear.head
     xi = OddField(grid, desc, samples[n_even:nonlinear.n_rows])
@@ -523,25 +576,39 @@ def test_stage_makes_no_evaluator_and_no_algebra_product(kind, desc_str, monkeyp
 
 @pytest.mark.parametrize("kind,desc_str,ops", [
     ("extended", "scalar", 1), ("extended", "grassmann:3", 3),
-    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 10),
-    ("gardner", "symplectic:1", 9)])
+    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 6),
+    ("gardner", "symplectic:1", 6)])
 def test_stage_op_count(kind, desc_str, ops):
+    # modified: v v, v v', [eta', eta], [eta'', eta], then one op per part:
+    # v (2 v^2 + 3 L [eta', eta]) and the odd source's two groups
     _, nonlinear = _stage(kind, desc_str, dealias=True)
-    assert len(nonlinear.ops) == ops
+    assert len(nonlinear.products) + len(nonlinear.parts) == ops
 
 
-@pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:6"),
-                                           ("gardner", "symplectic:2"),
-                                           ("skdv_grassmann", "grassmann:4")])
-def test_gather_buffers_hold_one_product(kind, desc_str):
-    # one op per product: the buffers fit the widest single product, not a
-    # batch of products
+@pytest.mark.parametrize("kind,desc_str,rows", [
+    ("modified", "grassmann:6", 1641), ("modified", "grassmann:3", 59)])
+def test_stage_gathered_rows(kind, desc_str, rows):
+    # grassmann:6: v v and v v' (183 rows each), [eta', eta] and [eta'', eta]
+    # (364 each), the flux v (...) (183) and the odd source's two groups
+    # side by side (2 x 182)
+    _, nonlinear = _stage(kind, desc_str, dealias=True)
+    assert sum(len(left) for left, *_ in nonlinear.products + nonlinear.parts) == rows
+
+
+@pytest.mark.parametrize("kind,desc_str,products", [
+    ("modified", "grassmann:6", 1), ("skdv_grassmann", "grassmann:4", 1),
+    # gardner lays two products side by side in its even flux, z (3 z + ...)
+    # beside 3 L [sigma', sigma], and in its odd source
+    ("gardner", "symplectic:2", 2)])
+def test_gather_buffers_hold_one_product(kind, desc_str, products):
+    # the buffers fit the widest op; for modified and skdv that is no wider
+    # than the widest single product, as with one op per product
     _, nonlinear = _stage(kind, desc_str, dealias=True)
     algebra = get_algebra(AlgebraDescriptor.from_string(desc_str))
     widest = max(len(algebra.gather_fold(name)[0]) for name in ("even_mul", "mixed_mul",
                                                                 "odd_commutator"))
-    widths = [len(left) for left, *_ in nonlinear.ops]
-    assert max(widths) <= widest
+    widths = [len(left) for left, *_ in nonlinear.products + nonlinear.parts]
+    assert max(widths) <= products * widest
     assert [b.shape for b in nonlinear.buffers] == [(max(widths), 64)] * 2
 
 
