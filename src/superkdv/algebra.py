@@ -143,11 +143,6 @@ class AlgebraDescriptor:
                             "expected scalar, grassmann:N or symplectic:n")
 
 
-def _require_same(d1, d2):
-    if d1 != d2:
-        raise DescriptorMismatch(f"operands over {d1} and {d2}")
-
-
 class _BilinearMap:
     """Sparse bilinear product out[k] = sum_(i,j) s*a[i]*b[j] on basis triples.
 
@@ -227,11 +222,11 @@ class Algebra:
     """Product tables for one descriptor; all methods are pure.
 
     Arguments are plain coordinate arrays (leading axis = channel).  The
-    EvenValue/OddValue wrappers below add descriptor checking for scalar
-    level work; field-level code calls these methods directly.  Every
-    result is a fresh array.  The products gather into scratch buffers
-    kept per thread, so threads may share the one Algebra that
-    get_algebra returns per descriptor.
+    graded elements below, values here and fields in fields.py, check
+    their operands and then call these methods; compiled code reads the
+    tables through gather_fold instead.  Every result is a fresh array.
+    The products gather into scratch buffers kept per thread, so threads
+    may share the one Algebra that get_algebra returns per descriptor.
     """
 
     def __init__(self, descriptor):
@@ -255,6 +250,7 @@ class Algebra:
         # makes antisymmetry bitwise exact instead of roundoff-exact
         self._half = _BilinearMap(half, O, O, E)
         self._oo = self._half if oo is not None else None  # grassmann: half is oo
+        self._gather_folds = {}
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -284,18 +280,24 @@ class Algebra:
 
     def gather_fold(self, product):
         """(i, j, fold) of the named product method, whose value is fold @
-        (a[i] * b[j]), for code that compiles its products itself; read
-        only.  The odd_commutator's holds both halves, half(a, b) - half(b,
-        a), so it equals the method's value up to the order of summation."""
-        if product == "odd_commutator":
-            half = self._half
-            return (np.concatenate((half.i, half.j)), np.concatenate((half.j, half.i)),
-                    np.hstack((half.fold, -half.fold)))
-        if product == "odd_mul":
-            table = self._odd_map()
-        else:
-            table = {"even_mul": self._ee, "mixed_mul": self._eo}[product]
-        return table.i, table.j, table.fold
+        (a[i] * b[j]), for code that compiles its products itself.  Made
+        once per product and read-only.  The odd_commutator's holds both
+        halves, half(a, b) - half(b, a), so it equals the method's value up
+        to the order of summation."""
+        arrays = self._gather_folds.get(product)
+        if arrays is None:  # threads racing here only build equal arrays twice
+            if product == "odd_commutator":
+                half = self._half
+                arrays = (np.concatenate((half.i, half.j)), np.concatenate((half.j, half.i)),
+                          np.hstack((half.fold, -half.fold)))
+            else:
+                table = (self._odd_map() if product == "odd_mul"
+                         else {"even_mul": self._ee, "mixed_mul": self._eo}[product])
+                arrays = (table.i, table.j, table.fold)
+            for array in arrays:
+                array.flags.writeable = False
+            self._gather_folds[product] = arrays
+        return arrays
 
 
 @lru_cache(maxsize=None)
@@ -313,34 +315,106 @@ def value_norm(coords):
     return float(np.max(np.abs(coords))) if coords.size else 0.0
 
 
-class _Value:
-    __slots__ = ("descriptor", "coords")
+class _Graded:
+    """Arithmetic of a graded element, written once for algebra values and
+    grid fields.
 
-    def __init__(self, descriptor, coords, _dim):
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (_dim,):
-            raise SuperKdVError(f"expected {_dim} coordinates, got shape {coords.shape}")
-        self.descriptor = descriptor
-        self.coords = coords
+    An element is an even or odd coordinate array over one descriptor,
+    channel on the leading axis: (dim,) for a value, (dim, N) for a field.
+    Sums stay within one grading, even*even is even, even*odd is odd,
+    odd*even goes through [Q, P] = 0, and a bare odd*odd product is refused;
+    _OddGraded adds the commutator and the grassmann odd_mul.  A family
+    exposes its array as _array and supplies two things: _build(odd,
+    array), an element of either grading like this one, and
+    _require_compatible(other), which raises unless the two may combine.
+    """
+
+    __slots__ = ()
+
+    _odd = False
+
+    @classmethod
+    def _dim(cls, descriptor):
+        return descriptor.odd_dim if cls._odd else descriptor.even_dim
 
     def norm(self):
-        return value_norm(self.coords)
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.descriptor == other.descriptor
-                and np.array_equal(self.coords, other.coords))
+        return value_norm(self._array)
 
     def __add__(self, other):
-        _require_same(self.descriptor, other.descriptor)
         if type(other) is not type(self):
-            raise GradingError("cannot add even and odd values")
-        return type(self)(self.descriptor, self.coords + other.coords)
+            raise GradingError(f"cannot add {type(self).__name__} and {type(other).__name__}")
+        self._require_compatible(other)
+        return self._build(self._odd, self._array + other._array)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.descriptor, -self.coords)
+        return self._build(self._odd, -self._array)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Graded):
+            return self._build(self._odd, self._array * float(other))
+        if self._odd:
+            if other._odd:
+                raise GradingError("bare odd*odd product is not part of the interface; "
+                                   "use commutator() (or odd_mul on the grassmann backend)")
+            return other * self  # [Q, P] = 0
+        self._require_compatible(other)
+        algebra = get_algebra(self.descriptor)
+        product = algebra.mixed_mul if other._odd else algebra.even_mul
+        return self._build(other._odd, product(self._array, other._array))
+
+    __rmul__ = __mul__
+
+
+class _OddGraded(_Graded):
+    """The products only odd elements have."""
+
+    __slots__ = ()
+
+    _odd = True
+
+    def commutator(self, other):
+        self._require_compatible(other)
+        return self._build(False, get_algebra(self.descriptor).odd_commutator(
+            self._array, other._array))
+
+    def odd_mul(self, other):
+        self._require_compatible(other)
+        return self._build(False, get_algebra(self.descriptor).odd_mul(
+            self._array, other._array))
+
+
+class _Value(_Graded):
+    __slots__ = ("descriptor", "coords")
+
+    def __init__(self, descriptor, coords):
+        coords = np.asarray(coords, dtype=float)
+        dim = self._dim(descriptor)
+        if coords.shape != (dim,):
+            raise SuperKdVError(f"expected {dim} coordinates, got shape {coords.shape}")
+        self.descriptor = descriptor
+        self.coords = coords
+
+    @classmethod
+    def zero(cls, descriptor):
+        return cls(descriptor, np.zeros(cls._dim(descriptor)))
+
+    @property
+    def _array(self):
+        return self.coords
+
+    def _build(self, odd, coords):
+        return (OddValue if odd else EvenValue)(self.descriptor, coords)
+
+    def _require_compatible(self, other):
+        if other.descriptor != self.descriptor:
+            raise DescriptorMismatch(f"operands over {self.descriptor} and {other.descriptor}")
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.descriptor == other.descriptor
+                and np.array_equal(self.coords, other.coords))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.descriptor}, {self.coords.tolist()})"
@@ -349,61 +423,13 @@ class _Value:
 class EvenValue(_Value):
     """Element of the even part P in the fixed basis (channel 0 is the unit)."""
 
-    def __init__(self, descriptor, coords):
-        super().__init__(descriptor, coords, descriptor.even_dim)
-
     @staticmethod
     def unit(descriptor):
         return EvenValue(descriptor, get_algebra(descriptor).unit())
 
-    @staticmethod
-    def zero(descriptor):
-        return EvenValue(descriptor, np.zeros(descriptor.even_dim))
 
-    def __mul__(self, other):
-        if isinstance(other, EvenValue):
-            _require_same(self.descriptor, other.descriptor)
-            return EvenValue(self.descriptor,
-                             get_algebra(self.descriptor).even_mul(self.coords, other.coords))
-        if isinstance(other, OddValue):
-            _require_same(self.descriptor, other.descriptor)
-            return OddValue(self.descriptor,
-                            get_algebra(self.descriptor).mixed_mul(self.coords, other.coords))
-        return EvenValue(self.descriptor, self.coords * float(other))
-
-    __rmul__ = __mul__
-
-
-class OddValue(_Value):
+class OddValue(_Value, _OddGraded):
     """Element of the odd part Q in the fixed basis."""
-
-    def __init__(self, descriptor, coords):
-        super().__init__(descriptor, coords, descriptor.odd_dim)
-
-    @staticmethod
-    def zero(descriptor):
-        return OddValue(descriptor, np.zeros(descriptor.odd_dim))
-
-    def __mul__(self, other):
-        if isinstance(other, EvenValue):
-            return other * self  # [Q, P] = 0
-        if isinstance(other, OddValue):
-            raise GradingError("bare odd*odd product is not part of the interface; "
-                               "use commutator() (or odd_mul on the grassmann backend)")
-        return OddValue(self.descriptor, self.coords * float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def commutator(self, other):
-        _require_same(self.descriptor, other.descriptor)
-        return EvenValue(self.descriptor,
-                         get_algebra(self.descriptor).odd_commutator(self.coords, other.coords))
-
-    def odd_mul(self, other):
-        _require_same(self.descriptor, other.descriptor)
-        return EvenValue(self.descriptor,
-                         get_algebra(self.descriptor).odd_mul(self.coords, other.coords))
 
 
 class ValidationReport:

@@ -238,11 +238,10 @@ def _check_algebra(args):
     return verdict, summary
 
 
-def _miura_setup(backend, seed, n=128):
-    grid = PeriodicGrid(40.0, n)
-    desc = AlgebraDescriptor.from_string(backend)
-    return build_initial_condition(
-        f"random_bandlimited(max_mode=4,amplitude=0.4,seed={seed})", grid, desc)
+def _random_fields(backend, seed, max_mode=4, amplitude=0.4, L=40.0, N=128):
+    """Seeded random band-limited (even, odd) fields for a check suite."""
+    return build_initial_condition(RandomBandlimitedIC(max_mode, amplitude, seed),
+                                   PeriodicGrid(L, N), AlgebraDescriptor.from_string(backend))
 
 
 def _check_miura(args):
@@ -250,7 +249,7 @@ def _check_miura(args):
     tol_map, tol_ham = 1e-5, 1e-10
     residuals, ok = {}, True
     for backend in ("grassmann:4", "symplectic:1"):
-        v, eta = _miura_setup(backend, seed)
+        v, eta = _random_fields(backend, seed)
         state = SystemState("modified", v, eta, lam=lam)
         traj = integrate(state, 1e-3, 500, scheme="ifrk4", record_every=5)
         mapped = to_extended_trajectory(traj)
@@ -275,13 +274,9 @@ def _check_miura(args):
     return verdict, summary
 
 
-def _gardner_deviations(epsilons, lam, seed):
-    """Deviation of the gardner flow at each eps from the extended flow of
-    the same data, which is integrated once for them all."""
-    grid = PeriodicGrid(40.0, 128)
-    desc = AlgebraDescriptor.from_string("symplectic:1")
-    z, sigma = build_initial_condition(
-        f"random_bandlimited(max_mode=4,amplitude=0.4,seed={seed})", grid, desc)
+def _gardner_deviations(z, sigma, epsilons, lam):
+    """Deviation of the gardner flow of (z, sigma) at each eps from the
+    extended flow of the same data, which is integrated once for them all."""
     dt, steps = 1e-3, 300
 
     def final_even(kind, eps=0.0):
@@ -296,23 +291,19 @@ def _check_gardner(args):
     lam, eps, seed = args.lam, args.gardner_eps, args.seed
     residuals, ok = {}, True
 
-    grid = PeriodicGrid(40.0, 128)
-    desc = AlgebraDescriptor.from_string("symplectic:1")
-    z, sigma = build_initial_condition(
-        f"random_bandlimited(max_mode=4,amplitude=0.4,seed={seed})", grid, desc)
+    z, sigma = _random_fields("symplectic:1", seed)
     traj = integrate(SystemState("gardner", z, sigma, lam=lam, epsilon=eps),
                      1e-3, 500, scheme="ifrk4", record_every=5)
     res = fd_flow_residual(to_extended_trajectory(traj))
     residuals["mapped flow residual"] = res
     ok = ok and res <= 1e-5
 
-    dev1, dev2 = _gardner_deviations((eps, eps / 2), lam, seed)
+    dev1, dev2 = _gardner_deviations(z, sigma, (eps, eps / 2), lam)
     ratio = dev1 / dev2 if dev2 else float("inf")
     residuals["flux deviation ratio under eps halving"] = ratio
     ok = ok and _band(ratio, 3.4, 4.6)
 
-    u, xi = build_initial_condition(
-        f"random_bandlimited(max_mode=2,amplitude=0.3,seed={seed})", grid, desc)
+    u, xi = _random_fields("symplectic:1", seed, max_mode=2, amplitude=0.3)
 
     def roundtrip(e):
         zz, ss = inverse_gardner_series(u, xi, lam, e, order=6)
@@ -340,10 +331,8 @@ def _check_susy(args):
     noise_floor = 1e-9
     residuals, ok = {}, True
     for backend in ("grassmann:4", "symplectic:1"):
-        grid = PeriodicGrid(20.0, 64)
-        desc = AlgebraDescriptor.from_string(backend)
-        u, xi = build_initial_condition(
-            f"random_bandlimited(max_mode=3,amplitude=0.3,seed={seed})", grid, desc)
+        u, xi = _random_fields(backend, seed, max_mode=3, amplitude=0.3, L=20.0, N=64)
+        desc = u.descriptor
         state = SystemState("extended", u, xi, lam=lam)
         param_rng = np.random.default_rng(seed + 1)
         param = OddValue(desc, 0.2 * param_rng.uniform(-1.0, 1.0, desc.odd_dim))

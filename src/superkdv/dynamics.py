@@ -65,8 +65,7 @@ class SystemState:
         time, lam, epsilon = float(time), float(lam), float(epsilon)
         if not all(map(math.isfinite, (time, lam, epsilon))):
             raise SuperKdVError("time, lam and epsilon must be finite")
-        if even.grid != odd.grid or even.descriptor != odd.descriptor:
-            raise SuperKdVError("even and odd fields must share grid and descriptor")
+        even._require_compatible(odd)
         if kind == "skdv_grassmann" and even.descriptor.kind != "grassmann":
             raise SuperKdVError("the skdv_grassmann system needs a grassmann backend")
         if epsilon != 0.0 and kind != "gardner":

@@ -1,7 +1,11 @@
 """Periodic-grid algebra-valued fields and their x-calculus.
 
 A field stores one coordinate channel per algebra basis element as a row
-of a (dim, N) array.  Differentiation is spectral (rfft per channel,
+of a (dim, N) array: the graded element of an algebra value with a
+trailing grid axis added.  Its sums, products, commutator and norm are the
+values' own (algebra._Graded); this module adds only the rule that two
+fields combine when they share grid and descriptor, and the x-calculus.
+Differentiation is spectral (rfft per channel,
 multiply by (ik)^order, Nyquist zeroed for odd orders), quadrature is the
 periodic trapezoid dx*sum, and the 2/3-rule dealias filter zeroes every
 mode above N//3.  The integrals the conserved quantities need are taken
@@ -13,9 +17,8 @@ import warnings
 
 import numpy as np
 
-from .algebra import EvenValue, OddValue, get_algebra, value_norm
-from .errors import (DescriptorMismatch, GradingError, NonFiniteFieldError,
-                     SuperKdVError)
+from .algebra import EvenValue, OddValue, _Graded, _OddGraded
+from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError
 
 
 class PeriodicGrid:
@@ -66,38 +69,43 @@ class PeriodicGrid:
         return f"PeriodicGrid(L={self.L}, N={self.N})"
 
 
-def _require_compatible(f, g):
-    if f.grid != g.grid:
-        raise SuperKdVError(f"fields on different grids: {f.grid} vs {g.grid}")
-    if f.descriptor != g.descriptor:
-        raise DescriptorMismatch(f"fields over {f.descriptor} and {g.descriptor}")
+class _Field(_Graded):
+    """A graded element sampled on a grid."""
 
-
-class _Field:
     __slots__ = ("grid", "descriptor", "data")
 
-    _part = None  # "even" or "odd"
-
     def __init__(self, grid, descriptor, data):
-        dim = descriptor.even_dim if self._part == "even" else descriptor.odd_dim
+        dim = self._dim(descriptor)
         data = np.asarray(data, dtype=float)
         if data.shape != (dim, grid.N):
             raise SuperKdVError(
-                f"{self._part} field over {descriptor} needs shape {(dim, grid.N)}, "
-                f"got {data.shape}")
+                f"{'odd' if self._odd else 'even'} field over {descriptor} needs shape "
+                f"{(dim, grid.N)}, got {data.shape}")
         self.grid = grid
         self.descriptor = descriptor
         self.data = data
 
     @classmethod
     def zeros(cls, grid, descriptor):
-        dim = descriptor.even_dim if cls._part == "even" else descriptor.odd_dim
-        return cls(grid, descriptor, np.zeros((dim, grid.N)))
+        return cls(grid, descriptor, np.zeros((cls._dim(descriptor), grid.N)))
+
+    @property
+    def _array(self):
+        return self.data
+
+    def _build(self, odd, data):
+        return (OddField if odd else EvenField)(self.grid, self.descriptor, data)
+
+    def _require_compatible(self, other):
+        grid = getattr(other, "grid", None)  # a value has none
+        if grid != self.grid:
+            raise SuperKdVError(f"fields on different grids: {self.grid} vs {grid}")
+        if other.descriptor != self.descriptor:
+            raise DescriptorMismatch(f"fields over {self.descriptor} and {other.descriptor}")
 
     @property
     def labels(self):
-        return (self.descriptor.even_labels if self._part == "even"
-                else self.descriptor.odd_labels)
+        return self.descriptor.odd_labels if self._odd else self.descriptor.even_labels
 
     def channels(self):
         return dict(zip(self.labels, self.data))
@@ -117,27 +125,11 @@ class _Field:
 
     def quadrature(self):
         coords = self.grid.dx * self.data.sum(axis=-1)
-        wrap = EvenValue if self._part == "even" else OddValue
-        return wrap(self.descriptor, coords)
+        return (OddValue if self._odd else EvenValue)(self.descriptor, coords)
 
     def rolled(self, points):
         """Shift by an integer number of grid points (periodic translation)."""
         return type(self)(self.grid, self.descriptor, np.roll(self.data, points, axis=-1))
-
-    def norm(self):
-        return value_norm(self.data)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            raise GradingError("cannot add even and odd fields")
-        _require_compatible(self, other)
-        return type(self)(self.grid, self.descriptor, self.data + other.data)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.grid, self.descriptor, -self.data)
 
     def __repr__(self):
         return (f"{type(self).__name__}({self.grid}, {self.descriptor}, "
@@ -145,47 +137,11 @@ class _Field:
 
 
 class EvenField(_Field):
-    _part = "even"
-
-    def __mul__(self, other):
-        alg = get_algebra(self.descriptor)
-        if isinstance(other, EvenField):
-            _require_compatible(self, other)
-            return EvenField(self.grid, self.descriptor,
-                             alg.even_mul(self.data, other.data))
-        if isinstance(other, OddField):
-            _require_compatible(self, other)
-            return OddField(self.grid, self.descriptor,
-                            alg.mixed_mul(self.data, other.data))
-        return EvenField(self.grid, self.descriptor, self.data * float(other))
-
-    __rmul__ = __mul__
+    pass
 
 
-class OddField(_Field):
-    _part = "odd"
-
-    def __mul__(self, other):
-        if isinstance(other, EvenField):
-            return other * self  # [Q, P] = 0
-        if isinstance(other, OddField):
-            raise GradingError("bare odd*odd field product; use commutator()")
-        return OddField(self.grid, self.descriptor, self.data * float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def commutator(self, other):
-        _require_compatible(self, other)
-        alg = get_algebra(self.descriptor)
-        return EvenField(self.grid, self.descriptor,
-                         alg.odd_commutator(self.data, other.data))
-
-    def odd_mul(self, other):
-        _require_compatible(self, other)
-        alg = get_algebra(self.descriptor)
-        return EvenField(self.grid, self.descriptor,
-                         alg.odd_mul(self.data, other.data))
+class OddField(_Field, _OddGraded):
+    pass
 
 
 def spectral_derivative(f, order=1):

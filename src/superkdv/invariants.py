@@ -21,6 +21,7 @@ from .algebra import value_norm
 from .errors import SuperKdVError
 from .fields import quadrature
 from .symbolic import _Evaluator, density_poly
+from .transforms import to_extended_trajectory
 
 H_LABELS = ("H0", "H2", "H4", "H6")
 DRIFT_FLOOR = 1e-12
@@ -117,7 +118,6 @@ def drift_report(traj, quantities=None):
     kind = traj.kind
     labels = tracked_labels(kind, quantities)
     if kind == "gardner":  # its H_k are those of the mapped fields
-        from .transforms import to_extended_trajectory
         traj = to_extended_trajectory(traj)
     values = {label: [] for label in labels}
     for s in traj:

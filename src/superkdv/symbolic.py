@@ -32,8 +32,8 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, get_algebra
 from .errors import ExpressionSyntaxError, GradingError, SuperKdVError
-from .fields import (EvenField, OddField, PeriodicGrid, _require_compatible,
-                     build_initial_condition, quadrature)
+from .fields import (EvenField, OddField, PeriodicGrid, build_initial_condition,
+                     quadrature)
 
 # ---------------------------------------------------------------------------
 # coefficient arithmetic: sparse polynomials in L over Fraction
@@ -546,7 +546,7 @@ class _Evaluator(_TermNodes):
     """
 
     def __init__(self, u, xi, lam):
-        _require_compatible(u, xi)
+        u._require_compatible(xi)
         super().__init__()
         self.grid, self.descriptor, self.lam = u.grid, u.descriptor, lam
         self.algebra = get_algebra(u.descriptor)
@@ -880,24 +880,18 @@ def evolutionary_derivative(poly):
     def xit(c):
         return xi_t if c == 0 else xit(c - 1).differentiate_total()
 
+    # dropping one factor from a sorted key leaves it sorted, so each rest
+    # is already a normal-form monomial
     out = DiffPolynomial()
     for (even, comms, odd), lp in poly.terms.items():
-        base = DiffPolynomial({((), (), None): lp})
         for i, k in enumerate(even):
-            rest_key = (even[:i] + even[i + 1:], comms, odd)
-            out = out + _rebuild(rest_key, base) * ut(k)
+            rest = DiffPolynomial({(even[:i] + even[i + 1:], comms, odd): lp})
+            out = out + rest * ut(k)
         for i, (a, b) in enumerate(comms):
-            rest_key = (even, comms[:i] + comms[i + 1:], odd)
+            rest = DiffPolynomial({(even, comms[:i] + comms[i + 1:], odd): lp})
             slot = commutator(xit(a), DiffPolynomial.xi(b)) \
                 + commutator(DiffPolynomial.xi(a), xit(b))
-            out = out + _rebuild(rest_key, base) * slot
+            out = out + rest * slot
         if odd is not None:
-            rest_key = (even, comms, None)
-            out = out + _rebuild(rest_key, base) * xit(odd)
+            out = out + DiffPolynomial({(even, comms, None): lp}) * xit(odd)
     return out
-
-
-def _rebuild(key, coeff_poly):
-    even, comms, odd = key
-    mono = DiffPolynomial({(tuple(sorted(even)), tuple(sorted(comms)), odd): _lp(1)})
-    return coeff_poly * mono
