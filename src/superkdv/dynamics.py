@@ -15,17 +15,12 @@ and source rows are evaluated on those samples; one rfft of [flux;
 source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
 terms that survive at the run's coupling, their coefficients, derivative
 orders and rows are fixed once per integrate call, and so are their
-products: _Program compiles them into straight-line ops over one
-preallocated stack of sample rows.  An op gathers the rows of products'
-basis triples, multiplies them and folds them with one matmul; a bracket's
-fold holds both halves.  Each flux or source part is factored by
-distributivity: its terms are grouped by the factor they are multiplied
-by last, each group's coefficients fold into one combined operand (the
-modified odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2 L
-[eta'', eta]) eta), and the part is one op that lays its groups'
-coefficient-scaled folds side by side and writes straight into the
-part's rows.  The products inside the groups are made through the prefix
-factorisation symbolic._Evaluator uses, one op each.
+products: _SpectralRHS is a symbolic._Program, the one evaluator of
+polynomials, whose straight-line gather-multiply-fold ops run over one
+preallocated stack of sample rows.  Each flux or source part is factored
+by distributivity into one op that writes straight into the part's rows
+(the modified odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2
+L [eta'', eta]) eta), after one op per distinct product inside it.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
@@ -45,11 +40,10 @@ import math
 
 import numpy as np
 
-from .algebra import get_algebra
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError)
 from .fields import EvenField, OddField
-from .symbolic import _live_terms, _TermNodes, nonlinear_terms
+from .symbolic import _live_terms, _Program, nonlinear_terms
 
 SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
 
@@ -98,131 +92,21 @@ def _rows(even, odd, n_even, n_rows):
     return slice(0 if even else n_even, n_rows if odd else n_even)
 
 
-class _Program(_TermNodes):
-    """The products of a system's live terms as straight-line lists of ops
-    over one stack of sample rows, factored by distributivity.
-
-    A node is the first row of its block in the stack: the fields and the
-    derivatives the terms read sit at the rows given in u_rows and xi_rows
-    (order -> first row), and each product and combined operand appends a
-    block.  An op is (left rows, right rows, fold, first output row): gather
-    the rows of an Algebra.gather_fold, offset to its operands' nodes,
-    multiply them, and fold them onto the output channels.
-
-    `part` makes the whole of one flux or source part one op.  It groups
-    the part's terms by the factor they are multiplied by last: a mixed
-    term by its odd factor, an even term by its first factor, and a lone
-    bracket stays alone.  The other factors of a term are made through the
-    prefix factorisation of _TermNodes, one op per product in `ops`.  A
-    group of several terms multiplies one combined operand, the sum of
-    coefficient times node that `sums` lists; a group of one scales its fold
-    by its coefficient instead.  The part's op lays the groups' gathers and
-    folds side by side.  Every term is at least quadratic, so no unit is
-    ever read.
-    """
-
-    def __init__(self, algebra, u_rows, xi_rows, top):
-        super().__init__()
-        self.algebra = algebra
-        self._u_rows, self._xi_rows = u_rows, xi_rows
-        self.top = top  # the first row no block holds yet
-        self.ops = []
-        self.sums = []  # (node, ((node, coefficient), ...)) of each combined operand
-
-    def _block(self, height):
-        node, self.top = self.top, self.top + height
-        return node
-
-    def _op(self, product, a, b):
-        """The node of the named Algebra product of nodes a and b."""
-        i, j, fold = self.algebra.gather_fold(product)
-        node = self._block(len(fold))
-        self.ops.append((a + i, b + j, fold, node))
-        return node
-
-    def _combined(self, members):
-        """The node of the sum of coefficient times product over the
-        (factors, coefficient) members, and the scale left to the fold."""
-        if len(members) == 1:
-            ((factors, coeff),) = members
-            return self._product(factors), coeff
-        terms = tuple((self._product(factors), coeff) for factors, coeff in members)
-        node = self._block(self.algebra.descriptor.even_dim)
-        self.sums.append((node, terms))
-        return node, 1.0
-
-    def part(self, live, extra=()):
-        """(left rows, right rows, fold) of one op whose value is the sum
-        of the live terms and of the extra (product, a, b, coefficient)
-        products of nodes."""
-        groups = {}
-        for factors, odd, coeff in live:
-            if odd is not None:
-                key, rest = ("mixed_mul", odd), factors
-            elif len(factors) > 1:
-                key, rest = ("even_mul", factors[0]), factors[1:]
-            else:
-                key, rest = ("odd_commutator", factors[0]), ()
-            groups.setdefault(key, []).append((rest, coeff))
-        pieces = []
-        for (product, last), members in groups.items():
-            if product == "mixed_mul":
-                a, scale = self._combined(members)
-                pieces.append((product, a, self._xid(last), scale))
-            elif product == "even_mul":
-                b, scale = self._combined(members)
-                pieces.append((product, self._product((last,)), b, scale))
-            else:
-                pieces.append((product, self._xid(last[0]), self._xid(last[1]),
-                               sum(coeff for _, coeff in members)))
-        left, right, folds = [], [], []
-        for product, a, b, scale in pieces + list(extra):
-            i, j, fold = self.algebra.gather_fold(product)
-            left.append(a + i)
-            right.append(b + j)
-            folds.append(scale * fold)
-        return np.concatenate(left), np.concatenate(right), np.concatenate(folds, axis=1)
-
-    def _u(self, order):
-        return self._u_rows[order]
-
-    def _xid(self, order):
-        return self._xi_rows[order]
-
-    def _bracket(self, a, b):
-        return self._op("odd_commutator", self._xid(a), self._xid(b))
-
-    def _even_mul(self, a, b):
-        return self._op("even_mul", a, b)
-
-    def _mixed_mul(self, a, q):
-        return self._op("mixed_mul", a, q)
-
-
-def _run(stack, ops):
-    """Run compiled ops over the stack: gather, multiply, fold."""
-    for left_rows, right_rows, fold, left, right, out in ops:
-        stack.take(left_rows, axis=0, out=left, mode="clip")
-        stack.take(right_rows, axis=0, out=right, mode="clip")
-        left *= right
-        np.matmul(fold, left, out=out)
-
-
-class _SpectralRHS:
+class _SpectralRHS(_Program):
     """The nonlinear terms of one system on one grid and backend at fixed
     lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
     spectrum of D(flux) + source, masked by the 2/3 rule when dealias is set.
 
     Everything static is made here, once: the terms that do not vanish at
     lam and eps with their float coefficients, the derivative orders they
-    read, the rows some live flux or source writes into, and the _Program
-    of their products over one preallocated stack of sample rows.  The
-    stack holds, from the top, the samples `physical` makes (one stacked
-    irfft of [y; (ik)^a y_even for each u-order a; (ik)^b y_odd for each
-    xi-order b]), one block per product and per combined operand, and the
-    evaluated [flux; source] rows.  A call runs the product ops, forms the
-    combined operands, runs one op per live part straight into its rows of
-    [flux; source], and makes one stacked rfft of those rows.
+    read, the rows some live flux or source writes into, and the program
+    of their products (symbolic._Program) over one preallocated stack of
+    sample rows, one part per live flux or source.  The stack holds, from
+    the top, the samples `physical` makes (one stacked irfft of [y; (ik)^a
+    y_even for each u-order a; (ik)^b y_odd for each xi-order b]), one
+    block per product and per combined operand, and the evaluated [flux;
+    source] rows.  A call runs the program, its parts straight into their
+    rows of [flux; source], and makes one stacked rfft of those rows.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -231,7 +115,6 @@ class _SpectralRHS:
             raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
         n_even, n_odd = desc.even_dim, desc.odd_dim
         n_rows = n_even + n_odd
-        self.grid, self.n_rows = grid, n_rows
         # (even, odd) live terms of the fluxes and of the sources
         flux, source = ([], []), ([], [])
         for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
@@ -254,62 +137,15 @@ class _SpectralRHS:
             end = offset + rows.stop - rows.start
             parts += [(slice(offset, split), even), (slice(split, end), odd)]
 
-        terms = [term for _, live in parts for term in live]
-        u_orders = {f for factors, _, _ in terms for f in factors
-                    if not isinstance(f, tuple)}
-        xi_orders = {odd for _, odd, _ in terms if odd is not None}
-        xi_orders.update(o for factors, _, _ in terms for f in factors
-                         if isinstance(f, tuple) for o in f)
-        if pair:
-            xi_orders.add(2)
-        # (rows of the samples, rows of y, (ik)^order) of each derivative
-        # taken, and the first row of each order's samples
-        self.derivatives = []
-        self.u_rows, self.xi_rows = u_rows, xi_rows = {0: 0}, {0: n_even}
-        top = n_rows
-        for first, orders, of in ((u_rows, u_orders, slice(0, n_even)),
-                                  (xi_rows, xi_orders, slice(n_even, n_rows))):
-            for order in sorted(orders - {0}):
-                first[order] = top
-                self.derivatives.append((slice(top, top + of.stop - of.start), of,
-                                         grid.derivative_symbol(order)))
-                top += of.stop - of.start
-        height = top
-
-        program = _Program(get_algebra(desc), u_rows, xi_rows, height)
+        super().__init__(grid, desc, [term for _, live in parts for term in live],
+                         {2} if pair else ())
         # the odd_mul pieces of the even flux, odd flux, even source and
         # odd source: skdv's pair goes into the even source
-        extras = [(), (), [("odd_mul", n_even, xi_rows[2], -6.0 * lam)] if pair else (), ()]
-        # (left rows, right rows, fold) and first row in [flux; source] of
-        # each part's op
-        made = [(program.part(live, extra), rows.start)
-                for (rows, live), extra in zip(parts, extras) if live or extra]
-        part_ops = [(*op, program.top + first) for op, first in made]
-
-        self.stack = np.empty((program.top + n_values, grid.N))
-        self.head = self.stack[:height]
-        self.values = self.stack[program.top:]
-        self.spectra = (np.empty((height, grid.N // 2 + 1), complex)
-                        if self.derivatives else None)
-        widest = max((len(left) for left, _, _, _ in program.ops + part_ops), default=0)
-        self.buffers = (np.empty((widest, grid.N)), np.empty((widest, grid.N)))
-
-        def bound(ops):
-            # each op with its slices of the gather buffers and its output rows
-            return [(left, right, fold, self.buffers[0][:len(left)],
-                     self.buffers[1][:len(left)], self.stack[node:node + len(fold)])
-                    for left, right, fold, node in ops]
-
-        self.products, self.parts = bound(program.ops), bound(part_ops)
-
-        def rows(node):
-            return self.stack[node:node + n_even]
-
-        # (output, first term, its coefficient, ((term, coefficient), ...))
-        self.sums = [(rows(node), rows(terms[0][0]), terms[0][1],
-                      [(rows(term), coeff) for term, coeff in terms[1:]])
-                     for node, terms in program.sums]
-        self.scratch = np.empty((n_even, grid.N))
+        extras = [(), (), [("odd_mul", n_even, self.xi_rows[2], -6.0 * lam)] if pair else (),
+                  ()]
+        # each part's op and its first row in [flux; source]
+        self.link([(self.part(live, extra), rows.start)
+                   for (rows, live), extra in zip(parts, extras) if live or extra], n_values)
         self.ik = grid.derivative_symbol(1)
         self.cut = grid.dealias_keep + 1 if dealias else None
 
@@ -321,21 +157,13 @@ class _SpectralRHS:
         if self.spectra is not None:
             spectra = self.spectra
             spectra[:self.n_rows] = spec
-            for rows, of, symbol in self.derivatives:
-                np.multiply(spec[of], symbol, out=spectra[rows])
+            self._derive(spec)
         self.head[...] = np.fft.irfft(spectra, n=self.grid.N, axis=-1)
         return self.head
 
     def __call__(self):
         """ik F + S, masked, from the samples the last `physical` call made."""
-        stack, scratch = self.stack, self.scratch
-        _run(stack, self.products)
-        for out, first, coeff, rest in self.sums:
-            np.multiply(first, coeff, out=out)
-            for node, coeff in rest:
-                np.multiply(node, coeff, out=scratch)
-                out += scratch
-        _run(stack, self.parts)
+        self.run()
         if not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
         spec = np.fft.rfft(self.values, axis=-1)

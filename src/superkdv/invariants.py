@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import value_norm
 from .errors import SuperKdVError
 from .fields import quadrature
-from .symbolic import _Evaluator, density_poly
+from .symbolic import _Program, density_poly, instantiate
 from .transforms import to_extended_trajectory
 
 H_LABELS = ("H0", "H2", "H4", "H6")
@@ -32,9 +32,9 @@ def conserved_densities(u, xi, lam, which=H_LABELS):
     bad = [w for w in which if w not in H_LABELS]
     if bad:
         raise SuperKdVError(f"unknown conserved quantities {bad}; have {H_LABELS}")
-    evaluate = _Evaluator(u, xi, lam)
-    return {label: evaluate(density_poly(label))
-            for label in H_LABELS if label in which}
+    labels = [label for label in H_LABELS if label in which]
+    densities = _Program.compile(map(density_poly, labels), u.grid, u.descriptor, lam)
+    return dict(zip(labels, densities(u, xi)))
 
 
 def conserved_quantities(u, xi, lam, which=H_LABELS):
@@ -45,7 +45,7 @@ def conserved_quantities(u, xi, lam, which=H_LABELS):
 
 def hamiltonian_density(v, eta, lam):
     """Conserved density of the modified system."""
-    return _Evaluator(v, eta, lam)(density_poly("H"))
+    return instantiate(density_poly("H"), v, eta, lam)
 
 
 def reduced_hamiltonian_density(u, xi, lam):
@@ -119,10 +119,11 @@ def drift_report(traj, quantities=None):
     labels = tracked_labels(kind, quantities)
     if kind == "gardner":  # its H_k are those of the mapped fields
         traj = to_extended_trajectory(traj)
-    values = {label: [] for label in labels}
-    for s in traj:
-        evaluate = _Evaluator(s.even, s.odd, s.lam)
-        for label in labels:
-            values[label].append(quadrature(evaluate(density_poly(label))).coords)
-    return ConservedReport(kind, traj.times, labels, traj[0].descriptor.even_labels,
-                           {label: np.array(rows) for label, rows in values.items()})
+    first = traj[0]
+    densities = _Program.compile(map(density_poly, labels), first.grid,
+                                 first.descriptor, traj.lam)
+    rows = [[quadrature(density).coords for density in densities(s.even, s.odd)]
+            for s in traj]
+    return ConservedReport(kind, traj.times, labels, first.descriptor.even_labels,
+                           {label: np.array([row[k] for row in rows])
+                            for k, label in enumerate(labels)})

@@ -17,6 +17,12 @@ standing for the fields of the system it belongs to: the densities H0..H6
 (extended u, xi) and h (modified v, eta), each system's nonlinear terms,
 and the Miura and gardner maps (in their source fields v, eta and z, s).
 
+One engine, _Program, evaluates polynomials on fields (u, xi): compiled
+once per call site at one backend and coupling into straight-line
+product ops, it runs them on samples it checks finite, the derivatives
+taken with one stacked transform each way.  Every numeric evaluation of
+the package, the evolution right-hand sides included, runs on it.
+
 Equality modulo total derivatives is decided by randomized instantiation:
 both sides are evaluated on random band-limited fields over two different
 algebra backends with random couplings, and their quadratures compared.
@@ -31,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraDescriptor, get_algebra
-from .errors import ExpressionSyntaxError, GradingError, SuperKdVError
+from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
+                     NonFiniteFieldError, SuperKdVError)
 from .fields import (EvenField, OddField, PeriodicGrid, build_initial_condition,
                      quadrature)
 
@@ -477,7 +484,7 @@ def to_text(poly):
 
 
 # ---------------------------------------------------------------------------
-# numeric instantiation
+# numeric instantiation: polynomials compiled into product programs
 
 def _live_terms(poly, lam, has_odd, weight=1.0):
     """(factors, odd order, coefficient) of each term of poly that does not
@@ -494,112 +501,257 @@ def _live_terms(poly, lam, has_odd, weight=1.0):
     return live
 
 
-class _TermNodes:
-    """The value of a term built from the values of its factors: the
-    product of its even and bracket factors is the product of its prefix
-    without the last factor and that factor, made once per distinct prefix
-    and kept, so terms sharing a prefix share its product.  A bare odd
-    factor multiplies that product last.
+def _run(stack, ops):
+    """Run compiled ops over the stack: gather, multiply, fold."""
+    for left_rows, right_rows, fold, left, right, out in ops:
+        stack.take(left_rows, axis=0, out=left, mode="clip")
+        stack.take(right_rows, axis=0, out=right, mode="clip")
+        left *= right
+        np.matmul(fold, left, out=out)
 
-    Subclasses say what a value is and how it is made: _unit, _u (a
-    u-derivative), _xid (a xi-derivative), _bracket(a, b) for [xi^(a),
-    xi^(b)], _even_mul and _mixed_mul.  _Evaluator computes arrays;
-    dynamics compiles a program of products.
+
+class _Program:
+    """Live terms on one grid and backend as straight-line ops over one
+    stack of sample rows.
+
+    The head of the stack holds the samples: [u; xi], then one block per
+    derivative order the terms read, u-orders first (`derivatives` lists
+    the rows, the rows of [u; xi] and (ik)^order of each).  A node is the
+    first row of a block: u_rows and xi_rows map orders to nodes, and
+    each product, sum and output appends a block.  An op is (left rows,
+    right rows, fold, node): gather the rows of an Algebra.gather_fold,
+    offset to the operands' nodes, multiply them, and fold them onto the
+    output channels.  A sum is coefficient times node summed over its
+    terms, formed after the ops.  A term's even and bracket factors are
+    multiplied prefix by prefix, one op per distinct prefix, so terms
+    share their prefixes; the empty product is a unit block.
+
+    `compile` makes each polynomial the sum of its terms' values: a
+    constant reads the unit block, a linear u^(k) or bare xi^(c) its
+    sample rows, and a term with a bare odd factor takes one mixed_mul op
+    more.  Each fold it runs is one Algebra product's own, so its matmuls
+    are no wider, and no more dependent on the BLAS thread count, than
+    the products alone.
+
+    dynamics._SpectralRHS is the other front end: its `part`s are fluxes
+    and sources, factored by distributivity.  A part groups its terms by
+    the factor they are multiplied by last (a mixed term by its odd
+    factor, an even term by its first factor, a lone bracket alone); a
+    group of several terms multiplies one combined operand (a sum), a
+    group of one scales its fold by its coefficient.  The part is one op
+    that lays its groups' gathers and folds side by side, or reads the
+    table's own arrays when it is one product with coefficient 1, and
+    runs after the sums, into the rows `link` lays below every block.
+    Those terms are at least quadratic, so no part reads the unit.
     """
 
-    def __init__(self):
+    def __init__(self, grid, descriptor, terms, xi_orders=()):
+        n_even = descriptor.even_dim
+        self.grid, self.n_rows = grid, n_even + descriptor.odd_dim
+        self.algebra = get_algebra(descriptor)
+        u_orders = {f for factors, _, _ in terms for f in factors
+                    if not isinstance(f, tuple)}
+        xi_orders = {odd for _, odd, _ in terms if odd is not None}.union(xi_orders)
+        xi_orders.update(o for factors, _, _ in terms for f in factors
+                         if isinstance(f, tuple) for o in f)
+        # (rows of the samples, rows of [u; xi], (ik)^order) of each
+        # derivative taken, and the first row of each order's samples
+        self.derivatives = []
+        self.u_rows, self.xi_rows = {0: 0}, {0: n_even}
+        top = self.n_rows
+        for first, orders, of in ((self.u_rows, u_orders, slice(0, n_even)),
+                                  (self.xi_rows, xi_orders, slice(n_even, self.n_rows))):
+            for order in sorted(orders - {0}):
+                first[order] = top
+                self.derivatives.append((slice(top, top + of.stop - of.start), of,
+                                         grid.derivative_symbol(order)))
+                top += of.stop - of.start
+        self.height = self.top = top  # top: the first row no block holds yet
         self._products = {}
+        self.unit = None
+        self.ops = []
+        self.sums = []  # (node, height, ((node, coefficient), ...)) of each sum
+        self.outputs = []  # (field type, node, height) of each compiled polynomial
+
+    @classmethod
+    def compile(cls, polys, grid, descriptor, lam):
+        """The polynomials compiled at one grid, backend and coupling; a
+        mixed-grading polynomial raises GradingError."""
+        lives, fields = [], []
+        for poly in polys:
+            gradings = poly.gradings()
+            if gradings == {False, True}:
+                raise GradingError("cannot instantiate a mixed-grading polynomial")
+            lives.append(_live_terms(poly, lam, bool(descriptor.odd_dim)))
+            fields.append(OddField if gradings == {True} else EvenField)
+        program = cls(grid, descriptor, [term for live in lives for term in live])
+        for live, field in zip(lives, fields):
+            height = field._dim(descriptor)
+            node = program._block(height)
+            if live:
+                program.sums.append((node, height, [(program._value(factors, odd), coeff)
+                                                    for factors, odd, coeff in live]))
+            program.outputs.append((field, node, height))
+        program.link([], 0)
+        return program
+
+    def __call__(self, u, xi):
+        """Each polynomial's value at the fields (u, xi), as a fresh field.
+
+        The fields are the order-0 samples; the derivatives come from one
+        stacked rfft of them and one stacked irfft.  Non-finite samples
+        raise NonFiniteFieldError."""
+        u._require_compatible(xi)
+        if u.grid != self.grid or u.descriptor != self.algebra.descriptor:
+            raise DescriptorMismatch(f"fields over {u.descriptor} on {u.grid} given to "
+                                     f"a program for {self.algebra.descriptor} on {self.grid}")
+        head, n_even, n_rows = self.head, self.xi_rows[0], self.n_rows
+        head[:n_even] = u.data
+        head[n_even:n_rows] = xi.data
+        if not np.isfinite(head[:n_rows]).all():
+            raise NonFiniteFieldError("non-finite samples in the fields")
+        if self.derivatives:
+            self._derive(np.fft.rfft(head[:n_rows], axis=-1))
+            head[n_rows:] = np.fft.irfft(self.spectra[n_rows:], n=self.grid.N, axis=-1)
+        self.run()
+        return [field(self.grid, u.descriptor, self.stack[node:node + height].copy())
+                for field, node, height in self.outputs]
+
+    def _block(self, height):
+        node, self.top = self.top, self.top + height
+        return node
+
+    def _op(self, product, a, b):
+        """The node of the named Algebra product of nodes a and b."""
+        i, j, fold = self.algebra.gather_fold(product)
+        node = self._block(len(fold))
+        self.ops.append((a + i, b + j, fold, node))
+        return node
 
     def _product(self, factors):
-        """Product of u-derivative orders and oriented bracket pairs; the
-        empty product is the unit."""
-        if factors not in self._products:
+        """The node of the product of u-derivative orders and oriented
+        bracket pairs; the empty product is the unit."""
+        node = self._products.get(factors)
+        if node is None:
             if len(factors) > 1:
-                value = self._even_mul(self._product(factors[:-1]),
-                                       self._product(factors[-1:]))
+                node = self._op("even_mul", self._product(factors[:-1]),
+                                self._product(factors[-1:]))
             elif not factors:
-                value = self._unit()
+                node = self.unit = self._block(self.algebra.descriptor.even_dim)
             elif isinstance(factors[0], tuple):
-                value = self._bracket(*factors[0])
+                a, b = factors[0]
+                node = self._op("odd_commutator", self.xi_rows[a], self.xi_rows[b])
             else:
-                value = self._u(factors[0])
-            self._products[factors] = value
-        return self._products[factors]
+                node = self.u_rows[factors[0]]
+            self._products[factors] = node
+        return node
 
     def _value(self, factors, odd):
+        """The node of a term's value without its coefficient."""
         if odd is None:
             return self._product(factors)
         if factors:
-            return self._mixed_mul(self._product(factors), self._xid(odd))
-        return self._xid(odd)
+            return self._op("mixed_mul", self._product(factors), self.xi_rows[odd])
+        return self.xi_rows[odd]
 
+    def _combined(self, members):
+        """The node of the sum of coefficient times product over the
+        (factors, coefficient) members, and the scale left to the fold."""
+        if len(members) == 1:
+            ((factors, coeff),) = members
+            return self._product(factors), coeff
+        terms = tuple((self._product(factors), coeff) for factors, coeff in members)
+        height = self.algebra.descriptor.even_dim
+        node = self._block(height)
+        self.sums.append((node, height, terms))
+        return node, 1.0
 
-class _Evaluator(_TermNodes):
-    """Values of polynomials on one set of fields (u, xi) and coupling lam.
+    def part(self, live, extra=()):
+        """(left rows, right rows, fold) of one op whose value is the sum
+        of the live terms and of the extra (product, a, b, coefficient)
+        products of nodes."""
+        groups = {}
+        for factors, odd, coeff in live:
+            if odd is not None:
+                key, rest = ("mixed_mul", odd), factors
+            elif len(factors) > 1:
+                key, rest = ("even_mul", factors[0]), factors[1:]
+            else:
+                key, rest = ("odd_commutator", factors[0]), ()
+            groups.setdefault(key, []).append((rest, coeff))
+        pieces = []
+        for (product, last), members in groups.items():
+            if product == "mixed_mul":
+                a, scale = self._combined(members)
+                pieces.append((product, a, self.xi_rows[last], scale))
+            elif product == "even_mul":
+                b, scale = self._combined(members)
+                pieces.append((product, self._product((last,)), b, scale))
+            else:
+                pieces.append((product, self.xi_rows[last[0]], self.xi_rows[last[1]],
+                               sum(coeff for _, coeff in members)))
+        left, right, folds = [], [], []
+        for product, a, b, scale in pieces + list(extra):
+            i, j, fold = self.algebra.gather_fold(product)
+            left.append(a + i)
+            right.append(b + j)
+            folds.append(fold if scale == 1.0 else scale * fold)
+        if len(folds) == 1:
+            return left[0], right[0], folds[0]
+        return np.concatenate(left), np.concatenate(right), np.concatenate(folds, axis=1)
 
-    Values are coordinate arrays multiplied with the backend's product
-    tables.  Derivatives, brackets and the product of every prefix of a
-    term's even and bracket factors are cached, so the terms of one
-    polynomial, and every polynomial evaluated through the same
-    evaluator, share them.  Derivatives are taken with Field.derivative
-    on first use.
-    """
+    def link(self, made, n_values):
+        """Allocate the stack with n_values value rows below the blocks and
+        bind every op and sum; made holds each part's op with the first of
+        its value rows."""
+        N = self.grid.N
+        self.stack = np.zeros((self.top + n_values, N))
+        if self.unit is not None:
+            self.stack[self.unit] = 1.0
+        self.head = self.stack[:self.height]
+        self.values = self.stack[self.top:]
+        self.spectra = (np.empty((self.height, N // 2 + 1), complex)
+                        if self.derivatives else None)
+        part_ops = [(*op, self.top + first) for op, first in made]
+        widest = max((len(left) for left, _, _, _ in self.ops + part_ops), default=0)
+        self.buffers = (np.empty((widest, N)), np.empty((widest, N)))
 
-    def __init__(self, u, xi, lam):
-        u._require_compatible(xi)
-        super().__init__()
-        self.grid, self.descriptor, self.lam = u.grid, u.descriptor, lam
-        self.algebra = get_algebra(u.descriptor)
-        self.has_odd = bool(xi.data.shape[0])
-        self._u_field, self._xi_field = u, xi
-        self._xi = {0: xi.data}
-        self._products[(0,)] = u.data
+        def bound(ops):
+            # each op with its slices of the gather buffers and its output rows
+            return [(left, right, fold, self.buffers[0][:len(left)],
+                     self.buffers[1][:len(left)], self.stack[node:node + len(fold)])
+                    for left, right, fold, node in ops]
 
-    def _xid(self, order):
-        if order not in self._xi:
-            self._xi[order] = self._xi_field.derivative(order).data
-        return self._xi[order]
+        self.products, self.parts = bound(self.ops), bound(part_ops)
+        descriptor = self.algebra.descriptor
+        scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), N))
 
-    def _u(self, order):
-        return self._u_field.derivative(order).data
+        def rows(node, height):
+            return self.stack[node:node + height]
 
-    def _unit(self):
-        value = np.zeros((self.descriptor.even_dim, self.grid.N))
-        value[0] = 1.0
-        return value
+        # (output, first term, its coefficient, ((term, coefficient), ...),
+        # scratch rows)
+        self.sums = [(rows(node, height), rows(terms[0][0], height), terms[0][1],
+                      [(rows(term, height), coeff) for term, coeff in terms[1:]],
+                      scratch[:height])
+                     for node, height, terms in self.sums]
 
-    def _bracket(self, a, b):
-        return self.algebra.odd_commutator(self._xid(a), self._xid(b))
+    def _derive(self, spec):
+        """The derivative rows of the spectra, from spec = rfft([u; xi])."""
+        for rows, of, symbol in self.derivatives:
+            np.multiply(spec[of], symbol, out=self.spectra[rows])
 
-    def _even_mul(self, a, b):
-        return self.algebra.even_mul(a, b)
-
-    def _mixed_mul(self, a, q):
-        return self.algebra.mixed_mul(a, q)
-
-    def terms(self, poly):
-        """Data of each term of poly that does not vanish on these fields;
-        read-only, as it may be a cached array."""
-        for factors, odd, coeff in _live_terms(poly, self.lam, self.has_odd):
-            value = self._value(factors, odd)
-            yield value if coeff == 1.0 else coeff * value
-
-    def add_to(self, out, poly, weight=1.0):
-        """Add weight times the value of poly on these fields to the array
-        out; a zero weight evaluates nothing."""
-        if weight != 0.0:
-            for factors, odd, coeff in _live_terms(poly, self.lam, self.has_odd, weight):
-                value = self._value(factors, odd)
-                out += value if coeff == 1.0 else coeff * value
-
-    def __call__(self, poly):
-        gradings = poly.gradings()
-        if gradings == {False, True}:
-            raise GradingError("cannot instantiate a mixed-grading polynomial")
-        field = OddField if gradings == {True} else EvenField
-        total = field.zeros(self.grid, self.descriptor)
-        self.add_to(total.data, poly)
-        return total
+    def run(self):
+        """Run the product ops, form the sums and run the part ops, over
+        the samples in the head of the stack."""
+        stack = self.stack
+        _run(stack, self.products)
+        for out, first, coeff, rest, scratch in self.sums:
+            np.multiply(first, coeff, out=out)
+            for node, coeff in rest:
+                np.multiply(node, coeff, out=scratch)
+                out += scratch
+        _run(stack, self.parts)
 
 
 def instantiate(poly, u, xi, lam):
@@ -608,7 +760,8 @@ def instantiate(poly, u, xi, lam):
     Even-graded input returns an EvenField, odd-graded an OddField; the
     zero polynomial counts as even.
     """
-    return _Evaluator(u, xi, lam)(poly)
+    (value,) = _Program.compile((poly,), u.grid, u.descriptor, lam)(u, xi)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +799,15 @@ def _trial_draws(seed, trials, backends):
                float(rng.uniform(-2.0, 2.0)))
 
 
-def _trial_evaluator(trial_seed, backend, lam):
+def _trial_values(polys, trial_seed, backend, lam):
+    """Values of the polynomials, compiled in one program, on the random
+    band-limited fields of one trial."""
     grid = PeriodicGrid(*MC_GRID)
     desc = AlgebraDescriptor.from_string(backend)
     u, xi = build_initial_condition(
         f"random_bandlimited(max_mode={MC_MAX_MODE},amplitude=0.6,seed={trial_seed})",
         grid, desc)
-    return _Evaluator(u, xi, lam)
+    return _Program.compile(polys, grid, desc, lam)(u, xi)
 
 
 def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None):
@@ -672,14 +827,12 @@ def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None)
         return EquivalenceVerdict(True, 0, tol)
     if backends is None:
         backends = MC_BACKENDS
+    # one output per term: the scale needs each term's own integral
+    terms = [DiffPolynomial({key: lp}) for key, lp in diff.terms.items()]
     for i, (trial_seed, backend, lam) in enumerate(_trial_draws(seed, trials, backends)):
-        evaluate = _trial_evaluator(trial_seed, backend, lam)
-        total = EvenField.zeros(evaluate.grid, evaluate.descriptor)
-        scale = 1.0
-        for data in evaluate.terms(diff):
-            total.data += data
-            scale += quadrature(EvenField(total.grid, total.descriptor, data)).norm()
-        residual = quadrature(total).norm()
+        values = _trial_values(terms, trial_seed, backend, lam)
+        scale = 1.0 + sum(quadrature(value).norm() for value in values)
+        residual = quadrature(sum(values[1:], values[0])).norm()
         if residual > tol * scale:
             witness = {"backend": backend, "lambda": lam, "seed": trial_seed,
                        "residual": residual, "scale": scale}
@@ -786,22 +939,23 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
         verdict = equal_mod_total_derivative(coeffs[n][0], zero,
                                              trials=trials, tol=tol, seed=seed + n)
         odd_ok = odd_ok and verdict.equal
+    orders = range(0, max_order + 1, 2)
+    polys = [p for n in orders for p in (coeffs[n][0], conserved_density_poly(n))]
+    num, den = [0.0] * len(orders), [0.0] * len(orders)
+    for draw in _trial_draws(seed, trials, MC_BACKENDS):
+        values = _trial_values(polys, *draw)
+        for k in range(len(orders)):
+            a = quadrature(values[2 * k]).coords
+            b = quadrature(values[2 * k + 1]).coords
+            num[k] += float(a @ b)
+            den[k] += float(b @ b)
     entries = []
-    evaluators = [_trial_evaluator(*draw)
-                  for draw in _trial_draws(seed, trials, MC_BACKENDS)]
-    for n in range(0, max_order + 1, 2):
-        zn = coeffs[n][0]
-        hn = conserved_density_poly(n)
-        num = den = 0.0
-        for evaluate in evaluators:
-            a = quadrature(evaluate(zn)).coords
-            b = quadrature(evaluate(hn)).coords
-            num += float(a @ b)
-            den += float(b @ b)
-        if den == 0.0:
+    for k, n in enumerate(orders):
+        zn, hn = coeffs[n][0], conserved_density_poly(n)
+        if den[k] == 0.0:
             entries.append({"n": n, "c": Fraction(0), "verified": False})
             continue
-        c = Fraction(num / den).limit_denominator(64)
+        c = Fraction(num[k] / den[k]).limit_denominator(64)
         verdict = equal_mod_total_derivative(zn, hn.scaled(c),
                                              trials=trials, tol=tol, seed=seed + n)
         entries.append({"n": n, "c": c, "verified": verdict.equal})

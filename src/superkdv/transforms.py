@@ -24,17 +24,20 @@ import numpy as np
 
 from .dynamics import SystemState, Trajectory, integrate, rhs_states
 from .errors import SuperKdVError
-from .fields import EvenField, OddField
-from .symbolic import _Evaluator, gardner_coefficients, map_terms
+from .fields import OddField
+from .symbolic import DiffPolynomial, _Program, gardner_coefficients, map_terms
 
 
 def _series(terms, even, odd, lam, eps):
-    """Sum of eps^power times each (power, (even poly, odd poly)) pair's values."""
-    evaluate = _Evaluator(even, odd, lam)
-    u, xi = EvenField.zeros(even.grid, even.descriptor), OddField.zeros(even.grid, even.descriptor)
+    """Values of the sums over the (power, (even poly, odd poly)) pairs of
+    eps^power times each polynomial, compiled in one program."""
+    images = [DiffPolynomial(), DiffPolynomial()]
     for power, polys in terms:
-        for field, poly in zip((u, xi), polys):
-            evaluate.add_to(field.data, poly, eps ** power)
+        weight = eps ** power
+        if weight:
+            for k, poly in enumerate(polys):
+                images[k] = images[k] + (poly if weight == 1.0 else poly.scaled(weight))
+    u, xi = _Program.compile(images, even.grid, even.descriptor, lam)(even, odd)
     return u, xi
 
 

@@ -7,15 +7,16 @@ Oracles used here:
   - a single low Fourier mode of tiny amplitude, which the integrating
     factor scheme must transport exactly up to roundoff;
   - Richardson ratios between runs at dt and dt/2 for the RK4 order;
-  - the extended, gardner and modified nonlinear terms written out by
-    hand with field arithmetic (reference_extended, reference_gardner,
+  - the extended, gardner and modified fluxes and sources written out
+    by hand with field arithmetic (reference_extended, reference_gardner,
     reference_modified), against the flux-and-source texts the
     right-hand sides evaluate;
   - one RK4 or Lawson RK4 step assembled by hand from the public
     nonlinear_rhs and the dispersion, against the integrator's fused
     stages;
-  - symbolic._Evaluator on the same live terms and samples, against the
-    compiled product program of a stage;
+  - the same hand-written fluxes and sources (and skdv_grassmann's
+    -6 L xi xi'' as an odd product) on a stage's own samples, against
+    the values its compiled product program makes;
   - the RK4 loop written with a fresh array for every stage product and
     sum, against integrate's in-place stages, bit for bit.
 """
@@ -23,7 +24,6 @@ Oracles used here:
 import numpy as np
 import pytest
 
-from superkdv import symbolic
 from superkdv.algebra import Algebra, AlgebraDescriptor, get_algebra, value_norm
 from superkdv.dynamics import (_SpectralRHS, SystemState, Trajectory, integrate,
                                nonlinear_rhs, rhs_extended, rhs_gardner,
@@ -32,6 +32,8 @@ from superkdv.dynamics import (_SpectralRHS, SystemState, Trajectory, integrate,
 from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
+from superkdv.invariants import conserved_quantities, drift_report
+from superkdv.transforms import miura
 
 
 def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0):
@@ -42,12 +44,16 @@ def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0):
     return SystemState(kind, even, odd, lam=lam, epsilon=eps)
 
 
+# Each reference returns the system's ((even flux, odd flux), (even source,
+# odd source)), written by hand with field arithmetic; its nonlinear term
+# per field is D(flux) + source.
+
 def reference_extended(u, xi, lam, eps):
-    nl_even = 6.0 * (u * u.derivative(1))
+    source = EvenField.zeros(u.grid, u.descriptor)
     if xi.data.shape[0] and lam != 0.0:
-        nl_even = nl_even + (3.0 * lam) * xi.derivative(2).commutator(xi)
-    nl_odd = 3.0 * (u * xi).derivative(1)
-    return nl_even, nl_odd
+        source = (3.0 * lam) * xi.derivative(2).commutator(xi)
+    return ((3.0 * (u * u), 3.0 * (u * xi)),
+            (source, OddField.zeros(u.grid, u.descriptor)))
 
 
 def reference_gardner(z, sigma, lam, eps):
@@ -58,32 +64,32 @@ def reference_gardner(z, sigma, lam, eps):
     if odd_dim and lam != 0.0:
         comm = sigma.derivative(1).commutator(sigma)
         flux = flux + (3.0 * lam) * comm
+    source = OddField.zeros(z.grid, z.descriptor)
     if eps != 0.0:
         cubic = 2.0 * (z2 * z)
         if odd_dim and lam != 0.0:
             cubic = cubic + (3.0 * lam) * (z * comm)
         flux = flux + (eps * eps) * cubic
-    nl_even = flux.derivative(1)
-    nl_odd = (3.0 * (z * sigma)).derivative(1)
-    if eps != 0.0:
         sp = sigma.derivative(1)
         extra = (z2 * sp) + ((z * zp) * sigma)
         if odd_dim and lam != 0.0:
             extra = extra + lam * (comm * sp)
-        nl_odd = nl_odd + (3.0 * eps * eps) * extra
-    return nl_even, nl_odd
+        source = (3.0 * eps * eps) * extra
+    return ((flux, 3.0 * (z * sigma)),
+            (EvenField.zeros(z.grid, z.descriptor), source))
 
 
 def reference_modified(v, eta, lam, eps):
     vp, etap = v.derivative(1), eta.derivative(1)
     vv = v * v
-    nl_even = 6.0 * (vv * vp)
-    nl_odd = 3.0 * (vv * etap) + 3.0 * ((v * vp) * eta)
+    flux = 2.0 * (vv * v)
+    source = 3.0 * (vv * etap) + 3.0 * ((v * vp) * eta)
     if eta.data.shape[0] and lam != 0.0:
-        nl_even = nl_even + 3.0 * lam * (v * etap.commutator(eta)).derivative(1)
-        nl_odd = (nl_odd + (-lam) * (eta.commutator(etap) * etap)
+        flux = flux + 3.0 * lam * (v * etap.commutator(eta))
+        source = (source + (-lam) * (eta.commutator(etap) * etap)
                   + (-0.5 * lam) * (eta.commutator(eta.derivative(2)) * eta))
-    return nl_even, nl_odd
+    return ((flux, OddField.zeros(v.grid, v.descriptor)),
+            (EvenField.zeros(v.grid, v.descriptor), source))
 
 
 @pytest.mark.parametrize("desc_str", ["scalar", "grassmann:3", "grassmann:6",
@@ -98,7 +104,8 @@ def reference_modified(v, eta, lam, eps):
 def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str):
     st = random_state(kind, desc_str, lam, eps=eps)
     got = nonlinear_rhs(kind, st.even, st.odd, lam, eps, dealias=False)
-    want = reference(st.even, st.odd, lam, eps)
+    fluxes, sources = reference(st.even, st.odd, lam, eps)
+    want = [flux.derivative(1) + source for flux, source in zip(fluxes, sources)]
     scale = max(want[0].norm(), want[1].norm())
     for g, w in zip(got, want):
         assert type(g) is type(w)
@@ -530,22 +537,21 @@ def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
     # lam = 0 drops every bracket term, eps = 0 the e^2 part of gardner,
     # so groups shrink to one term and parts vanish
     for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
-def test_stage_values_match_the_evaluator(kind, desc_str, lam, eps, dealias):
+def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps, dealias):
     st, nonlinear = _stage(kind, desc_str, dealias, lam, eps)
     grid, desc, n_even = st.grid, st.descriptor, st.descriptor.even_dim
     samples = nonlinear.head
+    u = EvenField(grid, desc, samples[:n_even])
     xi = OddField(grid, desc, samples[n_even:nonlinear.n_rows])
-    evaluate = symbolic._Evaluator(EvenField(grid, desc, samples[:n_even]), xi, st.lam)
-    flux, source = (np.zeros((nonlinear.n_rows, grid.N)) for _ in range(2))
-    skdv = kind == "skdv_grassmann"
-    for power, fluxes, sources in symbolic.nonlinear_terms("extended" if skdv else kind):
-        weight = st.epsilon ** power
-        for out, polys in ((flux, fluxes), (source, () if skdv else sources)):
-            for rows, poly in zip((slice(0, n_even), slice(n_even, None)), polys):
-                evaluate.add_to(out[rows], poly, weight)
-    if skdv:
-        source[:n_even] -= 6.0 * st.lam * get_algebra(desc).odd_mul(
-            xi.data, xi.derivative(2).data)
+    reference = {"modified": reference_modified, "gardner": reference_gardner}.get(
+        kind, reference_extended)
+    (flux_even, flux_odd), (source_even, source_odd) = reference(u, xi, st.lam, st.epsilon)
+    if kind == "skdv_grassmann":
+        # its bracket term is -6 L xi xi'', a plain odd product
+        source_even = EvenField(grid, desc, -6.0 * st.lam * get_algebra(desc).odd_mul(
+            xi.data, xi.derivative(2).data))
+    flux = np.concatenate((flux_even.data, flux_odd.data))
+    source = np.concatenate((source_even.data, source_odd.data))
     want = np.concatenate((flux[nonlinear.flux_rows], source[nonlinear.source_rows]))
     assert nonlinear.values.shape == want.shape
     assert np.max(np.abs(nonlinear.values - want)) <= 1e-14 * np.max(np.abs(want))
@@ -555,7 +561,9 @@ def test_stage_values_match_the_evaluator(kind, desc_str, lam, eps, dealias):
                                            ("skdv_grassmann", "grassmann:3"),
                                            ("gardner", "symplectic:2"),
                                            ("extended", "grassmann:4")])
-def test_stage_makes_no_evaluator_and_no_algebra_product(kind, desc_str, monkeypatch):
+def test_evaluations_make_no_algebra_product(kind, desc_str, monkeypatch):
+    # integration, drift reports, conserved quantities and the Miura map
+    # all run compiled programs, none an Algebra product method
     st = random_state(kind, desc_str, 1.3, N=64, L=20.0,
                       eps=0.4 if kind == "gardner" else 0.0)
     calls = []
@@ -568,9 +576,10 @@ def test_stage_makes_no_evaluator_and_no_algebra_product(kind, desc_str, monkeyp
 
     for name in ("even_mul", "mixed_mul", "odd_commutator", "odd_mul"):
         monkeypatch.setattr(Algebra, name, counting(name, getattr(Algebra, name)))
-    monkeypatch.setattr(symbolic._Evaluator, "__init__",
-                        counting("_Evaluator", symbolic._Evaluator.__init__))
-    integrate(st, dt=1e-4, steps=2, scheme="rk4")
+    traj = integrate(st, dt=1e-4, steps=2, scheme="rk4")
+    drift_report(traj)
+    conserved_quantities(st.even, st.odd, st.lam)
+    miura(st.even, st.odd, st.lam)
     assert calls == []
 
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superkdv.algebra import AlgebraDescriptor
-from superkdv.errors import ExpressionSyntaxError, GradingError, SuperKdVError
+from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
+                             NonFiniteFieldError, SuperKdVError)
 from superkdv.fields import EvenField, OddField, PeriodicGrid, build_initial_condition, quadrature
+from superkdv.invariants import conserved_quantities, hamiltonian_density
 from superkdv.symbolic import (
     CoefficientTable,
+    _Program,
     DiffPolynomial,
     commutator,
     conserved_density_poly,
@@ -20,6 +23,7 @@ from superkdv.symbolic import (
     reproduce_conserved_quantities,
     to_text,
 )
+from superkdv.transforms import gardner_map, inverse_gardner_series, miura
 
 
 def random_fields(backend, seed=0, n=64):
@@ -169,31 +173,94 @@ def test_commutator_of_odd_polynomials():
 
 # -- numeric instantiation ----------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["grassmann:3", "grassmann:4", "symplectic:2"])
-def test_instantiation_matches_field_arithmetic(backend):
+def unit_field(u):
+    unit = EvenField.zeros(u.grid, u.descriptor)
+    unit.data[0] = 1.0
+    return unit
+
+
+# text -> the same polynomial written with field arithmetic
+EVEN_CASES = {
+    "2*u^3 + u'^2 + 4*L*u*[xi',xi] + L*[xi'',xi']":
+        lambda u, xi, lam: (2.0 * (u * u * u) + u.derivative() * u.derivative()
+                            + 4.0 * lam * (u * xi.derivative().commutator(xi))
+                            + lam * xi.derivative(2).commutator(xi.derivative())),
+    "7/2": lambda u, xi, lam: 3.5 * unit_field(u),
+    "-2*u''": lambda u, xi, lam: -2.0 * u.derivative(2),
+    "2 + u'' - 3*L*[xi',xi]":
+        lambda u, xi, lam: (2.0 * unit_field(u) + u.derivative(2)
+                            - (3.0 * lam) * xi.derivative().commutator(xi)),
+}
+
+ODD_CASES = {
+    "xi'' - u*xi": lambda u, xi: xi.derivative(2) - u * xi,
+    "3*xi'": lambda u, xi: 3.0 * xi.derivative(),
+    "xi''' + u*xi": lambda u, xi: xi.derivative(3) + u * xi,
+}
+
+
+@pytest.mark.parametrize("backend", ["scalar", "grassmann:3", "grassmann:4", "symplectic:2"])
+@pytest.mark.parametrize("text", EVEN_CASES)
+def test_instantiation_matches_field_arithmetic(backend, text):
+    # constants, linear u^(k) and lone brackets included
     u, xi = random_fields(backend, seed=3)
     lam = 0.75
-    poly = parse("2*u^3 + u'^2 + 4*L*u*[xi',xi] + L*[xi'',xi']")
-    direct = (2.0 * (u * u * u) + u.derivative() * u.derivative()
-              + 4.0 * lam * (u * xi.derivative().commutator(xi))
-              + lam * xi.derivative(2).commutator(xi.derivative()))
-    got = instantiate(poly, u, xi, lam)
+    direct = EVEN_CASES[text](u, xi, lam)
+    got = instantiate(parse(text), u, xi, lam)
     assert isinstance(got, EvenField)
-    assert (got - direct).norm() <= 1e-10 * max(direct.norm(), 1.0)
+    assert (got - direct).norm() <= 1e-12 * max(direct.norm(), 1.0)
 
 
-def test_instantiation_odd_polynomial():
-    u, xi = random_fields("grassmann:3", seed=5)
-    got = instantiate(parse("xi'' - u*xi"), u, xi, 0.0)
-    direct = xi.derivative(2) - u * xi
+@pytest.mark.parametrize("backend", ["scalar", "grassmann:3", "symplectic:2"])
+@pytest.mark.parametrize("text", ODD_CASES)
+def test_instantiation_odd_polynomial(backend, text):
+    # bare xi^(c) included
+    u, xi = random_fields(backend, seed=5)
+    got = instantiate(parse(text), u, xi, 0.0)
+    direct = ODD_CASES[text](u, xi)
     assert isinstance(got, OddField)
-    assert (got - direct).norm() <= 1e-12
+    assert (got - direct).norm() <= 1e-12 * max(direct.norm(), 1.0)
+
+
+@pytest.mark.parametrize("where", ["u", "xi"])
+@pytest.mark.parametrize("evaluate", [
+    lambda u, xi: instantiate(parse("u^2"), u, xi, 1.0),
+    lambda u, xi: instantiate(parse("u*xi"), u, xi, 1.0),
+    lambda u, xi: instantiate(parse("u'^2"), u, xi, 1.0),
+    lambda u, xi: conserved_quantities(u, xi, 1.0, ("H0", "H2")),
+    lambda u, xi: hamiltonian_density(u, xi, 1.0),
+    lambda u, xi: miura(u, xi, 1.0),
+    lambda u, xi: gardner_map(u, xi, 1.0, 0.1),
+    lambda u, xi: inverse_gardner_series(u, xi, 1.0, 0.1, order=4),
+], ids=["instantiate u^2", "instantiate u*xi", "instantiate u'^2", "conserved_quantities",
+        "hamiltonian_density", "miura", "gardner_map", "inverse_gardner_series"])
+def test_non_finite_fields_are_refused(evaluate, where):
+    # every evaluation checks each sample it is given, not only those it
+    # differentiates
+    u, xi = random_fields("grassmann:3")
+    (u if where == "u" else xi).data[1, 7] = np.nan
+    with pytest.raises(NonFiniteFieldError):
+        evaluate(u, xi)
 
 
 def test_instantiation_rejects_mixed_grading():
     u, xi = random_fields("grassmann:3")
     with pytest.raises(GradingError):
         instantiate(parse("u + xi"), u, xi, 1.0)
+
+
+def test_evaluations_reject_fields_over_other_backends():
+    u, xi = random_fields("grassmann:3")
+    _, xi4 = random_fields("grassmann:4")
+    for evaluate in (lambda: instantiate(parse("u*xi"), u, xi4, 1.0),
+                     lambda: conserved_quantities(u, xi4, 1.0),
+                     lambda: miura(u, xi4, 1.0)):
+        with pytest.raises(DescriptorMismatch):
+            evaluate()
+    # a program compiled for one backend refuses fields over another
+    program = _Program.compile([parse("u^2")], u.grid, u.descriptor, 1.0)
+    with pytest.raises(DescriptorMismatch):
+        program(*random_fields("grassmann:4"))
 
 
 def test_shared_argument_bracket_square_instantiates_to_zero():
