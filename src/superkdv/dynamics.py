@@ -16,16 +16,19 @@ source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
 terms that survive at the run's coupling, their coefficients, derivative
 orders and rows are fixed once per integrate call, and so are their
 products: _SpectralRHS is a symbolic._Program, the one evaluator of
-polynomials, whose straight-line gather-multiply-fold ops run over one
-preallocated stack of sample rows.  Each flux or source part is factored
-by distributivity into one op that writes straight into the part's rows
-(the modified odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2
-L [eta'', eta]) eta), after one op per distinct product inside it.
+polynomials, whose straight-line steps run over one preallocated stack of
+sample rows.  Each flux or source part is built by the program's one rule
+into its rows: its terms grouped by the factor multiplied last, one
+gather-multiply-fold op per group over one product table (the modified
+odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2 L [eta'', eta])
+eta, two ops), after one op per distinct product inside the groups.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
 irfft and one rfft, and the irfft of each new state is also the next
-step's first stage: 4 of each per step for every system.  The ifrk4
+step's first stage: 4 of each per step for every system.  A state is
+built only for a step that is recorded or passed to the callback; on a
+blow-up the last finite one is rebuilt from its kept spectrum.  The ifrk4
 scheme is the Lawson integrating-factor form: it advances the -f''' term
 exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
 rk4 is the same loop with unit factors and the dispersion folded into
@@ -87,11 +90,6 @@ class SystemState:
                 f"eps={self.epsilon}, {self.descriptor}, {self.grid})")
 
 
-def _rows(even, odd, n_even, n_rows):
-    """The rows of [even; odd] that the parts flagged live cover, as a slice."""
-    return slice(0 if even else n_even, n_rows if odd else n_even)
-
-
 class _SpectralRHS(_Program):
     """The nonlinear terms of one system on one grid and backend at fixed
     lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
@@ -100,13 +98,13 @@ class _SpectralRHS(_Program):
     Everything static is made here, once: the terms that do not vanish at
     lam and eps with their float coefficients, the derivative orders they
     read, the rows some live flux or source writes into, and the program
-    of their products (symbolic._Program) over one preallocated stack of
-    sample rows, one part per live flux or source.  The stack holds, from
-    the top, the samples `physical` makes (one stacked irfft of [y; (ik)^a
-    y_even for each u-order a; (ik)^b y_odd for each xi-order b]), one
-    block per product and per combined operand, and the evaluated [flux;
-    source] rows.  A call runs the program, its parts straight into their
-    rows of [flux; source], and makes one stacked rfft of those rows.
+    (symbolic._Program) that builds each live flux and source into its
+    rows over one preallocated stack of sample rows.  The stack holds,
+    from the top, the samples `physical` makes (one stacked irfft of [y;
+    (ik)^a y_even for each u-order a; (ik)^b y_odd for each xi-order b]),
+    the evaluated [flux; source] rows, and one block per product, group
+    and combined operand.  A call runs the program and makes one stacked
+    rfft of the [flux; source] rows.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -125,27 +123,30 @@ class _SpectralRHS(_Program):
         # bracket-only grammar cannot write
         pair = skdv and lam != 0.0
 
-        self.flux_rows = _rows(bool(flux[0]), bool(flux[1]), n_even, n_rows)
-        self.source_rows = _rows(bool(source[0]) or pair, bool(source[1]), n_even, n_rows)
+        # the rows of [even; odd] the live parts cover
+        self.flux_rows = slice(0 if flux[0] else n_even, n_rows if flux[1] else n_even)
+        self.source_rows = slice(0 if source[0] or pair else n_even,
+                                 n_rows if source[1] else n_even)
         self.n_flux = self.flux_rows.stop - self.flux_rows.start
         n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
-        # rows of the evaluated [flux; source] that each part makes
+        # the live terms of the even flux, odd flux, even source and odd
+        # source, each with its rows of [flux; source]
         parts = []
         for offset, rows, (even, odd) in ((0, self.flux_rows, flux),
                                           (self.n_flux, self.source_rows, source)):
             split = offset + n_even - rows.start
-            end = offset + rows.stop - rows.start
-            parts += [(slice(offset, split), even), (slice(split, end), odd)]
+            parts += [(even, offset, split), (odd, split, offset + rows.stop - rows.start)]
 
-        super().__init__(grid, desc, [term for _, live in parts for term in live],
+        super().__init__(grid, desc, [term for live, _, _ in parts for term in live],
                          {2} if pair else ())
-        # the odd_mul pieces of the even flux, odd flux, even source and
-        # odd source: skdv's pair goes into the even source
+        values = self._block(n_values)
+        # skdv's pair goes into the even source
         extras = [(), (), [("odd_mul", n_even, self.xi_rows[2], -6.0 * lam)] if pair else (),
                   ()]
-        # each part's op and its first row in [flux; source]
-        self.link([(self.part(live, extra), rows.start)
-                   for (rows, live), extra in zip(parts, extras) if live or extra], n_values)
+        for (live, start, stop), extra in zip(parts, extras):
+            self._poly(live, values + start, stop - start, extra)
+        self.link()
+        self.values = self.stack[values:values + n_values]
         self.ik = grid.derivative_symbol(1)
         self.cut = grid.dealias_keep + 1 if dealias else None
 
@@ -333,26 +334,35 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
             k += tmp
         return k
 
-    def fields(phys):
-        # copies, so that recorded states do not hold the derivative rows
-        return (EvenField(grid, desc, phys[:n_even].copy()),
-                OddField(grid, desc, phys[n_even:n_rows].copy()))
+    def at(phys, time):
+        # the state whose samples are phys; copies, so that recorded states
+        # do not hold the derivative rows
+        return state.replace_fields(EvenField(grid, desc, phys[:n_even].copy()),
+                                    OddField(grid, desc, phys[n_even:n_rows].copy()), time)
+
+    def blowup(when, spec, step):
+        # the last finite state is the one before step, rebuilt from its
+        # spectrum spec, as no state is built for a step nothing reads
+        last = at(nonlinear.physical(spec), state.time + (step - 1) * dt) if step > 1 else first
+        return NumericalBlowup(f"non-finite values {when} step {step} (t={last.time + dt:g})",
+                               last, step, last.time + dt)
 
     # The state lives in transform space as rfft([even; odd]).  The stacked
-    # inverse transform after each step gives the record, the callback
-    # state and the finite check, and with its derivative rows it is the
+    # inverse transform after each step gives the finite check, the record
+    # and the callback state, and with its derivative rows it is the
     # samples of the next step's k1.
     spec = np.fft.rfft(np.concatenate((state.even.data, state.odd.data)), axis=-1)
     if dealias:
         spec[:, nonlinear.cut:] = 0.0
     phys = nonlinear.physical(spec)
-    current = state.replace_fields(*fields(phys)) if dealias else state
-    records = [current]
+    first = at(phys, None) if dealias else state
+    records = [first]
 
-    # The stages and the step are formed in place, in two buffers and in
+    # The stages and the step are formed in place, in three buffers and in
     # the k arrays, with the operands of each product and the terms of each
-    # sum in the order of the formulas noted beside them.
-    stage, tmp = np.empty_like(spec), np.empty_like(spec)
+    # sum in the order of the formulas noted beside them.  Each step writes
+    # the new spectrum into `previous` and swaps the two.
+    stage, tmp, previous = np.empty_like(spec), np.empty_like(spec), np.empty_like(spec)
     half, sixth = 0.5 * dt, dt / 6.0
 
     # overflow on the way to a detected blow-up is reported as an
@@ -381,9 +391,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
                 nonlinear.physical(stage)
                 k4 = rhs(stage)
             except NonFiniteFieldError:
-                raise NumericalBlowup(
-                    f"non-finite values during step {step} (t={current.time + dt:g})",
-                    current, step, current.time + dt)
+                raise blowup("during", spec, step)
             # spec = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)
             #                                 + 2.0 * k3 + k4)
             np.multiply(e_full, k1, out=k1)
@@ -395,18 +403,19 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
             k1 += k4
             np.multiply(sixth, k1, out=k1)
             np.multiply(e_full, spec, out=stage)
+            spec, previous = previous, spec
             np.add(stage, k1, out=spec)
 
             phys = nonlinear.physical(spec)
             if not np.isfinite(phys[:n_rows]).all():
-                raise NumericalBlowup(
-                    f"non-finite values after step {step} (t={current.time + dt:g})",
-                    current, step, current.time + dt)
-            current = current.replace_fields(*fields(phys), time=state.time + step * dt)
-            if callback is not None:
-                callback(current)
-            if step % record_every == 0 or step == steps:
-                records.append(current)
+                raise blowup("after", previous, step)
+            record = step % record_every == 0 or step == steps
+            if record or callback is not None:
+                current = at(phys, state.time + step * dt)
+                if callback is not None:
+                    callback(current)
+                if record:
+                    records.append(current)
     return Trajectory(records)
 
 

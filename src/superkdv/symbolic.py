@@ -18,9 +18,10 @@ standing for the fields of the system it belongs to: the densities H0..H6
 and the Miura and gardner maps (in their source fields v, eta and z, s).
 
 One engine, _Program, evaluates polynomials on fields (u, xi): compiled
-once per call site at one backend and coupling into straight-line
-product ops, it runs them on samples it checks finite, the derivatives
-taken with one stacked transform each way.  Every numeric evaluation of
+once per call site at one backend and coupling by one rule into
+straight-line product ops, one per group of terms sharing their last
+factor, it runs them on samples it checks finite, the derivatives taken
+with one stacked transform each way.  Every numeric evaluation of
 the package, the evolution right-hand sides included, runs on it.
 
 Equality modulo total derivatives is decided by randomized instantiation:
@@ -501,48 +502,55 @@ def _live_terms(poly, lam, has_odd, weight=1.0):
     return live
 
 
-def _run(stack, ops):
-    """Run compiled ops over the stack: gather, multiply, fold."""
-    for left_rows, right_rows, fold, left, right, out in ops:
-        stack.take(left_rows, axis=0, out=left, mode="clip")
-        stack.take(right_rows, axis=0, out=right, mode="clip")
-        left *= right
-        np.matmul(fold, left, out=out)
+def _op_step(stack, left_rows, right_rows, fold, left, right, out):
+    """Gather the operands' rows of one product table from the stack,
+    multiply them and fold them onto the output channels."""
+    stack.take(left_rows, axis=0, out=left, mode="clip")
+    stack.take(right_rows, axis=0, out=right, mode="clip")
+    left *= right
+    np.matmul(fold, left, out=out)
+
+
+def _sum_step(out, first, rest, scratch):
+    """out = the sum of coefficient times rows over first and the rest of
+    the (rows, coefficient) terms, or out plus the rest when first is None."""
+    if first is not None:
+        np.multiply(*first, out=out)
+    for rows, coeff in rest:
+        if coeff == 1.0:
+            out += rows
+        else:
+            np.multiply(rows, coeff, out=scratch)
+            out += scratch
 
 
 class _Program:
-    """Live terms on one grid and backend as straight-line ops over one
+    """Polynomials on one grid and backend as straight-line steps over one
     stack of sample rows.
 
     The head of the stack holds the samples: [u; xi], then one block per
     derivative order the terms read, u-orders first (`derivatives` lists
     the rows, the rows of [u; xi] and (ik)^order of each).  A node is the
-    first row of a block: u_rows and xi_rows map orders to nodes, and
-    each product, sum and output appends a block.  An op is (left rows,
-    right rows, fold, node): gather the rows of an Algebra.gather_fold,
-    offset to the operands' nodes, multiply them, and fold them onto the
-    output channels.  A sum is coefficient times node summed over its
-    terms, formed after the ops.  A term's even and bracket factors are
-    multiplied prefix by prefix, one op per distinct prefix, so terms
-    share their prefixes; the empty product is a unit block.
+    first row of a block: u_rows and xi_rows map orders to nodes, and each
+    output, product and sum appends a block.  A step is an op or a sum,
+    and `run` walks the steps in the order they were built.  An op
+    (product, left rows, right rows, fold, node) gathers the rows of the
+    named product's Algebra.gather_fold table, offset to its operands'
+    nodes, multiplies them and folds them onto the output channels; a sum
+    adds coefficient times node over its terms.
 
-    `compile` makes each polynomial the sum of its terms' values: a
-    constant reads the unit block, a linear u^(k) or bare xi^(c) its
-    sample rows, and a term with a bare odd factor takes one mixed_mul op
-    more.  Each fold it runs is one Algebra product's own, so its matmuls
-    are no wider, and no more dependent on the BLAS thread count, than
-    the products alone.
-
-    dynamics._SpectralRHS is the other front end: its `part`s are fluxes
-    and sources, factored by distributivity.  A part groups its terms by
-    the factor they are multiplied by last (a mixed term by its odd
-    factor, an even term by its first factor, a lone bracket alone); a
-    group of several terms multiplies one combined operand (a sum), a
-    group of one scales its fold by its coefficient.  The part is one op
-    that lays its groups' gathers and folds side by side, or reads the
-    table's own arrays when it is one product with coefficient 1, and
-    runs after the sums, into the rows `link` lays below every block.
-    Those terms are at least quadratic, so no part reads the unit.
+    Every polynomial is built by one rule, `_poly`.  Its live terms are
+    grouped by the factor they are multiplied by last: a mixed term by its
+    odd factor, an even term by its first factor, a lone bracket alone.
+    Each group is one op.  A group of one term scales its fold by the
+    coefficient; a group of several multiplies one combined operand, the
+    sum of coefficient times the product of the other factors.  Those
+    products are made prefix by prefix, one op per distinct prefix, shared
+    by every polynomial of the program; the empty product is a unit block.
+    The first op writes into the polynomial's rows and one sum adds the
+    other ops and the constant and linear terms (the unit, a u^(k) or a
+    bare xi^(c)).  Each fold is one product table's own, so no matmul is
+    wider, or more dependent on the BLAS thread count, than a product.
     """
 
     def __init__(self, grid, descriptor, terms, xi_orders=()):
@@ -570,7 +578,7 @@ class _Program:
         self._products = {}
         self.unit = None
         self.ops = []
-        self.sums = []  # (node, height, ((node, coefficient), ...)) of each sum
+        self.steps = []  # (step function, arguments) in build order, bound by link
         self.outputs = []  # (field type, node, height) of each compiled polynomial
 
     @classmethod
@@ -588,11 +596,9 @@ class _Program:
         for live, field in zip(lives, fields):
             height = field._dim(descriptor)
             node = program._block(height)
-            if live:
-                program.sums.append((node, height, [(program._value(factors, odd), coeff)
-                                                    for factors, odd, coeff in live]))
+            program._poly(live, node, height)
             program.outputs.append((field, node, height))
-        program.link([], 0)
+        program.link()
         return program
 
     def __call__(self, u, xi):
@@ -621,12 +627,22 @@ class _Program:
         node, self.top = self.top, self.top + height
         return node
 
-    def _op(self, product, a, b):
-        """The node of the named Algebra product of nodes a and b."""
+    def _op(self, product, a, b, scale=1.0, node=None):
+        """The node of scale times the named Algebra product of nodes a and
+        b: a new block, or the given node's rows."""
         i, j, fold = self.algebra.gather_fold(product)
-        node = self._block(len(fold))
-        self.ops.append((a + i, b + j, fold, node))
+        if node is None:
+            node = self._block(len(fold))
+        op = (product, a + i, b + j, fold if scale == 1.0 else scale * fold, node)
+        self.ops.append(op)
+        self.steps.append((_op_step, op))
         return node
+
+    def _sum(self, node, height, terms, onto):
+        """A step that sets the rows at node to the sum of coefficient times
+        node over the (node, coefficient) terms, or adds it onto them."""
+        first = None if onto else terms[0]
+        self.steps.append((_sum_step, (node, height, first, terms[0 if onto else 1:])))
 
     def _product(self, factors):
         """The node of the product of u-derivative orders and oriented
@@ -646,95 +662,75 @@ class _Program:
             self._products[factors] = node
         return node
 
-    def _value(self, factors, odd):
-        """The node of a term's value without its coefficient."""
-        if odd is None:
-            return self._product(factors)
-        if factors:
-            return self._op("mixed_mul", self._product(factors), self.xi_rows[odd])
-        return self.xi_rows[odd]
-
-    def _combined(self, members):
-        """The node of the sum of coefficient times product over the
-        (factors, coefficient) members, and the scale left to the fold."""
-        if len(members) == 1:
-            ((factors, coeff),) = members
-            return self._product(factors), coeff
-        terms = tuple((self._product(factors), coeff) for factors, coeff in members)
-        height = self.algebra.descriptor.even_dim
-        node = self._block(height)
-        self.sums.append((node, height, terms))
-        return node, 1.0
-
-    def part(self, live, extra=()):
-        """(left rows, right rows, fold) of one op whose value is the sum
-        of the live terms and of the extra (product, a, b, coefficient)
-        products of nodes."""
-        groups = {}
+    def _poly(self, live, node, height, pieces=()):
+        """Build the sum of the live terms and of the (product, a, b,
+        coefficient) pieces, products of nodes, into the rows at node."""
+        groups, linear = {}, []
         for factors, odd, coeff in live:
-            if odd is not None:
+            if odd is not None and factors:
                 key, rest = ("mixed_mul", odd), factors
             elif len(factors) > 1:
                 key, rest = ("even_mul", factors[0]), factors[1:]
-            else:
+            elif factors and isinstance(factors[0], tuple):
                 key, rest = ("odd_commutator", factors[0]), ()
+            else:  # the unit, a u^(k) or a bare xi^(c)
+                linear.append((self.xi_rows[odd] if odd is not None
+                               else self._product(factors), coeff))
+                continue
             groups.setdefault(key, []).append((rest, coeff))
-        pieces = []
+        pieces = list(pieces)
         for (product, last), members in groups.items():
-            if product == "mixed_mul":
-                a, scale = self._combined(members)
-                pieces.append((product, a, self.xi_rows[last], scale))
-            elif product == "even_mul":
-                b, scale = self._combined(members)
-                pieces.append((product, self._product((last,)), b, scale))
-            else:
+            if product == "odd_commutator":
                 pieces.append((product, self.xi_rows[last[0]], self.xi_rows[last[1]],
                                sum(coeff for _, coeff in members)))
-        left, right, folds = [], [], []
-        for product, a, b, scale in pieces + list(extra):
-            i, j, fold = self.algebra.gather_fold(product)
-            left.append(a + i)
-            right.append(b + j)
-            folds.append(fold if scale == 1.0 else scale * fold)
-        if len(folds) == 1:
-            return left[0], right[0], folds[0]
-        return np.concatenate(left), np.concatenate(right), np.concatenate(folds, axis=1)
+                continue
+            if len(members) == 1:
+                ((rest, scale),) = members
+                operand = self._product(rest)
+            else:
+                even_dim = self.algebra.descriptor.even_dim
+                terms = [(self._product(rest), coeff) for rest, coeff in members]
+                operand, scale = self._block(even_dim), 1.0
+                self._sum(operand, even_dim, terms, onto=False)
+            if product == "mixed_mul":
+                pieces.append((product, operand, self.xi_rows[last], scale))
+            else:
+                pieces.append((product, self._product((last,)), operand, scale))
+        if pieces:
+            self._op(*pieces[0], node=node)
+            linear = [(self._op(*piece), 1.0) for piece in pieces[1:]] + linear
+        if linear:
+            self._sum(node, height, linear, onto=bool(pieces))
 
-    def link(self, made, n_values):
-        """Allocate the stack with n_values value rows below the blocks and
-        bind every op and sum; made holds each part's op with the first of
-        its value rows."""
+    def link(self):
+        """Allocate the stack and the gather buffers, and bind every step
+        to its rows."""
         N = self.grid.N
-        self.stack = np.zeros((self.top + n_values, N))
+        stack = self.stack = np.zeros((self.top, N))
         if self.unit is not None:
-            self.stack[self.unit] = 1.0
-        self.head = self.stack[:self.height]
-        self.values = self.stack[self.top:]
+            stack[self.unit] = 1.0
+        self.head = stack[:self.height]
         self.spectra = (np.empty((self.height, N // 2 + 1), complex)
                         if self.derivatives else None)
-        part_ops = [(*op, self.top + first) for op, first in made]
-        widest = max((len(left) for left, _, _, _ in self.ops + part_ops), default=0)
+        widest = max((len(left) for _, left, *_ in self.ops), default=0)
         self.buffers = (np.empty((widest, N)), np.empty((widest, N)))
-
-        def bound(ops):
-            # each op with its slices of the gather buffers and its output rows
-            return [(left, right, fold, self.buffers[0][:len(left)],
-                     self.buffers[1][:len(left)], self.stack[node:node + len(fold)])
-                    for left, right, fold, node in ops]
-
-        self.products, self.parts = bound(self.ops), bound(part_ops)
         descriptor = self.algebra.descriptor
         scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), N))
 
         def rows(node, height):
-            return self.stack[node:node + height]
+            return stack[node:node + height]
 
-        # (output, first term, its coefficient, ((term, coefficient), ...),
-        # scratch rows)
-        self.sums = [(rows(node, height), rows(terms[0][0], height), terms[0][1],
-                      [(rows(term, height), coeff) for term, coeff in terms[1:]],
-                      scratch[:height])
-                     for node, height, terms in self.sums]
+        def bind(step, args):
+            if step is _op_step:
+                _, left, right, fold, node = args
+                return (stack, left, right, fold, self.buffers[0][:len(left)],
+                        self.buffers[1][:len(left)], rows(node, len(fold)))
+            node, height, first, rest = args
+            return (rows(node, height),
+                    None if first is None else (rows(first[0], height), first[1]),
+                    [(rows(term, height), coeff) for term, coeff in rest], scratch[:height])
+
+        self.steps = [(step, bind(step, args)) for step, args in self.steps]
 
     def _derive(self, spec):
         """The derivative rows of the spectra, from spec = rfft([u; xi])."""
@@ -742,16 +738,10 @@ class _Program:
             np.multiply(spec[of], symbol, out=self.spectra[rows])
 
     def run(self):
-        """Run the product ops, form the sums and run the part ops, over
-        the samples in the head of the stack."""
-        stack = self.stack
-        _run(stack, self.products)
-        for out, first, coeff, rest, scratch in self.sums:
-            np.multiply(first, coeff, out=out)
-            for node, coeff in rest:
-                np.multiply(node, coeff, out=scratch)
-                out += scratch
-        _run(stack, self.parts)
+        """Run the steps in build order over the samples in the head of
+        the stack."""
+        for step, args in self.steps:
+            step(*args)
 
 
 def instantiate(poly, u, xi, lam):

@@ -10,8 +10,9 @@ does the same for the deformed (gardner) system at deformation e.  Both
 facts are checked numerically here by comparing a centered time
 difference of the mapped trajectory against the extended right-hand side.
 miura and gardner_map evaluate these maps from symbolic.map_terms, where u
-and xi stand for the source fields (v, eta) and (z, s); the inverse of
-the gardner map sums the series in e of symbolic.gardner_coefficients.
+and xi stand for the source fields (v, eta) and (z, s), and a trajectory
+is mapped through one compiled map; the inverse of the gardner map sums
+the series in e of symbolic.gardner_coefficients.
 
 The supersymmetry generator with constant odd parameter p is
 
@@ -28,16 +29,21 @@ from .fields import OddField
 from .symbolic import DiffPolynomial, _Program, gardner_coefficients, map_terms
 
 
-def _series(terms, even, odd, lam, eps):
-    """Values of the sums over the (power, (even poly, odd poly)) pairs of
-    eps^power times each polynomial, compiled in one program."""
+def _series_program(terms, grid, descriptor, lam, eps):
+    """The sums over the (power, (even poly, odd poly)) pairs of eps^power
+    times each polynomial, compiled in one program."""
     images = [DiffPolynomial(), DiffPolynomial()]
     for power, polys in terms:
         weight = eps ** power
         if weight:
             for k, poly in enumerate(polys):
                 images[k] = images[k] + (poly if weight == 1.0 else poly.scaled(weight))
-    u, xi = _Program.compile(images, even.grid, even.descriptor, lam)(even, odd)
+    return _Program.compile(images, grid, descriptor, lam)
+
+
+def _series(terms, even, odd, lam, eps):
+    """The values of _series_program's sums at the fields (even, odd)."""
+    u, xi = _series_program(terms, even.grid, even.descriptor, lam, eps)(even, odd)
     return u, xi
 
 
@@ -75,19 +81,26 @@ def susy_variation(u, xi, param, lam):
     return lam * pf.commutator(xi.derivative(1)), u * pf
 
 
+def _to_extended(states):
+    """States of one system, grid, backend, lam and eps mapped onto
+    extended-system fields, through one compiled map."""
+    first = states[0]
+    if first.kind in ("modified", "gardner"):
+        program = _series_program(map_terms("miura" if first.kind == "modified" else "gardner"),
+                                  first.grid, first.descriptor, first.lam, first.epsilon)
+        images = [program(s.even, s.odd) for s in states]
+    else:
+        images = [(s.even, s.odd) for s in states]
+    return [SystemState("extended", u, xi, s.time, s.lam) for s, (u, xi) in zip(states, images)]
+
+
 def to_extended(state):
     """Map one state of any system onto extended-system fields."""
-    if state.kind == "modified":
-        u, xi = miura(state.even, state.odd, state.lam)
-    elif state.kind == "gardner":
-        u, xi = gardner_map(state.even, state.odd, state.lam, state.epsilon)
-    else:
-        u, xi = state.even, state.odd
-    return SystemState("extended", u, xi, state.time, state.lam)
+    return _to_extended([state])[0]
 
 
 def to_extended_trajectory(traj):
-    return Trajectory([to_extended(s) for s in traj])
+    return Trajectory(_to_extended(traj.states))
 
 
 def fd_flow_residual(traj):

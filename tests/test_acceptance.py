@@ -243,13 +243,16 @@ def test_criterion_10_byte_determinism(tmp_path):
                     "check verdict, and plot: all byte-identical")
 
 
-def test_byte_determinism_across_blas_thread_counts(tmp_path):
+@pytest.mark.parametrize("system", [["modified"], ["gardner", "--gardner-eps", "0.1"]],
+                         ids=["modified", "gardner"])
+def test_byte_determinism_across_blas_thread_counts(tmp_path, system):
     # The algebra products reduce with a BLAS matmul, so every field value
     # passes through it.  grassmann:6 at N=256 gives the largest product
     # tables the benchmark runs, large enough for OpenBLAS to split them
-    # over two threads.
+    # over two threads.  Gardner's even flux and odd source have two groups
+    # each, whose folds laid side by side would be wider than one table.
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    sim_args = ["simulate", "--system", "modified", "--algebra", "grassmann:6",
+    sim_args = ["simulate", "--system", *system, "--algebra", "grassmann:6",
                 "--lambda", "1", "--scheme", "rk4", "--grid", "256", "--dt", "2e-4",
                 "--t-end", "0.004", "--record-every", "5", "--seed", "3",
                 "--ic", "random_bandlimited(max_mode=4,amplitude=0.4)"]

@@ -25,15 +25,16 @@ import numpy as np
 import pytest
 
 from superkdv.algebra import Algebra, AlgebraDescriptor, get_algebra, value_norm
-from superkdv.dynamics import (_SpectralRHS, SystemState, Trajectory, integrate,
-                               nonlinear_rhs, rhs_extended, rhs_gardner,
+from superkdv.dynamics import (SYSTEM_KINDS, _SpectralRHS, SystemState, Trajectory,
+                               integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
                                rhs_states, soliton_profile, stability_limit)
 from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
 from superkdv.invariants import conserved_quantities, drift_report
-from superkdv.transforms import miura
+from superkdv.symbolic import _Program, density_poly, gardner_coefficients, map_terms
+from superkdv.transforms import _series_program, miura
 
 
 def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0):
@@ -515,6 +516,34 @@ def test_non_finite_stage_surfaces_as_blowup_during_step():
     assert np.all(np.isfinite(info.value.last_state.even.data))
 
 
+@pytest.mark.parametrize("call,when", [(7, "during"), (9, "after")])
+def test_blowup_carries_the_state_of_the_step_before(call, when, monkeypatch):
+    # no state is built for a step nothing records, so a blow-up in step 2
+    # rebuilds step 1's state from its spectrum: bit for bit the state a
+    # one-step run records.  The samples are made once initially, then
+    # three times for the stages and once for the new state per step; a
+    # NaN written into the spectrum of call 7 (step 2's third stage) or 9
+    # (step 2's new state) is the blow-up.
+    st = random_state("modified", "grassmann:3", 1.3, N=64, L=20.0)
+    dt = 0.5 * stability_limit(st.grid, "rk4")
+    want = integrate(st, dt=dt, steps=1).final
+    physical, calls = _SpectralRHS.physical, []
+
+    def poisoned(self, spec):
+        calls.append(None)
+        if len(calls) == call:
+            spec[0, 1] = np.nan
+        return physical(self, spec)
+
+    monkeypatch.setattr(_SpectralRHS, "physical", poisoned)
+    with pytest.raises(NumericalBlowup, match=f"{when} step 2") as info:
+        integrate(st, dt=dt, steps=5, record_every=5)
+    last = info.value.last_state
+    assert (info.value.step, last.time) == (2, want.time)
+    assert np.array_equal(last.even.data, want.even.data)
+    assert np.array_equal(last.odd.data, want.odd.data)
+
+
 PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "skdv_grassmann", "extended",
                                                  "gardner")
                    for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")
@@ -585,13 +614,14 @@ def test_evaluations_make_no_algebra_product(kind, desc_str, monkeypatch):
 
 @pytest.mark.parametrize("kind,desc_str,ops", [
     ("extended", "scalar", 1), ("extended", "grassmann:3", 3),
-    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 6),
-    ("gardner", "symplectic:1", 6)])
+    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 7),
+    ("gardner", "symplectic:1", 8)])
 def test_stage_op_count(kind, desc_str, ops):
-    # modified: v v, v v', [eta', eta], [eta'', eta], then one op per part:
-    # v (2 v^2 + 3 L [eta', eta]) and the odd source's two groups
+    # modified: v v, v v', [eta', eta], [eta'', eta], then one op per group:
+    # v (2 v^2 + 3 L [eta', eta]), (3 v^2 + L [eta', eta]) eta' and
+    # (3 v v' + 1/2 L [eta'', eta]) eta
     _, nonlinear = _stage(kind, desc_str, dealias=True)
-    assert len(nonlinear.products) + len(nonlinear.parts) == ops
+    assert len(nonlinear.ops) == ops
 
 
 @pytest.mark.parametrize("kind,desc_str,rows", [
@@ -599,26 +629,33 @@ def test_stage_op_count(kind, desc_str, ops):
 def test_stage_gathered_rows(kind, desc_str, rows):
     # grassmann:6: v v and v v' (183 rows each), [eta', eta] and [eta'', eta]
     # (364 each), the flux v (...) (183) and the odd source's two groups
-    # side by side (2 x 182)
+    # (182 each)
     _, nonlinear = _stage(kind, desc_str, dealias=True)
-    assert sum(len(left) for left, *_ in nonlinear.products + nonlinear.parts) == rows
+    assert sum(len(left) for _, left, *_ in nonlinear.ops) == rows
 
 
-@pytest.mark.parametrize("kind,desc_str,products", [
-    ("modified", "grassmann:6", 1), ("skdv_grassmann", "grassmann:4", 1),
-    # gardner lays two products side by side in its even flux, z (3 z + ...)
-    # beside 3 L [sigma', sigma], and in its odd source
-    ("gardner", "symplectic:2", 2)])
-def test_gather_buffers_hold_one_product(kind, desc_str, products):
-    # the buffers fit the widest op; for modified and skdv that is no wider
-    # than the widest single product, as with one op per product
-    _, nonlinear = _stage(kind, desc_str, dealias=True)
-    algebra = get_algebra(AlgebraDescriptor.from_string(desc_str))
-    widest = max(len(algebra.gather_fold(name)[0]) for name in ("even_mul", "mixed_mul",
-                                                                "odd_commutator"))
-    widths = [len(left) for left, *_ in nonlinear.products + nonlinear.parts]
-    assert max(widths) <= products * widest
-    assert [b.shape for b in nonlinear.buffers] == [(max(widths), 64)] * 2
+@pytest.mark.parametrize("desc_str", ["grassmann:6", "symplectic:2"])
+def test_every_op_gathers_one_product_table(desc_str):
+    # the right-hand sides of all four systems, the densities and the maps
+    # each fold one product table per op, so no gather is wider than the
+    # widest table and the buffers fit the widest op
+    desc = AlgebraDescriptor.from_string(desc_str)
+    grid, algebra = PeriodicGrid(20.0, 64), get_algebra(desc)
+    programs = [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
+                for kind in SYSTEM_KINDS if kind != "skdv_grassmann" or desc.kind == "grassmann"]
+    programs.append(_Program.compile([density_poly(label)
+                                      for label in ("H0", "H2", "H4", "H6", "H")],
+                                     grid, desc, 1.3))
+    programs += [_series_program(terms, grid, desc, 1.3, 0.4)
+                 for terms in (map_terms("miura"), map_terms("gardner"),
+                               enumerate(gardner_coefficients(8)))]
+    tables = {name: len(algebra.gather_fold(name)[0])
+              for name in ("even_mul", "mixed_mul", "odd_commutator")
+              + (("odd_mul",) if desc.kind == "grassmann" else ())}
+    for program in programs:
+        widths = [len(left) for _, left, *_ in program.ops]
+        assert widths == [tables[product] for product, *_ in program.ops]
+        assert [b.shape for b in program.buffers] == [(max(widths), 64)] * 2
 
 
 def test_rhs_states_match_rhs_state_one_at_a_time():

@@ -17,7 +17,8 @@ from superkdv.dynamics import (SystemState, Trajectory, integrate, rhs_extended,
                                rhs_modified)
 from superkdv.errors import SuperKdVError
 from superkdv.fields import OddField, PeriodicGrid, build_initial_condition
-from superkdv.transforms import (fd_flow_residual, flow_commutation_defect,
+from superkdv.symbolic import gardner_coefficients
+from superkdv.transforms import (_series_program, fd_flow_residual, flow_commutation_defect,
                                  gardner_map, inverse_gardner_series, miura,
                                  susy_variation, to_extended,
                                  to_extended_trajectory)
@@ -224,3 +225,16 @@ def test_to_extended_passthrough_keeps_fields():
     assert out.kind == "extended"
     assert out.time == 2.5
     assert np.array_equal(out.even.data, even.data)
+
+
+def test_inverse_series_compiles_one_mixed_op_per_odd_order():
+    # the odd image's terms with a bare odd factor are grouped by it: one
+    # mixed_mul op per odd order, multiplying one combined operand.  With a
+    # block per term the stack held 792 rows.
+    terms = tuple(enumerate(gardner_coefficients(8)))
+    program = _series_program(terms, PeriodicGrid(20.0, 256),
+                              AlgebraDescriptor.from_string("grassmann:3"), 1.3, 0.1)
+    odd_orders = {odd for _, (_, image) in terms for (even, comms, odd) in image.terms
+                  if odd is not None and even + comms}
+    assert len([op for op in program.ops if op[0] == "mixed_mul"]) == len(odd_orders)
+    assert program.stack.shape == (364, 256)
