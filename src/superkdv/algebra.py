@@ -33,12 +33,11 @@ broadcast, and a mismatch raises SuperKdVError.
 """
 
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DescriptorMismatch, GradingError, SuperKdVError
+from .errors import DescriptorMismatch, GradingError, SuperKdVError, whole_number
 
 KINDS = ("scalar", "grassmann", "symplectic")
 
@@ -68,11 +67,11 @@ class AlgebraDescriptor:
             raise SuperKdVError(f"unknown algebra kind {kind!r}")
         if kind == "scalar":
             generators = 0
-        elif generators < 1:
+        elif whole_number("generator count", generators) < 1:
             raise SuperKdVError(f"{kind} backend needs a positive generator count")
         elif generators > self._MAX_GENERATORS[kind]:
             raise SuperKdVError(
-                f"{kind}:{generators} exceeds the supported maximum "
+                f"{kind}:{int(generators)} exceeds the supported maximum "
                 f"{kind}:{self._MAX_GENERATORS[kind]}")
         self.kind = kind
         self.generators = int(generators)
@@ -143,53 +142,29 @@ class AlgebraDescriptor:
                             "expected scalar, grassmann:N or symplectic:n")
 
 
-class _BilinearMap:
-    """Sparse bilinear product out[k] = sum_(i,j) s*a[i]*b[j] on basis triples.
+def _table(triples, out_dim):
+    """(i, j, fold) of the product out[k] = sum of s*a[i]*b[j] over the
+    basis triples (i, j, k, s), whose value is fold @ (a[i] * b[j]) with
+    the signed fold matrix fold[k_t, t] = s_t."""
+    i = np.array([t[0] for t in triples], dtype=np.intp)
+    j = np.array([t[1] for t in triples], dtype=np.intp)
+    fold = np.zeros((out_dim, len(triples)))
+    fold[[t[2] for t in triples], np.arange(len(triples))] = [t[3] for t in triples]
+    return i, j, fold
 
-    A call gathers a[i] and b[j] of every triple t into two (nnz,) + shape
-    scratch buffers, multiplies them in place and folds the triples onto
-    the output channels with one matmul by the signed fold matrix,
-    fold[k_t, t] = s_t.  The (out_dim,) + shape result is the only array a
-    call allocates, and it is fresh, so callers may keep and mutate it.
 
-    The gathers use the take method with mode="clip": the default mode
-    buffers the output, which would allocate the very (nnz,) + shape array
-    the scratch buffers replace, and np.take adds a dispatch layer that
-    costs more than gathering a few rows.  Clipping never alters an index:
-    the operand dims are checked first.  The buffers are kept per thread and
-    re-made when the trailing shape changes.
-    """
-
-    def __init__(self, triples, a_dim, b_dim, out_dim):
-        self.dims = (a_dim, b_dim)
-        self.out_dim = out_dim
-        self.nnz = len(triples)
-        self.i = np.array([t[0] for t in triples], dtype=np.intp)
-        self.j = np.array([t[1] for t in triples], dtype=np.intp)
-        self.fold = np.zeros((out_dim, self.nnz))
-        self.fold[[t[2] for t in triples], np.arange(self.nnz)] = [t[3] for t in triples]
-        self._scratch = threading.local()
-
-    def _buffers(self, shape):
-        buffers = getattr(self._scratch, "buffers", None)
-        if buffers is None or buffers[0].shape[1:] != shape:
-            buffers = (np.empty((self.nnz,) + shape), np.empty((self.nnz,) + shape))
-            self._scratch.buffers = buffers
-        return buffers
-
-    def __call__(self, a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a.shape[:1] + b.shape[:1] != self.dims or a.shape[1:] != b.shape[1:]:
-            raise SuperKdVError(
-                f"operand shapes {a.shape} and {b.shape} do not fit a product "
-                f"of {self.dims[0]} by {self.dims[1]} channels with equal trailing axes")
-        shape = a.shape[1:]
-        left, right = self._buffers(shape)
-        a.take(self.i, axis=0, out=left, mode="clip")
-        b.take(self.j, axis=0, out=right, mode="clip")
-        left *= right
-        out = self.fold @ left.reshape(self.nnz, math.prod(shape))
-        return out.reshape((self.out_dim,) + shape)
+def _apply(table, dims, a, b):
+    """The product of table on operands a and b of dims channels, as a
+    fresh (out_dim,) + shape array."""
+    i, j, fold = table
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[:1] + b.shape[:1] != dims or a.shape[1:] != b.shape[1:]:
+        raise SuperKdVError(
+            f"operand shapes {a.shape} and {b.shape} do not fit a product "
+            f"of {dims[0]} by {dims[1]} channels with equal trailing axes")
+    shape = a.shape[1:]
+    out = fold @ (a[i] * b[j]).reshape(len(i), math.prod(shape))
+    return out.reshape((len(fold),) + shape)
 
 
 def _grassmann_products(n):
@@ -224,33 +199,35 @@ class Algebra:
     Arguments are plain coordinate arrays (leading axis = channel).  The
     graded elements below, values here and fields in fields.py, check
     their operands and then call these methods; compiled code reads the
-    tables through gather_fold instead.  Every result is a fresh array.
-    The products gather into scratch buffers kept per thread, so threads
-    may share the one Algebra that get_algebra returns per descriptor.
+    tables through gather_fold instead.  Each table is built once, as a
+    read-only (i, j, fold) triple of arrays, and every product returns a
+    fresh array, so threads may share the one Algebra that get_algebra
+    returns per descriptor.
     """
 
     def __init__(self, descriptor):
         self.descriptor = descriptor
-        E, O = descriptor.even_dim, descriptor.odd_dim
+        E, O = self._dims = descriptor.even_dim, descriptor.odd_dim
         if descriptor.kind == "scalar":
-            ee, eo, oo = [(0, 0, 0, 1)], [], None
-            half = []
+            ee, eo, half = [(0, 0, 0, 1)], [], []
         elif descriptor.kind == "symplectic":
             n = descriptor.generators
             ee = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]  # nil*nil = 0 omitted
             eo = [(0, j, j, 1) for j in range(O)]  # nil annihilates Q
             half = [(i, n + i, 1, 1.0) for i in range(n)]
-            oo = None
         else:
-            ee, eo, oo = _grassmann_products(descriptor.generators)
-            half = oo  # [a,b] = ab - ba evaluated literally below
-        self._ee = _BilinearMap(ee, E, E, E)
-        self._eo = _BilinearMap(eo, E, O, O)
+            ee, eo, half = _grassmann_products(descriptor.generators)
         # one orientation only; the commutator is half(a,b) - half(b,a), which
         # makes antisymmetry bitwise exact instead of roundoff-exact
-        self._half = _BilinearMap(half, O, O, E)
-        self._oo = self._half if oo is not None else None  # grassmann: half is oo
-        self._gather_folds = {}
+        self._half = i, j, fold = _table(half, E)
+        self._tables = {"even_mul": _table(ee, E), "mixed_mul": _table(eo, O),
+                        "odd_commutator": (np.concatenate((i, j)), np.concatenate((j, i)),
+                                           np.hstack((fold, -fold)))}
+        if descriptor.kind == "grassmann":
+            self._tables["odd_mul"] = self._half  # the half of [a,b] = ab - ba is ab
+        for table in (self._half, *self._tables.values()):
+            for array in table:
+                array.flags.writeable = False
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -258,46 +235,32 @@ class Algebra:
         return u
 
     def even_mul(self, a, b):
-        return self._ee(a, b)
+        E, _ = self._dims
+        return _apply(self._tables["even_mul"], (E, E), a, b)
 
     def mixed_mul(self, a, q):
-        return self._eo(a, q)
+        return _apply(self._tables["mixed_mul"], self._dims, a, q)
 
     def odd_commutator(self, q1, q2):
-        out = self._half(q1, q2)
-        out -= self._half(q2, q1)
+        _, O = self._dims
+        out = _apply(self._half, (O, O), q1, q2)
+        out -= _apply(self._half, (O, O), q2, q1)
         return out
 
     def odd_mul(self, q1, q2):
-        return self._odd_map()(q1, q2)
-
-    def _odd_map(self):
-        if self._oo is None:
-            raise GradingError(
-                f"the {self.descriptor.kind} backend has no odd*odd product; "
-                "only the commutator is part of the interface")
-        return self._oo
+        _, O = self._dims
+        return _apply(self.gather_fold("odd_mul"), (O, O), q1, q2)
 
     def gather_fold(self, product):
         """(i, j, fold) of the named product method, whose value is fold @
-        (a[i] * b[j]), for code that compiles its products itself.  Made
-        once per product and read-only.  The odd_commutator's holds both
-        halves, half(a, b) - half(b, a), so it equals the method's value up
-        to the order of summation."""
-        arrays = self._gather_folds.get(product)
-        if arrays is None:  # threads racing here only build equal arrays twice
-            if product == "odd_commutator":
-                half = self._half
-                arrays = (np.concatenate((half.i, half.j)), np.concatenate((half.j, half.i)),
-                          np.hstack((half.fold, -half.fold)))
-            else:
-                table = (self._odd_map() if product == "odd_mul"
-                         else {"even_mul": self._ee, "mixed_mul": self._eo}[product])
-                arrays = (table.i, table.j, table.fold)
-            for array in arrays:
-                array.flags.writeable = False
-            self._gather_folds[product] = arrays
-        return arrays
+        (a[i] * b[j]), for code that compiles its products itself; read-only.
+        The odd_commutator's holds both halves, half(a, b) - half(b, a), so
+        it equals the method's value up to the order of summation."""
+        if product == "odd_mul" and product not in self._tables:
+            raise GradingError(
+                f"the {self.descriptor.kind} backend has no odd*odd product; "
+                "only the commutator is part of the interface")
+        return self._tables[product]
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
-                     SuperKdVError)
+                     SuperKdVError, whole_number)
 from .fields import EvenField, OddField
 from .symbolic import _live_terms, _Program, nonlinear_terms
 
@@ -301,8 +301,10 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     and NumericalBlowup (carrying the last finite state) when the fields
     stop being finite.
     """
-    if dt <= 0:
-        raise SuperKdVError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise SuperKdVError(f"dt must be positive and finite, got {dt!r}")
+    steps = whole_number("steps", steps)
+    record_every = whole_number("record_every", record_every)
     if steps < 1:
         raise SuperKdVError("steps must be >= 1")
     if record_every < 1:

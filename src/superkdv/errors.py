@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check
+that raises one."""
 
 
 class SuperKdVError(Exception):
@@ -41,3 +42,15 @@ class ExpressionSyntaxError(SuperKdVError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def whole_number(name, value):
+    """value as an int when it is a whole number, an int or an integral
+    float such as 3.0; otherwise a SuperKdVError naming the setting."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise SuperKdVError(f"{name} must be a whole number, got {value!r}")
+    return int(value)

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .algebra import EvenValue, OddValue, _Graded, _OddGraded
-from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError
+from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError, whole_number
 
 
 class PeriodicGrid:
@@ -26,7 +26,7 @@ class PeriodicGrid:
 
     def __init__(self, L, N):
         L = float(L)
-        N = int(N)
+        N = whole_number("grid size", N)
         if not 0 < L < np.inf:
             raise SuperKdVError(f"grid length must be positive and finite, got {L}")
         if N < 16 or N & (N - 1):

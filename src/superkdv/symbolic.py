@@ -2,10 +2,11 @@
 
 A monomial is a product of u-derivatives u^(k), bracket factors C(a, b)
 standing for [xi^(a), xi^(b)] with a > b, and at most one bare odd factor
-xi^(c); its coefficient is a polynomial in the coupling L with exact
-rational coefficients.  Bare products of two odd symbols are not
-representable: the graded interface only exposes odd pairs through the
-bracket, and the engine enforces the same restriction.
+xi^(c), times a power of the coupling L; its coefficient is an exact
+rational, and the same factors at different powers of L are different
+monomials.  Bare products of two odd symbols are not representable: the
+graded interface only exposes odd pairs through the bracket, and the
+engine enforces the same restriction.
 
 The normal form is unique: brackets are oriented (C(a, a) vanishes,
 C(a, b) with a < b flips sign), factor lists are sorted, equal monomials
@@ -39,49 +40,9 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, get_algebra
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
-                     NonFiniteFieldError, SuperKdVError)
+                     NonFiniteFieldError, SuperKdVError, whole_number)
 from .fields import (EvenField, OddField, PeriodicGrid, build_initial_condition,
                      quadrature)
-
-# ---------------------------------------------------------------------------
-# coefficient arithmetic: sparse polynomials in L over Fraction
-
-def _lp(c=1, power=0):
-    c = Fraction(c)
-    return {} if c == 0 else {power: c}
-
-
-def _lp_add(a, b):
-    out = dict(a)
-    for p, c in b.items():
-        s = out.get(p, Fraction(0)) + c
-        if s:
-            out[p] = s
-        else:
-            out.pop(p, None)
-    return out
-
-
-def _lp_mul(a, b):
-    out = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            p = pa + pb
-            s = out.get(p, Fraction(0)) + ca * cb
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-    return out
-
-
-def _lp_scale(a, c):
-    c = Fraction(c)
-    return {p: v * c for p, v in a.items()} if c else {}
-
-
-def _lp_eval_float(a, lam):
-    return sum(float(c) * lam ** p for p, c in a.items())
 
 
 def _orient_comm(a, b):
@@ -94,8 +55,8 @@ def _orient_comm(a, b):
 class DiffPolynomial:
     """Normal-form differential polynomial.
 
-    terms maps (even_factors, comm_factors, odd_factor) to a coefficient
-    polynomial in L; even_factors is a sorted tuple of derivative orders
+    terms maps (even_factors, comm_factors, odd_factor, L power) to a
+    nonzero Fraction; even_factors is a sorted tuple of derivative orders
     of u, comm_factors a sorted tuple of oriented (a, b) bracket pairs,
     odd_factor a derivative order of xi or None.
     """
@@ -103,11 +64,7 @@ class DiffPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, lp in terms.items():
-                if lp:
-                    self.terms[key] = dict(lp)
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -117,15 +74,15 @@ class DiffPolynomial:
 
     @staticmethod
     def constant(c, lam_power=0):
-        return DiffPolynomial({((), (), None): _lp(c, lam_power)})
+        return DiffPolynomial({((), (), None, lam_power): Fraction(c)})
 
     @staticmethod
     def u(order=0):
-        return DiffPolynomial({((order,), (), None): _lp(1)})
+        return DiffPolynomial({((order,), (), None, 0): Fraction(1)})
 
     @staticmethod
     def xi(order=0):
-        return DiffPolynomial({((), (), order): _lp(1)})
+        return DiffPolynomial({((), (), order, 0): Fraction(1)})
 
     @staticmethod
     def bracket(a, b):
@@ -133,7 +90,7 @@ class DiffPolynomial:
         if oriented is None:
             return DiffPolynomial()
         pair, sign = oriented
-        return DiffPolynomial({((), (pair,), None): _lp(sign)})
+        return DiffPolynomial({((), (pair,), None, 0): Fraction(sign)})
 
     # -- structure ---------------------------------------------------------
 
@@ -157,22 +114,21 @@ class DiffPolynomial:
 
     # -- ring operations ----------------------------------------------------
 
-    def _merged(self, key, lp):
-        cur = self.terms.get(key)
-        merged = _lp_add(cur, lp) if cur else dict(lp)
-        if merged:
-            self.terms[key] = merged
+    def _merged(self, key, c):
+        c += self.terms.get(key, 0)
+        if c:
+            self.terms[key] = c
         else:
             self.terms.pop(key, None)
 
     def __add__(self, other):
         out = DiffPolynomial(self.terms)
-        for key, lp in other.terms.items():
-            out._merged(key, lp)
+        for key, c in other.terms.items():
+            out._merged(key, c)
         return out
 
     def __neg__(self):
-        return DiffPolynomial({k: _lp_scale(lp, -1) for k, lp in self.terms.items()})
+        return DiffPolynomial({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,23 +137,22 @@ class DiffPolynomial:
         c = Fraction(c)
         if c == 0:
             return DiffPolynomial()
-        return DiffPolynomial({
-            (k[0], k[1], k[2]): {p + lam_power: v * c for p, v in lp.items()}
-            for k, lp in self.terms.items()})
+        return DiffPolynomial({(even, comms, odd, power + lam_power): v * c
+                               for (even, comms, odd, power), v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, DiffPolynomial):
             return self.scaled(other)
         out = DiffPolynomial()
-        for (e1, c1, o1), lp1 in self.terms.items():
-            for (e2, c2, o2), lp2 in other.terms.items():
+        for (e1, c1, o1, p1), v1 in self.terms.items():
+            for (e2, c2, o2, p2), v2 in other.terms.items():
                 if o1 is not None and o2 is not None:
                     raise GradingError(
                         "product of two odd terms; only the bracket "
                         "[xi^(a), xi^(b)] represents odd pairs")
                 key = (tuple(sorted(e1 + e2)), tuple(sorted(c1 + c2)),
-                       o1 if o1 is not None else o2)
-                out._merged(key, _lp_mul(lp1, lp2))
+                       o1 if o1 is not None else o2, p1 + p2)
+                out._merged(key, v1 * v2)
         return out
 
     __rmul__ = __mul__
@@ -207,10 +162,10 @@ class DiffPolynomial:
     def differentiate_total(self):
         """Total x-derivative by the Leibniz rule."""
         out = DiffPolynomial()
-        for (even, comms, odd), lp in self.terms.items():
+        for (even, comms, odd, power), c in self.terms.items():
             for i, k in enumerate(even):
                 bumped = tuple(sorted(even[:i] + (k + 1,) + even[i + 1:]))
-                out._merged((bumped, comms, odd), lp)
+                out._merged((bumped, comms, odd, power), c)
             for i, (a, b) in enumerate(comms):
                 rest = comms[:i] + comms[i + 1:]
                 for pair in ((a + 1, b), (a, b + 1)):
@@ -218,10 +173,10 @@ class DiffPolynomial:
                     if oriented is None:
                         continue
                     newpair, sign = oriented
-                    out._merged((even, tuple(sorted(rest + (newpair,))), odd),
-                                _lp_scale(lp, sign))
+                    out._merged((even, tuple(sorted(rest + (newpair,))), odd, power),
+                                c * sign)
             if odd is not None:
-                out._merged((even, comms, odd + 1), lp)
+                out._merged((even, comms, odd + 1, power), c)
         return out
 
     def __repr__(self):
@@ -234,14 +189,14 @@ def commutator(p, q):
     if not (p.is_odd() and q.is_odd()):
         raise GradingError("commutator needs two odd-graded polynomials")
     out = DiffPolynomial()
-    for (e1, c1, o1), lp1 in p.terms.items():
-        for (e2, c2, o2), lp2 in q.terms.items():
+    for (e1, c1, o1, p1), v1 in p.terms.items():
+        for (e2, c2, o2, p2), v2 in q.terms.items():
             oriented = _orient_comm(o1, o2)
             if oriented is None:
                 continue
             pair, sign = oriented
-            key = (tuple(sorted(e1 + e2)), tuple(sorted(c1 + c2 + (pair,))), None)
-            out._merged(key, _lp_scale(_lp_mul(lp1, lp2), sign))
+            key = (tuple(sorted(e1 + e2)), tuple(sorted(c1 + c2 + (pair,))), None, p1 + p2)
+            out._merged(key, v1 * v2 * sign)
     return out
 
 
@@ -443,8 +398,8 @@ def _fmt_symbol(name, order):
     return name if order == 0 else f"{name}^({order})"
 
 
-def _term_pieces(key, power_of_lam, coeff):
-    even, comms, odd = key
+def _term_pieces(key, coeff):
+    even, comms, odd, power_of_lam = key
     pieces = []
     if power_of_lam:
         pieces.append(_fmt_factor("L", power_of_lam))
@@ -468,15 +423,12 @@ def to_text(poly):
     """Canonical text form; parse(to_text(p)) == p."""
     if poly.is_zero():
         return "0"
-    entries = []
-    for key in sorted(poly.terms,
-                      key=lambda k: (k[2] is not None, k[0], k[1],
-                                     -1 if k[2] is None else k[2])):
-        for power in sorted(poly.terms[key]):
-            entries.append((key, power, poly.terms[key][power]))
+    keys = sorted(poly.terms, key=lambda k: (k[2] is not None, k[0], k[1],
+                                             -1 if k[2] is None else k[2], k[3]))
     parts = []
-    for i, (key, power, coeff) in enumerate(entries):
-        text = _term_pieces(key, power, coeff)
+    for i, key in enumerate(keys):
+        coeff = poly.terms[key]
+        text = _term_pieces(key, coeff)
         if i == 0:
             parts.append(text if coeff > 0 else f"-{text}")
         else:
@@ -492,19 +444,28 @@ def _live_terms(poly, lam, has_odd, weight=1.0):
     vanish at coupling lam on fields with or without odd channels; the
     factors are the even orders and bracket pairs, the coefficient is
     evaluated at lam and scaled by weight."""
+    sums = {}
+    for (even, comms, odd, power), c in poly.terms.items():
+        if has_odd or not (comms or odd is not None):
+            key = (even + comms, odd)
+            sums[key] = sums.get(key, 0) + float(c) * lam ** power
     live = []
-    for (even, comms, odd), lp in poly.terms.items():
-        if not has_odd and (comms or odd is not None):
-            continue
-        coeff = weight * _lp_eval_float(lp, lam)
+    for (factors, odd), total in sums.items():
+        coeff = weight * total
         if coeff != 0.0:
-            live.append((even + comms, odd, coeff))
+            live.append((factors, odd, coeff))
     return live
 
 
 def _op_step(stack, left_rows, right_rows, fold, left, right, out):
     """Gather the operands' rows of one product table from the stack,
-    multiply them and fold them onto the output channels."""
+    multiply them and fold them onto the output channels.
+
+    The gathers use the take method with mode="clip": the default mode
+    buffers the output, which would allocate the very array the gather
+    buffers replace, and np.take adds a dispatch layer that costs more
+    than gathering a few rows.  Clipping never alters an index: every row
+    index is offset from a node of the stack."""
     stack.take(left_rows, axis=0, out=left, mode="clip")
     stack.take(right_rows, axis=0, out=right, mode="clip")
     left *= right
@@ -809,7 +770,10 @@ def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None)
     integral magnitudes).  Both default backends annihilate products of
     two brackets on four independent arguments, so densities differing
     only in that sector need a wider backend (pass e.g. grassmann:4).
+    At least one trial is required, as no trial confirms nothing.
     """
+    if whole_number("trials", trials) < 1:
+        raise SuperKdVError(f"trials must be at least 1, got {trials}")
     if not (p.is_even() and q.is_even()):
         raise GradingError("densities must be even-graded")
     diff = p - q
@@ -817,8 +781,12 @@ def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None)
         return EquivalenceVerdict(True, 0, tol)
     if backends is None:
         backends = MC_BACKENDS
-    # one output per term: the scale needs each term's own integral
-    terms = [DiffPolynomial({key: lp}) for key, lp in diff.terms.items()]
+    # one output per product of factors, its powers of L together: the
+    # scale needs each product's own integral
+    products = {}
+    for key, c in diff.terms.items():
+        products.setdefault(key[:3], {})[key] = c
+    terms = [DiffPolynomial(group) for group in products.values()]
     for i, (trial_seed, backend, lam) in enumerate(_trial_draws(seed, trials, backends)):
         values = _trial_values(terms, trial_seed, backend, lam)
         scale = 1.0 + sum(quadrature(value).norm() for value in values)
@@ -920,8 +888,8 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
     re-verified with equal_mod_total_derivative; all odd orders must
     vanish.  Returns a CoefficientTable.
     """
-    if max_order % 2 or max_order > 6:
-        raise SuperKdVError("max_order must be even and at most 6")
+    if max_order < 0 or max_order % 2 or max_order > 6:
+        raise SuperKdVError(f"max_order must be even, nonnegative and at most 6, got {max_order}")
     coeffs = gardner_coefficients(max_order)
     zero = DiffPolynomial.zero()
     odd_ok = True
@@ -1027,15 +995,15 @@ def evolutionary_derivative(poly):
     # dropping one factor from a sorted key leaves it sorted, so each rest
     # is already a normal-form monomial
     out = DiffPolynomial()
-    for (even, comms, odd), lp in poly.terms.items():
+    for (even, comms, odd, power), c in poly.terms.items():
         for i, k in enumerate(even):
-            rest = DiffPolynomial({(even[:i] + even[i + 1:], comms, odd): lp})
+            rest = DiffPolynomial({(even[:i] + even[i + 1:], comms, odd, power): c})
             out = out + rest * ut(k)
         for i, (a, b) in enumerate(comms):
-            rest = DiffPolynomial({(even, comms[:i] + comms[i + 1:], odd): lp})
+            rest = DiffPolynomial({(even, comms[:i] + comms[i + 1:], odd, power): c})
             slot = commutator(xit(a), DiffPolynomial.xi(b)) \
                 + commutator(DiffPolynomial.xi(a), xit(b))
             out = out + rest * slot
         if odd is not None:
-            out = out + DiffPolynomial({(even, comms, None): lp}) * xit(odd)
+            out = out + DiffPolynomial({(even, comms, None, power): c}) * xit(odd)
     return out

@@ -5,6 +5,8 @@ multiplies monomials as sorted index tuples and counts transpositions by
 actual insertion, sharing no code with the bitmask implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +231,11 @@ def test_descriptor_roundtrip_and_dims():
         AlgebraDescriptor.from_string("grassmann:x")
     with pytest.raises(SuperKdVError):
         AlgebraDescriptor("symplectic", 0)
+    for generators in (2.5, float("nan"), "3"):  # 2.5 was truncated to 2
+        with pytest.raises(SuperKdVError, match="whole number"):
+            AlgebraDescriptor("grassmann", generators)
+    d = AlgebraDescriptor("grassmann", 3.0)  # an integral float is a whole number
+    assert d == AlgebraDescriptor("grassmann", 3) and str(d) == "grassmann:3"
 
 
 def test_validate_algebra_pass_and_fail():
@@ -308,7 +315,6 @@ def test_products_match_per_triple_oracle(text):
     tables = oracle_tables(d)
     E, O = d.even_dim, d.odd_dim
     rng = np.random.default_rng(5)
-    # single values and grids interleaved, so the scratch buffers are re-made
     for shape in [(), (17,), (), (4, 5), (17,), (3,)]:
         a, b = rng.uniform(-1, 1, (2, E) + shape)
         q, p = rng.uniform(-1, 1, (2, O) + shape)
@@ -323,6 +329,15 @@ def test_products_match_per_triple_oracle(text):
             assert got.shape == want.shape
             # summation order differs from the oracle's: roundoff only
             assert np.allclose(got, want, rtol=0.0, atol=1e-13), (text, shape)
+        # each method is its gather_fold table applied, bit for bit
+        methods = [("even_mul", a, b), ("mixed_mul", a, q)]
+        if d.kind == "grassmann":
+            methods.append(("odd_mul", q, p))
+        for name, x, y in methods:
+            i, j, fold = alg.gather_fold(name)
+            gathered = (x[i] * y[j]).reshape(len(i), math.prod(shape))
+            want = (fold @ gathered).reshape((len(fold),) + shape)
+            assert np.array_equal(getattr(alg, name)(x, y), want), (text, name, shape)
 
 
 def test_product_results_do_not_alias():
@@ -339,26 +354,6 @@ def test_product_results_do_not_alias():
     comm = alg.odd_commutator(a, c)
     assert np.array_equal(comm, alg.odd_commutator(a, c))
     assert not np.shares_memory(comm, alg.odd_commutator(a, c))
-
-
-def test_repeated_product_allocates_only_its_result():
-    import tracemalloc
-
-    d = AlgebraDescriptor("grassmann", 6)
-    alg = get_algebra(d)
-    N = 256
-    rng = np.random.default_rng(7)
-    a, b = rng.uniform(-1, 1, (2, d.even_dim, N))
-    gather_bytes = len(oracle_tables(d)["ee"]) * N * 8
-    alg.even_mul(a, b)  # first call makes this thread's scratch buffers
-    tracemalloc.start()
-    try:
-        for _ in range(10):
-            alg.even_mul(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < gather_bytes, (peak, gather_bytes)
 
 
 def test_concurrent_products_match_serial_results():

@@ -331,6 +331,21 @@ def test_integrate_argument_validation():
             SystemState("gardner", st.even, st.odd, **bad)
     with pytest.raises(SuperKdVError):
         nonlinear_rhs("breather", st.even, st.odd, 0.0)
+    # each of these was run, or failed with a bare TypeError, before the check
+    for dt in (float("nan"), float("inf")):
+        for force in (False, True):
+            with pytest.raises(SuperKdVError, match="finite") as info:
+                integrate(st, dt=dt, steps=5, force=force)
+            assert not isinstance(info.value, (NumericalBlowup, StabilityError))
+    with pytest.raises(SuperKdVError, match="steps must be a whole number"):
+        integrate(st, dt=1e-4, steps=2.5)
+    with pytest.raises(SuperKdVError, match="record_every must be a whole number"):
+        integrate(st, dt=1e-4, steps=5, record_every=1.5)
+    # integral floats are whole numbers, and run as their ints
+    traj = integrate(st, dt=1e-4, steps=4.0, record_every=2.0)
+    want = integrate(st, dt=1e-4, steps=4, record_every=2)
+    assert [s.time for s in traj.states] == [s.time for s in want.states]
+    assert np.array_equal(traj.final.even.data, want.final.even.data)
 
 
 @pytest.mark.parametrize("dealias", [True, False])

@@ -25,8 +25,13 @@ def test_grid_validation():
         PeriodicGrid(10.0, 48)  # not a power of two
     with pytest.raises(SuperKdVError):
         PeriodicGrid(10.0, 8)  # too small
+    for N in (16.9, float("nan"), float("inf"), "16"):  # was truncated or crashed
+        with pytest.raises(SuperKdVError, match="whole number"):
+            PeriodicGrid(40.0, N)
     g = PeriodicGrid(10.0, 64)
     assert g.dx * g.N == pytest.approx(g.L)
+    g = PeriodicGrid(40.0, 16.0)  # an integral float is a whole number
+    assert g.N == 16 and type(g.N) is int
 
 
 def test_sin_derivative_bandlimited_exact():

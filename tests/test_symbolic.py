@@ -65,8 +65,8 @@ def test_power_versus_derivative_syntax():
 
 def test_rational_literals_exact():
     poly = parse("1/3*u - 2/7")
-    assert poly.terms[((0,), (), None)] == {0: Fraction(1, 3)}
-    assert poly.terms[((), (), None)] == {0: Fraction(-2, 7)}
+    assert poly.terms == {((0,), (), None, 0): Fraction(1, 3),
+                          ((), (), None, 0): Fraction(-2, 7)}
 
 
 def test_grammar_level_total_derivative():
@@ -190,6 +190,9 @@ EVEN_CASES = {
     "2 + u'' - 3*L*[xi',xi]":
         lambda u, xi, lam: (2.0 * unit_field(u) + u.derivative(2)
                             - (3.0 * lam) * xi.derivative().commutator(xi)),
+    # one monomial at several powers of L
+    "u*[xi',xi] + 2*L*u*[xi',xi] - L^2*u*[xi',xi]":
+        lambda u, xi, lam: (1.0 + 2.0 * lam - lam * lam) * (u * xi.derivative().commutator(xi)),
 }
 
 ODD_CASES = {
@@ -316,6 +319,14 @@ def test_equivalence_rejects_odd_input():
         equal_mod_total_derivative(parse("xi'"), DiffPolynomial.zero())
 
 
+def test_equivalence_needs_a_trial():
+    # no trial confirms nothing: u is not a total derivative
+    for trials in (0, -1, 1.5):
+        with pytest.raises(SuperKdVError, match="trials"):
+            equal_mod_total_derivative(parse("u"), parse("0"), trials=trials)
+    assert not equal_mod_total_derivative(parse("u"), parse("0"), trials=1)
+
+
 # -- deformation coefficients ---------------------------------------------------
 
 def test_gardner_coefficient_leading_orders():
@@ -405,6 +416,9 @@ def test_reproduction_rejects_odd_or_large_order():
         reproduce_conserved_quantities(max_order=5)
     with pytest.raises(SuperKdVError):
         reproduce_conserved_quantities(max_order=10)
+    # a negative order gave an empty table that passed
+    with pytest.raises(SuperKdVError, match="nonnegative"):
+        reproduce_conserved_quantities(max_order=-2)
     # H_8 is not tabulated, so order 8 must be refused before any trial runs
     with pytest.raises(SuperKdVError, match="at most 6"):
         reproduce_conserved_quantities(max_order=8)

@@ -234,7 +234,7 @@ def test_inverse_series_compiles_one_mixed_op_per_odd_order():
     terms = tuple(enumerate(gardner_coefficients(8)))
     program = _series_program(terms, PeriodicGrid(20.0, 256),
                               AlgebraDescriptor.from_string("grassmann:3"), 1.3, 0.1)
-    odd_orders = {odd for _, (_, image) in terms for (even, comms, odd) in image.terms
+    odd_orders = {odd for _, (_, image) in terms for (even, comms, odd, _) in image.terms
                   if odd is not None and even + comms}
     assert len([op for op in program.ops if op[0] == "mixed_mul"]) == len(odd_orders)
     assert program.stack.shape == (364, 256)
