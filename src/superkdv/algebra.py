@@ -8,6 +8,11 @@ part.  The evolution systems only ever use three products:
                                             so one product suffices)
     odd_commutator:  [odd, odd]  -> even   (antisymmetric)
 
+On every backend T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric
+over the odd basis.  Algebra.bracket_product_alternates proves that
+exactly from the integer structure constants, and the compiler relies on
+it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
+
 Three backends realize the interface:
 
   scalar        plain reals, no odd part.
@@ -33,7 +38,7 @@ broadcast, and a mismatch raises SuperKdVError.
 """
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +172,54 @@ def _apply(table, dims, a, b):
     return out.reshape((len(fold),) + shape)
 
 
+def _integer_triples(table):
+    """(i, j, k, s) of every basis triple of a table as integer arrays, or
+    None unless each fold column holds exactly one integer s."""
+    i, j, fold = table
+    t, k = np.nonzero(fold.T)
+    if not np.array_equal(t, np.arange(len(i))):
+        return None
+    s = fold[k, t]
+    exact = s.astype(np.int64)
+    if not np.array_equal(exact, s):
+        return None
+    return i.astype(np.int64), j.astype(np.int64), k.astype(np.int64), exact
+
+
+def _alternates(commutator, mixed, odd_dim):
+    """Whether T(a, b, c) = [q_a, q_b] q_c changes sign under each swap of
+    two neighbouring odd arguments, which makes it totally antisymmetric:
+    an exact proof from the (i, j, fold) tables of the commutator and of
+    mixed_mul.  The sparse join pairs each commutator triple (a, b, k, s)
+    with each mixed triple (k, c, m, t) of the same even channel k, giving
+    s t to the m-th channel of T(a, b, c); every sum runs in int64."""
+    first, second = _integer_triples(commutator), _integer_triples(mixed)
+    if first is None or second is None:
+        return False
+    a, b, k, s = first
+    e, c, m, t = second
+    order = np.argsort(e, kind="stable")
+    e, c, m, t = e[order], c[order], m[order], t[order]
+    lo, hi = np.searchsorted(e, k, "left"), np.searchsorted(e, k, "right")
+    counts = hi - lo
+    if not counts.any():
+        return True  # T vanishes: no commutator reaches a channel mixed_mul reads
+    left = np.repeat(np.arange(len(k)), counts)
+    right = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    a, b, c, m = a[left], b[left], c[right], m[right]
+    value = s[left] * t[right]
+    for x, y, z in ((a, b, c), (b, c, a)):
+        # T(x, y, z) + T(y, x, z) = 0: sum each entry into the key of its
+        # unordered pair {x, y}, so an entry with x = y must itself be zero
+        keys = ((np.minimum(x, y) * odd_dim + np.maximum(x, y)) * odd_dim + z) * odd_dim + m
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        if np.add.reduceat(value[order], starts).any():
+            return False
+    return True
+
+
 def _grassmann_products(n):
     """COO triples of the full exterior product, split by operand grading."""
     masks = list(range(2 ** n))
@@ -228,6 +281,15 @@ class Algebra:
         for table in (self._half, *self._tables.values()):
             for array in table:
                 array.flags.writeable = False
+
+    @cached_property
+    def bracket_product_alternates(self):
+        """Whether T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric over
+        the odd basis, proven exactly from the tables gather_fold returns;
+        computed on first use.  Then [q1, q2] q3 vanishes whenever two of
+        the odd elements are equal."""
+        return _alternates(self._tables["odd_commutator"], self._tables["mixed_mul"],
+                           self.descriptor.odd_dim)
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -460,9 +522,12 @@ _VALIDATION_TRIALS = 20
 def validate_algebra(descriptor):
     """Check the algebra axioms on random samples and exhaustive basis pairs.
 
-    Returns a ValidationReport listing any violated axiom.  Nondegeneracy
-    ([q, qhat] != 0 for some qhat) is checked on the generating set of Q;
-    grassmann:1 fails it ([t1, t1] = 0 is the only candidate).
+    Returns a ValidationReport listing any violated axiom.  The identity
+    the compiler relies on, T(a, b, c) = [q_a, q_b] q_c totally
+    antisymmetric, is an exact pass or fail
+    (Algebra.bracket_product_alternates).  Nondegeneracy ([q, qhat] != 0
+    for some qhat) is checked on the generating set of Q; grassmann:1
+    fails it ([t1, t1] = 0 is the only candidate).
     """
     alg = get_algebra(descriptor)
     report = ValidationReport(descriptor)
@@ -505,6 +570,8 @@ def validate_algebra(descriptor):
         q = rand_odd()
         worst = max(worst, value_norm(alg.odd_commutator(q, q)))
         report.record("odd_commutator antisymmetric", worst == 0.0, f"max dev {worst:.2e}")
+        report.record("[q1, q2] q3 totally antisymmetric", alg.bracket_product_alternates,
+                      "exact, over all odd basis triples")
 
         if descriptor.kind == "grassmann":
             worst = 0.0

@@ -274,9 +274,11 @@ def _check_miura(args):
     return verdict, summary
 
 
-def _gardner_deviations(z, sigma, epsilons, lam):
+def _gardner_deviations(z, sigma, epsilons, lam, reached):
     """Deviation of the gardner flow of (z, sigma) at each eps from the
-    extended flow of the same data, which is integrated once for them all."""
+    extended flow of the same data after 300 steps of 1e-3, the extended
+    flow integrated once for them all.  reached maps an eps to its gardner
+    even field at that step where a longer run has recorded it already."""
     dt, steps = 1e-3, 300
 
     def final_even(kind, eps=0.0):
@@ -284,7 +286,8 @@ def _gardner_deviations(z, sigma, epsilons, lam):
                          dt, steps, scheme="ifrk4", record_every=steps).final.even
 
     extended = final_even("extended")
-    return [(final_even("gardner", eps) - extended).norm() for eps in epsilons]
+    return [((reached[eps] if eps in reached else final_even("gardner", eps))
+             - extended).norm() for eps in epsilons]
 
 
 def _check_gardner(args):
@@ -298,7 +301,8 @@ def _check_gardner(args):
     residuals["mapped flow residual"] = res
     ok = ok and res <= 1e-5
 
-    dev1, dev2 = _gardner_deviations(z, sigma, (eps, eps / 2), lam)
+    # the run above recorded step 300 as record 60
+    dev1, dev2 = _gardner_deviations(z, sigma, (eps, eps / 2), lam, {eps: traj[60].even})
     ratio = dev1 / dev2 if dev2 else float("inf")
     residuals["flux deviation ratio under eps halving"] = ratio
     ok = ok and _band(ratio, 3.4, 4.6)

@@ -19,9 +19,13 @@ products: _SpectralRHS is a symbolic._Program, the one evaluator of
 polynomials, whose straight-line steps run over one preallocated stack of
 sample rows.  Each flux or source part is built by the program's one rule
 into its rows: its terms grouped by the factor multiplied last, one
-gather-multiply-fold op per group over one product table (the modified
-odd source is (3 v^2 + L [eta', eta]) eta' + (3 v v' + 1/2 L [eta'', eta])
-eta, two ops), after one op per distinct product inside the groups.
+gather-multiply-fold op per group over one product table, after one op per
+distinct product inside the groups.  A term [eta^(a), eta^(b)] eta^(c) with
+c equal to a or b is zero on a backend that proves [q1, q2] q3 totally
+antisymmetric, and is not compiled there: the modified odd source's
+terms in L [eta, eta'] eta' and L [eta, eta''] eta, and the gardner odd
+source's in L [sigma', sigma] sigma'.  So the modified odd source is
+3 v^2 eta' + 3 v v' eta, two ops, and no stage samples eta''.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
@@ -96,15 +100,15 @@ class _SpectralRHS(_Program):
     spectrum of D(flux) + source, masked by the 2/3 rule when dealias is set.
 
     Everything static is made here, once: the terms that do not vanish at
-    lam and eps with their float coefficients, the derivative orders they
-    read, the rows some live flux or source writes into, and the program
-    (symbolic._Program) that builds each live flux and source into its
-    rows over one preallocated stack of sample rows.  The stack holds,
-    from the top, the samples `physical` makes (one stacked irfft of [y;
-    (ik)^a y_even for each u-order a; (ik)^b y_odd for each xi-order b]),
-    the evaluated [flux; source] rows, and one block per product, group
-    and combined operand.  A call runs the program and makes one stacked
-    rfft of the [flux; source] rows.
+    lam and eps or on the backend (symbolic._live_terms) with their float
+    coefficients, the derivative orders they read, the rows some live flux
+    or source writes into, and the program (symbolic._Program) that builds
+    each live flux and source into its rows over one preallocated stack of
+    sample rows.  The stack holds, from the top, the samples `physical`
+    makes (one stacked irfft of [y; (ik)^a y_even for each u-order a;
+    (ik)^b y_odd for each xi-order b]), the evaluated [flux; source] rows,
+    and one block per product, group and combined operand.  A call runs
+    the program and makes one stacked rfft of the [flux; source] rows.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -118,7 +122,7 @@ class _SpectralRHS(_Program):
         for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
             for parts, polys in ((flux, fluxes), (source, () if skdv else sources)):
                 for live, poly in zip(parts, polys):
-                    live += _live_terms(poly, lam, bool(n_odd), eps ** power)
+                    live += _live_terms(poly, lam, desc, eps ** power)
         # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
         # bracket-only grammar cannot write
         pair = skdv and lam != 0.0

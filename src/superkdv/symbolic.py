@@ -33,6 +33,7 @@ the trial count and the backends' ability to distinguish monomials (see
 equal_mod_total_derivative for the one known blind sector).
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -439,16 +440,30 @@ def to_text(poly):
 # ---------------------------------------------------------------------------
 # numeric instantiation: polynomials compiled into product programs
 
-def _live_terms(poly, lam, has_odd, weight=1.0):
+def _live_terms(poly, lam, descriptor, weight=1.0):
     """(factors, odd order, coefficient) of each term of poly that does not
-    vanish at coupling lam on fields with or without odd channels; the
-    factors are the even orders and bracket pairs, the coefficient is
-    evaluated at lam and scaled by weight."""
+    vanish at coupling lam on the backend; the factors are the even orders
+    and bracket pairs, the coefficient is evaluated at lam and scaled by
+    weight.
+
+    Two kinds of term vanish on a backend whatever the fields: every term
+    with an odd symbol when it has no odd channels, and [xi^(a), xi^(b)]
+    xi^(c) with c equal to a or b when its Algebra proves that [q1, q2] q3
+    is totally antisymmetric (bracket_product_alternates), as then the
+    value is a sum of T(a', b', c') x_a' y_b' x_c' that cancels in pairs.
+    A term with further factors is kept, as is a term in a polynomial
+    compiled on a backend without that proof."""
+    algebra = get_algebra(descriptor)
+    has_odd = bool(descriptor.odd_dim)
     sums = {}
     for (even, comms, odd, power), c in poly.terms.items():
-        if has_odd or not (comms or odd is not None):
-            key = (even + comms, odd)
-            sums[key] = sums.get(key, 0) + float(c) * lam ** power
+        if not has_odd and (comms or odd is not None):
+            continue
+        if (not even and len(comms) == 1 and odd in comms[0]
+                and algebra.bracket_product_alternates):
+            continue
+        key = (even + comms, odd)
+        sums[key] = sums.get(key, 0) + float(c) * lam ** power
     live = []
     for (factors, odd), total in sums.items():
         coeff = weight * total
@@ -500,18 +515,22 @@ class _Program:
     nodes, multiplies them and folds them onto the output channels; a sum
     adds coefficient times node over its terms.
 
-    Every polynomial is built by one rule, `_poly`.  Its live terms are
-    grouped by the factor they are multiplied by last: a mixed term by its
-    odd factor, an even term by its first factor, a lone bracket alone.
-    Each group is one op.  A group of one term scales its fold by the
-    coefficient; a group of several multiplies one combined operand, the
-    sum of coefficient times the product of the other factors.  Those
-    products are made prefix by prefix, one op per distinct prefix, shared
-    by every polynomial of the program; the empty product is a unit block.
-    The first op writes into the polynomial's rows and one sum adds the
-    other ops and the constant and linear terms (the unit, a u^(k) or a
-    bare xi^(c)).  Each fold is one product table's own, so no matmul is
-    wider, or more dependent on the BLAS thread count, than a product.
+    Every polynomial is built by one rule, `_poly`, from its live terms
+    (`_live_terms`: the terms that vanish on the backend are not compiled,
+    so no op is built for them).  They are grouped by the factor they are
+    multiplied by last: a mixed term by its odd factor, an even term by
+    its first factor, a lone bracket alone.  Each group is one op.  A
+    group of one term scales its fold by the coefficient; a group of
+    several multiplies one combined operand, the sum of coefficient times
+    the product of the other factors.  Those products are made prefix by
+    prefix, one op per distinct prefix, shared by every polynomial of the
+    program; the empty product is a unit block.  A lone bracket that some
+    term of the program multiplies by a further factor is that shared
+    product, not an op of its own.  The first op writes into the
+    polynomial's rows and one sum adds the other ops and the constant and
+    linear terms (the unit, a u^(k), a bare xi^(c) or a shared bracket).
+    Each fold is one product table's own, so no matmul is wider, or more
+    dependent on the BLAS thread count, than a product.
     """
 
     def __init__(self, grid, descriptor, terms, xi_orders=()):
@@ -537,6 +556,11 @@ class _Program:
                 top += of.stop - of.start
         self.height = self.top = top  # top: the first row no block holds yet
         self._products = {}
+        # the brackets some term multiplies by a further factor, which
+        # become products of the program; a lone bracket term reads those
+        self._multiplied = {f for factors, odd, _ in terms
+                            if len(factors) > 1 or odd is not None
+                            for f in factors if isinstance(f, tuple)}
         self.unit = None
         self.ops = []
         self.steps = []  # (step function, arguments) in build order, bound by link
@@ -551,7 +575,7 @@ class _Program:
             gradings = poly.gradings()
             if gradings == {False, True}:
                 raise GradingError("cannot instantiate a mixed-grading polynomial")
-            lives.append(_live_terms(poly, lam, bool(descriptor.odd_dim)))
+            lives.append(_live_terms(poly, lam, descriptor))
             fields.append(OddField if gradings == {True} else EvenField)
         program = cls(grid, descriptor, [term for live in lives for term in live])
         for live, field in zip(lives, fields):
@@ -632,9 +656,10 @@ class _Program:
                 key, rest = ("mixed_mul", odd), factors
             elif len(factors) > 1:
                 key, rest = ("even_mul", factors[0]), factors[1:]
-            elif factors and isinstance(factors[0], tuple):
+            elif (factors and isinstance(factors[0], tuple)
+                  and factors[0] not in self._multiplied):
                 key, rest = ("odd_commutator", factors[0]), ()
-            else:  # the unit, a u^(k) or a bare xi^(c)
+            else:  # the unit, a u^(k), a bare xi^(c) or a bracket product
                 linear.append((self.xi_rows[odd] if odd is not None
                                else self._product(factors), coeff))
                 continue
@@ -770,17 +795,23 @@ def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None)
     integral magnitudes).  Both default backends annihilate products of
     two brackets on four independent arguments, so densities differing
     only in that sector need a wider backend (pass e.g. grassmann:4).
-    At least one trial is required, as no trial confirms nothing.
+    At least one trial, one backend and a finite nonnegative tol are
+    required: no trial confirms nothing, and a NaN or infinite tol would
+    confirm everything.
     """
     if whole_number("trials", trials) < 1:
         raise SuperKdVError(f"trials must be at least 1, got {trials}")
+    if not 0.0 <= tol < math.inf:
+        raise SuperKdVError(f"tol must be finite and nonnegative, got {tol!r}")
+    if backends is None:
+        backends = MC_BACKENDS
+    if not backends:
+        raise SuperKdVError("at least one backend is needed for the trials")
     if not (p.is_even() and q.is_even()):
         raise GradingError("densities must be even-graded")
     diff = p - q
     if diff.is_zero():
         return EquivalenceVerdict(True, 0, tol)
-    if backends is None:
-        backends = MC_BACKENDS
     # one output per product of factors, its powers of L together: the
     # scale needs each product's own integral
     products = {}

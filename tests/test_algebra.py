@@ -251,6 +251,41 @@ def test_validate_algebra_pass_and_fail():
     assert d["passed"] is False and d["descriptor"] == "grassmann:1"
 
 
+@pytest.mark.parametrize("text", ["scalar", "symplectic:1", "symplectic:2", "symplectic:3"]
+                         + [f"grassmann:{n}" for n in range(1, 7)])
+def test_bracket_product_alternates_exactly(text):
+    # T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric on every backend
+    # (vacuously on scalar), and validate_algebra reports the exact verdict
+    descriptor = AlgebraDescriptor.from_string(text)
+    assert Algebra(descriptor).bracket_product_alternates is True
+    if descriptor.odd_dim:
+        (check,) = [c for c in validate_algebra(descriptor).checks
+                    if c["name"] == "[q1, q2] q3 totally antisymmetric"]
+        assert check["passed"] and check["detail"].startswith("exact")
+
+
+def test_bracket_product_proof_fails_on_altered_tables():
+    # one mixed_mul sign flipped in a channel that commutators reach (not
+    # the unit's) breaks the identity, and a fold entry that is not an
+    # integer proves nothing
+    algebra = Algebra(AlgebraDescriptor.from_string("grassmann:3"))
+    i, j, fold = algebra.gather_fold("mixed_mul")
+    flipped, halved = fold.copy(), 0.5 * fold
+    flipped[:, np.flatnonzero(i)[0]] *= -1.0
+    for altered in (flipped, halved):
+        copy = Algebra(algebra.descriptor)
+        copy._tables = dict(algebra._tables, mixed_mul=(i, j, altered))
+        assert copy.bracket_product_alternates is False
+
+
+def test_bracket_product_proof_is_made_on_first_use():
+    # building an Algebra, as the set-up of every run does, proves nothing
+    algebra = Algebra(AlgebraDescriptor.from_string("grassmann:6"))
+    assert "bracket_product_alternates" not in vars(algebra)
+    assert algebra.bracket_product_alternates
+    assert "bracket_product_alternates" in vars(algebra)
+
+
 def test_validate_algebra_runtime_under_one_second():
     import time
     t0 = time.perf_counter()

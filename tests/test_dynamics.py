@@ -582,15 +582,20 @@ def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
     # so groups shrink to one term and parts vanish
     for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
 def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps, dealias):
-    st, nonlinear = _stage(kind, desc_str, dealias, lam, eps)
+    _assert_stage_matches_handwritten(*_stage(kind, desc_str, dealias, lam, eps))
+
+
+def _assert_stage_matches_handwritten(st, nonlinear):
+    """The flux and source rows of a stage run on st's data agree with the
+    hand-written terms at its own samples."""
     grid, desc, n_even = st.grid, st.descriptor, st.descriptor.even_dim
     samples = nonlinear.head
     u = EvenField(grid, desc, samples[:n_even])
     xi = OddField(grid, desc, samples[n_even:nonlinear.n_rows])
     reference = {"modified": reference_modified, "gardner": reference_gardner}.get(
-        kind, reference_extended)
+        st.kind, reference_extended)
     (flux_even, flux_odd), (source_even, source_odd) = reference(u, xi, st.lam, st.epsilon)
-    if kind == "skdv_grassmann":
+    if st.kind == "skdv_grassmann":
         # its bracket term is -6 L xi xi'', a plain odd product
         source_even = EvenField(grid, desc, -6.0 * st.lam * get_algebra(desc).odd_mul(
             xi.data, xi.derivative(2).data))
@@ -629,24 +634,64 @@ def test_evaluations_make_no_algebra_product(kind, desc_str, monkeypatch):
 
 @pytest.mark.parametrize("kind,desc_str,ops", [
     ("extended", "scalar", 1), ("extended", "grassmann:3", 3),
-    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 7),
-    ("gardner", "symplectic:1", 8)])
+    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 6),
+    ("gardner", "symplectic:1", 7)])
 def test_stage_op_count(kind, desc_str, ops):
-    # modified: v v, v v', [eta', eta], [eta'', eta], then one op per group:
-    # v (2 v^2 + 3 L [eta', eta]), (3 v^2 + L [eta', eta]) eta' and
-    # (3 v v' + 1/2 L [eta'', eta]) eta
+    # modified: v v, v v', [eta', eta], then one op per group:
+    # v (2 v^2 + 3 L [eta', eta]), 3 v^2 eta' and 3 v v' eta.  Its
+    # L [eta', eta] eta' and 1/2 L [eta'', eta] eta vanish, as the backend
+    # proves [q1, q2] q3 alternating, so [eta'', eta] is not made (7 ops
+    # with the free form).
+    # gardner: u u, [xi', xi], u (3 u + e^2 (2 u^2 + 3 L [xi', xi])),
+    # u xi, u u', 3 e^2 u^2 xi' (its 3 e^2 L [xi', xi] xi' vanishes) and
+    # 3 e^2 u u' xi; the lone 3 L [xi', xi] of the even flux reads the
+    # bracket the group multiplies, where it took an op of its own (8)
     _, nonlinear = _stage(kind, desc_str, dealias=True)
     assert len(nonlinear.ops) == ops
 
 
+def test_stage_without_the_proof_compiles_the_free_form(monkeypatch):
+    # on a backend whose tables did not prove [q1, q2] q3 alternating,
+    # every term of the modified odd source is compiled, [eta'', eta] and
+    # its group op included, and the values still match the hand-written
+    # terms, which evaluate them all
+    monkeypatch.setattr(Algebra, "bracket_product_alternates", property(lambda self: False))
+    st, nonlinear = _stage("modified", "grassmann:3", dealias=True)
+    assert len(nonlinear.ops) == 7
+    _assert_stage_matches_handwritten(st, nonlinear)
+
+
 @pytest.mark.parametrize("kind,desc_str,rows", [
-    ("modified", "grassmann:6", 1641), ("modified", "grassmann:3", 59)])
+    ("modified", "grassmann:6", 1277), ("modified", "grassmann:3", 47)])
 def test_stage_gathered_rows(kind, desc_str, rows):
-    # grassmann:6: v v and v v' (183 rows each), [eta', eta] and [eta'', eta]
-    # (364 each), the flux v (...) (183) and the odd source's two groups
-    # (182 each)
+    # grassmann:6: v v and v v' (183 rows each), [eta', eta] (364), the
+    # flux v (...) (183) and the odd source's two groups (182 each).
+    # grassmann:3: 7 + 7 + 12 + 7 + 7 + 7.  The free form also makes
+    # [eta'', eta], one commutator table more: 1641 and 59.
     _, nonlinear = _stage(kind, desc_str, dealias=True)
     assert sum(len(left) for _, left, *_ in nonlinear.ops) == rows
+
+
+def test_densities_make_each_bracket_once():
+    # H2's L [xi', xi] and H4's L [xi'', xi'] read the brackets that H4's
+    # 4 L u [xi', xi] and H6's -2 L u [xi'', xi'] multiply; only H6's lone
+    # L [xi''', xi''] is an op of its own: 4 commutator ops, not 6
+    program = _Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
+                               PeriodicGrid(20.0, 64), AlgebraDescriptor.from_string("grassmann:3"),
+                               1.3)
+    brackets = [(tuple(left), tuple(right)) for product, left, right, *_ in program.ops
+                if product == "odd_commutator"]
+    assert len(brackets) == len(set(brackets)) == 4
+
+
+def test_recorded_step_equals_the_final_state_of_a_shorter_run():
+    # check gardner reads the deviation at step 300 from its 500-step run
+    st = random_state("gardner", "symplectic:1", 1.0, N=64, L=20.0, eps=0.1)
+    longer = integrate(st, 1e-3, 50, scheme="ifrk4", record_every=5)
+    shorter = integrate(st, 1e-3, 30, scheme="ifrk4", record_every=30).final
+    assert longer[6].time == shorter.time
+    assert np.array_equal(longer[6].even.data, shorter.even.data)
+    assert np.array_equal(longer[6].odd.data, shorter.odd.data)
 
 
 @pytest.mark.parametrize("desc_str", ["grassmann:6", "symplectic:2"])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superkdv.algebra import AlgebraDescriptor
+from superkdv.algebra import Algebra, AlgebraDescriptor
 from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                              NonFiniteFieldError, SuperKdVError)
 from superkdv.fields import EvenField, OddField, PeriodicGrid, build_initial_condition, quadrature
 from superkdv.invariants import conserved_quantities, hamiltonian_density
 from superkdv.symbolic import (
     CoefficientTable,
+    _live_terms,
     _Program,
     DiffPolynomial,
     commutator,
@@ -289,6 +290,39 @@ def test_distinct_argument_bracket_product_needs_wide_backend():
     assert not verdict.equal
 
 
+# a bracket times one of its own arguments: zero on every backend, as
+# [q1, q2] q3 is totally antisymmetric
+VANISHING = ("[xi',xi]*xi'", "[xi',xi]*xi", "[xi'',xi]*xi", "[xi'',xi]*xi''",
+             "L*[xi'',xi']*xi' - 1/2*[xi,xi'']*xi")
+
+
+@pytest.mark.parametrize("backend", ["grassmann:3", "grassmann:4", "grassmann:6",
+                                     "symplectic:2"])
+def test_bracket_times_its_argument_compiles_to_exact_zeros(backend, monkeypatch):
+    u, xi = random_fields(backend, seed=3)
+    scale = max(xi.derivative(k).norm() for k in range(3)) ** 3
+    for text in VANISHING:
+        assert _live_terms(parse(text), 1.3, u.descriptor) == []
+        assert not instantiate(parse(text), u, xi, 1.3).data.any()
+    # the kept term has a third argument; symplectic annihilates it too
+    kept = instantiate(parse("[xi',xi]*xi''"), u, xi, 1.3).norm()
+    assert kept > 1e-3 * scale if backend.startswith("grassmann") else kept == 0.0
+    # the free form, as a backend without the proof compiles it, is
+    # roundoff of the field scale
+    monkeypatch.setattr(Algebra, "bracket_product_alternates", property(lambda self: False))
+    for text in VANISHING:
+        assert _live_terms(parse(text), 1.3, u.descriptor)
+        assert instantiate(parse(text), u, xi, 1.3).norm() <= 1e-15 * scale
+
+
+def test_bracket_times_its_argument_kept_beside_further_factors():
+    # with an even factor beside the bracket, the product is only zero
+    # given mixed associativity, which no exact proof covers: it is kept
+    u, xi = random_fields("grassmann:3", seed=3)
+    assert len(_live_terms(parse("u*[xi',xi]*xi'"), 1.0, u.descriptor)) == 1
+    assert len(_live_terms(parse("[xi',xi]*[xi'',xi]*xi"), 1.0, u.descriptor)) == 1
+
+
 # -- equality modulo total derivatives -----------------------------------------
 
 def test_equivalence_accepts_total_derivative_shift():
@@ -320,10 +354,17 @@ def test_equivalence_rejects_odd_input():
 
 
 def test_equivalence_needs_a_trial():
-    # no trial confirms nothing: u is not a total derivative
+    # no trial confirms nothing: u is not a total derivative.  A NaN or
+    # infinite tol would confirm it, a negative one refute everything, and
+    # no backend leaves nothing to draw a trial from.
     for trials in (0, -1, 1.5):
         with pytest.raises(SuperKdVError, match="trials"):
             equal_mod_total_derivative(parse("u"), parse("0"), trials=trials)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(SuperKdVError, match="tol"):
+            equal_mod_total_derivative(parse("u"), parse("0"), tol=tol)
+    with pytest.raises(SuperKdVError, match="backend"):
+        equal_mod_total_derivative(parse("u"), parse("0"), backends=())
     assert not equal_mod_total_derivative(parse("u"), parse("0"), trials=1)
 
 

@@ -1,6 +1,9 @@
 """Source hygiene checks that need no linter, only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superkdv"
@@ -30,3 +33,19 @@ def test_modules_import_only_what_they_use():
     assert {"algebra.py", "symbolic.py", "cli.py"} <= {p.name for p in modules}
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_import_builds_no_table_and_parses_no_text():
+    # the set-up every run pays starts with this import: no algebra table,
+    # proof or parsed formula may be made on the way
+    probe = ("import superkdv, superkdv.cli\n"
+             "from superkdv import algebra, symbolic\n"
+             "caches = [algebra._cached_algebra, symbolic.nonlinear_terms,\n"
+             "          symbolic.density_poly, symbolic.map_terms,\n"
+             "          symbolic.gardner_coefficients]\n"
+             "print([cache.cache_info().currsize for cache in caches])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0]"

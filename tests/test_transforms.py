@@ -230,11 +230,14 @@ def test_to_extended_passthrough_keeps_fields():
 def test_inverse_series_compiles_one_mixed_op_per_odd_order():
     # the odd image's terms with a bare odd factor are grouped by it: one
     # mixed_mul op per odd order, multiplying one combined operand.  With a
-    # block per term the stack held 792 rows.
+    # block per term the stack held 792 rows.  The 9 lone brackets of the
+    # even image that other terms multiply read those products, where each
+    # took an op and a block of 4 rows: 62 ops and 364 rows.
     terms = tuple(enumerate(gardner_coefficients(8)))
     program = _series_program(terms, PeriodicGrid(20.0, 256),
                               AlgebraDescriptor.from_string("grassmann:3"), 1.3, 0.1)
     odd_orders = {odd for _, (_, image) in terms for (even, comms, odd, _) in image.terms
                   if odd is not None and even + comms}
     assert len([op for op in program.ops if op[0] == "mixed_mul"]) == len(odd_orders)
-    assert program.stack.shape == (364, 256)
+    assert program.stack.shape == (328, 256)
+    assert len(program.ops) == 53
