@@ -147,14 +147,21 @@ class AlgebraDescriptor:
                             "expected scalar, grassmann:N or symplectic:n")
 
 
-def _table(triples, out_dim):
+def _coo(triples):
+    """(i, j, k, s) of the basis triples as arrays: integer indices and
+    the signs s as given."""
+    coo = np.array(triples, dtype=float).reshape(-1, 4)
+    i, j, k = coo[:, :3].T.astype(np.intp)
+    return i, j, k, coo[:, 3].copy()
+
+
+def _table(coo, out_dim):
     """(i, j, fold) of the product out[k] = sum of s*a[i]*b[j] over the
     basis triples (i, j, k, s), whose value is fold @ (a[i] * b[j]) with
     the signed fold matrix fold[k_t, t] = s_t."""
-    i = np.array([t[0] for t in triples], dtype=np.intp)
-    j = np.array([t[1] for t in triples], dtype=np.intp)
-    fold = np.zeros((out_dim, len(triples)))
-    fold[[t[2] for t in triples], np.arange(len(triples))] = [t[3] for t in triples]
+    i, j, k, s = coo
+    fold = np.zeros((out_dim, len(i)))
+    fold[k, np.arange(len(i))] = s
     return i, j, fold
 
 
@@ -172,27 +179,22 @@ def _apply(table, dims, a, b):
     return out.reshape((len(fold),) + shape)
 
 
-def _integer_triples(table):
-    """(i, j, k, s) of every basis triple of a table as integer arrays, or
-    None unless each fold column holds exactly one integer s."""
-    i, j, fold = table
-    t, k = np.nonzero(fold.T)
-    if not np.array_equal(t, np.arange(len(i))):
+def _integer_triples(coo):
+    """(i, j, k, s) of basis triples as int64 arrays, or None unless every
+    s is an integer."""
+    exact = coo[3].astype(np.int64)
+    if not np.array_equal(exact, coo[3]):
         return None
-    s = fold[k, t]
-    exact = s.astype(np.int64)
-    if not np.array_equal(exact, s):
-        return None
-    return i.astype(np.int64), j.astype(np.int64), k.astype(np.int64), exact
+    return (*(index.astype(np.int64) for index in coo[:3]), exact)
 
 
 def _alternates(commutator, mixed, odd_dim):
     """Whether T(a, b, c) = [q_a, q_b] q_c changes sign under each swap of
     two neighbouring odd arguments, which makes it totally antisymmetric:
-    an exact proof from the (i, j, fold) tables of the commutator and of
-    mixed_mul.  The sparse join pairs each commutator triple (a, b, k, s)
-    with each mixed triple (k, c, m, t) of the same even channel k, giving
-    s t to the m-th channel of T(a, b, c); every sum runs in int64."""
+    an exact proof from the (i, j, k, s) basis triples of the commutator
+    and of mixed_mul.  The sparse join pairs each commutator triple (a, b,
+    k, s) with each mixed triple (k, c, m, t) of the same even channel k,
+    giving s t to the m-th channel of T(a, b, c); every sum runs in int64."""
     first, second = _integer_triples(commutator), _integer_triples(mixed)
     if first is None or second is None:
         return False
@@ -272,8 +274,10 @@ class Algebra:
             ee, eo, half = _grassmann_products(descriptor.generators)
         # one orientation only; the commutator is half(a,b) - half(b,a), which
         # makes antisymmetry bitwise exact instead of roundoff-exact
+        half = _coo(half)
+        mixed = _coo(eo)
         self._half = i, j, fold = _table(half, E)
-        self._tables = {"even_mul": _table(ee, E), "mixed_mul": _table(eo, O),
+        self._tables = {"even_mul": _table(_coo(ee), E), "mixed_mul": _table(mixed, O),
                         "odd_commutator": (np.concatenate((i, j)), np.concatenate((j, i)),
                                            np.hstack((fold, -fold)))}
         if descriptor.kind == "grassmann":
@@ -281,14 +285,20 @@ class Algebra:
         for table in (self._half, *self._tables.values()):
             for array in table:
                 array.flags.writeable = False
+        # the basis triples of the commutator and of mixed_mul, which the
+        # proof of bracket_product_alternates reads
+        i, j, k, s = half
+        self._triples = {"odd_commutator": (np.concatenate((i, j)), np.concatenate((j, i)),
+                                            np.concatenate((k, k)), np.concatenate((s, -s))),
+                         "mixed_mul": mixed}
 
     @cached_property
     def bracket_product_alternates(self):
         """Whether T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric over
-        the odd basis, proven exactly from the tables gather_fold returns;
-        computed on first use.  Then [q1, q2] q3 vanishes whenever two of
-        the odd elements are equal."""
-        return _alternates(self._tables["odd_commutator"], self._tables["mixed_mul"],
+        the odd basis, proven exactly from the basis triples of the tables
+        gather_fold returns; computed on first use.  Then [q1, q2] q3
+        vanishes whenever two of the odd elements are equal."""
+        return _alternates(self._triples["odd_commutator"], self._triples["mixed_mul"],
                            self.descriptor.odd_dim)
 
     def unit(self):

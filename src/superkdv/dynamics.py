@@ -12,15 +12,16 @@ The terms are evaluated between spectra, one stacked transform each way
 (_SpectralRHS).  One irfft gives the fields and the derivatives the terms
 read, taken spectrally as (ik)^a times the field's coefficients; the flux
 and source rows are evaluated on those samples; one rfft of [flux;
-source] gives ik F + S, to which the 2/3-rule mask (Orszag) applies.  The
-terms that survive at the run's coupling, their coefficients, derivative
-orders and rows are fixed once per integrate call, and so are their
-products: _SpectralRHS is a symbolic._Program, the one evaluator of
-polynomials, whose straight-line steps run over one preallocated stack of
-sample rows.  Each flux or source part is built by the program's one rule
-into its rows: its terms grouped by the factor multiplied last, one
-gather-multiply-fold op per group over one product table, after one op per
-distinct product inside the groups.  A term [eta^(a), eta^(b)] eta^(c) with
+source], times one precomputed weight, gives ik F + S with the 2/3-rule
+mask (Orszag) applied.  The terms that survive at the run's coupling,
+their coefficients, derivative orders and rows, and the weight are fixed
+once per integrate call, and so are the terms' products: _SpectralRHS is
+a symbolic._Program, the one evaluator of polynomials, whose
+straight-line steps run over one preallocated stack of sample rows.
+Each flux or source part is built by the program's one rule into its
+rows: its terms grouped by the factor multiplied last, one
+gather-multiply-fold op per group over one product table, after one op
+per distinct product inside the groups.  A term [eta^(a), eta^(b)] eta^(c) with
 c equal to a or b is zero on a backend that proves [q1, q2] q3 totally
 antisymmetric, and is not compiled there: the modified odd source's
 terms in L [eta, eta'] eta' and L [eta, eta''] eta, and the gardner odd
@@ -106,9 +107,15 @@ class _SpectralRHS(_Program):
     each live flux and source into its rows over one preallocated stack of
     sample rows.  The stack holds, from the top, the samples `physical`
     makes (one stacked irfft of [y; (ik)^a y_even for each u-order a;
-    (ik)^b y_odd for each xi-order b]), the evaluated [flux; source] rows,
-    and one block per product, group and combined operand.  A call runs
-    the program and makes one stacked rfft of the [flux; source] rows.
+    (ik)^b y_odd for each xi-order b], written into the head), the
+    evaluated [flux; source] rows, and one block per product, group and
+    combined operand.  A call runs the program and makes one stacked rfft
+    of the [flux; source] rows into a buffer made once, which one
+    precomputed (rows, modes) weight turns into [ik F; S], masked; k takes
+    the flux and source rows of that.  Where [flux; source] is exactly
+    [even; odd], as for modified, the rfft is written into k itself and
+    weighted there.  Given its k, a call makes no spectrum or sample
+    array; only the finite check builds its mask.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -151,37 +158,51 @@ class _SpectralRHS(_Program):
             self._poly(live, values + start, stop - start, extra)
         self.link()
         self.values = self.stack[values:values + n_values]
-        self.ik = grid.derivative_symbol(1)
         self.cut = grid.dealias_keep + 1 if dealias else None
+        # ik on the flux rows, 1 on the source rows, and the 2/3 mask on both
+        self.weight = np.ones((n_values, grid.N // 2 + 1), complex)
+        self.weight[:self.n_flux] = grid.derivative_symbol(1)
+        if dealias:
+            self.weight[:, self.cut:] = 0.0
+        # the spectrum of [flux; source] is made in its own buffer unless
+        # those rows are exactly [even; odd], when the weighted one is k
+        rows = [*range(self.flux_rows.start, self.flux_rows.stop),
+                *range(self.source_rows.start, self.source_rows.stop)]
+        self.spec = None if rows == list(range(n_rows)) else np.empty_like(self.weight)
 
     def physical(self, spec):
         """Samples of the fields and of the derivatives the terms read,
         made into the head of the stack, which is returned.  They stay
         valid until the next call."""
-        spectra = spec
+        spectra = spec[:, None]  # the batch axis of the one trial
         if self.spectra is not None:
             spectra = self.spectra
-            spectra[:self.n_rows] = spec
-            self._derive(spec)
-        self.head[...] = np.fft.irfft(spectra, n=self.grid.N, axis=-1)
+            spectra[:self.n_rows] = spec[:, None]
+            self._derive(spectra)
+        np.fft.irfft(spectra, n=self.grid.N, axis=-1, out=self.samples)
         return self.head
 
-    def __call__(self):
-        """ik F + S, masked, from the samples the last `physical` call made."""
+    def __call__(self, out=None):
+        """ik F + S, masked, from the samples the last `physical` call made,
+        written into out (a fresh array when out is None), which is
+        returned."""
         self.run()
         if not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
-        spec = np.fft.rfft(self.values, axis=-1)
+        if self.spec is None:
+            k = np.fft.rfft(self.values, axis=-1, out=out)
+            k *= self.weight
+            return k
+        spec = np.fft.rfft(self.values, axis=-1, out=self.spec)
+        spec *= self.weight
         n_flux, n_rows = self.n_flux, self.n_rows
-        spec[:n_flux] *= self.ik
+        k = np.empty((n_rows, spec.shape[-1]), complex) if out is None else out
         if n_flux == n_rows:
-            k = spec[:n_rows]
+            k[...] = spec[:n_rows]
         else:
-            k = np.zeros((n_rows, spec.shape[-1]), complex)
+            k[...] = 0.0
             k[self.flux_rows] = spec[:n_flux]
         k[self.source_rows] += spec[n_flux:]
-        if self.cut is not None:
-            k[:, self.cut:] = 0.0
         return k
 
 
@@ -300,7 +321,10 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     """Advance `state` by `steps` fixed steps of size `dt`.
 
     Returns a Trajectory holding the initial state, every record_every-th
-    step, and the final step.  callback(state) runs after every step.
+    step, and the final step.  callback(state) runs after every step.  The
+    spectra of the state, the stages and the four k's live in buffers made
+    once per call, so a step makes no spectrum or sample array beyond the
+    states it records.
     Raises StabilityError when dt exceeds the guard (unless force=True)
     and NumericalBlowup (carrying the last finite state) when the fields
     stop being finite.
@@ -332,13 +356,12 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         e_half, linear = 1.0, dispersion
     e_full = e_half * e_half
 
-    def rhs(spec):
+    def rhs(spec, k):
         # at spec, whose samples the last nonlinear.physical call made
-        k = nonlinear()
+        nonlinear(k)
         if linear is not None:
             np.multiply(linear, spec, out=tmp)
             k += tmp
-        return k
 
     def at(phys, time):
         # the state whose samples are phys; copies, so that recorded states
@@ -365,10 +388,11 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     records = [first]
 
     # The stages and the step are formed in place, in three buffers and in
-    # the k arrays, with the operands of each product and the terms of each
-    # sum in the order of the formulas noted beside them.  Each step writes
-    # the new spectrum into `previous` and swaps the two.
+    # the four k buffers, with the operands of each product and the terms of
+    # each sum in the order of the formulas noted beside them.  Each step
+    # writes the new spectrum into `previous` and swaps the two.
     stage, tmp, previous = np.empty_like(spec), np.empty_like(spec), np.empty_like(spec)
+    k1, k2, k3, k4 = np.empty((4,) + spec.shape, complex)
     half, sixth = 0.5 * dt, dt / 6.0
 
     # overflow on the way to a detected blow-up is reported as an
@@ -376,26 +400,26 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
             try:
-                k1 = rhs(spec)
+                rhs(spec, k1)
                 # stage = e_half * (spec + half * k1)
                 np.multiply(half, k1, out=stage)
                 np.add(spec, stage, out=stage)
                 np.multiply(e_half, stage, out=stage)
                 nonlinear.physical(stage)
-                k2 = rhs(stage)
+                rhs(stage, k2)
                 # stage = e_half * spec + half * k2
                 np.multiply(e_half, spec, out=stage)
                 np.multiply(half, k2, out=tmp)
                 stage += tmp
                 nonlinear.physical(stage)
-                k3 = rhs(stage)
+                rhs(stage, k3)
                 # k3 = e_half * k3; stage = e_full * spec + dt * k3
                 np.multiply(e_half, k3, out=k3)
                 np.multiply(e_full, spec, out=stage)
                 np.multiply(dt, k3, out=tmp)
                 stage += tmp
                 nonlinear.physical(stage)
-                k4 = rhs(stage)
+                rhs(stage, k4)
             except NonFiniteFieldError:
                 raise blowup("during", spec, step)
             # spec = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)

@@ -46,9 +46,10 @@ class ExpressionSyntaxError(SuperKdVError):
 
 def whole_number(name, value):
     """value as an int when it is a whole number, an int or an integral
-    float such as 3.0; otherwise a SuperKdVError naming the setting."""
+    float such as 3.0; otherwise, a bool included, a SuperKdVError naming
+    the setting."""
     try:
-        whole = int(value) == value
+        whole = not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:

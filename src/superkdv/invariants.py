@@ -27,8 +27,15 @@ H_LABELS = ("H0", "H2", "H4", "H6")
 DRIFT_FLOOR = 1e-12
 
 
+def _label_tuple(labels):
+    """The labels as a tuple, a bare string being one label."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
 def conserved_densities(u, xi, lam, which=H_LABELS):
-    """Map label -> EvenField whose quadrature is the conserved quantity."""
+    """Map label -> EvenField whose quadrature is the conserved quantity;
+    which is a label or a collection of them."""
+    which = _label_tuple(which)
     bad = [w for w in which if w not in H_LABELS]
     if bad:
         raise SuperKdVError(f"unknown conserved quantities {bad}; have {H_LABELS}")
@@ -103,9 +110,10 @@ class ConservedReport:
 
 def tracked_labels(kind, quantities=None):
     """The labels drift_report evaluates for a system, checked before any
-    work: int h ("H") for modified, a choice of H_LABELS otherwise."""
+    work: int h ("H") for modified, a choice of H_LABELS otherwise, given
+    as one label or a collection of them."""
     have = ("H",) if kind == "modified" else H_LABELS
-    labels = have if quantities is None else tuple(quantities)
+    labels = have if quantities is None else _label_tuple(quantities)
     if not labels or not set(labels) <= set(have):
         raise SuperKdVError(f"cannot track {list(labels)} for the {kind} system; "
                             f"choose from {list(have)}")

@@ -22,15 +22,23 @@ One engine, _Program, evaluates polynomials on fields (u, xi): compiled
 once per call site at one backend and coupling by one rule into
 straight-line product ops, one per group of terms sharing their last
 factor, it runs them on samples it checks finite, the derivatives taken
-with one stacked transform each way.  Every numeric evaluation of
-the package, the evolution right-hand sides included, runs on it.
+with one stacked transform each way.  A program may run a batch of
+trials side by side along the trailing axis of its rows; no fold sees
+that axis.  Every numeric evaluation of the package, the evolution
+right-hand sides included, runs on it.
 
 Equality modulo total derivatives is decided by randomized instantiation:
 both sides are evaluated on random band-limited fields over two different
 algebra backends with random couplings, and their quadratures compared.
-That test is sound for refutation; for confirmation it is as reliable as
-the trial count and the backends' ability to distinguish monomials (see
-equal_mod_total_derivative for the one known blind sector).
+A decision compiles its polynomials once per backend it draws, at L = 1
+with one output per power of L, and runs that backend's trials side by
+side, at most MC_WIDTH at a time; each trial's coupling enters as
+lam^power on the quadratures, and the trials are read in draw order, so
+the first refuting one is the witness.  reproduce_conserved_quantities
+reads its fit from the same path.  That test is sound for refutation; for
+confirmation it is as reliable as the trial count and the backends'
+ability to distinguish monomials (see equal_mod_total_derivative for the
+one known blind sector).
 """
 
 import math
@@ -39,11 +47,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, get_algebra
+from .algebra import AlgebraDescriptor, get_algebra, value_norm
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                      NonFiniteFieldError, SuperKdVError, whole_number)
-from .fields import (EvenField, OddField, PeriodicGrid, build_initial_condition,
-                     quadrature)
+from .fields import (EvenField, OddField, PeriodicGrid, RandomBandlimitedIC,
+                     build_initial_condition)
 
 
 def _orient_comm(a, b):
@@ -531,6 +539,11 @@ class _Program:
     linear terms (the unit, a u^(k), a bare xi^(c) or a shared bracket).
     Each fold is one product table's own, so no matmul is wider, or more
     dependent on the BLAS thread count, than a product.
+
+    `link(width)` lays width trials side by side: every block has width * N
+    columns, trial t's samples in columns t N to (t + 1) N, and `samples`
+    views the head as (rows, width, N) for the stacked transforms.  The
+    trials share each op, whose fold acts on the rows only.
     """
 
     def __init__(self, grid, descriptor, terms, xi_orders=()):
@@ -567,9 +580,10 @@ class _Program:
         self.outputs = []  # (field type, node, height) of each compiled polynomial
 
     @classmethod
-    def compile(cls, polys, grid, descriptor, lam):
-        """The polynomials compiled at one grid, backend and coupling; a
-        mixed-grading polynomial raises GradingError."""
+    def compile(cls, polys, grid, descriptor, lam, width=1):
+        """The polynomials compiled at one grid, backend and coupling, for
+        batches of width trials side by side; a mixed-grading polynomial
+        raises GradingError."""
         lives, fields = [], []
         for poly in polys:
             gradings = poly.gradings()
@@ -583,30 +597,41 @@ class _Program:
             node = program._block(height)
             program._poly(live, node, height)
             program.outputs.append((field, node, height))
-        program.link()
+        program.link(width)
         return program
 
     def __call__(self, u, xi):
-        """Each polynomial's value at the fields (u, xi), as a fresh field.
-
-        The fields are the order-0 samples; the derivatives come from one
-        stacked rfft of them and one stacked irfft.  Non-finite samples
-        raise NonFiniteFieldError."""
+        """Each polynomial's value at the fields (u, xi), as a fresh field,
+        from a program of batch width 1."""
         u._require_compatible(xi)
         if u.grid != self.grid or u.descriptor != self.algebra.descriptor:
             raise DescriptorMismatch(f"fields over {u.descriptor} on {u.grid} given to "
                                      f"a program for {self.algebra.descriptor} on {self.grid}")
-        head, n_even, n_rows = self.head, self.xi_rows[0], self.n_rows
-        head[:n_even] = u.data
-        head[n_even:n_rows] = xi.data
-        if not np.isfinite(head[:n_rows]).all():
-            raise NonFiniteFieldError("non-finite samples in the fields")
-        if self.derivatives:
-            self._derive(np.fft.rfft(head[:n_rows], axis=-1))
-            head[n_rows:] = np.fft.irfft(self.spectra[n_rows:], n=self.grid.N, axis=-1)
-        self.run()
+        n_even = self.xi_rows[0]
+        self.head[:n_even] = u.data
+        self.head[n_even:self.n_rows] = xi.data
+        self.evaluate()
         return [field(self.grid, u.descriptor, self.stack[node:node + height].copy())
                 for field, node, height in self.outputs]
+
+    def evaluate(self):
+        """Run the program on the samples [u; xi] in the head of the stack.
+
+        The derivatives come from one stacked rfft of them and one stacked
+        irfft, each trial of the batch along its own axis.  Non-finite
+        samples raise NonFiniteFieldError."""
+        n_rows = self.n_rows
+        if not np.isfinite(self.head[:n_rows]).all():
+            raise NonFiniteFieldError("non-finite samples in the fields")
+        if self.derivatives:
+            self._derive(np.fft.rfft(self.samples[:n_rows], axis=-1))
+            np.fft.irfft(self.spectra[n_rows:], n=self.grid.N, axis=-1,
+                         out=self.samples[n_rows:])
+        self.run()
+
+    def batch(self, node, height):
+        """The rows at node as (height, width, N): each trial's samples."""
+        return self.stack[node:node + height].reshape(height, self.width, self.grid.N)
 
     def _block(self, height):
         node, self.top = self.top, self.top + height
@@ -688,20 +713,21 @@ class _Program:
         if linear:
             self._sum(node, height, linear, onto=bool(pieces))
 
-    def link(self):
-        """Allocate the stack and the gather buffers, and bind every step
-        to its rows."""
-        N = self.grid.N
-        stack = self.stack = np.zeros((self.top, N))
+    def link(self, width=1):
+        """Allocate the stack and the gather buffers for batches of width
+        trials, and bind every step to its rows."""
+        N, self.width = self.grid.N, width
+        stack = self.stack = np.zeros((self.top, width * N))
         if self.unit is not None:
             stack[self.unit] = 1.0
         self.head = stack[:self.height]
-        self.spectra = (np.empty((self.height, N // 2 + 1), complex)
+        self.samples = self.batch(0, self.height)
+        self.spectra = (np.empty((self.height, width, N // 2 + 1), complex)
                         if self.derivatives else None)
         widest = max((len(left) for _, left, *_ in self.ops), default=0)
-        self.buffers = (np.empty((widest, N)), np.empty((widest, N)))
+        self.buffers = (np.empty((widest, width * N)), np.empty((widest, width * N)))
         descriptor = self.algebra.descriptor
-        scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), N))
+        scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), width * N))
 
         def rows(node, height):
             return stack[node:node + height]
@@ -746,6 +772,7 @@ def instantiate(poly, u, xi, lam):
 MC_BACKENDS = ("grassmann:3", "symplectic:2")
 MC_GRID = (2 * np.pi, 64)
 MC_MAX_MODE = 3
+MC_WIDTH = 32  # the most trials of one backend a program runs side by side
 
 
 class EquivalenceVerdict:
@@ -766,24 +793,90 @@ class EquivalenceVerdict:
         return f"different (witness {self.witness})"
 
 
+def _mc_settings(trials, tol, seed, backends):
+    """(trials, tol, seed, backends) of a Monte Carlo decision, checked
+    before any trial; a bad setting raises SuperKdVError naming it."""
+    trials, seed = whole_number("trials", trials), whole_number("seed", seed)
+    if trials < 1:
+        raise SuperKdVError(f"trials must be at least 1, got {trials}")
+    if not 0.0 <= tol < math.inf:
+        raise SuperKdVError(f"tol must be finite and nonnegative, got {tol!r}")
+    if seed < 0:
+        raise SuperKdVError(f"seed must be nonnegative, got {seed}")
+    if backends is None:
+        backends = MC_BACKENDS
+    if isinstance(backends, str):
+        raise SuperKdVError(f"backends must be a sequence of descriptors, "
+                            f"not the string {backends!r}")
+    backends = tuple(backends)
+    if not backends:
+        raise SuperKdVError("at least one backend is needed for the trials")
+    for backend in backends:
+        AlgebraDescriptor.from_string(backend)
+    return trials, tol, seed, backends
+
+
 def _trial_draws(seed, trials, backends):
     """(trial seed, backend, coupling in [-2, 2]) of each randomized trial."""
     root = np.random.default_rng(seed)
+    draws = []
     for trial_seed in root.integers(0, 2 ** 62, size=trials):
         rng = np.random.default_rng(trial_seed)
-        yield (int(trial_seed), backends[int(rng.integers(len(backends)))],
-               float(rng.uniform(-2.0, 2.0)))
+        draws.append((int(trial_seed), backends[int(rng.integers(len(backends)))],
+                      float(rng.uniform(-2.0, 2.0))))
+    return draws
 
 
-def _trial_values(polys, trial_seed, backend, lam):
-    """Values of the polynomials, compiled in one program, on the random
-    band-limited fields of one trial."""
+def _trial_quadratures(polys, draws):
+    """The quadratures of the even polynomials on the random band-limited
+    fields of each (trial seed, backend, coupling) draw, yielded in draw
+    order as one (polynomial, channel) array per draw.
+
+    Each backend's polynomials are compiled once, at L = 1 with one output
+    per (polynomial, power of L).  The draws are taken MC_WIDTH at a time,
+    and each backend's program runs its trials among them side by side
+    along the trailing axis of its rows; a trial's coupling enters only as
+    lam^power on the quadratures.  A caller that stops at a refuting trial
+    has at most the rest of its MC_WIDTH draws evaluated for nothing."""
     grid = PeriodicGrid(*MC_GRID)
-    desc = AlgebraDescriptor.from_string(backend)
-    u, xi = build_initial_condition(
-        f"random_bandlimited(max_mode={MC_MAX_MODE},amplitude=0.6,seed={trial_seed})",
-        grid, desc)
-    return _Program.compile(polys, grid, desc, lam)(u, xi)
+    parts = {}  # (polynomial, power of L) -> its terms
+    for index, poly in enumerate(polys):
+        for key, c in poly.terms.items():
+            parts.setdefault((index, key[3]), {})[key] = c
+    owners = np.array([owner for owner, _ in parts], dtype=np.intp)
+    powers = np.array([power for _, power in parts])
+    backends = [backend for _, backend, _ in draws]
+    programs = {}
+    for start in range(0, len(draws), MC_WIDTH):
+        run = backends[start:start + MC_WIDTH]
+        quads = [None] * len(run)
+        for backend in dict.fromkeys(run):
+            program = programs.get(backend)
+            if program is None:
+                program = programs[backend] = _Program.compile(
+                    map(DiffPolynomial, parts.values()), grid,
+                    AlgebraDescriptor.from_string(backend), 1.0,
+                    min(MC_WIDTH, backends.count(backend)))
+            desc, samples = program.algebra.descriptor, program.samples
+            slots = [start + i for i, drawn_on in enumerate(run) if drawn_on == backend]
+            lams = np.zeros(program.width)
+            for slot, i in enumerate(slots):
+                trial_seed, _, lams[slot] = draws[i]
+                u, xi = build_initial_condition(
+                    RandomBandlimitedIC(MC_MAX_MODE, 0.6, trial_seed), grid, desc)
+                samples[:desc.even_dim, slot] = u.data
+                samples[desc.even_dim:program.n_rows, slot] = xi.data
+            # slots past len(slots) keep earlier, finite samples, never read
+            program.evaluate()
+            # (part, channel, trial) integrals, each at its trial's lam^power
+            integrals = np.array([grid.dx * program.batch(node, height).sum(axis=-1)
+                                  for _, node, height in program.outputs])
+            integrals *= (lams ** powers[:, None])[:, None, :]
+            totals = np.zeros((len(polys), desc.even_dim, program.width))
+            np.add.at(totals, owners, integrals)
+            for slot, i in enumerate(slots):
+                quads[i - start] = totals[:, :, slot]
+        yield from quads
 
 
 def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None):
@@ -794,34 +887,30 @@ def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None)
     most tol times a cancellation-aware scale (1 plus the per-monomial
     integral magnitudes).  Both default backends annihilate products of
     two brackets on four independent arguments, so densities differing
-    only in that sector need a wider backend (pass e.g. grassmann:4).
-    At least one trial, one backend and a finite nonnegative tol are
-    required: no trial confirms nothing, and a NaN or infinite tol would
-    confirm everything.
+    only in that sector need a wider backend (pass e.g. ("grassmann:4",)).
+    At least one trial, a nonnegative whole seed, a sequence of at least
+    one backend descriptor and a finite nonnegative tol are required: no
+    trial confirms nothing, and a NaN or infinite tol would confirm
+    everything.  The trials run in draw order, batched per backend
+    (_trial_quadratures), and the first refuting one is the witness.
     """
-    if whole_number("trials", trials) < 1:
-        raise SuperKdVError(f"trials must be at least 1, got {trials}")
-    if not 0.0 <= tol < math.inf:
-        raise SuperKdVError(f"tol must be finite and nonnegative, got {tol!r}")
-    if backends is None:
-        backends = MC_BACKENDS
-    if not backends:
-        raise SuperKdVError("at least one backend is needed for the trials")
+    trials, tol, seed, backends = _mc_settings(trials, tol, seed, backends)
     if not (p.is_even() and q.is_even()):
         raise GradingError("densities must be even-graded")
     diff = p - q
     if diff.is_zero():
         return EquivalenceVerdict(True, 0, tol)
-    # one output per product of factors, its powers of L together: the
+    # one polynomial per product of factors, its powers of L together: the
     # scale needs each product's own integral
     products = {}
     for key, c in diff.terms.items():
         products.setdefault(key[:3], {})[key] = c
     terms = [DiffPolynomial(group) for group in products.values()]
-    for i, (trial_seed, backend, lam) in enumerate(_trial_draws(seed, trials, backends)):
-        values = _trial_values(terms, trial_seed, backend, lam)
-        scale = 1.0 + sum(quadrature(value).norm() for value in values)
-        residual = quadrature(sum(values[1:], values[0])).norm()
+    draws = _trial_draws(seed, trials, backends)
+    for i, ((trial_seed, backend, lam), quads) in enumerate(
+            zip(draws, _trial_quadratures(terms, draws))):
+        scale = 1.0 + float(np.abs(quads).max(axis=1).sum())
+        residual = value_norm(quads.sum(axis=0))
         if residual > tol * scale:
             witness = {"backend": backend, "lambda": lam, "seed": trial_seed,
                        "residual": residual, "scale": scale}
@@ -919,8 +1008,10 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
     re-verified with equal_mod_total_derivative; all odd orders must
     vanish.  Returns a CoefficientTable.
     """
+    max_order = whole_number("max_order", max_order)
     if max_order < 0 or max_order % 2 or max_order > 6:
         raise SuperKdVError(f"max_order must be even, nonnegative and at most 6, got {max_order}")
+    trials, tol, seed, _ = _mc_settings(trials, tol, seed, None)
     coeffs = gardner_coefficients(max_order)
     zero = DiffPolynomial.zero()
     odd_ok = True
@@ -931,11 +1022,9 @@ def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
     orders = range(0, max_order + 1, 2)
     polys = [p for n in orders for p in (coeffs[n][0], conserved_density_poly(n))]
     num, den = [0.0] * len(orders), [0.0] * len(orders)
-    for draw in _trial_draws(seed, trials, MC_BACKENDS):
-        values = _trial_values(polys, *draw)
+    for quads in _trial_quadratures(polys, _trial_draws(seed, trials, MC_BACKENDS)):
         for k in range(len(orders)):
-            a = quadrature(values[2 * k]).coords
-            b = quadrature(values[2 * k + 1]).coords
+            a, b = quads[2 * k], quads[2 * k + 1]
             num[k] += float(a @ b)
             den[k] += float(b @ b)
     entries = []

@@ -266,16 +266,29 @@ def test_bracket_product_alternates_exactly(text):
 
 def test_bracket_product_proof_fails_on_altered_tables():
     # one mixed_mul sign flipped in a channel that commutators reach (not
-    # the unit's) breaks the identity, and a fold entry that is not an
-    # integer proves nothing
+    # the unit's) breaks the identity, and a sign that is not an integer
+    # proves nothing
     algebra = Algebra(AlgebraDescriptor.from_string("grassmann:3"))
-    i, j, fold = algebra.gather_fold("mixed_mul")
-    flipped, halved = fold.copy(), 0.5 * fold
-    flipped[:, np.flatnonzero(i)[0]] *= -1.0
+    i, j, k, s = algebra._triples["mixed_mul"]
+    flipped, halved = s.copy(), 0.5 * s
+    flipped[np.flatnonzero(i)[0]] *= -1.0
     for altered in (flipped, halved):
         copy = Algebra(algebra.descriptor)
-        copy._tables = dict(algebra._tables, mixed_mul=(i, j, altered))
+        copy._triples = dict(algebra._triples, mixed_mul=(i, j, k, altered))
         assert copy.bracket_product_alternates is False
+
+
+@pytest.mark.parametrize("text", ["scalar", "grassmann:3", "grassmann:6", "symplectic:2"])
+def test_proof_triples_are_the_tables_triples(text):
+    # the proof reads the basis triples each gather_fold table is built
+    # from: the same rows, and fold[k_t, t] = s_t in every column
+    algebra = Algebra(AlgebraDescriptor.from_string(text))
+    for product, (i, j, k, s) in algebra._triples.items():
+        gi, gj, fold = algebra.gather_fold(product)
+        want = np.zeros_like(fold)
+        want[k, np.arange(len(k))] = s
+        assert np.array_equal(i, gi) and np.array_equal(j, gj)
+        assert np.array_equal(fold, want)
 
 
 def test_bracket_product_proof_is_made_on_first_use():

@@ -520,6 +520,26 @@ def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, 
     assert np.array_equal(np.concatenate((got.even.data, got.odd.data)), want)
 
 
+@pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:3"),
+                                           ("extended", "grassmann:3"),
+                                           ("extended", "scalar"),
+                                           ("gardner", "symplectic:1")])
+def test_integrate_owns_the_four_k_arrays(kind, desc_str, monkeypatch):
+    # every stage writes its k into one of four arrays integrate made once,
+    # whether [flux; source] is [even; odd] (modified, scalar extended) or not
+    st = random_state(kind, desc_str, 1.3, N=64, L=20.0, eps=0.4 if kind == "gardner" else 0.0)
+    call, handed = _SpectralRHS.__call__, []
+
+    def recording(self, out=None):
+        handed.append(call(self, out))
+        return handed[-1]
+
+    monkeypatch.setattr(_SpectralRHS, "__call__", recording)
+    integrate(st, dt=0.5 * stability_limit(st.grid, "ifrk4"), steps=10, scheme="ifrk4")
+    assert len(handed) == 40
+    assert len({id(k) for k in handed}) <= 4
+
+
 def test_non_finite_stage_surfaces_as_blowup_during_step():
     # 3 u^2 overflows in the first stage of the first step
     st = random_state("extended", "scalar", lam=0.0, N=64, L=20.0)

@@ -19,7 +19,7 @@ from superkdv.algebra import AlgebraDescriptor
 from superkdv.dynamics import SystemState, integrate
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
-from superkdv.invariants import (conserved_quantities, drift_report,
+from superkdv.invariants import (conserved_densities, conserved_quantities, drift_report,
                                  hamiltonian_density,
                                  reduced_hamiltonian_density)
 from superkdv.errors import SuperKdVError
@@ -138,6 +138,19 @@ def test_unknown_quantity_label_rejected():
     xi = OddField.zeros(grid, desc)
     with pytest.raises(SuperKdVError):
         conserved_quantities(u, xi, 0.0, which=("H0", "H3"))
+
+
+def test_a_bare_label_is_one_label():
+    # "H2" is the label H2, not the labels "H" and "2"
+    grid, u, xi, _ = cos_mode_state()
+    bare = conserved_densities(u, xi, 1.1, "H2")
+    assert list(bare) == ["H2"]
+    assert np.array_equal(bare["H2"].data, conserved_densities(u, xi, 1.1, ("H2",))["H2"].data)
+    st = SystemState("extended", u, xi, lam=1.1)
+    traj = integrate(st, dt=1e-4, steps=2, scheme="ifrk4")
+    assert drift_report(traj, "H2").labels == ("H2",)
+    with pytest.raises(SuperKdVError, match="H3"):
+        drift_report(traj, "H3")
 
 
 def reference_hamiltonian_density(v, eta, lam):

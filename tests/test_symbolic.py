@@ -8,11 +8,18 @@ from superkdv.algebra import Algebra, AlgebraDescriptor
 from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                              NonFiniteFieldError, SuperKdVError)
 from superkdv.fields import EvenField, OddField, PeriodicGrid, build_initial_condition, quadrature
+from superkdv import symbolic
 from superkdv.invariants import conserved_quantities, hamiltonian_density
 from superkdv.symbolic import (
+    MC_BACKENDS,
+    MC_GRID,
+    MC_MAX_MODE,
+    MC_WIDTH,
     CoefficientTable,
     _live_terms,
     _Program,
+    _trial_draws,
+    _trial_quadratures,
     DiffPolynomial,
     commutator,
     conserved_density_poly,
@@ -366,6 +373,78 @@ def test_equivalence_needs_a_trial():
     with pytest.raises(SuperKdVError, match="backend"):
         equal_mod_total_derivative(parse("u"), parse("0"), backends=())
     assert not equal_mod_total_derivative(parse("u"), parse("0"), trials=1)
+    one = equal_mod_total_derivative(parse("u*u''"), parse("-u'^2"), trials=1)
+    assert one.equal and one.trials == 1
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("kwargs,setting", [
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"trials": True}, "trials"),
+    ({"backends": "grassmann:3"}, "backends")])
+def test_monte_carlo_settings_are_refused_before_any_trial(kwargs, setting, monkeypatch):
+    # a bare string is not a sequence of descriptors, True is not a count,
+    # and a trial seed must be a nonnegative whole number
+    monkeypatch.setattr(symbolic, "_trial_quadratures", _no_trial)
+    with pytest.raises(SuperKdVError, match=setting):
+        equal_mod_total_derivative(parse("u"), parse("0"), **kwargs)
+    if setting != "backends":
+        with pytest.raises(SuperKdVError, match=setting):
+            reproduce_conserved_quantities(max_order=2, **kwargs)
+
+
+def test_one_compile_per_backend_drawn(monkeypatch):
+    # each decision compiles its polynomials once per backend it draws,
+    # also when the trials of a backend take several batches
+    compile_, calls = _Program.compile.__func__, []
+
+    def counted(cls, polys, grid, descriptor, lam, width=1):
+        calls.append(str(descriptor))
+        return compile_(cls, polys, grid, descriptor, lam, width)
+
+    monkeypatch.setattr(_Program, "compile", classmethod(counted))
+    rate = evolutionary_derivative(conserved_density_poly(6))
+    for trials in (32, 3 * MC_WIDTH):
+        calls.clear()
+        assert equal_mod_total_derivative(rate, DiffPolynomial.zero(), trials=trials).equal
+        drawn = {backend for _, backend, _ in _trial_draws(0, trials, MC_BACKENDS)}
+        assert sorted(calls) == sorted(drawn)
+
+
+@pytest.mark.parametrize("backend", ["grassmann:3", "symplectic:2"])
+def test_batched_quadratures_match_one_compile_per_trial(backend):
+    # 40 trials of one backend run as a full batch of MC_WIDTH and a batch
+    # of 8; each equals its own program compiled at its own coupling
+    polys = [conserved_density_poly(4), gardner_coefficients(4)[4][0],
+             evolutionary_derivative(conserved_density_poly(2))]
+    grid, desc = PeriodicGrid(*MC_GRID), AlgebraDescriptor.from_string(backend)
+    draws = _trial_draws(7, MC_WIDTH + 8, (backend,))
+    batched = list(_trial_quadratures(polys, draws))
+    assert len(batched) == len(draws)
+    for (trial_seed, _, lam), got in zip(draws, batched):
+        u, xi = build_initial_condition(
+            f"random_bandlimited(max_mode={MC_MAX_MODE},amplitude=0.6,seed={trial_seed})",
+            grid, desc)
+        want = np.array([quadrature(value).coords
+                         for value in _Program.compile(polys, grid, desc, lam)(u, xi)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_refuted_pair_keeps_its_witness():
+    # u'^2 + L [xi'', xi'] + u u'' is L [xi'', xi'] modulo D.  At tol 0.7
+    # and seed 5 the first four trials pass and the fifth refutes, with the
+    # seed, backend and coupling it had when each trial compiled its own
+    # program
+    verdict = equal_mod_total_derivative(parse("u'^2 + L*[xi'',xi']"), parse("-u*u''"),
+                                         tol=0.7, seed=5)
+    witness = verdict.witness
+    assert (verdict.equal, verdict.trials) == (False, 5)
+    assert (witness["seed"], witness["backend"], witness["lambda"]) == (
+        248711466137453627, "grassmann:3", -1.095543113649542)
+    assert witness["residual"] == pytest.approx(5.613104853196015, rel=1e-12)
+    assert witness["scale"] == pytest.approx(7.734577256546508, rel=1e-12)
 
 
 # -- deformation coefficients ---------------------------------------------------
@@ -463,6 +542,13 @@ def test_reproduction_rejects_odd_or_large_order():
     # H_8 is not tabulated, so order 8 must be refused before any trial runs
     with pytest.raises(SuperKdVError, match="at most 6"):
         reproduce_conserved_quantities(max_order=8)
+    with pytest.raises(SuperKdVError, match="max_order"):
+        reproduce_conserved_quantities(max_order=2.5)
+
+
+def test_reproduction_takes_an_integral_float_order():
+    table = reproduce_conserved_quantities(max_order=2.0)
+    assert table.all_ok and [e["n"] for e in table.entries] == [0, 2]
 
 
 # -- conservation along the flow ------------------------------------------------
