@@ -13,6 +13,15 @@ over the odd basis.  Algebra.bracket_product_alternates proves that
 exactly from the integer structure constants, and the compiler relies on
 it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
 
+Compiled code reads two smaller exact tables, each built on first use.
+The commutator is half(a, b) - half(b, a) for a half table; where
+Algebra.odd_half_antisymmetric proves half(b, a) = -half(a, b) from the
+same integer constants (grassmann, whose half is the odd product), its
+gather table is the half one with fold 2 s, [a, b] = 2ab.  And a product
+of one operand with itself gathers its square table (square_fold): the
+triples merged by unordered pair {i, j}, coefficient s_ij + s_ji, which
+is exact for any bilinear product.
+
 Three backends realize the interface:
 
   scalar        plain reals, no odd part.
@@ -214,12 +223,55 @@ def _alternates(commutator, mixed, odd_dim):
         # T(x, y, z) + T(y, x, z) = 0: sum each entry into the key of its
         # unordered pair {x, y}, so an entry with x = y must itself be zero
         keys = ((np.minimum(x, y) * odd_dim + np.maximum(x, y)) * odd_dim + z) * odd_dim + m
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        if np.add.reduceat(value[order], starts).any():
+        if len(_merged(keys, value)[0]):
             return False
     return True
+
+
+def _antisymmetric(half, even_dim, odd_dim):
+    """Whether half(b, a) = -half(a, b): an exact proof that the (i, j, k,
+    s) basis triples of the half table, summed per (i, j, k), are those
+    of (j, i, k, -s); every sum runs in int64."""
+    triples = _integer_triples(half)
+    if triples is None:
+        return False
+    i, j, k, s = triples
+    forward = _merged((i * odd_dim + j) * even_dim + k, s)
+    swapped = _merged((j * odd_dim + i) * even_dim + k, -s)
+    return all(np.array_equal(x, y) for x, y in zip(forward, swapped))
+
+
+def _merged(keys, values):
+    """The distinct keys, ascending, and the sum of the values over each,
+    the keys whose sum is zero dropped."""
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(values[order], starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
+def _square(table, dim):
+    """(i, j, fold) of the table on one operand a, a * a: its columns
+    merged by unordered pair {i, j} with i <= j, each coefficient s_ij +
+    s_ji (s_ii on the diagonal), the zero ones dropped.  Exact for any
+    bilinear table, since a[i] a[j] = a[j] a[i]; no index reaches dim."""
+    i, j, fold = table
+    k, column = np.nonzero(fold)  # one nonzero per column
+    i, j = i[column], j[column]
+    keys, s = _merged((np.minimum(i, j) * dim + np.maximum(i, j)) * len(fold) + k,
+                      fold[k, column])
+    pairs, k = np.divmod(keys, len(fold))
+    return _readonly(_table((*np.divmod(pairs, dim), k, s), len(fold)))
+
+
+def _readonly(table):
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _grassmann_products(n):
@@ -273,18 +325,17 @@ class Algebra:
         else:
             ee, eo, half = _grassmann_products(descriptor.generators)
         # one orientation only; the commutator is half(a,b) - half(b,a), which
-        # makes antisymmetry bitwise exact instead of roundoff-exact
-        half = _coo(half)
+        # makes antisymmetry bitwise exact instead of roundoff-exact.  Where
+        # odd_half_antisymmetric proves half(b,a) = -half(a,b), as on
+        # grassmann, its compiled table is the half one with fold 2 s
+        self._half_triples = half = _coo(half)
         mixed = _coo(eo)
-        self._half = i, j, fold = _table(half, E)
-        self._tables = {"even_mul": _table(_coo(ee), E), "mixed_mul": _table(mixed, O),
-                        "odd_commutator": (np.concatenate((i, j)), np.concatenate((j, i)),
-                                           np.hstack((fold, -fold)))}
+        self._half = _readonly(_table(half, E))
+        self._tables = {"even_mul": _readonly(_table(_coo(ee), E)),
+                        "mixed_mul": _readonly(_table(mixed, O))}
         if descriptor.kind == "grassmann":
             self._tables["odd_mul"] = self._half  # the half of [a,b] = ab - ba is ab
-        for table in (self._half, *self._tables.values()):
-            for array in table:
-                array.flags.writeable = False
+        self._squares = {}  # square tables, each built on first use
         # the basis triples of the commutator and of mixed_mul, which the
         # proof of bracket_product_alternates reads
         i, j, k, s = half
@@ -300,6 +351,14 @@ class Algebra:
         vanishes whenever two of the odd elements are equal."""
         return _alternates(self._triples["odd_commutator"], self._triples["mixed_mul"],
                            self.descriptor.odd_dim)
+
+    @cached_property
+    def odd_half_antisymmetric(self):
+        """Whether the half table of the commutator is antisymmetric,
+        half(b, a) = -half(a, b), proven exactly from its integer basis
+        triples; computed on first use.  Then [a, b] = 2 half(a, b): true on
+        grassmann, where half is the odd product, false on symplectic."""
+        return _antisymmetric(self._half_triples, *self._dims)
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -326,13 +385,37 @@ class Algebra:
     def gather_fold(self, product):
         """(i, j, fold) of the named product method, whose value is fold @
         (a[i] * b[j]), for code that compiles its products itself; read-only.
-        The odd_commutator's holds both halves, half(a, b) - half(b, a), so
-        it equals the method's value up to the order of summation."""
+        The odd_commutator's is built on first use: the half table with fold
+        2 s where odd_half_antisymmetric holds, else both halves, half(a, b)
+        - half(b, a).  Either equals the method's value up to the order of
+        summation."""
+        if product == "odd_commutator" and product not in self._tables:
+            i, j, fold = self._half
+            if self.odd_half_antisymmetric:
+                table = (i, j, 2.0 * fold)
+            else:
+                table = (np.concatenate((i, j)), np.concatenate((j, i)),
+                         np.hstack((fold, -fold)))
+            self._tables[product] = _readonly(table)
         if product == "odd_mul" and product not in self._tables:
             raise GradingError(
                 f"the {self.descriptor.kind} backend has no odd*odd product; "
                 "only the commutator is part of the interface")
         return self._tables[product]
+
+    def square_fold(self, product):
+        """(i, j, fold) of the named product of one operand with itself,
+        whose value at b = a is fold @ (a[i] * a[j]); read-only and built on
+        first use.  Its columns are gather_fold's merged by unordered pair
+        {i, j}, i <= j, so it gathers about half the rows."""
+        table = self._squares.get(product)
+        if table is None:
+            if product == "mixed_mul":
+                raise GradingError("mixed_mul takes an even and an odd operand, "
+                                   "never one operand twice")
+            table = self._squares[product] = _square(self.gather_fold(product),
+                                                     max(self._dims))
+        return table
 
 
 @lru_cache(maxsize=None)

@@ -50,8 +50,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, get_algebra, value_norm
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                      NonFiniteFieldError, SuperKdVError, whole_number)
-from .fields import (EvenField, OddField, PeriodicGrid, RandomBandlimitedIC,
-                     build_initial_condition)
+from .fields import EvenField, OddField, PeriodicGrid, RandomBandlimitedIC
 
 
 def _orient_comm(a, b):
@@ -521,7 +520,10 @@ class _Program:
     (product, left rows, right rows, fold, node) gathers the rows of the
     named product's Algebra.gather_fold table, offset to its operands'
     nodes, multiplies them and folds them onto the output channels; a sum
-    adds coefficient times node over its terms.
+    adds coefficient times node over its terms.  An op whose operands are
+    one node (u u, u' u', [xi', xi]^2) gathers the product's square_fold
+    table instead, about half the rows, and on grassmann a commutator
+    gathers the half table with fold 2 s.
 
     Every polynomial is built by one rule, `_poly`, from its live terms
     (`_live_terms`: the terms that vanish on the backend are not compiled,
@@ -537,8 +539,9 @@ class _Program:
     product, not an op of its own.  The first op writes into the
     polynomial's rows and one sum adds the other ops and the constant and
     linear terms (the unit, a u^(k), a bare xi^(c) or a shared bracket).
-    Each fold is one product table's own, so no matmul is wider, or more
-    dependent on the BLAS thread count, than a product.
+    Each fold is one product table's own (or its square table's), so no
+    matmul is wider, or more dependent on the BLAS thread count, than a
+    product.
 
     `link(width)` lays width trials side by side: every block has width * N
     columns, trial t's samples in columns t N to (t + 1) N, and `samples`
@@ -639,8 +642,10 @@ class _Program:
 
     def _op(self, product, a, b, scale=1.0, node=None):
         """The node of scale times the named Algebra product of nodes a and
-        b: a new block, or the given node's rows."""
-        i, j, fold = self.algebra.gather_fold(product)
+        b: a new block, or the given node's rows.  A node times itself
+        gathers the product's square table."""
+        table = self.algebra.square_fold if a == b else self.algebra.gather_fold
+        i, j, fold = table(product)
         if node is None:
             node = self._block(len(fold))
         op = (product, a + i, b + j, fold if scale == 1.0 else scale * fold, node)
@@ -836,9 +841,12 @@ def _trial_quadratures(polys, draws):
     per (polynomial, power of L).  The draws are taken MC_WIDTH at a time,
     and each backend's program runs its trials among them side by side
     along the trailing axis of its rows; a trial's coupling enters only as
-    lam^power on the quadratures.  A caller that stops at a refuting trial
-    has at most the rest of its MC_WIDTH draws evaluated for nothing."""
+    lam^power on the quadratures.  Every trial draws its fields on one
+    cos and sin basis of the grid, made once per call.  A caller that
+    stops at a refuting trial has at most the rest of its MC_WIDTH draws
+    evaluated for nothing."""
     grid = PeriodicGrid(*MC_GRID)
+    basis = RandomBandlimitedIC(MC_MAX_MODE).basis(grid)
     parts = {}  # (polynomial, power of L) -> its terms
     for index, poly in enumerate(polys):
         for key, c in poly.terms.items():
@@ -862,10 +870,9 @@ def _trial_quadratures(polys, draws):
             lams = np.zeros(program.width)
             for slot, i in enumerate(slots):
                 trial_seed, _, lams[slot] = draws[i]
-                u, xi = build_initial_condition(
-                    RandomBandlimitedIC(MC_MAX_MODE, 0.6, trial_seed), grid, desc)
-                samples[:desc.even_dim, slot] = u.data
-                samples[desc.even_dim:program.n_rows, slot] = xi.data
+                RandomBandlimitedIC(MC_MAX_MODE, 0.6, trial_seed).draw(
+                    (samples[:desc.even_dim, slot], samples[desc.even_dim:program.n_rows, slot]),
+                    basis)
             # slots past len(slots) keep earlier, finite samples, never read
             program.evaluate()
             # (part, channel, trial) integrals, each at its trial's lam^power

@@ -280,23 +280,87 @@ def test_bracket_product_proof_fails_on_altered_tables():
 
 @pytest.mark.parametrize("text", ["scalar", "grassmann:3", "grassmann:6", "symplectic:2"])
 def test_proof_triples_are_the_tables_triples(text):
-    # the proof reads the basis triples each gather_fold table is built
-    # from: the same rows, and fold[k_t, t] = s_t in every column
+    # the proof reads basis triples that define the same dense (left,
+    # right, out) tensor as the gather_fold table, exactly; the grassmann
+    # commutator's table is the half one with fold 2 s
     algebra = Algebra(AlgebraDescriptor.from_string(text))
+    E, O = algebra.descriptor.even_dim, algebra.descriptor.odd_dim
+    shapes = {"odd_commutator": (O, O, E), "mixed_mul": (E, O, O)}
     for product, (i, j, k, s) in algebra._triples.items():
+        want, got = np.zeros(shapes[product]), np.zeros(shapes[product])
+        np.add.at(want, (i, j, k), s)
         gi, gj, fold = algebra.gather_fold(product)
-        want = np.zeros_like(fold)
-        want[k, np.arange(len(k))] = s
-        assert np.array_equal(i, gi) and np.array_equal(j, gj)
-        assert np.array_equal(fold, want)
+        np.add.at(got, (gi, gj), fold.T)
+        assert np.array_equal(got, want), product
 
 
 def test_bracket_product_proof_is_made_on_first_use():
-    # building an Algebra, as the set-up of every run does, proves nothing
+    # building an Algebra, as the set-up of every run does, makes neither
+    # proof, nor the commutator table that depends on one, nor any square
+    # table; each is made on first use
     algebra = Algebra(AlgebraDescriptor.from_string("grassmann:6"))
-    assert "bracket_product_alternates" not in vars(algebra)
+    proofs = {"bracket_product_alternates", "odd_half_antisymmetric"}
+    assert not proofs & set(vars(algebra))
+    assert algebra._squares == {} and "odd_commutator" not in algebra._tables
     assert algebra.bracket_product_alternates
-    assert "bracket_product_alternates" in vars(algebra)
+    assert "odd_half_antisymmetric" not in vars(algebra)
+    algebra.gather_fold("odd_commutator")
+    assert proofs <= set(vars(algebra)) and algebra._squares == {}
+    algebra.square_fold("even_mul")
+    assert list(algebra._squares) == ["even_mul"]
+
+
+@pytest.mark.parametrize("text", ["scalar", "symplectic:1", "symplectic:2", "symplectic:3"]
+                         + [f"grassmann:{n}" for n in range(1, 7)])
+def test_square_tables_merge_each_unordered_pair(text):
+    # a * a through the square table: one column per unordered pair i <= j
+    # and output channel, no zero coefficient, and the full table's value
+    algebra = Algebra(AlgebraDescriptor.from_string(text))
+    E, O = algebra.descriptor.even_dim, algebra.descriptor.odd_dim
+    rng = np.random.default_rng(8)
+    products = {"even_mul": E, "odd_commutator": O}
+    if algebra.descriptor.kind == "grassmann":
+        products["odd_mul"] = O
+    for product, dim in products.items():
+        i, j, fold = algebra.square_fold(product)
+        assert (i <= j).all()
+        assert ((fold != 0).sum(axis=0) == 1).all()
+        k = np.argmax(fold != 0, axis=0)
+        assert len(set(zip(i, j, k))) == len(i)
+        a = rng.uniform(-1.0, 1.0, (dim, 5))
+        fi, fj, full = algebra.gather_fold(product)
+        assert np.allclose(fold @ (a[i] * a[j]), full @ (a[fi] * a[fj]), rtol=0.0, atol=1e-13)
+    with pytest.raises(GradingError):
+        algebra.square_fold("mixed_mul")
+
+
+@pytest.mark.parametrize("text,holds", [(f"grassmann:{n}", True) for n in range(2, 7)]
+                         + [(f"symplectic:{n}", False) for n in range(1, 4)])
+def test_odd_half_antisymmetry_is_proven_exactly(text, holds):
+    # the half table is the odd product on grassmann, so [a, b] = 2 ab is
+    # one half table with fold 2 s; symplectic's half is one orientation of
+    # omega, so its commutator keeps both halves
+    algebra = Algebra(AlgebraDescriptor.from_string(text))
+    assert algebra.odd_half_antisymmetric is holds
+    i, _, fold = algebra.gather_fold("odd_commutator")
+    _, _, half = algebra._half
+    assert len(i) == (1 if holds else 2) * half.shape[1]
+    if holds:
+        assert np.array_equal(fold, 2.0 * half)
+
+
+def test_odd_half_proof_fails_on_altered_triples():
+    # one half triple with its sign flipped, or a sign that is not an
+    # integer, proves nothing, and the commutator table keeps both halves
+    algebra = Algebra(AlgebraDescriptor.from_string("grassmann:4"))
+    i, j, k, s = algebra._half_triples
+    flipped, halved = s.copy(), 0.5 * s
+    flipped[3] *= -1.0
+    for altered in (flipped, halved):
+        copy = Algebra(algebra.descriptor)
+        copy._half_triples = (i, j, k, altered)
+        assert copy.odd_half_antisymmetric is False
+        assert len(copy.gather_fold("odd_commutator")[0]) == 2 * len(i)
 
 
 def test_validate_algebra_runtime_under_one_second():

@@ -33,6 +33,7 @@ from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
 from superkdv.invariants import conserved_quantities, drift_report
+from superkdv import symbolic
 from superkdv.symbolic import _Program, density_poly, gardner_coefficients, map_terms
 from superkdv.transforms import _series_program, miura
 
@@ -682,14 +683,36 @@ def test_stage_without_the_proof_compiles_the_free_form(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,desc_str,rows", [
-    ("modified", "grassmann:6", 1277), ("modified", "grassmann:3", 47)])
+    ("modified", "grassmann:6", 1004), ("modified", "grassmann:3", 38)])
 def test_stage_gathered_rows(kind, desc_str, rows):
-    # grassmann:6: v v and v v' (183 rows each), [eta', eta] (364), the
-    # flux v (...) (183) and the odd source's two groups (182 each).
-    # grassmann:3: 7 + 7 + 12 + 7 + 7 + 7.  The free form also makes
-    # [eta'', eta], one commutator table more: 1641 and 59.
+    # grassmann:6: v v (92 rows, the square table), v v' (183), [eta', eta]
+    # (182, the half table with fold 2 s), the flux v (...) (183) and the
+    # odd source's two groups (182 each).  grassmann:3: 4 + 7 + 6 + 7 + 7
+    # + 7.  The free form also makes [eta'', eta], one commutator table
+    # more: 1186 and 44.
     _, nonlinear = _stage(kind, desc_str, dealias=True)
     assert sum(len(left) for _, left, *_ in nonlinear.ops) == rows
+
+
+def test_stage_without_the_half_table_proof_gathers_both_halves(monkeypatch):
+    # a backend whose half table has one sign flipped in the triples the
+    # proof reads does not prove [a, b] = 2 ab: its commutator gathers both
+    # halves of the (unaltered) table, and the stage still matches the
+    # hand-written terms
+    desc = AlgebraDescriptor.from_string("grassmann:6")
+    altered = Algebra(desc)
+    i, j, k, s = altered._half_triples
+    flipped = s.copy()
+    flipped[5] *= -1.0
+    altered._half_triples = (i, j, k, flipped)
+    assert not altered.odd_half_antisymmetric
+    monkeypatch.setattr(symbolic, "get_algebra", lambda descriptor: (
+        altered if descriptor == desc else get_algebra(descriptor)))
+    st, nonlinear = _stage("modified", "grassmann:6", dealias=True)
+    assert [len(left) for product, left, *_ in nonlinear.ops
+            if product == "odd_commutator"] == [364]
+    assert sum(len(left) for _, left, *_ in nonlinear.ops) == 1186
+    _assert_stage_matches_handwritten(st, nonlinear)
 
 
 def test_densities_make_each_bracket_once():
@@ -714,11 +737,22 @@ def test_recorded_step_equals_the_final_state_of_a_shorter_run():
     assert np.array_equal(longer[6].odd.data, shorter.odd.data)
 
 
+def _gathered_nodes(left, right, table):
+    """The nodes (a, b) when left and right are the table's rows offset to
+    a and to b, else None."""
+    i, j, _ = table
+    if left.shape != i.shape:
+        return None
+    a, b = set(left - i), set(right - j)
+    return (a.pop(), b.pop()) if len(a) == len(b) == 1 else None
+
+
 @pytest.mark.parametrize("desc_str", ["grassmann:6", "symplectic:2"])
 def test_every_op_gathers_one_product_table(desc_str):
     # the right-hand sides of all four systems, the densities and the maps
-    # each fold one product table per op, so no gather is wider than the
-    # widest table and the buffers fit the widest op
+    # each fold one product table per op: the product's own table, or its
+    # square table when both operands are one node.  So no gather is wider
+    # than the widest table, and the buffers fit the widest op
     desc = AlgebraDescriptor.from_string(desc_str)
     grid, algebra = PeriodicGrid(20.0, 64), get_algebra(desc)
     programs = [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
@@ -729,13 +763,17 @@ def test_every_op_gathers_one_product_table(desc_str):
     programs += [_series_program(terms, grid, desc, 1.3, 0.4)
                  for terms in (map_terms("miura"), map_terms("gardner"),
                                enumerate(gardner_coefficients(8)))]
-    tables = {name: len(algebra.gather_fold(name)[0])
-              for name in ("even_mul", "mixed_mul", "odd_commutator")
-              + (("odd_mul",) if desc.kind == "grassmann" else ())}
+    squares = 0
     for program in programs:
+        for product, left, right, *_ in program.ops:
+            nodes = _gathered_nodes(left, right, algebra.gather_fold(product))
+            if nodes is None or nodes[0] == nodes[1]:
+                nodes = _gathered_nodes(left, right, algebra.square_fold(product))
+                assert nodes is not None and nodes[0] == nodes[1], product
+                squares += 1
         widths = [len(left) for _, left, *_ in program.ops]
-        assert widths == [tables[product] for product, *_ in program.ops]
         assert [b.shape for b in program.buffers] == [(max(widths), 64)] * 2
+    assert squares > 0  # u u, v v and the like are compiled
 
 
 def test_rhs_states_match_rhs_state_one_at_a_time():

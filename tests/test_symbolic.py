@@ -432,6 +432,56 @@ def test_batched_quadratures_match_one_compile_per_trial(backend):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_trial_fields_share_one_basis_and_keep_their_draws(monkeypatch):
+    # 40 draws over both Monte Carlo backends: the samples each trial runs
+    # on equal, bit for bit, the random_bandlimited formula written out
+    # here (per channel two uniform draws on the cos and sin bases, each
+    # field scaled to peak 0.6), and the bases are made once per call
+    grid = PeriodicGrid(*MC_GRID)
+    draws = _trial_draws(11, 40, MC_BACKENDS)
+    assert {backend for _, backend, _ in draws} == set(MC_BACKENDS)
+    bases, runs = [], []
+    basis = symbolic.RandomBandlimitedIC.basis
+    evaluate = _Program.evaluate
+    monkeypatch.setattr(symbolic.RandomBandlimitedIC, "basis",
+                        lambda self, g: bases.append(g) or basis(self, g))
+    monkeypatch.setattr(_Program, "evaluate", lambda self: (
+        runs.append((str(self.algebra.descriptor), self.samples[:self.n_rows].copy())),
+        evaluate(self))[-1])
+    list(_trial_quadratures([conserved_density_poly(2)], draws))
+    assert len(bases) == 1
+    modes = np.arange(MC_MAX_MODE + 1)
+    basis_cos = np.cos(2.0 * np.pi * np.outer(modes, grid.x) / grid.L)
+    basis_sin = np.sin(2.0 * np.pi * np.outer(modes, grid.x) / grid.L)
+
+    def formula(trial_seed, desc):
+        rng = np.random.default_rng(trial_seed)
+        fields = []
+        for dim in (desc.even_dim, desc.odd_dim):
+            data = np.zeros((dim, grid.N))
+            for ch in range(dim):
+                a = rng.uniform(-1.0, 1.0, len(modes))
+                b = rng.uniform(-1.0, 1.0, len(modes))
+                data[ch] = a @ basis_cos + b @ basis_sin
+            peak = np.max(np.abs(data)) if data.size else 0.0
+            if peak > 0:
+                data *= 0.6 / peak
+            fields.append(data)
+        return np.concatenate(fields)
+
+    runs, checked = iter(runs), 0
+    for start in range(0, len(draws), MC_WIDTH):
+        batch = draws[start:start + MC_WIDTH]
+        for _ in {backend for _, backend, _ in batch}:
+            backend, samples = next(runs)
+            desc = AlgebraDescriptor.from_string(backend)
+            seeds = [trial_seed for trial_seed, drawn_on, _ in batch if drawn_on == backend]
+            for slot, trial_seed in enumerate(seeds):
+                assert np.array_equal(samples[:, slot], formula(trial_seed, desc))
+                checked += 1
+    assert checked == len(draws) and next(runs, None) is None
+
+
 def test_refuted_pair_keeps_its_witness():
     # u'^2 + L [xi'', xi'] + u u'' is L [xi'', xi'] modulo D.  At tol 0.7
     # and seed 5 the first four trials pass and the fifth refutes, with the

@@ -37,15 +37,21 @@ def test_modules_import_only_what_they_use():
 
 def test_import_builds_no_table_and_parses_no_text():
     # the set-up every run pays starts with this import: no algebra table,
-    # proof or parsed formula may be made on the way
+    # proof or parsed formula may be made on the way.  get_algebra then
+    # builds the tables every product reads, but no proof, no commutator
+    # table (which depends on a proof) and no square table
     probe = ("import superkdv, superkdv.cli\n"
              "from superkdv import algebra, symbolic\n"
              "caches = [algebra._cached_algebra, symbolic.nonlinear_terms,\n"
              "          symbolic.density_poly, symbolic.map_terms,\n"
              "          symbolic.gardner_coefficients]\n"
-             "print([cache.cache_info().currsize for cache in caches])\n")
+             "print([cache.cache_info().currsize for cache in caches])\n"
+             "made = algebra.get_algebra(algebra.AlgebraDescriptor('grassmann', 6))\n"
+             "print(sorted({'bracket_product_alternates', 'odd_half_antisymmetric'}\n"
+             "             & set(vars(made))), sorted(made._tables), made._squares)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[0, 0, 0, 0, 0]"
+    assert out.splitlines() == ["[0, 0, 0, 0, 0]",
+                                "[] ['even_mul', 'mixed_mul', 'odd_mul'] {}"]
