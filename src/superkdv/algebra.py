@@ -13,14 +13,27 @@ over the odd basis.  Algebra.bracket_product_alternates proves that
 exactly from the integer structure constants, and the compiler relies on
 it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
 
+Each product is a ProductTable, stored as its basis triples (i, j, k, s):
+out[k] is the sum of s a[i] b[j] over them.  A product gathers a[i] *
+b[j] for every triple and folds them onto the output channels (Fold).  A
+dense fold is one matrix product with the signed (out_dim, nnz) matrix,
+which multiplies out_dim times as often as needed; a grouped fold sums
+each output channel over exactly its own triples, one batched matrix
+product per group of channels with equal pair counts, and one take puts
+the channels back in order.  Each fold is built on first use, and the
+cost rule of ProductTable.fold picks one from the table and the number
+of samples per channel: grouped once the dense fold would waste at least
+GROUP_WASTE multiply-adds.  So small tables keep the dense fold, and no
+large dense matrix is ever made.
+
 Compiled code reads two smaller exact tables, each built on first use.
 The commutator is half(a, b) - half(b, a) for a half table; where
 Algebra.odd_half_antisymmetric proves half(b, a) = -half(a, b) from the
 same integer constants (grassmann, whose half is the odd product), its
-gather table is the half one with fold 2 s, [a, b] = 2ab.  And a product
-of one operand with itself gathers its square table (square_fold): the
-triples merged by unordered pair {i, j}, coefficient s_ij + s_ji, which
-is exact for any bilinear product.
+gather table is the half one with coefficients 2 s, [a, b] = 2ab.  And a
+product of one operand with itself gathers its square table
+(square_fold): the triples merged by unordered pair {i, j}, coefficient
+s_ij + s_ji, which is exact for any bilinear product.
 
 Three backends realize the interface:
 
@@ -164,28 +177,148 @@ def _coo(triples):
     return i, j, k, coo[:, 3].copy()
 
 
-def _table(coo, out_dim):
-    """(i, j, fold) of the product out[k] = sum of s*a[i]*b[j] over the
-    basis triples (i, j, k, s), whose value is fold @ (a[i] * b[j]) with
-    the signed fold matrix fold[k_t, t] = s_t."""
-    i, j, k, s = coo
-    fold = np.zeros((out_dim, len(i)))
-    fold[k, np.arange(len(i))] = s
-    return i, j, fold
+# The cost rule of ProductTable.fold: group the fold once the dense matrix
+# would waste at least this many multiply-adds per call.  A grouped fold
+# pays a matrix-vector product per channel and one take of the output
+# rows, which the zeros it skips outweigh from about here.  Measured with
+# one OpenBLAS thread on the product and square tables of grassmann:3-6
+# and symplectic:2-3 at 64 to 16384 samples: the grouped fold was faster
+# in 5 of 98 cases below 1e5, 6 of 16 from 1e5 to 3e5 and 52 of 54 above
+# (at most 1.4 times slower there).
+GROUP_WASTE = 3e5
+
+
+def fold_into(groups, inverse, folded, out):
+    """Run a fold bound by Fold.bind: one matmul per group (a multiply for
+    a group of one pair per channel), then, when the folded rows are not
+    in channel order, one take that puts them there."""
+    for function, coefficients, products, rows in groups:
+        function(coefficients, products, out=rows)
+    if inverse is not None:
+        folded.take(inverse, axis=0, out=out, mode="clip")
+
+
+class Fold:
+    """One way to fold a product table's gathered products a[i] * b[j],
+    one column per basis triple (i, j, k, s), onto its output channels.
+
+    i, j, k and s are the triples in the order the columns are gathered.
+    Each of the groups (rows, columns, coefficients) folds its columns of
+    the products into its rows of the folded array with one matmul by its
+    coefficients, and channels names the output channel of each folded
+    row.  A dense fold is one group: the signed (out_dim, nnz) matrix with
+    fold[k_t, t] = s_t, the columns in table order, folding straight into
+    the output (inverse None).  A grouped fold orders the columns by output
+    channel and the channels by their pair count c; the channels of one
+    count are one group, whose (n, 1, c) coefficients fold its (n, c,
+    size) products in one batched matmul, so each channel sums exactly its
+    own c products, and one take by inverse, channels' inverse
+    permutation, puts the folded rows back in channel order.  A channel
+    with no pairs is in a group with c = 0 and comes out 0.
+    """
+
+    __slots__ = ("i", "j", "k", "s", "channels", "groups", "inverse")
+
+    def __init__(self, i, j, k, s, channels, groups, inverse):
+        self.i, self.j, self.k, self.s = map(_frozen, (i, j, k, s))
+        self.channels, self.groups, self.inverse = channels, groups, inverse
+
+    @property
+    def out_dim(self):
+        return len(self.channels)
+
+    def scaled(self, c):
+        """This fold with every coefficient times c."""
+        return Fold(self.i, self.j, self.k, c * self.s, self.channels,
+                    tuple((rows, columns, _frozen(c * coefficients))
+                          for rows, columns, coefficients in self.groups), self.inverse)
+
+    def bind(self, products, out, folded):
+        """The arguments of fold_into that fold the (nnz, size) products
+        into out, (out_dim, size); folded is scratch of at least out_dim
+        rows for a fold that needs the take.  Every array bound is a view
+        of products, out or folded."""
+        size = products.shape[1]
+        target = out if self.inverse is None else folded[:self.out_dim]
+        bound = []
+        for rows, columns, coefficients in self.groups:
+            function, part, into = np.matmul, products[columns], target[rows]
+            if coefficients.ndim == 3:
+                n, _, c = coefficients.shape
+                if c == 1:  # matmul is about twice as slow on one-term sums
+                    function, coefficients = np.multiply, coefficients.reshape(n, 1)
+                else:
+                    part, into = part.reshape(n, c, size), into.reshape(n, 1, size)
+            bound.append((function, coefficients, part, into))
+        return bound, self.inverse, target, out
+
+
+class ProductTable:
+    """The product out[k] = sum of s a[i] b[j] over its basis triples (i, j,
+    k, s), onto out_dim channels; read-only.
+
+    It is stored as the triples alone.  Its two folds, dense and grouped,
+    are each built on first use, and fold(size) chooses between them."""
+
+    def __init__(self, i, j, k, s, out_dim):
+        self.i, self.j, self.k, self.s = map(_frozen, (i, j, k, s))
+        self.out_dim = out_dim
+
+    def fold(self, size):
+        """The fold for operands of size samples per channel: the grouped
+        one once the dense one would waste GROUP_WASTE multiply-adds or
+        more, as it makes out_dim * nnz * size where nnz * size are
+        useful; else the dense one."""
+        if (self.out_dim - 1) * len(self.s) * size >= GROUP_WASTE:
+            return self.grouped
+        return self.dense
+
+    @cached_property
+    def dense(self):
+        """The fold through one signed (out_dim, nnz) matrix."""
+        nnz = len(self.s)
+        matrix = np.zeros((self.out_dim, nnz))
+        matrix[self.k, np.arange(nnz)] = self.s
+        return Fold(self.i, self.j, self.k, self.s, np.arange(self.out_dim),
+                    ((slice(0, self.out_dim), slice(0, nnz), _frozen(matrix)),), None)
+
+    @cached_property
+    def grouped(self):
+        """The fold per output channel, its channels grouped by pair count."""
+        counts = np.bincount(self.k, minlength=self.out_dim)
+        # the channels by pair count, then index, and the columns in that
+        # order of their channels, each channel's in table order
+        channels = np.argsort(counts, kind="stable")
+        order = np.lexsort((self.k, counts[self.k]))
+        s = self.s[order]
+        counts, starts = np.unique(counts[channels], return_index=True)
+        groups, column = [], 0
+        for c, start, stop in zip(counts, starts, [*starts[1:], self.out_dim]):
+            width = (stop - start) * c
+            coefficients = s[column:column + width].reshape(stop - start, 1, c)
+            groups.append((slice(start, stop), slice(column, column + width),
+                           _frozen(coefficients)))
+            column += width
+        in_order = np.array_equal(channels, np.arange(self.out_dim))
+        return Fold(self.i[order], self.j[order], self.k[order], s, channels, tuple(groups),
+                    None if in_order else np.argsort(channels))
 
 
 def _apply(table, dims, a, b):
     """The product of table on operands a and b of dims channels, as a
-    fresh (out_dim,) + shape array."""
-    i, j, fold = table
+    fresh (out_dim,) + shape array, folded as fold(size) chooses."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[:1] + b.shape[:1] != dims or a.shape[1:] != b.shape[1:]:
         raise SuperKdVError(
             f"operand shapes {a.shape} and {b.shape} do not fit a product "
             f"of {dims[0]} by {dims[1]} channels with equal trailing axes")
     shape = a.shape[1:]
-    out = fold @ (a[i] * b[j]).reshape(len(i), math.prod(shape))
-    return out.reshape((len(fold),) + shape)
+    size = math.prod(shape)
+    fold = table.fold(size)
+    out = np.empty((table.out_dim, size))
+    folded = None if fold.inverse is None else np.empty_like(out)
+    fold_into(*fold.bind((a[fold.i] * b[fold.j]).reshape(len(fold.s), size), out, folded))
+    return out.reshape((table.out_dim,) + shape)
 
 
 def _integer_triples(coo):
@@ -255,23 +388,19 @@ def _merged(keys, values):
 
 
 def _square(table, dim):
-    """(i, j, fold) of the table on one operand a, a * a: its columns
-    merged by unordered pair {i, j} with i <= j, each coefficient s_ij +
-    s_ji (s_ii on the diagonal), the zero ones dropped.  Exact for any
-    bilinear table, since a[i] a[j] = a[j] a[i]; no index reaches dim."""
-    i, j, fold = table
-    k, column = np.nonzero(fold)  # one nonzero per column
-    i, j = i[column], j[column]
-    keys, s = _merged((np.minimum(i, j) * dim + np.maximum(i, j)) * len(fold) + k,
-                      fold[k, column])
-    pairs, k = np.divmod(keys, len(fold))
-    return _readonly(_table((*np.divmod(pairs, dim), k, s), len(fold)))
+    """The table on one operand a, a * a: its triples merged by unordered
+    pair {i, j} with i <= j, each coefficient s_ij + s_ji (s_ii on the
+    diagonal), the zero ones dropped.  Exact for any bilinear table, since
+    a[i] a[j] = a[j] a[i]; no index reaches dim."""
+    i, j, k, out_dim = table.i, table.j, table.k, table.out_dim
+    keys, s = _merged((np.minimum(i, j) * dim + np.maximum(i, j)) * out_dim + k, table.s)
+    pairs, k = np.divmod(keys, out_dim)
+    return ProductTable(*np.divmod(pairs, dim), k, s, out_dim)
 
 
-def _readonly(table):
-    for array in table:
-        array.flags.writeable = False
-    return table
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 def _grassmann_products(n):
@@ -306,9 +435,10 @@ class Algebra:
     Arguments are plain coordinate arrays (leading axis = channel).  The
     graded elements below, values here and fields in fields.py, check
     their operands and then call these methods; compiled code reads the
-    tables through gather_fold instead.  Each table is built once, as a
-    read-only (i, j, fold) triple of arrays, and every product returns a
-    fresh array, so threads may share the one Algebra that get_algebra
+    tables through gather_fold instead.  Each table is a read-only
+    ProductTable, stored as its basis triples and built once; its folds
+    are built on the first product that needs them.  Every product returns
+    a fresh array, so threads may share the one Algebra that get_algebra
     returns per descriptor.
     """
 
@@ -327,12 +457,12 @@ class Algebra:
         # one orientation only; the commutator is half(a,b) - half(b,a), which
         # makes antisymmetry bitwise exact instead of roundoff-exact.  Where
         # odd_half_antisymmetric proves half(b,a) = -half(a,b), as on
-        # grassmann, its compiled table is the half one with fold 2 s
+        # grassmann, its compiled table is the half one with coefficients 2 s
         self._half_triples = half = _coo(half)
         mixed = _coo(eo)
-        self._half = _readonly(_table(half, E))
-        self._tables = {"even_mul": _readonly(_table(_coo(ee), E)),
-                        "mixed_mul": _readonly(_table(mixed, O))}
+        self._half = ProductTable(*half, E)
+        self._tables = {"even_mul": ProductTable(*_coo(ee), E),
+                        "mixed_mul": ProductTable(*mixed, O)}
         if descriptor.kind == "grassmann":
             self._tables["odd_mul"] = self._half  # the half of [a,b] = ab - ba is ab
         self._squares = {}  # square tables, each built on first use
@@ -383,20 +513,23 @@ class Algebra:
         return _apply(self.gather_fold("odd_mul"), (O, O), q1, q2)
 
     def gather_fold(self, product):
-        """(i, j, fold) of the named product method, whose value is fold @
-        (a[i] * b[j]), for code that compiles its products itself; read-only.
-        The odd_commutator's is built on first use: the half table with fold
-        2 s where odd_half_antisymmetric holds, else both halves, half(a, b)
-        - half(b, a).  Either equals the method's value up to the order of
-        summation."""
+        """The ProductTable of the named product method, for code that
+        compiles its products itself: its value at (a, b) is that of the
+        fold its fold(size) returns on the gathered a[i] * b[j].  The
+        odd_commutator's is built on first use: the half table with
+        coefficients 2 s where odd_half_antisymmetric holds, else both
+        halves, half(a, b) - half(b, a).  Either equals the method's value
+        up to the order of summation."""
         if product == "odd_commutator" and product not in self._tables:
-            i, j, fold = self._half
+            half = self._half
             if self.odd_half_antisymmetric:
-                table = (i, j, 2.0 * fold)
+                table = ProductTable(half.i, half.j, half.k, 2.0 * half.s, half.out_dim)
             else:
-                table = (np.concatenate((i, j)), np.concatenate((j, i)),
-                         np.hstack((fold, -fold)))
-            self._tables[product] = _readonly(table)
+                table = ProductTable(np.concatenate((half.i, half.j)),
+                                     np.concatenate((half.j, half.i)),
+                                     np.concatenate((half.k, half.k)),
+                                     np.concatenate((half.s, -half.s)), half.out_dim)
+            self._tables[product] = table
         if product == "odd_mul" and product not in self._tables:
             raise GradingError(
                 f"the {self.descriptor.kind} backend has no odd*odd product; "
@@ -404,10 +537,10 @@ class Algebra:
         return self._tables[product]
 
     def square_fold(self, product):
-        """(i, j, fold) of the named product of one operand with itself,
-        whose value at b = a is fold @ (a[i] * a[j]); read-only and built on
-        first use.  Its columns are gather_fold's merged by unordered pair
-        {i, j}, i <= j, so it gathers about half the rows."""
+        """The ProductTable of the named product of one operand with
+        itself, whose value at b = a is the product's; read-only and built
+        on first use.  Its triples are gather_fold's merged by unordered
+        pair {i, j}, i <= j, so it gathers about half the rows."""
         table = self._squares.get(product)
         if table is None:
             if product == "mixed_mul":

@@ -25,7 +25,12 @@ per distinct product inside the groups.  A square such as v v gathers
 its product's square table (each unordered pair of channels once), and
 on grassmann a bracket gathers one half table, [a, b] = 2ab, so the
 modified stage on grassmann:6 gathers 1004 rows where both full tables
-would gather 1277.  A term [eta^(a), eta^(b)] eta^(c) with
+would gather 1277.  Each op folds its products as its table's cost rule
+picks for the grid (algebra.ProductTable.fold): the small tables of
+scalar, grassmann:3 and symplectic through one dense matrix, those of
+grassmann:6 at N = 256 per output channel, so that each channel sums
+only its own pairs, at most 32, where one dense matrix summed all 183
+columns for each of the 32 channels.  A term [eta^(a), eta^(b)] eta^(c) with
 c equal to a or b is zero on a backend that proves [q1, q2] q3 totally
 antisymmetric, and is not compiled there: the modified odd source's
 terms in L [eta, eta'] eta' and L [eta, eta''] eta, and the gardner odd

@@ -479,9 +479,11 @@ def _live_terms(poly, lam, descriptor, weight=1.0):
     return live
 
 
-def _op_step(stack, left_rows, right_rows, fold, left, right, out):
+def _op_step(stack, left_rows, right_rows, left, right, groups, inverse, folded, out):
     """Gather the operands' rows of one product table from the stack,
-    multiply them and fold them onto the output channels.
+    multiply them and fold them onto the output channels: the groups and
+    the take of a fold bound by algebra.Fold.bind, run as
+    algebra.fold_into runs them, grouped or dense alike.
 
     The gathers use the take method with mode="clip": the default mode
     buffers the output, which would allocate the very array the gather
@@ -491,7 +493,10 @@ def _op_step(stack, left_rows, right_rows, fold, left, right, out):
     stack.take(left_rows, axis=0, out=left, mode="clip")
     stack.take(right_rows, axis=0, out=right, mode="clip")
     left *= right
-    np.matmul(fold, left, out=out)
+    for function, coefficients, products, rows in groups:
+        function(coefficients, products, out=rows)
+    if inverse is not None:
+        folded.take(inverse, axis=0, out=out, mode="clip")
 
 
 def _sum_step(out, first, rest, scratch):
@@ -519,11 +524,16 @@ class _Program:
     and `run` walks the steps in the order they were built.  An op
     (product, left rows, right rows, fold, node) gathers the rows of the
     named product's Algebra.gather_fold table, offset to its operands'
-    nodes, multiplies them and folds them onto the output channels; a sum
-    adds coefficient times node over its terms.  An op whose operands are
-    one node (u u, u' u', [xi', xi]^2) gathers the product's square_fold
+    nodes, multiplies them and folds them onto the output channels with
+    the algebra.Fold the table's cost rule picks for width * N samples:
+    one dense matrix product on a small table, else one batched matrix
+    product per group of channels with equal pair counts, each channel
+    summing only its own pairs, and one take into channel order.  Its
+    rows are gathered in that fold's column order.  A sum adds
+    coefficient times node over its terms.  An op whose operands are one
+    node (u u, u' u', [xi', xi]^2) gathers the product's square_fold
     table instead, about half the rows, and on grassmann a commutator
-    gathers the half table with fold 2 s.
+    gathers the half table with coefficients 2 s.
 
     Every polynomial is built by one rule, `_poly`, from its live terms
     (`_live_terms`: the terms that vanish on the backend are not compiled,
@@ -536,22 +546,26 @@ class _Program:
     prefix, one op per distinct prefix, shared by every polynomial of the
     program; the empty product is a unit block.  A lone bracket that some
     term of the program multiplies by a further factor is that shared
-    product, not an op of its own.  The first op writes into the
-    polynomial's rows and one sum adds the other ops and the constant and
+    product, not an op of its own, and so is a one-term even group whose
+    whole product some group makes as such a prefix (H2's u^2 where H4
+    has 2 u^3).  The first op writes into the polynomial's rows and one
+    sum adds the other ops, the shared products and the constant and
     linear terms (the unit, a u^(k), a bare xi^(c) or a shared bracket).
     Each fold is one product table's own (or its square table's), so no
-    matmul is wider, or more dependent on the BLAS thread count, than a
-    product.
+    matmul sums more terms, or depends more on the BLAS thread count,
+    than that table: a grouped fold sums at most a channel's pair count,
+    2^(n-1) on grassmann:n.
 
-    `link(width)` lays width trials side by side: every block has width * N
-    columns, trial t's samples in columns t N to (t + 1) N, and `samples`
-    views the head as (rows, width, N) for the stacked transforms.  The
-    trials share each op, whose fold acts on the rows only.
+    A program runs width trials side by side, fixed when it is built:
+    every block has width * N columns, trial t's samples in columns t N to
+    (t + 1) N, and `samples` views the head as (rows, width, N) for the
+    stacked transforms.  The trials share each op, whose fold acts on the
+    rows only.  `link()` allocates the stack and binds the steps to it.
     """
 
-    def __init__(self, grid, descriptor, terms, xi_orders=()):
+    def __init__(self, grid, descriptor, terms, xi_orders=(), width=1):
         n_even = descriptor.even_dim
-        self.grid, self.n_rows = grid, n_even + descriptor.odd_dim
+        self.grid, self.n_rows, self.width = grid, n_even + descriptor.odd_dim, width
         self.algebra = get_algebra(descriptor)
         u_orders = {f for factors, _, _ in terms for f in factors
                     if not isinstance(f, tuple)}
@@ -577,6 +591,12 @@ class _Program:
         self._multiplied = {f for factors, odd, _ in terms
                             if len(factors) > 1 or odd is not None
                             for f in factors if isinstance(f, tuple)}
+        # the products some group makes, prefix by prefix, of the factors it
+        # multiplies by its last one; a one-term even group whose product
+        # is one of them reads it
+        self._shared = {rest[:end] for factors, odd, _ in terms
+                        for rest in [factors if odd is not None else factors[1:]]
+                        for end in range(2, len(rest) + 1)}
         self.unit = None
         self.ops = []
         self.steps = []  # (step function, arguments) in build order, bound by link
@@ -594,13 +614,14 @@ class _Program:
                 raise GradingError("cannot instantiate a mixed-grading polynomial")
             lives.append(_live_terms(poly, lam, descriptor))
             fields.append(OddField if gradings == {True} else EvenField)
-        program = cls(grid, descriptor, [term for live in lives for term in live])
+        program = cls(grid, descriptor, [term for live in lives for term in live],
+                      width=width)
         for live, field in zip(lives, fields):
             height = field._dim(descriptor)
             node = program._block(height)
             program._poly(live, node, height)
             program.outputs.append((field, node, height))
-        program.link(width)
+        program.link()
         return program
 
     def __call__(self, u, xi):
@@ -643,12 +664,16 @@ class _Program:
     def _op(self, product, a, b, scale=1.0, node=None):
         """The node of scale times the named Algebra product of nodes a and
         b: a new block, or the given node's rows.  A node times itself
-        gathers the product's square table."""
-        table = self.algebra.square_fold if a == b else self.algebra.gather_fold
-        i, j, fold = table(product)
+        gathers the product's square table.  The table folds as its
+        fold(width N) chooses, so a batch of width trials may group a fold
+        that one trial keeps dense."""
+        table = (self.algebra.square_fold if a == b else self.algebra.gather_fold)(product)
+        fold = table.fold(self.width * self.grid.N)
+        if scale != 1.0:
+            fold = fold.scaled(scale)
         if node is None:
-            node = self._block(len(fold))
-        op = (product, a + i, b + j, fold if scale == 1.0 else scale * fold, node)
+            node = self._block(table.out_dim)
+        op = (product, a + fold.i, b + fold.j, fold, node)
         self.ops.append(op)
         self.steps.append((_op_step, op))
         return node
@@ -694,7 +719,7 @@ class _Program:
                                else self._product(factors), coeff))
                 continue
             groups.setdefault(key, []).append((rest, coeff))
-        pieces = list(pieces)
+        pieces, shared = list(pieces), []
         for (product, last), members in groups.items():
             if product == "odd_commutator":
                 pieces.append((product, self.xi_rows[last[0]], self.xi_rows[last[1]],
@@ -702,6 +727,9 @@ class _Program:
                 continue
             if len(members) == 1:
                 ((rest, scale),) = members
+                if product == "even_mul" and (last,) + rest in self._shared:
+                    shared.append((self._product((last,) + rest), scale))
+                    continue
                 operand = self._product(rest)
             else:
                 even_dim = self.algebra.descriptor.even_dim
@@ -714,14 +742,14 @@ class _Program:
                 pieces.append((product, self._product((last,)), operand, scale))
         if pieces:
             self._op(*pieces[0], node=node)
-            linear = [(self._op(*piece), 1.0) for piece in pieces[1:]] + linear
+        linear = [(self._op(*piece), 1.0) for piece in pieces[1:]] + shared + linear
         if linear:
             self._sum(node, height, linear, onto=bool(pieces))
 
-    def link(self, width=1):
-        """Allocate the stack and the gather buffers for batches of width
-        trials, and bind every step to its rows."""
-        N, self.width = self.grid.N, width
+    def link(self):
+        """Allocate the stack, the gather buffers and the scratch rows for
+        batches of width trials, and bind every step to its rows."""
+        N, width = self.grid.N, self.width
         stack = self.stack = np.zeros((self.top, width * N))
         if self.unit is not None:
             stack[self.unit] = 1.0
@@ -732,6 +760,8 @@ class _Program:
         widest = max((len(left) for _, left, *_ in self.ops), default=0)
         self.buffers = (np.empty((widest, width * N)), np.empty((widest, width * N)))
         descriptor = self.algebra.descriptor
+        # the rows a sum scales a term into, and those a grouped fold folds
+        # into before its take
         scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), width * N))
 
         def rows(node, height):
@@ -739,9 +769,10 @@ class _Program:
 
         def bind(step, args):
             if step is _op_step:
-                _, left, right, fold, node = args
-                return (stack, left, right, fold, self.buffers[0][:len(left)],
-                        self.buffers[1][:len(left)], rows(node, len(fold)))
+                _, left_rows, right_rows, fold, node = args
+                left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
+                return (stack, left_rows, right_rows, left, right,
+                        *fold.bind(left, rows(node, fold.out_dim), scratch))
             node, height, first, rest = args
             return (rows(node, height),
                     None if first is None else (rows(first[0], height), first[1]),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superkdv.algebra import (Algebra, AlgebraDescriptor, EvenValue, OddValue,
+from superkdv.algebra import (Algebra, AlgebraDescriptor, EvenValue, OddValue, fold_into,
                               get_algebra, validate_algebra, value_norm)
 from superkdv.errors import DescriptorMismatch, GradingError, SuperKdVError
 
@@ -282,32 +282,49 @@ def test_bracket_product_proof_fails_on_altered_tables():
 def test_proof_triples_are_the_tables_triples(text):
     # the proof reads basis triples that define the same dense (left,
     # right, out) tensor as the gather_fold table, exactly; the grassmann
-    # commutator's table is the half one with fold 2 s
+    # commutator's table is the half one with coefficients 2 s
     algebra = Algebra(AlgebraDescriptor.from_string(text))
     E, O = algebra.descriptor.even_dim, algebra.descriptor.odd_dim
     shapes = {"odd_commutator": (O, O, E), "mixed_mul": (E, O, O)}
     for product, (i, j, k, s) in algebra._triples.items():
         want, got = np.zeros(shapes[product]), np.zeros(shapes[product])
         np.add.at(want, (i, j, k), s)
-        gi, gj, fold = algebra.gather_fold(product)
-        np.add.at(got, (gi, gj), fold.T)
+        table = algebra.gather_fold(product)
+        np.add.at(got, (table.i, table.j, table.k), table.s)
         assert np.array_equal(got, want), product
+
+
+def folds_built(algebra):
+    """The (table, fold) names of every fold an Algebra's tables hold."""
+    tables = dict(algebra._tables, half=algebra._half,
+                  **{f"square {name}": table for name, table in algebra._squares.items()})
+    return sorted((name, fold) for name, table in tables.items()
+                  for fold in ("dense", "grouped") if fold in vars(table))
 
 
 def test_bracket_product_proof_is_made_on_first_use():
     # building an Algebra, as the set-up of every run does, makes neither
     # proof, nor the commutator table that depends on one, nor any square
-    # table; each is made on first use
+    # table, nor any fold, dense or grouped; each is made on first use
     algebra = Algebra(AlgebraDescriptor.from_string("grassmann:6"))
     proofs = {"bracket_product_alternates", "odd_half_antisymmetric"}
     assert not proofs & set(vars(algebra))
     assert algebra._squares == {} and "odd_commutator" not in algebra._tables
+    assert folds_built(algebra) == []
     assert algebra.bracket_product_alternates
     assert "odd_half_antisymmetric" not in vars(algebra)
     algebra.gather_fold("odd_commutator")
     assert proofs <= set(vars(algebra)) and algebra._squares == {}
     algebra.square_fold("even_mul")
     assert list(algebra._squares) == ["even_mul"]
+    assert folds_built(algebra) == []
+    # a product builds the one fold its size asks for: one value wastes
+    # too little for a grouped fold, a field of 256 samples enough
+    E = algebra.descriptor.even_dim
+    algebra.even_mul(np.ones(E), np.ones(E))
+    assert folds_built(algebra) == [("even_mul", "dense")]
+    algebra.even_mul(np.ones((E, 256)), np.ones((E, 256)))
+    assert folds_built(algebra) == [("even_mul", "dense"), ("even_mul", "grouped")]
 
 
 @pytest.mark.parametrize("text", ["scalar", "symplectic:1", "symplectic:2", "symplectic:3"]
@@ -322,14 +339,14 @@ def test_square_tables_merge_each_unordered_pair(text):
     if algebra.descriptor.kind == "grassmann":
         products["odd_mul"] = O
     for product, dim in products.items():
-        i, j, fold = algebra.square_fold(product)
-        assert (i <= j).all()
-        assert ((fold != 0).sum(axis=0) == 1).all()
-        k = np.argmax(fold != 0, axis=0)
+        square = algebra.square_fold(product)
+        i, j, k = square.i, square.j, square.k
+        assert (i <= j).all() and (square.s != 0).all()
         assert len(set(zip(i, j, k))) == len(i)
         a = rng.uniform(-1.0, 1.0, (dim, 5))
-        fi, fj, full = algebra.gather_fold(product)
-        assert np.allclose(fold @ (a[i] * a[j]), full @ (a[fi] * a[fj]), rtol=0.0, atol=1e-13)
+        full = algebra.gather_fold(product)
+        assert np.allclose(triple_product(square, a, a), triple_product(full, a, a),
+                           rtol=0.0, atol=1e-13)
     with pytest.raises(GradingError):
         algebra.square_fold("mixed_mul")
 
@@ -338,15 +355,16 @@ def test_square_tables_merge_each_unordered_pair(text):
                          + [(f"symplectic:{n}", False) for n in range(1, 4)])
 def test_odd_half_antisymmetry_is_proven_exactly(text, holds):
     # the half table is the odd product on grassmann, so [a, b] = 2 ab is
-    # one half table with fold 2 s; symplectic's half is one orientation of
-    # omega, so its commutator keeps both halves
+    # one half table with coefficients 2 s; symplectic's half is one
+    # orientation of omega, so its commutator keeps both halves
     algebra = Algebra(AlgebraDescriptor.from_string(text))
     assert algebra.odd_half_antisymmetric is holds
-    i, _, fold = algebra.gather_fold("odd_commutator")
-    _, _, half = algebra._half
-    assert len(i) == (1 if holds else 2) * half.shape[1]
+    table, half = algebra.gather_fold("odd_commutator"), algebra._half
+    assert len(table.s) == (1 if holds else 2) * len(half.s)
     if holds:
-        assert np.array_equal(fold, 2.0 * half)
+        for got, want in zip((table.i, table.j, table.k, table.s),
+                             (half.i, half.j, half.k, 2.0 * half.s)):
+            assert np.array_equal(got, want)
 
 
 def test_odd_half_proof_fails_on_altered_triples():
@@ -360,7 +378,66 @@ def test_odd_half_proof_fails_on_altered_triples():
         copy = Algebra(algebra.descriptor)
         copy._half_triples = (i, j, k, altered)
         assert copy.odd_half_antisymmetric is False
-        assert len(copy.gather_fold("odd_commutator")[0]) == 2 * len(i)
+        assert len(copy.gather_fold("odd_commutator").s) == 2 * len(i)
+
+
+def triple_product(table, a, b):
+    """The table's product of a and b summed triple by triple through its
+    dense (out, left, right) tensor: the reference no fold shares."""
+    tensor = np.zeros((table.out_dim, len(a), len(b)))
+    np.add.at(tensor, (table.k, table.i, table.j), table.s)
+    return np.einsum("kij,in,jn->kn", tensor, a, b)
+
+
+def run_fold(fold, products):
+    """The fold of the (nnz, size) products, into output and scratch rows
+    that start as NaN, so a row no group writes shows."""
+    out = np.full((fold.out_dim, products.shape[1]), np.nan)
+    fold_into(*fold.bind(products, out, np.full_like(out, np.nan)))
+    return out
+
+
+FOLD_BACKENDS = (["scalar"] + [f"grassmann:{n}" for n in range(1, 9)]
+                 + [f"symplectic:{n}" for n in range(1, 4)])
+
+
+def every_table(algebra):
+    """(name, ProductTable) of every product and every square table."""
+    products = ["even_mul", "mixed_mul", "odd_commutator"]
+    if algebra.descriptor.kind == "grassmann":
+        products.append("odd_mul")
+    tables = [(name, algebra.gather_fold(name)) for name in products]
+    return tables + [(f"square {name}", algebra.square_fold(name))
+                     for name in products if name != "mixed_mul"]
+
+
+@pytest.mark.parametrize("text", FOLD_BACKENDS)
+def test_grouped_folds_sum_each_channel_over_its_own_pairs(text):
+    # every product and square table, on random operands at N = 64: the
+    # grouped fold gives the value of the triples, stores no zero
+    # coefficient and puts each output channel in exactly one group, which
+    # sums over that channel's pair count; a channel without pairs (the
+    # unit of a grassmann bracket) comes out exactly 0
+    algebra = Algebra(AlgebraDescriptor.from_string(text))
+    E, O = algebra.descriptor.even_dim, algebra.descriptor.odd_dim
+    rng = np.random.default_rng(9)
+    for name, table in every_table(algebra):
+        fold = table.grouped
+        left, right = (E, O) if name == "mixed_mul" else (O, O) if "odd" in name else (E, E)
+        a, b = rng.uniform(-1.0, 1.0, (left, 64)), rng.uniform(-1.0, 1.0, (right, 64))
+        got, want = run_fold(fold, a[fold.i] * b[fold.j]), triple_product(table, a, b)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0), name
+        assert (fold.s != 0).all(), name
+        grouped = [channel for rows, _, _ in fold.groups for channel in fold.channels[rows]]
+        assert sorted(grouped) == list(range(table.out_dim)), name
+        counts = np.bincount(table.k, minlength=table.out_dim)
+        assert (got[counts == 0] == 0.0).all(), name
+        for rows, columns, coefficients in fold.groups:
+            channels = fold.channels[rows]
+            n, _, c = coefficients.shape
+            assert n == len(channels) and (counts[channels] == c).all(), name
+            assert np.array_equal(fold.k[columns], np.repeat(channels, c)), name
+            assert np.array_equal(coefficients.ravel(), fold.s[columns]), name
 
 
 def test_validate_algebra_runtime_under_one_second():
@@ -441,14 +518,17 @@ def test_products_match_per_triple_oracle(text):
             assert got.shape == want.shape
             # summation order differs from the oracle's: roundoff only
             assert np.allclose(got, want, rtol=0.0, atol=1e-13), (text, shape)
-        # each method is its gather_fold table applied, bit for bit
+        # each method is its gather_fold table's fold for its size applied,
+        # bit for bit
         methods = [("even_mul", a, b), ("mixed_mul", a, q)]
         if d.kind == "grassmann":
             methods.append(("odd_mul", q, p))
         for name, x, y in methods:
-            i, j, fold = alg.gather_fold(name)
-            gathered = (x[i] * y[j]).reshape(len(i), math.prod(shape))
-            want = (fold @ gathered).reshape((len(fold),) + shape)
+            table = alg.gather_fold(name)
+            size = math.prod(shape)
+            fold = table.fold(size)
+            gathered = (x[fold.i] * y[fold.j]).reshape(len(fold.s), size)
+            want = run_fold(fold, gathered).reshape((table.out_dim,) + shape)
             assert np.array_equal(getattr(alg, name)(x, y), want), (text, name, shape)
 
 

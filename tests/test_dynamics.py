@@ -727,6 +727,17 @@ def test_densities_make_each_bracket_once():
     assert len(brackets) == len(set(brackets)) == 4
 
 
+def test_densities_make_each_product_once():
+    # H2's u^2 and H4's u'^2 read the products u u and u' u' that H4's
+    # 2 u^3 and H6's 10 u u'^2 make as prefixes, where each took a scaled
+    # op of its own: 12 ops, no two gathering the same rows (14 before)
+    program = _Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
+                               PeriodicGrid(20.0, 64), AlgebraDescriptor.from_string("grassmann:3"),
+                               1.3)
+    gathers = {(product, tuple(left), tuple(right)) for product, left, right, *_ in program.ops}
+    assert len(program.ops) == len(gathers) == 12
+
+
 def test_recorded_step_equals_the_final_state_of_a_shorter_run():
     # check gardner reads the deviation at step 300 from its 500-step run
     st = random_state("gardner", "symplectic:1", 1.0, N=64, L=20.0, eps=0.1)
@@ -737,24 +748,26 @@ def test_recorded_step_equals_the_final_state_of_a_shorter_run():
     assert np.array_equal(longer[6].odd.data, shorter.odd.data)
 
 
-def _gathered_nodes(left, right, table):
-    """The nodes (a, b) when left and right are the table's rows offset to
-    a and to b, else None."""
-    i, j, _ = table
-    if left.shape != i.shape:
-        return None
-    a, b = set(left - i), set(right - j)
-    return (a.pop(), b.pop()) if len(a) == len(b) == 1 else None
+def _coefficient_tensor(out_dim, dim, left, right, k, s):
+    """The dense (out, left, right) tensor of a product's coefficients,
+    rebuilt from its (left, right, out, coefficient) triples."""
+    tensor = np.zeros((out_dim, dim, dim))
+    np.add.at(tensor, (k, left, right), s)
+    return tensor
 
 
 @pytest.mark.parametrize("desc_str", ["grassmann:6", "symplectic:2"])
 def test_every_op_gathers_one_product_table(desc_str):
     # the right-hand sides of all four systems, the densities and the maps
     # each fold one product table per op: the product's own table, or its
-    # square table when both operands are one node.  So no gather is wider
-    # than the widest table, and the buffers fit the widest op
+    # square table when both operands are one node.  The op's gathered
+    # (left, right, coefficient) triples are the table's, offset to its
+    # nodes and scaled by the op's coefficient, in whatever column order
+    # its fold gathers them.  So no gather is wider than the widest table,
+    # and the buffers fit the widest op
     desc = AlgebraDescriptor.from_string(desc_str)
     grid, algebra = PeriodicGrid(20.0, 64), get_algebra(desc)
+    dim = max(desc.even_dim, desc.odd_dim)
     programs = [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
                 for kind in SYSTEM_KINDS if kind != "skdv_grassmann" or desc.kind == "grassmann"]
     programs.append(_Program.compile([density_poly(label)
@@ -765,15 +778,62 @@ def test_every_op_gathers_one_product_table(desc_str):
                                enumerate(gardner_coefficients(8)))]
     squares = 0
     for program in programs:
-        for product, left, right, *_ in program.ops:
-            nodes = _gathered_nodes(left, right, algebra.gather_fold(product))
-            if nodes is None or nodes[0] == nodes[1]:
-                nodes = _gathered_nodes(left, right, algebra.square_fold(product))
-                assert nodes is not None and nodes[0] == nodes[1], product
-                squares += 1
+        for product, left, right, fold, _ in program.ops:
+            (a,), (b,) = set(left - fold.i), set(right - fold.j)
+            table = (algebra.square_fold if a == b else algebra.gather_fold)(product)
+            squares += a == b
+            got = _coefficient_tensor(table.out_dim, dim, left - a, right - b, fold.k, fold.s)
+            want = _coefficient_tensor(table.out_dim, dim, table.i, table.j, table.k, table.s)
+            scale = fold.s[0] / want[fold.k[0], fold.i[0], fold.j[0]]
+            assert np.array_equal(got, scale * want), product
         widths = [len(left) for _, left, *_ in program.ops]
         assert [b.shape for b in program.buffers] == [(max(widths), 64)] * 2
     assert squares > 0  # u u, v v and the like are compiled
+
+
+def _widest_reduction(program):
+    """The longest sum any op's fold makes per output channel."""
+    return max(coefficients.shape[-1] for *_, fold, _ in program.ops
+               for _, _, coefficients in fold.groups)
+
+
+@pytest.mark.parametrize("desc_str,grouped,widest", [
+    ("scalar", False, 1), ("grassmann:3", False, 7), ("symplectic:1", False, 3),
+    ("grassmann:6", True, 32), ("grassmann:8", True, 128)])
+def test_ops_fold_per_channel_where_the_dense_fold_wastes(desc_str, grouped, widest):
+    # at N = 256 the grassmann:6 and grassmann:8 tables fold per output
+    # channel, each channel summing its own pairs (at most 2^(n-1) on
+    # grassmann:n, against 183 and 1641 columns of one dense fold); the
+    # small tables keep the one dense group
+    st = random_state("modified", desc_str, 1.3, N=256)
+    nonlinear = _SpectralRHS("modified", st.grid, st.descriptor, st.lam)
+    assert {fold.inverse is not None for *_, fold, _ in nonlinear.ops} == {grouped}
+    assert _widest_reduction(nonlinear) == widest
+
+
+# sha256 prefixes of every record of a 30-step run, recorded when every op
+# folded through one dense matrix; the ops of these backends still do
+_DENSE_RECORDS = {("extended", "scalar", "ifrk4"): "2144ba6a24ed5c1c",
+                  ("extended", "scalar", "rk4"): "afbb49a30b4549d5",
+                  ("modified", "grassmann:3", "ifrk4"): "0a6a4670d91c2081",
+                  ("modified", "grassmann:3", "rk4"): "aa4080f86822a1c8",
+                  ("gardner", "symplectic:1", "ifrk4"): "51c3db7c7bd12e4a",
+                  ("gardner", "symplectic:1", "rk4"): "3707295bf3c6430c"}
+
+
+@pytest.mark.parametrize("kind,desc_str,scheme", sorted(_DENSE_RECORDS))
+def test_ops_that_keep_one_group_keep_their_bits(kind, desc_str, scheme):
+    import hashlib
+    st = random_state(kind, desc_str, 0.0 if desc_str == "scalar" else 1.3, seed=3,
+                      eps=0.4 if kind == "gardner" else 0.0)
+    nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon)
+    assert all(fold.inverse is None and len(fold.groups) == 1
+               for *_, fold, _ in nonlinear.ops)
+    digest = hashlib.sha256()
+    for record in integrate(st, 1e-3, 30, scheme=scheme, record_every=10):
+        digest.update(record.even.data.tobytes())
+        digest.update(record.odd.data.tobytes())
+    assert digest.hexdigest()[:16] == _DENSE_RECORDS[kind, desc_str, scheme]
 
 
 def test_rhs_states_match_rhs_state_one_at_a_time():

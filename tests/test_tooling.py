@@ -38,8 +38,9 @@ def test_modules_import_only_what_they_use():
 def test_import_builds_no_table_and_parses_no_text():
     # the set-up every run pays starts with this import: no algebra table,
     # proof or parsed formula may be made on the way.  get_algebra then
-    # builds the tables every product reads, but no proof, no commutator
-    # table (which depends on a proof) and no square table
+    # builds the tables every product reads, as basis triples, but no
+    # proof, no commutator table (which depends on a proof), no square
+    # table and no fold, dense or grouped; nor does Algebra itself
     probe = ("import superkdv, superkdv.cli\n"
              "from superkdv import algebra, symbolic\n"
              "caches = [algebra._cached_algebra, symbolic.nonlinear_terms,\n"
@@ -48,10 +49,14 @@ def test_import_builds_no_table_and_parses_no_text():
              "print([cache.cache_info().currsize for cache in caches])\n"
              "made = algebra.get_algebra(algebra.AlgebraDescriptor('grassmann', 6))\n"
              "print(sorted({'bracket_product_alternates', 'odd_half_antisymmetric'}\n"
-             "             & set(vars(made))), sorted(made._tables), made._squares)\n")
+             "             & set(vars(made))), sorted(made._tables), made._squares)\n"
+             "for made in (made, algebra.Algebra(algebra.AlgebraDescriptor('grassmann', 8))):\n"
+             "    tables = [*made._tables.values(), made._half]\n"
+             "    print(sorted({'dense', 'grouped'} & {name for table in tables\n"
+             "                                         for name in vars(table)}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == ["[0, 0, 0, 0, 0]",
-                                "[] ['even_mul', 'mixed_mul', 'odd_mul'] {}"]
+                                "[] ['even_mul', 'mixed_mul', 'odd_mul'] {}", "[]", "[]"]
