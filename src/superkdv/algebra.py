@@ -227,6 +227,13 @@ class Fold:
     def out_dim(self):
         return len(self.channels)
 
+    @property
+    def matrix(self):
+        """The signed (out_dim, nnz) matrix of a dense fold; None for a
+        grouped one."""
+        coefficients = self.groups[0][2]
+        return coefficients if coefficients.ndim == 2 else None
+
     def scaled(self, c):
         """This fold with every coefficient times c."""
         return Fold(self.i, self.j, self.k, c * self.s, self.channels,
@@ -404,29 +411,31 @@ def _frozen(array):
 
 
 def _grassmann_products(n):
-    """COO triples of the full exterior product, split by operand grading."""
-    masks = list(range(2 ** n))
-    evens = [m for m in masks if _popcount(m) % 2 == 0]
-    odds = [m for m in masks if _popcount(m) % 2 == 1]
-    e_index = {m: i for i, m in enumerate(evens)}
-    o_index = {m: i for i, m in enumerate(odds)}
-    ee, eo, oo = [], [], []
-    for ma in masks:
-        for mb in masks:
-            if ma & mb:
-                continue  # repeated generator: product vanishes
-            k = ma | mb
-            inv = sum(_popcount(ma >> (b + 1)) for b in range(n) if mb >> b & 1)
-            s = -1 if inv % 2 else 1
-            pa, pb = _popcount(ma) % 2, _popcount(mb) % 2
-            if pa == 0 and pb == 0:
-                ee.append((e_index[ma], e_index[mb], e_index[k], s))
-            elif pa == 0 and pb == 1:
-                eo.append((e_index[ma], o_index[mb], o_index[k], s))
-            elif pa == 1 and pb == 1:
-                oo.append((o_index[ma], o_index[mb], e_index[k], s))
-            # odd*even is recovered from eo since [Q, P] = 0
-    return ee, eo, oo
+    """(i, j, k, s) arrays of the full exterior product's basis triples,
+    split by operand grading into even*even, even*odd and odd*odd; each in
+    the order of the operand masks (a, b), a first, s as floats.
+
+    For monomials a and b sharing no generator, a b is sign s times the
+    monomial a | b, s counting the transpositions that sort the
+    generators: a generator of b passes each generator of a above it."""
+    masks = np.arange(2 ** n)
+    parity = np.bitwise_count(masks) % 2
+    # each mask's index among the masks of its grading
+    index = np.empty_like(masks)
+    for p in (0, 1):
+        index[parity == p] = np.arange(2 ** (n - 1))
+    a, b = np.divmod(np.arange(4 ** n), 2 ** n)
+    free = (a & b) == 0  # a repeated generator annihilates the product
+    a, b = a[free], b[free]
+    passes = sum(np.bitwise_count(a >> (bit + 1)) * (b >> bit & 1) for bit in range(n))
+    s = np.where(passes % 2, -1.0, 1.0)
+    k = index[a | b]
+    i, j = index[a], index[b]
+    pa, pb = parity[a], parity[b]
+    # odd*even is recovered from even*odd since [Q, P] = 0
+    return tuple((i[m], j[m], k[m], s[m]) for m in ((pa == 0) & (pb == 0),
+                                                   (pa == 0) & (pb == 1),
+                                                   (pa == 1) & (pb == 1)))
 
 
 class Algebra:
@@ -446,22 +455,22 @@ class Algebra:
         self.descriptor = descriptor
         E, O = self._dims = descriptor.even_dim, descriptor.odd_dim
         if descriptor.kind == "scalar":
-            ee, eo, half = [(0, 0, 0, 1)], [], []
+            ee, mixed, half = map(_coo, ([(0, 0, 0, 1)], [], []))
         elif descriptor.kind == "symplectic":
             n = descriptor.generators
-            ee = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]  # nil*nil = 0 omitted
-            eo = [(0, j, j, 1) for j in range(O)]  # nil annihilates Q
-            half = [(i, n + i, 1, 1.0) for i in range(n)]
+            ee, mixed, half = map(_coo, (
+                [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],  # nil*nil = 0 omitted
+                [(0, j, j, 1) for j in range(O)],  # nil annihilates Q
+                [(i, n + i, 1, 1.0) for i in range(n)]))
         else:
-            ee, eo, half = _grassmann_products(descriptor.generators)
+            ee, mixed, half = _grassmann_products(descriptor.generators)
         # one orientation only; the commutator is half(a,b) - half(b,a), which
         # makes antisymmetry bitwise exact instead of roundoff-exact.  Where
         # odd_half_antisymmetric proves half(b,a) = -half(a,b), as on
         # grassmann, its compiled table is the half one with coefficients 2 s
-        self._half_triples = half = _coo(half)
-        mixed = _coo(eo)
+        self._half_triples = half
         self._half = ProductTable(*half, E)
-        self._tables = {"even_mul": ProductTable(*_coo(ee), E),
+        self._tables = {"even_mul": ProductTable(*ee, E),
                         "mixed_mul": ProductTable(*mixed, O)}
         if descriptor.kind == "grassmann":
             self._tables["odd_mul"] = self._half  # the half of [a,b] = ab - ba is ab
@@ -745,6 +754,12 @@ def _generator_coords(descriptor):
 _VALIDATION_TRIALS = 20
 
 
+def _worst(*deviations):
+    """The largest coordinate magnitude over the deviation arrays; NaN when
+    any coordinate is NaN, so that no NaN passes for a small deviation."""
+    return float(np.max([value_norm(deviation) for deviation in deviations]))
+
+
 def validate_algebra(descriptor):
     """Check the algebra axioms on random samples and exhaustive basis pairs.
 
@@ -754,68 +769,65 @@ def validate_algebra(descriptor):
     (Algebra.bracket_product_alternates).  Nondegeneracy ([q, qhat] != 0
     for some qhat) is checked on the generating set of Q; grassmann:1
     fails it ([t1, t1] = 0 is the only candidate).
+
+    Each axiom's _VALIDATION_TRIALS random trials are one product call
+    per product, the trials along the trailing axis, drawn in the order
+    one trial at a time would draw them.  The basis pairs and the
+    generators' partners are the same, one call per basis row: the
+    partners of one odd basis element are the samples.  A deviation is
+    the largest over all samples, NaN if any is NaN, which fails.
     """
     alg = get_algebra(descriptor)
     report = ValidationReport(descriptor)
     rng = np.random.default_rng(0)
     E, O = descriptor.even_dim, descriptor.odd_dim
+    trials = _VALIDATION_TRIALS
 
-    def rand_even():
-        return rng.uniform(-1.0, 1.0, E)
+    def rand(*dims):
+        # (dim, trials) arrays of each dim: every trial draws its dims in turn
+        draws = rng.uniform(-1.0, 1.0, (trials, sum(dims)))
+        return np.split(draws.T, np.cumsum(dims)[:-1])
 
-    def rand_odd():
-        return rng.uniform(-1.0, 1.0, O)
-
-    worst_comm = worst_assoc = worst_mixed = 0.0
-    for _ in range(_VALIDATION_TRIALS):
-        a, b, c = rand_even(), rand_even(), rand_even()
-        ab = alg.even_mul(a, b)
-        worst_comm = max(worst_comm, value_norm(ab - alg.even_mul(b, a)))
-        worst_assoc = max(worst_assoc,
-                          value_norm(alg.even_mul(ab, c) - alg.even_mul(a, alg.even_mul(b, c))))
-        if O:
-            q = rand_odd()
-            worst_mixed = max(worst_mixed,
-                              value_norm(alg.mixed_mul(ab, q)
-                                         - alg.mixed_mul(a, alg.mixed_mul(b, q))))
+    a, b, c, q = rand(E, E, E, O)
+    ab = alg.even_mul(a, b)
+    worst_comm = _worst(ab - alg.even_mul(b, a))
+    worst_assoc = _worst(alg.even_mul(ab, c) - alg.even_mul(a, alg.even_mul(b, c)))
+    if O:
+        worst_mixed = _worst(alg.mixed_mul(ab, q) - alg.mixed_mul(a, alg.mixed_mul(b, q)))
     report.record("even_mul commutative", worst_comm <= 1e-12, f"max dev {worst_comm:.2e}")
     report.record("even_mul associative", worst_assoc <= 1e-12, f"max dev {worst_assoc:.2e}")
 
-    a = rand_even()
-    dev = value_norm(alg.even_mul(alg.unit(), a) - a)
+    a = rng.uniform(-1.0, 1.0, E)
+    dev = _worst(alg.even_mul(alg.unit(), a) - a)
     report.record("unit neutral", dev == 0.0, f"max dev {dev:.2e}")
 
     if O:
         report.record("mixed_mul associative over P", worst_mixed <= 1e-12,
                       f"max dev {worst_mixed:.2e}")
-        worst = 0.0
-        for _ in range(_VALIDATION_TRIALS):
-            q1, q2 = rand_odd(), rand_odd()
-            worst = max(worst, value_norm(alg.odd_commutator(q1, q2)
-                                          + alg.odd_commutator(q2, q1)))
-        q = rand_odd()
-        worst = max(worst, value_norm(alg.odd_commutator(q, q)))
+        q1, q2 = rand(O, O)
+        q = rng.uniform(-1.0, 1.0, O)
+        worst = _worst(alg.odd_commutator(q1, q2) + alg.odd_commutator(q2, q1),
+                       alg.odd_commutator(q, q))
         report.record("odd_commutator antisymmetric", worst == 0.0, f"max dev {worst:.2e}")
         report.record("[q1, q2] q3 totally antisymmetric", alg.bracket_product_alternates,
                       "exact, over all odd basis triples")
 
+        basis = np.eye(O)  # sample j: the j-th odd basis element
+
+        def everywhere(g):
+            # the odd element g in every sample
+            return np.repeat(g[:, None], O, axis=1)
+
         if descriptor.kind == "grassmann":
             worst = 0.0
-            for i in range(O):
-                for j in range(O):
-                    q1, q2 = np.zeros(O), np.zeros(O)
-                    q1[i] = q2[j] = 1.0
-                    worst = max(worst, value_norm(alg.odd_commutator(q1, q2)
-                                                  - 2.0 * alg.odd_mul(q1, q2)))
+            for g in basis:
+                worst = _worst(worst, alg.odd_commutator(everywhere(g), basis)
+                               - 2.0 * alg.odd_mul(everywhere(g), basis))
             report.record("commutator is twice the odd product", worst == 0.0,
                           f"max dev {worst:.2e}")
 
-        gens = _generator_coords(descriptor)
-        degenerate = []
-        for label, g in gens:
-            partners = (np.eye(O)[i] for i in range(O))
-            if not any(value_norm(alg.odd_commutator(g, p)) > 0.0 for p in partners):
-                degenerate.append(label)
+        degenerate = [label for label, g in _generator_coords(descriptor)
+                      if not value_norm(alg.odd_commutator(everywhere(g), basis)) > 0.0]
         report.record("nondegenerate on generators", not degenerate,
                       "all generators pair" if not degenerate
                       else "no partner for " + ", ".join(degenerate))

@@ -41,8 +41,12 @@ Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
 irfft and one rfft, and the irfft of each new state is also the next
 step's first stage: 4 of each per step for every system.  A state is
-built only for a step that is recorded or passed to the callback; on a
-blow-up the last finite one is rebuilt from its kept spectrum.  The ifrk4
+built only for a step that is recorded or passed to the callback.  The
+samples of each new state are checked finite once; the stages are not,
+as a NaN in a stage's terms spreads through their rfft into the new
+state.  A step that fails the check is replayed from its kept spectrum
+with every stage checked, which tells a blow-up during the step from one
+after it, and the last finite state is rebuilt from that spectrum.  The ifrk4
 scheme is the Lawson integrating-factor form: it advances the -f''' term
 exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
 rk4 is the same loop with unit factors and the dispersion folded into
@@ -124,7 +128,7 @@ class _SpectralRHS(_Program):
     the flux and source rows of that.  Where [flux; source] is exactly
     [even; odd], as for modified, the rfft is written into k itself and
     weighted there.  Given its k, a call makes no spectrum or sample
-    array; only the finite check builds its mask.
+    array; only the finite check, which integrate skips, builds its mask.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -166,6 +170,7 @@ class _SpectralRHS(_Program):
         for (live, start, stop), extra in zip(parts, extras):
             self._poly(live, values + start, stop - start, extra)
         self.link()
+        values = self.placed[values]
         self.values = self.stack[values:values + n_values]
         self.cut = grid.dealias_keep + 1 if dealias else None
         # ik on the flux rows, 1 on the source rows, and the 2/3 mask on both
@@ -191,12 +196,14 @@ class _SpectralRHS(_Program):
         np.fft.irfft(spectra, n=self.grid.N, axis=-1, out=self.samples)
         return self.head
 
-    def __call__(self, out=None):
+    def __call__(self, out=None, check=True):
         """ik F + S, masked, from the samples the last `physical` call made,
         written into out (a fresh array when out is None), which is
-        returned."""
+        returned.  With check, non-finite flux or source samples raise
+        NonFiniteFieldError; without, they reach the result, as a NaN
+        spreads through the rfft into every mode of its rows."""
         self.run()
-        if not np.isfinite(self.values).all():
+        if check and not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
         if self.spec is None:
             k = np.fft.rfft(self.values, axis=-1, out=out)
@@ -365,12 +372,51 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         e_half, linear = 1.0, dispersion
     e_full = e_half * e_half
 
-    def rhs(spec, k):
+    def rhs(spec, k, check):
         # at spec, whose samples the last nonlinear.physical call made
-        nonlinear(k)
+        nonlinear(k, check)
         if linear is not None:
             np.multiply(linear, spec, out=tmp)
             k += tmp
+
+    def advance(spec, new, check):
+        # the step from spec, whose samples the last nonlinear.physical
+        # call made, into new.  The stages and the step are formed in
+        # place, in the stage and tmp buffers and the four k buffers, with
+        # the operands of each product and the terms of each sum in the
+        # order of the formulas noted beside them
+        rhs(spec, k1, check)
+        # stage = e_half * (spec + half * k1)
+        np.multiply(half, k1, out=stage)
+        np.add(spec, stage, out=stage)
+        np.multiply(e_half, stage, out=stage)
+        nonlinear.physical(stage)
+        rhs(stage, k2, check)
+        # stage = e_half * spec + half * k2
+        np.multiply(e_half, spec, out=stage)
+        np.multiply(half, k2, out=tmp)
+        np.add(stage, tmp, out=stage)
+        nonlinear.physical(stage)
+        rhs(stage, k3, check)
+        # k3 = e_half * k3; stage = e_full * spec + dt * k3
+        np.multiply(e_half, k3, out=k3)
+        np.multiply(e_full, spec, out=stage)
+        np.multiply(dt, k3, out=tmp)
+        np.add(stage, tmp, out=stage)
+        nonlinear.physical(stage)
+        rhs(stage, k4, check)
+        # new = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)
+        #                                + 2.0 * k3 + k4)
+        np.multiply(e_full, k1, out=k1)
+        np.multiply(e_half, k2, out=k2)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(sixth, k1, out=k1)
+        np.multiply(e_full, spec, out=stage)
+        np.add(stage, k1, out=new)
 
     def at(phys, time):
         # the state whose samples are phys; copies, so that recorded states
@@ -378,9 +424,18 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         return state.replace_fields(EvenField(grid, desc, phys[:n_even].copy()),
                                     OddField(grid, desc, phys[n_even:n_rows].copy()), time)
 
-    def blowup(when, spec, step):
-        # the last finite state is the one before step, rebuilt from its
-        # spectrum spec, as no state is built for a step nothing reads
+    def blowup(spec, new, step):
+        # step went from spec, finite, to new, not: replay it from spec
+        # into new with every stage checked, which tells a non-finite stage
+        # (during the step) from a non-finite sum of finite ones (after).
+        # The last finite state is the one before step, rebuilt from spec,
+        # as no state is built for a step nothing reads
+        nonlinear.physical(spec)
+        try:
+            advance(spec, new, True)
+            when = "after"
+        except NonFiniteFieldError:
+            when = "during"
         last = at(nonlinear.physical(spec), state.time + (step - 1) * dt) if step > 1 else first
         return NumericalBlowup(f"non-finite values {when} step {step} (t={last.time + dt:g})",
                                last, step, last.time + dt)
@@ -396,58 +451,22 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     first = at(phys, None) if dealias else state
     records = [first]
 
-    # The stages and the step are formed in place, in three buffers and in
-    # the four k buffers, with the operands of each product and the terms of
-    # each sum in the order of the formulas noted beside them.  Each step
-    # writes the new spectrum into `previous` and swaps the two.
+    # Each step writes the new spectrum into `previous` and swaps the two.
     stage, tmp, previous = np.empty_like(spec), np.empty_like(spec), np.empty_like(spec)
     k1, k2, k3, k4 = np.empty((4,) + spec.shape, complex)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    # overflow on the way to a detected blow-up is reported as an
-    # exception by the finite check below, not as a numpy warning
+    # The stages are not checked: a non-finite stage makes the new spectrum
+    # non-finite, so the one finite check of the new state's samples sees
+    # it, and blowup replays that step to tell when.  Overflow on the way to
+    # a blow-up is reported by that check, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
-            try:
-                rhs(spec, k1)
-                # stage = e_half * (spec + half * k1)
-                np.multiply(half, k1, out=stage)
-                np.add(spec, stage, out=stage)
-                np.multiply(e_half, stage, out=stage)
-                nonlinear.physical(stage)
-                rhs(stage, k2)
-                # stage = e_half * spec + half * k2
-                np.multiply(e_half, spec, out=stage)
-                np.multiply(half, k2, out=tmp)
-                stage += tmp
-                nonlinear.physical(stage)
-                rhs(stage, k3)
-                # k3 = e_half * k3; stage = e_full * spec + dt * k3
-                np.multiply(e_half, k3, out=k3)
-                np.multiply(e_full, spec, out=stage)
-                np.multiply(dt, k3, out=tmp)
-                stage += tmp
-                nonlinear.physical(stage)
-                rhs(stage, k4)
-            except NonFiniteFieldError:
-                raise blowup("during", spec, step)
-            # spec = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)
-            #                                 + 2.0 * k3 + k4)
-            np.multiply(e_full, k1, out=k1)
-            np.multiply(e_half, k2, out=k2)
-            np.multiply(2.0, k2, out=k2)
-            k1 += k2
-            np.multiply(2.0, k3, out=k3)
-            k1 += k3
-            k1 += k4
-            np.multiply(sixth, k1, out=k1)
-            np.multiply(e_full, spec, out=stage)
+            advance(spec, previous, False)
             spec, previous = previous, spec
-            np.add(stage, k1, out=spec)
-
             phys = nonlinear.physical(spec)
             if not np.isfinite(phys[:n_rows]).all():
-                raise blowup("after", previous, step)
+                raise blowup(previous, spec, step)
             record = step % record_every == 0 or step == steps
             if record or callback is not None:
                 current = at(phys, state.time + step * dt)

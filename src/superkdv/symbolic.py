@@ -21,8 +21,9 @@ and the Miura and gardner maps (in their source fields v, eta and z, s).
 One engine, _Program, evaluates polynomials on fields (u, xi): compiled
 once per call site at one backend and coupling by one rule into
 straight-line product ops, one per group of terms sharing their last
-factor, it runs them on samples it checks finite, the derivatives taken
-with one stacked transform each way.  A program may run a batch of
+factor, and run level by level, each level's small ops fused into one,
+it runs them on samples it checks finite, the derivatives taken with one
+stacked transform each way.  A program may run a batch of
 trials side by side along the trailing axis of its rows; no fold sees
 that axis.  Every numeric evaluation of the package, the evolution
 right-hand sides included, runs on it.
@@ -42,6 +43,7 @@ one known blind sector).
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -499,6 +501,32 @@ def _op_step(stack, left_rows, right_rows, left, right, groups, inverse, folded,
         folded.take(inverse, axis=0, out=out, mode="clip")
 
 
+# A level's dense ops run as one fused op while their gathers stay within
+# FUSED_SAMPLES samples (rows times width N).  Fusing saves numpy calls,
+# which cost more than the arithmetic on the small tables; past about this
+# many samples the gathers outgrow the cache and the calls no longer
+# dominate, and the Monte Carlo programs, 32 trials of N = 64, keep their
+# memory.  FUSED_ROWS keeps every fused matrix product's inner dimension
+# within the 384 columns OpenBLAS sums in one block, with any thread count.
+FUSED_SAMPLES = 8192
+FUSED_ROWS = 384
+
+
+def _block_diagonal(matrices):
+    """The matrices along the diagonal of one matrix, zeros elsewhere.  Its
+    product with their operands stacked sums each row over its own
+    matrix's columns, in their order, between exact zeros: so a matrix
+    product that sums each output in column order, as OpenBLAS does for
+    up to FUSED_ROWS columns, gives every row the bits it gets alone."""
+    out = np.zeros(tuple(map(sum, zip(*(matrix.shape for matrix in matrices)))))
+    row = column = 0
+    for matrix in matrices:
+        height, width = matrix.shape
+        out[row:row + height, column:column + width] = matrix
+        row, column = row + height, column + width
+    return out
+
+
 def _sum_step(out, first, rest, scratch):
     """out = the sum of coefficient times rows over first and the rest of
     the (rows, coefficient) terms, or out plus the rest when first is None."""
@@ -520,8 +548,7 @@ class _Program:
     derivative order the terms read, u-orders first (`derivatives` lists
     the rows, the rows of [u; xi] and (ik)^order of each).  A node is the
     first row of a block: u_rows and xi_rows map orders to nodes, and each
-    output, product and sum appends a block.  A step is an op or a sum,
-    and `run` walks the steps in the order they were built.  An op
+    output, product and sum appends a block.  A step is an op or a sum.  An op
     (product, left rows, right rows, fold, node) gathers the rows of the
     named product's Algebra.gather_fold table, offset to its operands'
     nodes, multiplies them and folds them onto the output channels with
@@ -556,11 +583,27 @@ class _Program:
     than that table: a grouped fold sums at most a channel's pair count,
     2^(n-1) on grassmann:n.
 
+    `link()` schedules the steps into levels (`_schedule`): each op one
+    level before the first op that reads it, directly or through sums, so
+    the ops that write the outputs share the last level; a sum runs once
+    its inputs are made.  A level's ops that fold dense and fill whole
+    blocks run fused (`_fuse`) while their gathers stay within
+    FUSED_SAMPLES samples and FUSED_ROWS rows: one op over their rows side
+    by side, its fold the block-diagonal matrix of theirs, which gives
+    each output channel the bits its own op gives.  The blocks they write
+    are laid out side by side, so the fused fold writes one run of rows;
+    the stack keeps its height.  A level of one op, and an op over a
+    grouped fold, run as they are: the modified stage on
+    grassmann:3 runs its 6 ops as 2 fused levels, on grassmann:6 at N =
+    256 one at a time.  `ops` keeps each op, at its laid-out rows, and
+    `fused` the ops of each fused level.
+
     A program runs width trials side by side, fixed when it is built:
     every block has width * N columns, trial t's samples in columns t N to
     (t + 1) N, and `samples` views the head as (rows, width, N) for the
     stacked transforms.  The trials share each op, whose fold acts on the
-    rows only.  `link()` allocates the stack and binds the steps to it.
+    rows only.  `link()` also allocates the stack and binds the steps to
+    it, and `run` walks them level by level.
     """
 
     def __init__(self, grid, descriptor, terms, xi_orders=(), width=1):
@@ -598,8 +641,11 @@ class _Program:
                         for rest in [factors if odd is not None else factors[1:]]
                         for end in range(2, len(rest) + 1)}
         self.unit = None
+        self._blocks = []  # (node, height) of each block, in build order
         self.ops = []
-        self.steps = []  # (step function, arguments) in build order, bound by link
+        # (step function, arguments, nodes read) in build order; link binds
+        # them in run order, as (step function, arguments)
+        self.steps = []
         self.outputs = []  # (field type, node, height) of each compiled polynomial
 
     @classmethod
@@ -659,6 +705,7 @@ class _Program:
 
     def _block(self, height):
         node, self.top = self.top, self.top + height
+        self._blocks.append((node, height))
         return node
 
     def _op(self, product, a, b, scale=1.0, node=None):
@@ -675,14 +722,15 @@ class _Program:
             node = self._block(table.out_dim)
         op = (product, a + fold.i, b + fold.j, fold, node)
         self.ops.append(op)
-        self.steps.append((_op_step, op))
+        self.steps.append((_op_step, op, (a, b)))
         return node
 
     def _sum(self, node, height, terms, onto):
         """A step that sets the rows at node to the sum of coefficient times
         node over the (node, coefficient) terms, or adds it onto them."""
         first = None if onto else terms[0]
-        self.steps.append((_sum_step, (node, height, first, terms[0 if onto else 1:])))
+        self.steps.append((_sum_step, (node, height, first, terms[0 if onto else 1:]),
+                           [term for term, _ in terms] + [node] * onto))
 
     def _product(self, factors):
         """The node of the product of u-derivative orders and oriented
@@ -747,9 +795,31 @@ class _Program:
             self._sum(node, height, linear, onto=bool(pieces))
 
     def link(self):
-        """Allocate the stack, the gather buffers and the scratch rows for
-        batches of width trials, and bind every step to its rows."""
+        """Schedule the steps into levels, fuse each level's dense ops, lay
+        out the stack, allocate it, the gather buffers and the scratch rows
+        for batches of width trials, and bind every step to its rows."""
         N, width = self.grid.N, self.width
+        runs, links = self._schedule()
+        # the row each row built lies at: the head stays, and the blocks
+        # follow in build order, each chain of linked blocks together (an
+        # empty block at the top stays there)
+        placed = self.placed = np.arange(self.top + 1)
+        row, following = self.height, set(links.values())
+        for block in range(len(self._blocks)):
+            if block in following:
+                continue  # laid out after the block linked to it
+            while block is not None:
+                node, height = self._blocks[block]
+                placed[node:node + height] = np.arange(row, row + height)
+                row += height
+                block = links.get(block)
+        steps = [self._placed(step, args) for step, args, _ in self.steps]
+        self.ops = [args for (step, *_), args in zip(self.steps, steps) if step is _op_step]
+        self.fused = [[steps[index] for index in run] for run in runs if len(run) > 1]
+        if self.unit is not None:
+            self.unit = int(placed[self.unit])
+        self.outputs = [(field, int(placed[node]), height) for field, node, height in self.outputs]
+
         stack = self.stack = np.zeros((self.top, width * N))
         if self.unit is not None:
             stack[self.unit] = 1.0
@@ -757,7 +827,9 @@ class _Program:
         self.samples = self.batch(0, self.height)
         self.spectra = (np.empty((self.height, width, N // 2 + 1), complex)
                         if self.derivatives else None)
-        widest = max((len(left) for _, left, *_ in self.ops), default=0)
+        gathers = [sum(len(steps[index][1]) for index in run) for run in runs
+                   if self.steps[run[0]][0] is _op_step]
+        widest = max(gathers, default=0)
         self.buffers = (np.empty((widest, width * N)), np.empty((widest, width * N)))
         descriptor = self.algebra.descriptor
         # the rows a sum scales a term into, and those a grouped fold folds
@@ -767,18 +839,114 @@ class _Program:
         def rows(node, height):
             return stack[node:node + height]
 
-        def bind(step, args):
-            if step is _op_step:
-                _, left_rows, right_rows, fold, node = args
-                left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
-                return (stack, left_rows, right_rows, left, right,
-                        *fold.bind(left, rows(node, fold.out_dim), scratch))
-            node, height, first, rest = args
-            return (rows(node, height),
+        def bind(run):
+            if self.steps[run[0]][0] is _sum_step:
+                node, height, first, rest = steps[run[0]]
+                return _sum_step, (
+                    rows(node, height),
                     None if first is None else (rows(first[0], height), first[1]),
                     [(rows(term, height), coeff) for term, coeff in rest], scratch[:height])
+            ops = [steps[index] for index in run]
+            (_, left_rows, right_rows, fold, node), *rest = ops
+            if not rest:
+                left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
+                return _op_step, (stack, left_rows, right_rows, left, right,
+                                  *fold.bind(left, rows(node, fold.out_dim), scratch))
+            # a fused level: the ops' gathers one after another, folded by
+            # one block-diagonal matrix onto their contiguous output rows
+            left_rows, right_rows = (np.concatenate(gathers) for gathers in zip(
+                *((left, right) for _, left, right, *_ in ops)))
+            matrix = _block_diagonal([fold.matrix for *_, fold, _ in ops])
+            left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
+            out = rows(node, len(matrix))
+            return _op_step, (stack, left_rows, right_rows, left, right,
+                              [(np.matmul, matrix, left, out)], None, out, out)
 
-        self.steps = [(step, bind(step, args)) for step, args in self.steps]
+        self.steps = [bind(run) for run in runs]
+
+    def _placed(self, step, args):
+        """A step's arguments with every node and row where link placed it."""
+        placed = self.placed
+        if step is _op_step:
+            product, left, right, fold, node = args
+            return product, placed[left], placed[right], fold, int(placed[node])
+        node, height, first, rest = args
+        return (int(placed[node]), height,
+                None if first is None else (int(placed[first[0]]), first[1]),
+                [(int(placed[term]), coeff) for term, coeff in rest])
+
+    def _schedule(self):
+        """The steps as runs in run order, each the build indices of one
+        fused level, one op or one sum, and the links between the blocks
+        that make each fused level's output rows contiguous.
+
+        Each op runs at the latest level the ops that read it allow,
+        directly or through sums: one level before the first of them, so
+        the ops that write the program's outputs share the last level.  A
+        sum adds no level; it runs after the ops of the level of its last
+        input, before the next level's ops.  The ops of one level read no
+        row another of them writes."""
+        steps = self.steps
+        writer, inputs = {}, []
+        for index, (step, args, reads) in enumerate(steps):
+            node = args[4] if step is _op_step else args[0]
+            inputs.append({writer[read] for read in (*reads, node) if read in writer})
+            writer[node] = index
+        below = [0] * len(steps)  # the most ops on a path from each step's output on
+        for index in reversed(range(len(steps))):
+            depth = below[index] + (steps[index][0] is _op_step)
+            for p in inputs[index]:
+                below[p] = max(below[p], depth)
+        top = max([below[index] + 1 for index, (step, *_) in enumerate(steps)
+                   if step is _op_step], default=0)
+        levels = []
+        for index, (step, *_) in enumerate(steps):
+            levels.append(top - below[index] if step is _op_step
+                          else max([levels[p] for p in inputs[index]], default=0))
+        by_level = {}  # level -> (its ops, its sums), each in build order
+        for index, level in enumerate(levels):
+            by_level.setdefault(level, ([], []))[steps[index][0] is _sum_step].append(index)
+        runs, links = [], {}
+        for level in sorted(by_level):
+            ops, sums = by_level[level]
+            fused = self._fuse(ops, links)
+            if fused:
+                runs.append(fused)
+            runs += [[index] for index in ops + sums if index not in fused]
+        return runs, links
+
+    def _fuse(self, ops, links):
+        """The ops, by build index, that one fused step runs, in the order
+        of their output rows, or [] for none; links gains the block links
+        that lay those rows out side by side.
+
+        Candidates are the ops whose table folds dense, in build order,
+        while their gathers stay within FUSED_SAMPLES samples and
+        FUSED_ROWS rows.  Of those, the ops that write whole blocks between
+        them are fused; links maps each of those blocks but the last to the
+        next.  No block is written by two levels, so none was linked before.
+        """
+        if len(ops) < 2:
+            return []
+        size, rows, parts = self.width * self.grid.N, 0, {}
+        starts = [node for node, _ in self._blocks]
+        for index in ops:
+            *_, fold, node = self.steps[index][1]
+            gathered = rows + len(fold.s)
+            if (fold.matrix is not None and gathered * size <= FUSED_SAMPLES
+                    and gathered <= FUSED_ROWS):
+                rows = gathered
+                parts.setdefault(bisect_right(starts, node) - 1, []).append(
+                    (node, fold.out_dim, index))
+        # no two ops write one row, so ops fill a block when their output
+        # rows add up to its height
+        chain = [block for block, members in sorted(parts.items())
+                 if sum(out for _, out, _ in members) == self._blocks[block][1]]
+        fused = [index for block in chain for *_, index in sorted(parts[block])]
+        if len(fused) < 2:
+            return []
+        links.update(zip(chain, chain[1:]))
+        return fused
 
     def _derive(self, spec):
         """The derivative rows of the spectra, from spec = rfft([u; xi])."""
@@ -786,7 +954,7 @@ class _Program:
             np.multiply(spec[of], symbol, out=self.spectra[rows])
 
     def run(self):
-        """Run the steps in build order over the samples in the head of
+        """Run the steps level by level over the samples in the head of
         the stack."""
         for step, args in self.steps:
             step(*args)

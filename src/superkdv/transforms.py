@@ -21,6 +21,8 @@ The supersymmetry generator with constant odd parameter p is
 a linear map on states that commutes with the extended flow.
 """
 
+import math
+
 import numpy as np
 
 from .dynamics import SystemState, Trajectory, integrate, rhs_states
@@ -109,7 +111,8 @@ def fd_flow_residual(traj):
     Compares a fourth-order centered time difference of the records
     against the right-hand side at interior records, and returns the
     worst sample deviation relative to the largest right-hand side.
-    Needs at least five uniformly spaced records.
+    Needs at least five uniformly spaced records, a nonzero finite time
+    apart.  A non-finite deviation makes the result NaN.
 
     Each record is first projected onto the band the dealiased flow
     retains: a record mapped from another system (the
@@ -121,6 +124,8 @@ def fd_flow_residual(traj):
         raise SuperKdVError("need at least five records for the time difference")
     spacing = np.diff(times)
     delta = spacing[0]
+    if not (delta != 0.0 and math.isfinite(delta)):
+        raise SuperKdVError(f"records must be a nonzero finite time apart, got {float(delta)!r}")
     if np.max(np.abs(spacing - delta)) > 1e-9 * max(delta, 1e-12):
         raise SuperKdVError("records are not uniformly spaced in time")
     records = [s.replace_fields(s.even.dealiased(), s.odd.dealiased())
@@ -134,7 +139,8 @@ def fd_flow_residual(traj):
             fd = (-f[4] + 8.0 * f[3] - 8.0 * f[1] + f[0]) / (12.0 * delta)
             rhs = re.data if part == "even" else ro.data
             if fd.size:
-                worst = max(worst, float(np.max(np.abs(fd - rhs))))
+                # np.maximum keeps a NaN deviation, which max() would drop
+                worst = float(np.maximum(worst, np.max(np.abs(fd - rhs))))
     return worst / scale
 
 

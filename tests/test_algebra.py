@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superkdv.algebra import (Algebra, AlgebraDescriptor, EvenValue, OddValue, fold_into,
-                              get_algebra, validate_algebra, value_norm)
+from superkdv import algebra
+from superkdv.algebra import (Algebra, AlgebraDescriptor, EvenValue, OddValue, ProductTable,
+                              fold_into, get_algebra, validate_algebra, value_norm)
+from superkdv.cli import DEFAULT_VALIDATION_SET
 from superkdv.errors import DescriptorMismatch, GradingError, SuperKdVError
 
 
@@ -249,6 +251,101 @@ def test_validate_algebra_pass_and_fail():
     assert any("nondegenerate" in c["name"] for c in report.failures)
     d = report.as_dict()
     assert d["passed"] is False and d["descriptor"] == "grassmann:1"
+
+
+_EVEN_LINES = ["even_mul commutative", "even_mul associative", "unit neutral"]
+_ODD_LINES = ["mixed_mul associative over P", "odd_commutator antisymmetric",
+              "[q1, q2] q3 totally antisymmetric"]
+
+
+@pytest.mark.parametrize("text", DEFAULT_VALIDATION_SET + ("grassmann:6 altered",))
+def test_validate_algebra_keeps_its_lines_and_verdicts(text, monkeypatch):
+    # the trials, basis pairs and partners are batched into one product
+    # call per row of work; the lines, their order and their verdicts are
+    # those of one trial and one pair at a time, on every default backend
+    # and on grassmann:6 with one half-table sign flipped in the triples
+    # its antisymmetry proof reads (no line reads that proof)
+    descriptor = AlgebraDescriptor.from_string(text.split()[0])
+    if text.endswith("altered"):
+        altered = Algebra(descriptor)
+        i, j, k, s = altered._half_triples
+        flipped = s.copy()
+        flipped[5] *= -1.0
+        altered._half_triples = (i, j, k, flipped)
+        assert not altered.odd_half_antisymmetric
+        monkeypatch.setattr(algebra, "get_algebra", lambda d: (
+            altered if d == descriptor else get_algebra(d)))
+    lines = _EVEN_LINES
+    if descriptor.odd_dim:
+        lines = lines + _ODD_LINES + ["commutator is twice the odd product"] * (
+            descriptor.kind == "grassmann") + ["nondegenerate on generators"]
+    report = validate_algebra(descriptor)
+    assert [(c["name"], c["passed"]) for c in report.checks] == [(n, True) for n in lines]
+
+
+@pytest.mark.parametrize("table,failed", [
+    ("even_mul", {name: "max dev nan" for name in _EVEN_LINES + _ODD_LINES[:1]}),
+    ("odd_mul", {"odd_commutator antisymmetric": "max dev nan",
+                 "commutator is twice the odd product": "max dev nan",
+                 "nondegenerate on generators": "no partner for t1, t2, t3"})])
+def test_validate_algebra_fails_a_nan_coefficient(table, failed, monkeypatch):
+    # one NaN structure constant (unit times unit, or t1 times t2) makes
+    # every deviation that reads it NaN; the largest over the trials or
+    # basis rows is then NaN and fails, where max() over them one at a
+    # time kept the 0.0 it started from.  The half table is odd_mul's and
+    # the commutator's
+    descriptor = AlgebraDescriptor.from_string("grassmann:3")
+    altered = Algebra(descriptor)
+    original = altered._tables[table]
+    s = original.s.copy()
+    s[0] = np.nan
+    altered._tables[table] = ProductTable(original.i, original.j, original.k, s,
+                                          original.out_dim)
+    if table == "odd_mul":
+        altered._half = altered._tables[table]
+    monkeypatch.setattr(algebra, "get_algebra", lambda d: (
+        altered if d == descriptor else get_algebra(d)))
+    report = validate_algebra(descriptor)
+    assert {c["name"]: c["detail"] for c in report.failures} == failed
+
+
+def _pairwise_grassmann_products(n):
+    """The (i, j, k, s) triples of the grassmann:n tables as a loop over
+    every pair of basis monomials makes them, split by operand grading."""
+    masks = list(range(2 ** n))
+
+    def popcount(m):
+        return bin(m).count("1")
+
+    evens = [m for m in masks if popcount(m) % 2 == 0]
+    odds = [m for m in masks if popcount(m) % 2 == 1]
+    e_index = {m: i for i, m in enumerate(evens)}
+    o_index = {m: i for i, m in enumerate(odds)}
+    ee, eo, oo = [], [], []
+    for ma in masks:
+        for mb in masks:
+            if ma & mb:
+                continue
+            k = ma | mb
+            inv = sum(popcount(ma >> (b + 1)) for b in range(n) if mb >> b & 1)
+            s = -1 if inv % 2 else 1
+            pa, pb = popcount(ma) % 2, popcount(mb) % 2
+            if pa == 0 and pb == 0:
+                ee.append((e_index[ma], e_index[mb], e_index[k], s))
+            elif pa == 0 and pb == 1:
+                eo.append((e_index[ma], o_index[mb], o_index[k], s))
+            elif pa == 1 and pb == 1:
+                oo.append((o_index[ma], o_index[mb], e_index[k], s))
+    return ee, eo, oo
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_grassmann_triples_equal_the_pairwise_loop(n):
+    # the vectorized tables hold the loop's triples, in its order, with
+    # the index and sign types of every other backend's tables
+    for got, want in zip(algebra._grassmann_products(n), _pairwise_grassmann_products(n)):
+        for x, y in zip(got, algebra._coo(want)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("text", ["scalar", "symplectic:1", "symplectic:2", "symplectic:3"]

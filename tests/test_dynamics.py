@@ -527,18 +527,22 @@ def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, 
                                            ("gardner", "symplectic:1")])
 def test_integrate_owns_the_four_k_arrays(kind, desc_str, monkeypatch):
     # every stage writes its k into one of four arrays integrate made once,
-    # whether [flux; source] is [even; odd] (modified, scalar extended) or not
+    # whether [flux; source] is [even; odd] (modified, scalar extended) or not;
+    # and no stage checks its samples: a run that stays finite checks each
+    # new state only
     st = random_state(kind, desc_str, 1.3, N=64, L=20.0, eps=0.4 if kind == "gardner" else 0.0)
-    call, handed = _SpectralRHS.__call__, []
+    call, handed, checked = _SpectralRHS.__call__, [], []
 
-    def recording(self, out=None):
-        handed.append(call(self, out))
+    def recording(self, out=None, check=True):
+        handed.append(call(self, out, check))
+        checked.append(check)
         return handed[-1]
 
     monkeypatch.setattr(_SpectralRHS, "__call__", recording)
     integrate(st, dt=0.5 * stability_limit(st.grid, "ifrk4"), steps=10, scheme="ifrk4")
     assert len(handed) == 40
     assert len({id(k) for k in handed}) <= 4
+    assert not any(checked)
 
 
 def test_non_finite_stage_surfaces_as_blowup_during_step():
@@ -552,14 +556,22 @@ def test_non_finite_stage_surfaces_as_blowup_during_step():
     assert np.all(np.isfinite(info.value.last_state.even.data))
 
 
-@pytest.mark.parametrize("call,when", [(7, "during"), (9, "after")])
-def test_blowup_carries_the_state_of_the_step_before(call, when, monkeypatch):
+@pytest.mark.parametrize("poisoned_calls,when,made", [
+    pytest.param((7, 12), "during", 13, id="7-during"),
+    pytest.param((9,), "after", 14, id="9-after")])
+def test_blowup_carries_the_state_of_the_step_before(poisoned_calls, when, made, monkeypatch):
     # no state is built for a step nothing records, so a blow-up in step 2
     # rebuilds step 1's state from its spectrum: bit for bit the state a
     # one-step run records.  The samples are made once initially, then
     # three times for the stages and once for the new state per step; a
     # NaN written into the spectrum of call 7 (step 2's third stage) or 9
-    # (step 2's new state) is the blow-up.
+    # (step 2's new state) is the blow-up.  The stages are not checked, so
+    # either NaN first shows in the new state (call 9), and integrate
+    # replays step 2 with every stage checked: its first stage's samples
+    # (call 10), then the stages (11 to 13).  Call 12 is the third stage
+    # again, poisoned as before, and so "during"; unpoisoned, the replay
+    # finds every stage finite, and so "after".  Then the last state is
+    # rebuilt (call 13 or 14)
     st = random_state("modified", "grassmann:3", 1.3, N=64, L=20.0)
     dt = 0.5 * stability_limit(st.grid, "rk4")
     want = integrate(st, dt=dt, steps=1).final
@@ -567,7 +579,7 @@ def test_blowup_carries_the_state_of_the_step_before(call, when, monkeypatch):
 
     def poisoned(self, spec):
         calls.append(None)
-        if len(calls) == call:
+        if len(calls) in poisoned_calls:
             spec[0, 1] = np.nan
         return physical(self, spec)
 
@@ -575,6 +587,7 @@ def test_blowup_carries_the_state_of_the_step_before(call, when, monkeypatch):
     with pytest.raises(NumericalBlowup, match=f"{when} step 2") as info:
         integrate(st, dt=dt, steps=5, record_every=5)
     last = info.value.last_state
+    assert len(calls) == made
     assert (info.value.step, last.time) == (2, want.time)
     assert np.array_equal(last.even.data, want.even.data)
     assert np.array_equal(last.odd.data, want.odd.data)
@@ -604,6 +617,81 @@ def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
     for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
 def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps, dealias):
     _assert_stage_matches_handwritten(*_stage(kind, desc_str, dealias, lam, eps))
+
+
+@pytest.mark.parametrize("kind,desc_str", PROGRAM_SYSTEMS)
+def test_fused_levels_keep_the_bits_of_op_by_op_evaluation(kind, desc_str, monkeypatch):
+    # each level's dense ops run as one gather, multiply and fold through a
+    # block-diagonal matrix, which sums each channel's own products in
+    # their order between exact zeros: the stage equals op by op
+    # evaluation (no fused level) bit for bit, in a stack of the same rows.
+    # On scalar each level of these stages has one op, so nothing fuses
+    _, fused = _stage(kind, desc_str, dealias=True)
+    monkeypatch.setattr(symbolic, "FUSED_SAMPLES", 0)
+    _, single = _stage(kind, desc_str, dealias=True)
+    assert single.fused == [] and bool(fused.fused) == (desc_str != "scalar")
+    assert fused.values.tobytes() == single.values.tobytes()
+    assert fused.stack.shape == single.stack.shape
+
+
+@pytest.mark.parametrize("desc_str", ["grassmann:3", "symplectic:2"])
+def test_fused_compiled_programs_keep_their_bits(desc_str, monkeypatch):
+    # the densities and the order-8 inverse series, whose outputs are
+    # blocks of their own, laid out anew for the fused levels
+    st = random_state("extended", desc_str, 1.3, N=64, L=20.0)
+
+    def outputs():
+        programs = [_Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
+                                     st.grid, st.descriptor, 1.3),
+                    _series_program(enumerate(gardner_coefficients(8)), st.grid,
+                                    st.descriptor, 1.3, 0.4)]
+        return ([[value.data.tobytes() for value in program(st.even, st.odd)]
+                 for program in programs], [len(program.fused) for program in programs])
+
+    fused, levels = outputs()
+    monkeypatch.setattr(symbolic, "FUSED_SAMPLES", 0)
+    single, none = outputs()
+    assert min(levels) > 0 and none == [0, 0]
+    assert fused == single
+
+
+@pytest.mark.parametrize("desc_str,N,width,fuses", [
+    ("grassmann:3", 64, 1, True), ("grassmann:4", 128, 1, True), ("symplectic:2", 64, 1, True),
+    ("grassmann:6", 16, 1, True), ("grassmann:6", 256, 1, False),
+    ("grassmann:3", 64, 32, False)])
+def test_fused_gathers_stay_within_the_budget(desc_str, N, width, fuses, monkeypatch):
+    # a fused level gathers at most FUSED_SAMPLES samples and FUSED_ROWS
+    # rows (the widest matmul OpenBLAS sums in one block), only from
+    # dense folds, into contiguous output rows; fusing moves blocks, so
+    # the stack is as tall as without it.  Grassmann:6 at N = 16 fuses up
+    # to the row cap; at N = 256 its folds are grouped and nothing fuses,
+    # nor in the densities for 32 Monte Carlo trials of N = 64, where no
+    # two ops fit the budget
+    desc, grid = AlgebraDescriptor.from_string(desc_str), PeriodicGrid(20.0, N)
+
+    def programs():
+        made = [_Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
+                                 grid, desc, 1.3, width)]
+        if width == 1:
+            made += [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
+                     for kind in SYSTEM_KINDS
+                     if kind != "skdv_grassmann" or desc.kind == "grassmann"]
+        return made
+
+    fused = programs()
+    assert symbolic.FUSED_ROWS <= 384
+    for program in fused:
+        for ops in program.fused:
+            rows = sum(len(left) for _, left, *_ in ops)
+            assert len(ops) > 1 and rows <= symbolic.FUSED_ROWS
+            assert rows * width * N <= symbolic.FUSED_SAMPLES
+            assert all(fold.matrix is not None for *_, fold, _ in ops)
+            ends = [node + fold.out_dim for *_, fold, node in ops]
+            assert [node for *_, node in ops[1:]] == ends[:-1]
+    counts = [len(program.fused) for program in fused]
+    assert (sum(counts) > 0) == fuses
+    monkeypatch.setattr(symbolic, "FUSED_SAMPLES", 0)
+    assert [p.stack.shape for p in programs()] == [p.stack.shape for p in fused]
 
 
 def _assert_stage_matches_handwritten(st, nonlinear):
@@ -787,6 +875,7 @@ def test_every_op_gathers_one_product_table(desc_str):
             scale = fold.s[0] / want[fold.k[0], fold.i[0], fold.j[0]]
             assert np.array_equal(got, scale * want), product
         widths = [len(left) for _, left, *_ in program.ops]
+        widths += [sum(len(left) for _, left, *_ in ops) for ops in program.fused]
         assert [b.shape for b in program.buffers] == [(max(widths), 64)] * 2
     assert squares > 0  # u u, v v and the like are compiled
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter, only the standard library."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,23 @@ def test_modules_import_only_what_they_use():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_package_runs_as_a_module():
+    # python -m superkdv is the command line, exit code included
+    run = subprocess.run([sys.executable, "-m", "superkdv", "check", "algebra",
+                          "--algebra", "grassmann:2"], env=_source_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and json.loads(run.stdout)["pass"] is True
+    run = subprocess.run([sys.executable, "-m", "superkdv"], env=_source_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stderr.startswith("usage:")
+
+
 def test_import_builds_no_table_and_parses_no_text():
     # the set-up every run pays starts with this import: no algebra table,
     # proof or parsed formula may be made on the way.  get_algebra then
@@ -54,9 +72,7 @@ def test_import_builds_no_table_and_parses_no_text():
              "    tables = [*made._tables.values(), made._half]\n"
              "    print(sorted({'dense', 'grouped'} & {name for table in tables\n"
              "                                         for name in vars(table)}))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_source_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == ["[0, 0, 0, 0, 0]",
                                 "[] ['even_mul', 'mixed_mul', 'odd_mul'] {}", "[]", "[]"]

@@ -18,6 +18,7 @@ from superkdv.dynamics import (SystemState, Trajectory, integrate, rhs_extended,
 from superkdv.errors import SuperKdVError
 from superkdv.fields import OddField, PeriodicGrid, build_initial_condition
 from superkdv.symbolic import gardner_coefficients
+from superkdv import transforms
 from superkdv.transforms import (_series_program, fd_flow_residual, flow_commutation_defect,
                                  gardner_map, inverse_gardner_series, miura,
                                  susy_variation, to_extended,
@@ -216,6 +217,25 @@ def test_fd_flow_residual_input_validation():
     traj = integrate(st, dt=1e-4, steps=3)
     with pytest.raises(SuperKdVError):
         fd_flow_residual(traj)
+    # six records of one state are 0 apart: the difference would be 0/0,
+    # NaN, which max() dropped, reading a perfect 0.0
+    with pytest.raises(SuperKdVError, match="nonzero finite time apart"):
+        fd_flow_residual(Trajectory([st] * 6))
+
+
+def test_fd_flow_residual_lets_a_nan_deviation_through(monkeypatch):
+    # a NaN right-hand side is a NaN residual, not the worst finite one
+    even, odd = random_fields("grassmann:2", seed=1, N=64, L=20.0)
+    traj = integrate(SystemState("extended", even, odd, lam=0.7), dt=1e-4, steps=6)
+    rhs_states = transforms.rhs_states
+
+    def nan_first(records):
+        values = rhs_states(records)
+        values[0][0].data[...] = np.nan
+        return values
+
+    monkeypatch.setattr(transforms, "rhs_states", nan_first)
+    assert np.isnan(fd_flow_residual(traj))
 
 
 def test_to_extended_passthrough_keeps_fields():
