@@ -8,10 +8,11 @@ part.  The evolution systems only ever use three products:
                                             so one product suffices)
     odd_commutator:  [odd, odd]  -> even   (antisymmetric)
 
-On every backend T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric
-over the odd basis.  Algebra.bracket_product_alternates proves that
-exactly from the integer structure constants, and the compiler relies on
-it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
+validate_algebra decides every axiom exactly from the integer structure
+constants, with no random draw and no tolerance.  On every backend T(a,
+b, c) = [q_a, q_b] q_c is totally antisymmetric over the odd basis.
+Algebra.bracket_product_alternates is that proof, and the compiler relies
+on it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
 
 Each product is a ProductTable, stored as its basis triples (i, j, k, s):
 out[k] is the sum of s a[i] b[j] over them.  A product gathers a[i] *
@@ -28,8 +29,8 @@ large dense matrix is ever made.
 
 Compiled code reads two smaller exact tables, each built on first use.
 The commutator is half(a, b) - half(b, a) for a half table; where
-Algebra.odd_half_antisymmetric proves half(b, a) = -half(a, b) from the
-same integer constants (grassmann, whose half is the odd product), its
+Algebra.odd_half_antisymmetric proves half(b, a) = -half(a, b) the same
+way (grassmann, whose half is the odd product), its
 gather table is the half one with coefficients 2 s, [a, b] = 2ab.  And a
 product of one operand with itself gathers its square table
 (square_fold): the triples merged by unordered pair {i, j}, coefficient
@@ -328,57 +329,75 @@ def _apply(table, dims, a, b):
     return out.reshape((table.out_dim,) + shape)
 
 
-def _integer_triples(coo):
-    """(i, j, k, s) of basis triples as int64 arrays, or None unless every
-    s is an integer."""
-    exact = coo[3].astype(np.int64)
-    if not np.array_equal(exact, coo[3]):
+def _proven(identity, *tables):
+    """identity on the (i, j, k, s) triples of the ProductTables as int64
+    arrays, or None unless every s is an integer of at most 16 bits, so
+    that no int64 sum of products of constants overflows.  A NaN or
+    infinite s gives None too, without a numpy warning."""
+    if not all(((np.abs(t.s) <= np.iinfo(np.int16).max) & (np.trunc(t.s) == t.s)).all()
+               for t in tables):
         return None
-    return (*(index.astype(np.int64) for index in coo[:3]), exact)
+    return identity(*(tuple(c.astype(np.int64) for c in (t.i, t.j, t.k, t.s)) for t in tables))
 
 
-def _alternates(commutator, mixed, odd_dim):
-    """Whether T(a, b, c) = [q_a, q_b] q_c changes sign under each swap of
-    two neighbouring odd arguments, which makes it totally antisymmetric:
-    an exact proof from the (i, j, k, s) basis triples of the commutator
-    and of mixed_mul.  The sparse join pairs each commutator triple (a, b,
-    k, s) with each mixed triple (k, c, m, t) of the same even channel k,
-    giving s t to the m-th channel of T(a, b, c); every sum runs in int64."""
-    first, second = _integer_triples(commutator), _integer_triples(mixed)
-    if first is None or second is None:
-        return False
-    a, b, k, s = first
-    e, c, m, t = second
-    order = np.argsort(e, kind="stable")
-    e, c, m, t = e[order], c[order], m[order], t[order]
-    lo, hi = np.searchsorted(e, k, "left"), np.searchsorted(e, k, "right")
+def _join(first, second, side):
+    """The terms of first's product fed into operand side (0 left, 1
+    right) of second's, from the integer triples of both: each triple (i,
+    j, k, s) of first pairs with each triple of second whose operand side
+    is channel k, giving s t to that triple's output channel m.  The
+    columns are the three operands in order, then m, then s t: (i, j, c,
+    m, s t) for (a b) c, (c, i, j, m, s t) for c (a b)."""
+    i, j, k, s = first
+    *operands, m, t = second
+    order = np.argsort(operands[side], kind="stable")
+    channels = operands[side][order]
+    lo, hi = np.searchsorted(channels, k, "left"), np.searchsorted(channels, k, "right")
     counts = hi - lo
-    if not counts.any():
-        return True  # T vanishes: no commutator reaches a channel mixed_mul reads
     left = np.repeat(np.arange(len(k)), counts)
-    right = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    a, b, c, m = a[left], b[left], c[right], m[right]
-    value = s[left] * t[right]
-    for x, y, z in ((a, b, c), (b, c, a)):
-        # T(x, y, z) + T(y, x, z) = 0: sum each entry into the key of its
-        # unordered pair {x, y}, so an entry with x = y must itself be zero
-        keys = ((np.minimum(x, y) * odd_dim + np.maximum(x, y)) * odd_dim + z) * odd_dim + m
-        if len(_merged(keys, value)[0]):
-            return False
-    return True
+    right = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    pair, c = (i[left], j[left]), operands[1 - side][right]
+    ordered = (*pair, c) if side == 0 else (c, *pair)
+    return (*ordered, m[right], s[left] * t[right])
 
 
-def _antisymmetric(half, even_dim, odd_dim):
-    """Whether half(b, a) = -half(a, b): an exact proof that the (i, j, k,
-    s) basis triples of the half table, summed per (i, j, k), are those
-    of (j, i, k, -s); every sum runs in int64."""
-    triples = _integer_triples(half)
-    if triples is None:
-        return False
-    i, j, k, s = triples
-    forward = _merged((i * odd_dim + j) * even_dim + k, s)
-    swapped = _merged((j * odd_dim + i) * even_dim + k, -s)
-    return all(np.array_equal(x, y) for x, y in zip(forward, swapped))
+def _swapped(terms, column, sign):
+    """A sum of integer terms (index columns, then values) with index
+    columns column and column + 1 exchanged and every value times sign."""
+    *indices, values = terms
+    indices[column], indices[column + 1] = indices[column + 1], indices[column]
+    return (*indices, sign * values)
+
+
+def _keyed(terms, radix):
+    """The distinct index tuples of a sum of integer terms as keys in base
+    radix, ascending, and the sum of the values over each, the zero sums
+    dropped."""
+    *indices, values = terms
+    keys = np.zeros(len(values), np.int64)
+    for index in indices:
+        keys = keys * radix + index
+    return _merged(keys, values)
+
+
+def _same(first, second):
+    """Whether two sums of integer terms with the same index columns are
+    equal: equal once the terms of each index tuple are summed."""
+    radix = 1 + max(int(index.max(initial=0)) for index in (*first[:-1], *second[:-1]))
+    return all(map(np.array_equal, _keyed(first, radix), _keyed(second, radix)))
+
+
+def _alternating(bracket, mixed):
+    """Whether T(a, b, c) = [q_a, q_b] q_c changes sign under each swap of
+    two neighbouring arguments, which makes it totally antisymmetric; an
+    entry with two equal arguments must then be zero."""
+    terms = _join(bracket, mixed, 0)
+    return all(_same(terms, _swapped(terms, column, -1)) for column in (0, 1))
+
+
+def _doubling(bracket, product):
+    """Whether the bracket is twice the product: [a, b] = 2 product(a, b)."""
+    i, j, k, s = product
+    return _same(bracket, (i, j, k, 2 * s))
 
 
 def _merged(keys, values):
@@ -468,36 +487,38 @@ class Algebra:
         # makes antisymmetry bitwise exact instead of roundoff-exact.  Where
         # odd_half_antisymmetric proves half(b,a) = -half(a,b), as on
         # grassmann, its compiled table is the half one with coefficients 2 s
-        self._half_triples = half
         self._half = ProductTable(*half, E)
         self._tables = {"even_mul": ProductTable(*ee, E),
                         "mixed_mul": ProductTable(*mixed, O)}
         if descriptor.kind == "grassmann":
             self._tables["odd_mul"] = self._half  # the half of [a,b] = ab - ba is ab
         self._squares = {}  # square tables, each built on first use
-        # the basis triples of the commutator and of mixed_mul, which the
-        # proof of bracket_product_alternates reads
-        i, j, k, s = half
-        self._triples = {"odd_commutator": (np.concatenate((i, j)), np.concatenate((j, i)),
-                                            np.concatenate((k, k)), np.concatenate((s, -s))),
-                         "mixed_mul": mixed}
+
+    @cached_property
+    def _bracket(self):
+        """The commutator's table, half(a, b) - half(b, a): the half
+        table's triples, then each with its operands swapped and its
+        coefficient negated; built on first use."""
+        half = self._half
+        return ProductTable(np.concatenate((half.i, half.j)), np.concatenate((half.j, half.i)),
+                            np.concatenate((half.k, half.k)), np.concatenate((half.s, -half.s)),
+                            half.out_dim)
 
     @cached_property
     def bracket_product_alternates(self):
         """Whether T(a, b, c) = [q_a, q_b] q_c is totally antisymmetric over
-        the odd basis, proven exactly from the basis triples of the tables
-        gather_fold returns; computed on first use.  Then [q1, q2] q3
-        vanishes whenever two of the odd elements are equal."""
-        return _alternates(self._triples["odd_commutator"], self._triples["mixed_mul"],
-                           self.descriptor.odd_dim)
+        the odd basis, proven exactly from the integer basis triples of the
+        commutator and mixed_mul tables; computed on first use.  Then [q1,
+        q2] q3 vanishes whenever two of the odd elements are equal."""
+        return bool(_proven(_alternating, self._bracket, self._tables["mixed_mul"]))
 
     @cached_property
     def odd_half_antisymmetric(self):
         """Whether the half table of the commutator is antisymmetric,
-        half(b, a) = -half(a, b), proven exactly from its integer basis
-        triples; computed on first use.  Then [a, b] = 2 half(a, b): true on
-        grassmann, where half is the odd product, false on symplectic."""
-        return _antisymmetric(self._half_triples, *self._dims)
+        half(b, a) = -half(a, b), that is [a, b] = 2 half(a, b), proven
+        exactly from its integer basis triples; computed on first use.  True
+        on grassmann, where half is the odd product, false on symplectic."""
+        return bool(_proven(_doubling, self._bracket, self._half))
 
     def unit(self):
         u = np.zeros(self.descriptor.even_dim)
@@ -531,14 +552,9 @@ class Algebra:
         up to the order of summation."""
         if product == "odd_commutator" and product not in self._tables:
             half = self._half
-            if self.odd_half_antisymmetric:
-                table = ProductTable(half.i, half.j, half.k, 2.0 * half.s, half.out_dim)
-            else:
-                table = ProductTable(np.concatenate((half.i, half.j)),
-                                     np.concatenate((half.j, half.i)),
-                                     np.concatenate((half.k, half.k)),
-                                     np.concatenate((half.s, -half.s)), half.out_dim)
-            self._tables[product] = table
+            self._tables[product] = (
+                ProductTable(half.i, half.j, half.k, 2.0 * half.s, half.out_dim)
+                if self.odd_half_antisymmetric else self._bracket)
         if product == "odd_mul" and product not in self._tables:
             raise GradingError(
                 f"the {self.descriptor.kind} backend has no odd*odd product; "
@@ -728,107 +744,66 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _generator_coords(descriptor):
-    """Odd coordinates of the generating set of Q (degree-1 monomials for
-    grassmann, the full basis for symplectic).  Nondegeneracy is a statement
-    about these generators: for grassmann N >= 3 the top odd monomial
-    commutes with everything, yet the algebra is perfectly usable, so the
-    check deliberately does not range over all odd basis elements."""
-    O = descriptor.odd_dim
-    gens = []
-    if descriptor.kind == "grassmann":
-        odd_masks = [m for m in range(2 ** descriptor.generators) if _popcount(m) % 2 == 1]
-        for i, m in enumerate(odd_masks):
-            if _popcount(m) == 1:
-                g = np.zeros(O)
-                g[i] = 1.0
-                gens.append((_grassmann_label(m), g))
-    elif descriptor.kind == "symplectic":
-        for i in range(O):
-            g = np.zeros(O)
-            g[i] = 1.0
-            gens.append((f"e{i + 1}", g))
-    return gens
-
-
-_VALIDATION_TRIALS = 20
-
-
-def _worst(*deviations):
-    """The largest coordinate magnitude over the deviation arrays; NaN when
-    any coordinate is NaN, so that no NaN passes for a small deviation."""
-    return float(np.max([value_norm(deviation) for deviation in deviations]))
-
-
 def validate_algebra(descriptor):
-    """Check the algebra axioms on random samples and exhaustive basis pairs.
+    """Decide the algebra axioms exactly from the integer structure constants.
 
-    Returns a ValidationReport listing any violated axiom.  The identity
-    the compiler relies on, T(a, b, c) = [q_a, q_b] q_c totally
-    antisymmetric, is an exact pass or fail
-    (Algebra.bracket_product_alternates).  Nondegeneracy ([q, qhat] != 0
-    for some qhat) is checked on the generating set of Q; grassmann:1
-    fails it ([t1, t1] = 0 is the only candidate).
-
-    Each axiom's _VALIDATION_TRIALS random trials are one product call
-    per product, the trials along the trailing axis, drawn in the order
-    one trial at a time would draw them.  The basis pairs and the
-    generators' partners are the same, one call per basis row: the
-    partners of one odd basis element are the samples.  A deviation is
-    the largest over all samples, NaN if any is NaN, which fails.
+    Returns a ValidationReport listing any violated axiom.  Each line
+    compares two sums of integer terms over basis elements (_same): a
+    product's basis triples, or those of a composite such as (a b) c that
+    _join builds from two tables' triples.  A line whose tables hold a
+    structure constant that is not an integer fails.  The compiler's two
+    proofs are the same code on the same tables as the "[q1, q2] q3 totally
+    antisymmetric" and, where the odd product is the half table,
+    "commutator is twice the odd product" lines.  Nondegeneracy ([q, qhat]
+    != 0 for some qhat) is decided on the generating set of Q: grassmann's
+    degree-1 monomials (for N >= 3 the top odd monomial commutes with
+    everything, yet the algebra is usable) and every symplectic basis
+    element; grassmann:1 fails it ([t1, t1] = 0 is the only candidate).
     """
     alg = get_algebra(descriptor)
     report = ValidationReport(descriptor)
-    rng = np.random.default_rng(0)
-    E, O = descriptor.even_dim, descriptor.odd_dim
-    trials = _VALIDATION_TRIALS
+    even, mixed = alg.gather_fold("even_mul"), alg.gather_fold("mixed_mul")
 
-    def rand(*dims):
-        # (dim, trials) arrays of each dim: every trial draws its dims in turn
-        draws = rng.uniform(-1.0, 1.0, (trials, sum(dims)))
-        return np.split(draws.T, np.cumsum(dims)[:-1])
+    def record(name, verdict, detail):
+        # verdict None: a table the line reads holds a constant that is
+        # not an integer
+        report.record(name, bool(verdict), "a structure constant is not an integer"
+                      if verdict is None else detail)
 
-    a, b, c, q = rand(E, E, E, O)
-    ab = alg.even_mul(a, b)
-    worst_comm = _worst(ab - alg.even_mul(b, a))
-    worst_assoc = _worst(alg.even_mul(ab, c) - alg.even_mul(a, alg.even_mul(b, c)))
-    if O:
-        worst_mixed = _worst(alg.mixed_mul(ab, q) - alg.mixed_mul(a, alg.mixed_mul(b, q)))
-    report.record("even_mul commutative", worst_comm <= 1e-12, f"max dev {worst_comm:.2e}")
-    report.record("even_mul associative", worst_assoc <= 1e-12, f"max dev {worst_assoc:.2e}")
+    def unit_neutral(e):
+        i, j, k, s = e
+        unit, basis = i == 0, np.arange(descriptor.even_dim)  # the triples unit * b
+        return _same((j[unit], k[unit], s[unit]), (basis, basis, np.ones_like(basis)))
 
-    a = rng.uniform(-1.0, 1.0, E)
-    dev = _worst(alg.even_mul(alg.unit(), a) - a)
-    report.record("unit neutral", dev == 0.0, f"max dev {dev:.2e}")
+    record("even_mul commutative", _proven(lambda e: _same(e, _swapped(e, 0, 1)), even),
+           "exact, over all even basis pairs")
+    record("even_mul associative", _proven(lambda e: _same(_join(e, e, 0), _join(e, e, 1)), even),
+           "exact, over all even basis triples")
+    record("unit neutral", _proven(unit_neutral, even), "exact, over the even basis")
+    if not descriptor.odd_dim:
+        return report
 
-    if O:
-        report.record("mixed_mul associative over P", worst_mixed <= 1e-12,
-                      f"max dev {worst_mixed:.2e}")
-        q1, q2 = rand(O, O)
-        q = rng.uniform(-1.0, 1.0, O)
-        worst = _worst(alg.odd_commutator(q1, q2) + alg.odd_commutator(q2, q1),
-                       alg.odd_commutator(q, q))
-        report.record("odd_commutator antisymmetric", worst == 0.0, f"max dev {worst:.2e}")
-        report.record("[q1, q2] q3 totally antisymmetric", alg.bracket_product_alternates,
-                      "exact, over all odd basis triples")
+    def unpaired(bracket):
+        # the generators q with no basis element qhat for which [q, qhat]
+        # keeps a nonzero coefficient
+        radix = max(descriptor.even_dim, descriptor.odd_dim)
+        paired = set((_keyed(bracket, radix)[0] // radix ** 2).tolist())
+        return [label for n, label in enumerate(descriptor.odd_labels) if n not in paired
+                and (descriptor.kind != "grassmann" or label.count("t") == 1)]
 
-        basis = np.eye(O)  # sample j: the j-th odd basis element
-
-        def everywhere(g):
-            # the odd element g in every sample
-            return np.repeat(g[:, None], O, axis=1)
-
-        if descriptor.kind == "grassmann":
-            worst = 0.0
-            for g in basis:
-                worst = _worst(worst, alg.odd_commutator(everywhere(g), basis)
-                               - 2.0 * alg.odd_mul(everywhere(g), basis))
-            report.record("commutator is twice the odd product", worst == 0.0,
-                          f"max dev {worst:.2e}")
-
-        degenerate = [label for label, g in _generator_coords(descriptor)
-                      if not value_norm(alg.odd_commutator(everywhere(g), basis)) > 0.0]
-        report.record("nondegenerate on generators", not degenerate,
-                      "all generators pair" if not degenerate
-                      else "no partner for " + ", ".join(degenerate))
+    record("mixed_mul associative over P",
+           _proven(lambda e, m: _same(_join(e, m, 0), _join(m, m, 1)), even, mixed),
+           "exact, over all (even, even, odd) basis triples")
+    record("odd_commutator antisymmetric",
+           _proven(lambda b: _same(b, _swapped(b, 0, -1)), alg._bracket),
+           "exact, over all odd basis pairs")
+    record("[q1, q2] q3 totally antisymmetric", _proven(_alternating, alg._bracket, mixed),
+           "exact, over all odd basis triples")
+    if descriptor.kind == "grassmann":
+        record("commutator is twice the odd product",
+               _proven(_doubling, alg._bracket, alg.gather_fold("odd_mul")),
+               "exact, over all odd basis pairs")
+    missing = _proven(unpaired, alg._bracket)
+    record("nondegenerate on generators", None if missing is None else not missing,
+           "exact, no partner for " + ", ".join(missing) if missing else "exact, all generators pair")
     return report

@@ -230,7 +230,7 @@ def _check_algebra(args):
     verdict = {
         "check": "algebra",
         "pass": all(r["passed"] for r in results),
-        "tolerances": {"axiom deviation": 1e-12},
+        "tolerances": "exact",
         "results": results,
     }
     summary = "\n".join(f"{r['descriptor']}: {'pass' if r['passed'] else 'FAIL'}"

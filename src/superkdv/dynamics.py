@@ -286,12 +286,24 @@ def rhs_states(states, dealias=True):
 
 
 class Trajectory:
-    """Recorded states of one run, in strictly increasing time order."""
+    """Recorded states of one run, in strictly increasing time order.
+
+    Refuses states that are not one run: times that do not strictly
+    increase, or a system kind, grid, backend, lam or eps other than the
+    first state's."""
 
     def __init__(self, states):
-        if not states:
-            raise SuperKdVError("empty trajectory")
         self.states = list(states)
+        if not self.states:
+            raise SuperKdVError("empty trajectory")
+        first = self.states[0]
+        for previous, state in zip(self.states, self.states[1:]):
+            if not state.time > previous.time:
+                raise SuperKdVError(f"record times must strictly increase: "
+                                    f"{previous.time!r} then {state.time!r}")
+            if any(getattr(state, name) != getattr(first, name)
+                   for name in ("kind", "grid", "descriptor", "lam", "epsilon")):
+                raise SuperKdVError(f"not one run: {state!r} differs from {first!r}")
 
     @property
     def times(self):
@@ -341,9 +353,11 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     spectra of the state, the stages and the four k's live in buffers made
     once per call, so a step makes no spectrum or sample array beyond the
     states it records.
-    Raises StabilityError when dt exceeds the guard (unless force=True)
-    and NumericalBlowup (carrying the last finite state) when the fields
-    stop being finite.
+    Raises StabilityError when dt exceeds the guard (unless force=True),
+    SuperKdVError before any step when the recorded times would not
+    strictly increase (t + dt rounds to t near a large start time t), and
+    NumericalBlowup (carrying the last finite state) when the fields stop
+    being finite.
     """
     if not 0 < dt < math.inf:
         raise SuperKdVError(f"dt must be positive and finite, got {dt!r}")
@@ -360,6 +374,12 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         raise StabilityError(
             f"dt={dt:g} exceeds the {scheme} dispersion guard {dt_max:g} "
             f"for this grid; reduce dt (or pass force=True)", dt_max)
+    # the times the loop gives the recorded steps must strictly increase, as
+    # the Trajectory demands; near a large start time they may round equal
+    recorded = np.append(np.arange(0, steps, record_every), steps)
+    if not (np.diff(state.time + recorded * dt) > 0.0).all():
+        raise SuperKdVError(f"dt={dt!r} does not advance the start time {state.time!r} "
+                            "from one record to the next")
 
     grid, desc = state.grid, state.descriptor
     n_even, n_rows = desc.even_dim, desc.even_dim + desc.odd_dim

@@ -6,6 +6,8 @@ actual insertion, sharing no code with the bitmask implementation.
 """
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -258,55 +260,119 @@ _ODD_LINES = ["mixed_mul associative over P", "odd_commutator antisymmetric",
               "[q1, q2] q3 totally antisymmetric"]
 
 
+def with_constants(table, s):
+    """A ProductTable with the triples of table and the coefficients s."""
+    return ProductTable(table.i, table.j, table.k, s, table.out_dim)
+
+
+def plus_symmetric_part(half, t):
+    """The coefficients of the half table with 2 added at its t-th triple
+    (a, b, k) and at (b, a, k): a symmetric part, which the commutator
+    half(a, b) - half(b, a) cancels."""
+    s = half.s.copy()
+    s[(half.i == half.j[t]) & (half.j == half.i[t]) & (half.k == half.k[t])] += 2.0
+    s[t] += 2.0
+    return s
+
+
+def validating(altered, monkeypatch):
+    """Make validate_algebra read the Algebra altered on its descriptor."""
+    monkeypatch.setattr(algebra, "get_algebra", lambda d: (
+        altered if d == altered.descriptor else get_algebra(d)))
+
+
 @pytest.mark.parametrize("text", DEFAULT_VALIDATION_SET + ("grassmann:6 altered",))
 def test_validate_algebra_keeps_its_lines_and_verdicts(text, monkeypatch):
-    # the trials, basis pairs and partners are batched into one product
-    # call per row of work; the lines, their order and their verdicts are
-    # those of one trial and one pair at a time, on every default backend
-    # and on grassmann:6 with one half-table sign flipped in the triples
-    # its antisymmetry proof reads (no line reads that proof)
+    # every line holds, in this order, and is decided exactly, on every
+    # default backend and on grassmann:6 with a symmetric part added to
+    # the half table: its commutator is unchanged, so every line holds,
+    # odd_mul's included (that table is left as it was), while the half
+    # table's own antisymmetry proof fails
     descriptor = AlgebraDescriptor.from_string(text.split()[0])
     if text.endswith("altered"):
         altered = Algebra(descriptor)
-        i, j, k, s = altered._half_triples
-        flipped = s.copy()
-        flipped[5] *= -1.0
-        altered._half_triples = (i, j, k, flipped)
+        altered._half = with_constants(altered._half, plus_symmetric_part(altered._half, 5))
         assert not altered.odd_half_antisymmetric
-        monkeypatch.setattr(algebra, "get_algebra", lambda d: (
-            altered if d == descriptor else get_algebra(d)))
+        validating(altered, monkeypatch)
     lines = _EVEN_LINES
     if descriptor.odd_dim:
         lines = lines + _ODD_LINES + ["commutator is twice the odd product"] * (
             descriptor.kind == "grassmann") + ["nondegenerate on generators"]
     report = validate_algebra(descriptor)
     assert [(c["name"], c["passed"]) for c in report.checks] == [(n, True) for n in lines]
+    assert all(c["detail"].startswith("exact") for c in report.checks)
 
 
+@pytest.mark.parametrize("value", [np.nan, 0.5])
 @pytest.mark.parametrize("table,failed", [
-    ("even_mul", {name: "max dev nan" for name in _EVEN_LINES + _ODD_LINES[:1]}),
-    ("odd_mul", {"odd_commutator antisymmetric": "max dev nan",
-                 "commutator is twice the odd product": "max dev nan",
-                 "nondegenerate on generators": "no partner for t1, t2, t3"})])
-def test_validate_algebra_fails_a_nan_coefficient(table, failed, monkeypatch):
-    # one NaN structure constant (unit times unit, or t1 times t2) makes
-    # every deviation that reads it NaN; the largest over the trials or
-    # basis rows is then NaN and fails, where max() over them one at a
-    # time kept the 0.0 it started from.  The half table is odd_mul's and
-    # the commutator's
+    ("even_mul", _EVEN_LINES + _ODD_LINES[:1]),
+    ("odd_mul", ["odd_commutator antisymmetric", "[q1, q2] q3 totally antisymmetric",
+                 "commutator is twice the odd product", "nondegenerate on generators"])])
+def test_validate_algebra_fails_a_non_integer_coefficient(table, failed, value, monkeypatch):
+    # one structure constant (unit times unit, or t1 times t2) that is NaN
+    # or not an integer fails exactly the lines that read its table, with
+    # no numpy warning on the way.  The half table is odd_mul's and the
+    # commutator's, so the alternation line reads it too
     descriptor = AlgebraDescriptor.from_string("grassmann:3")
     altered = Algebra(descriptor)
-    original = altered._tables[table]
-    s = original.s.copy()
-    s[0] = np.nan
-    altered._tables[table] = ProductTable(original.i, original.j, original.k, s,
-                                          original.out_dim)
+    s = altered._tables[table].s.copy()
+    s[0] = value
+    altered._tables[table] = with_constants(altered._tables[table], s)
     if table == "odd_mul":
         altered._half = altered._tables[table]
-    monkeypatch.setattr(algebra, "get_algebra", lambda d: (
-        altered if d == descriptor else get_algebra(d)))
+    validating(altered, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_algebra(descriptor)
+    assert {c["name"]: c["detail"] for c in report.failures} == {
+        name: "a structure constant is not an integer" for name in failed}
+
+
+def test_validate_algebra_fails_a_flipped_even_mul_sign(monkeypatch):
+    # t1t2 * t3t4 with its sign flipped: t3t4 * t1t2 differs, and so do
+    # (t1t2 t3t4) t5t6 and t1t2 (t3t4 t5t6); the unit row is untouched
+    descriptor = AlgebraDescriptor.from_string("grassmann:6")
+    altered = Algebra(descriptor)
+    table, labels = altered._tables["even_mul"], descriptor.even_labels
+    s = table.s.copy()
+    s[(table.i == labels.index("t1t2")) & (table.j == labels.index("t3t4"))] *= -1.0
+    altered._tables["even_mul"] = with_constants(table, s)
+    validating(altered, monkeypatch)
     report = validate_algebra(descriptor)
-    assert {c["name"]: c["detail"] for c in report.failures} == failed
+    assert {c["name"]: c["detail"] for c in report.failures} == {
+        "even_mul commutative": "exact, over all even basis pairs",
+        "even_mul associative": "exact, over all even basis triples",
+        "mixed_mul associative over P": "exact, over all (even, even, odd) basis triples"}
+
+
+def test_validate_algebra_fails_a_flipped_mixed_mul_sign(monkeypatch):
+    # t1t2t3t4 * t5 with its sign flipped, a channel the bracket [t1t2t3,
+    # t4] reaches: (t1t2 t3t4) t5 = t1t2 (t3t4 t5) fails, and so does
+    # [t1t2t3, t4] t5 = -[t1t2t3, t5] t4
+    descriptor = AlgebraDescriptor.from_string("grassmann:5")
+    altered = Algebra(descriptor)
+    table = altered._tables["mixed_mul"]
+    s = table.s.copy()
+    s[(table.i == descriptor.even_labels.index("t1t2t3t4"))
+      & (table.j == descriptor.odd_labels.index("t5"))] *= -1.0
+    altered._tables["mixed_mul"] = with_constants(table, s)
+    validating(altered, monkeypatch)
+    report = validate_algebra(descriptor)
+    assert [c["name"] for c in report.failures] == [
+        "mixed_mul associative over P", "[q1, q2] q3 totally antisymmetric"]
+    assert not altered.bracket_product_alternates
+
+
+def test_validate_algebra_proves_grassmann10_without_a_fold():
+    # the largest backend a descriptor accepts: every line from the
+    # triples alone, in under 2 s, and no product runs, so no fold is
+    # built
+    descriptor = AlgebraDescriptor("grassmann", 10)
+    start = time.perf_counter()
+    report = validate_algebra(descriptor)
+    assert time.perf_counter() - start < 2.0
+    assert report.passed, str(report)
+    assert folds_built(get_algebra(descriptor)) == []
 
 
 def _pairwise_grassmann_products(n):
@@ -365,25 +431,28 @@ def test_bracket_product_proof_fails_on_altered_tables():
     # one mixed_mul sign flipped in a channel that commutators reach (not
     # the unit's) breaks the identity, and a sign that is not an integer
     # proves nothing
-    algebra = Algebra(AlgebraDescriptor.from_string("grassmann:3"))
-    i, j, k, s = algebra._triples["mixed_mul"]
-    flipped, halved = s.copy(), 0.5 * s
-    flipped[np.flatnonzero(i)[0]] *= -1.0
+    descriptor = AlgebraDescriptor.from_string("grassmann:3")
+    table = Algebra(descriptor)._tables["mixed_mul"]
+    flipped, halved = table.s.copy(), 0.5 * table.s
+    flipped[np.flatnonzero(table.i)[0]] *= -1.0
     for altered in (flipped, halved):
-        copy = Algebra(algebra.descriptor)
-        copy._triples = dict(algebra._triples, mixed_mul=(i, j, k, altered))
+        copy = Algebra(descriptor)
+        copy._tables["mixed_mul"] = with_constants(table, altered)
         assert copy.bracket_product_alternates is False
 
 
 @pytest.mark.parametrize("text", ["scalar", "grassmann:3", "grassmann:6", "symplectic:2"])
 def test_proof_triples_are_the_tables_triples(text):
-    # the proof reads basis triples that define the same dense (left,
-    # right, out) tensor as the gather_fold table, exactly; the grassmann
-    # commutator's table is the half one with coefficients 2 s
+    # the proofs read tables that define the same dense (left, right, out)
+    # tensor as the gather_fold table, exactly: the commutator as both
+    # halves, where the grassmann commutator's table is the half one with
+    # coefficients 2 s
     algebra = Algebra(AlgebraDescriptor.from_string(text))
     E, O = algebra.descriptor.even_dim, algebra.descriptor.odd_dim
     shapes = {"odd_commutator": (O, O, E), "mixed_mul": (E, O, O)}
-    for product, (i, j, k, s) in algebra._triples.items():
+    read = {"odd_commutator": algebra._bracket, "mixed_mul": algebra._tables["mixed_mul"]}
+    for product, proof in read.items():
+        i, j, k, s = proof.i, proof.j, proof.k, proof.s
         want, got = np.zeros(shapes[product]), np.zeros(shapes[product])
         np.add.at(want, (i, j, k), s)
         table = algebra.gather_fold(product)
@@ -467,15 +536,15 @@ def test_odd_half_antisymmetry_is_proven_exactly(text, holds):
 def test_odd_half_proof_fails_on_altered_triples():
     # one half triple with its sign flipped, or a sign that is not an
     # integer, proves nothing, and the commutator table keeps both halves
-    algebra = Algebra(AlgebraDescriptor.from_string("grassmann:4"))
-    i, j, k, s = algebra._half_triples
-    flipped, halved = s.copy(), 0.5 * s
+    descriptor = AlgebraDescriptor.from_string("grassmann:4")
+    half = Algebra(descriptor)._half
+    flipped, halved = half.s.copy(), 0.5 * half.s
     flipped[3] *= -1.0
     for altered in (flipped, halved):
-        copy = Algebra(algebra.descriptor)
-        copy._half_triples = (i, j, k, altered)
+        copy = Algebra(descriptor)
+        copy._half = with_constants(half, altered)
         assert copy.odd_half_antisymmetric is False
-        assert len(copy.gather_fold("odd_commutator").s) == 2 * len(i)
+        assert len(copy.gather_fold("odd_commutator").s) == 2 * len(half.s)
 
 
 def triple_product(table, a, b):
@@ -538,7 +607,6 @@ def test_grouped_folds_sum_each_channel_over_its_own_pairs(text):
 
 
 def test_validate_algebra_runtime_under_one_second():
-    import time
     t0 = time.perf_counter()
     for text in ["scalar", "grassmann:2", "grassmann:3", "grassmann:4",
                  "grassmann:5", "grassmann:6", "symplectic:1", "symplectic:2",

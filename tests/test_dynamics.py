@@ -21,10 +21,12 @@ Oracles used here:
     sum, against integrate's in-place stages, bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from superkdv.algebra import Algebra, AlgebraDescriptor, get_algebra, value_norm
+from superkdv.algebra import Algebra, AlgebraDescriptor, ProductTable, get_algebra, value_norm
 from superkdv.dynamics import (SYSTEM_KINDS, _SpectralRHS, SystemState, Trajectory,
                                integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
@@ -299,6 +301,44 @@ def test_trajectory_recording_and_callback():
     assert [len(traj), traj[0].time] == [4, 0.0]
     assert traj.times == pytest.approx([0.0, 8e-4, 16e-4, 20e-4])
     assert traj.final.time == pytest.approx(20e-4)
+
+
+def test_trajectory_refuses_records_that_are_not_one_run():
+    # times that do not strictly increase, or a kind, grid, backend, lam or
+    # eps other than the first record's, are refused: six copies of one
+    # state would be a 0/0 time difference, an extended pair of identical
+    # fields at lam 1 and 2 a drift of 0.0, and a modified record in an
+    # extended run would be evaluated as extended
+    st = random_state("extended", "grassmann:2", lam=1.0, N=64, L=20.0)
+
+    def later(kind="extended", desc_str="grassmann:2", N=64, lam=1.0, eps=0.0):
+        state = random_state(kind, desc_str, lam, N=N, L=20.0, eps=eps)
+        return state.replace_fields(state.even, state.odd, 1.0)
+
+    for records in ([st] * 6, [later(), st]):
+        with pytest.raises(SuperKdVError, match="strictly increase"):
+            Trajectory(records)
+    gardner = random_state("gardner", "grassmann:2", 1.0, N=64, L=20.0, eps=0.1)
+    for first, other in [(st, later(lam=2.0)), (st, later("modified")), (st, later(N=32)),
+                         (st, later(desc_str="grassmann:3")),
+                         (gardner, later("gardner", eps=0.2))]:
+        with pytest.raises(SuperKdVError, match="one run"):
+            Trajectory([first, other])
+    assert Trajectory([st, later()]).times.tolist() == [0.0, 1.0]
+
+
+def test_integrate_refuses_a_start_time_dt_does_not_advance():
+    # at t = 1e20, t + dt == t.  At t = 2**40 a dt of 0.6 ulp gives t + dt
+    # = t + 2 dt = t + 1 ulp, so steps 1 and 2 would record one time; with
+    # a record every second step the recorded times still increase
+    st = random_state("extended", "scalar", lam=0.0, N=64, L=20.0)
+    dt = 0.6 * math.ulp(2.0 ** 40)
+    for time, step in ((1e20, 1e-4), (2.0 ** 40, dt)):
+        with pytest.raises(SuperKdVError, match="does not advance"):
+            integrate(st.replace_fields(st.even, st.odd, time), dt=step, steps=5)
+    traj = integrate(st.replace_fields(st.even, st.odd, 2.0 ** 40), dt=dt, steps=4,
+                     record_every=2)
+    assert len(traj) == 3
 
 
 def test_blowup_raises_with_last_finite_state():
@@ -783,17 +823,18 @@ def test_stage_gathered_rows(kind, desc_str, rows):
 
 
 def test_stage_without_the_half_table_proof_gathers_both_halves(monkeypatch):
-    # a backend whose half table has one sign flipped in the triples the
-    # proof reads does not prove [a, b] = 2 ab: its commutator gathers both
-    # halves of the (unaltered) table, and the stage still matches the
-    # hand-written terms
+    # a backend whose half table has a symmetric part added at one pair
+    # (a, b) and (b, a) does not prove [a, b] = 2 half(a, b), yet has the
+    # same commutator, which cancels that part: the stage gathers both
+    # halves of the altered table and still matches the hand-written terms
     desc = AlgebraDescriptor.from_string("grassmann:6")
     altered = Algebra(desc)
-    i, j, k, s = altered._half_triples
-    flipped = s.copy()
-    flipped[5] *= -1.0
-    altered._half_triples = (i, j, k, flipped)
-    assert not altered.odd_half_antisymmetric
+    half = altered._half
+    s = half.s.copy()
+    s[(half.i == half.j[5]) & (half.j == half.i[5]) & (half.k == half.k[5])] += 2.0
+    s[5] += 2.0
+    altered._half = ProductTable(half.i, half.j, half.k, s, half.out_dim)
+    assert not altered.odd_half_antisymmetric and altered.bracket_product_alternates
     monkeypatch.setattr(symbolic, "get_algebra", lambda descriptor: (
         altered if descriptor == desc else get_algebra(descriptor)))
     st, nonlinear = _stage("modified", "grassmann:6", dealias=True)

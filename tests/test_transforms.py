@@ -217,9 +217,10 @@ def test_fd_flow_residual_input_validation():
     traj = integrate(st, dt=1e-4, steps=3)
     with pytest.raises(SuperKdVError):
         fd_flow_residual(traj)
-    # six records of one state are 0 apart: the difference would be 0/0,
-    # NaN, which max() dropped, reading a perfect 0.0
-    with pytest.raises(SuperKdVError, match="nonzero finite time apart"):
+    # six records of one state are 0 apart, where the difference would be
+    # 0/0, NaN, which max() dropped, reading a perfect 0.0: no Trajectory
+    # holds them
+    with pytest.raises(SuperKdVError, match="strictly increase"):
         fd_flow_residual(Trajectory([st] * 6))
 
 
