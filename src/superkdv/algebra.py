@@ -13,6 +13,8 @@ constants, with no random draw and no tolerance.  On every backend T(a,
 b, c) = [q_a, q_b] q_c is totally antisymmetric over the odd basis.
 Algebra.bracket_product_alternates is that proof, and the compiler relies
 on it: a term [xi^(a), xi^(b)] xi^(c) with c equal to a or b is zero.
+Likewise [q_a, q_b][q_c, q_d] changes sign when a and c are swapped, so
+two brackets sharing an argument multiply to zero.
 
 Each product is a ProductTable, stored as its basis triples (i, j, k, s):
 out[k] is the sum of s a[i] b[j] over them.  A product gathers a[i] *
@@ -341,12 +343,14 @@ def _proven(identity, *tables):
 
 
 def _join(first, second, side):
-    """The terms of first's product fed into operand side (0 left, 1
-    right) of second's, from the integer triples of both: each triple (i,
-    j, k, s) of first pairs with each triple of second whose operand side
-    is channel k, giving s t to that triple's output channel m.  The
-    columns are the three operands in order, then m, then s t: (i, j, c,
-    m, s t) for (a b) c, (c, i, j, m, s t) for c (a b)."""
+    """The terms of first's product fed into operand column side of
+    second's terms, from the integer triples of first and the operand
+    columns, output channel and values of second (a table's triples, or
+    terms _join made): each triple (i, j, k, s) of first pairs with each
+    term of second whose operand side is channel k, giving s t to that
+    term's output channel m.  The columns are the operands in order, i
+    and j in place of operand side, then m, then s t: (i, j, c, m, s t)
+    for (a b) c, (c, i, j, m, s t) for c (a b)."""
     i, j, k, s = first
     *operands, m, t = second
     order = np.argsort(operands[side], kind="stable")
@@ -355,16 +359,17 @@ def _join(first, second, side):
     counts = hi - lo
     left = np.repeat(np.arange(len(k)), counts)
     right = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    pair, c = (i[left], j[left]), operands[1 - side][right]
-    ordered = (*pair, c) if side == 0 else (c, *pair)
-    return (*ordered, m[right], s[left] * t[right])
+    kept = [operand[right] for operand in operands]
+    kept[side:side + 1] = i[left], j[left]
+    return (*kept, m[right], s[left] * t[right])
 
 
-def _swapped(terms, column, sign):
-    """A sum of integer terms (index columns, then values) with index
-    columns column and column + 1 exchanged and every value times sign."""
+def _swapped(terms, columns, sign):
+    """A sum of integer terms (index columns, then values) with the two
+    index columns exchanged and every value times sign."""
     *indices, values = terms
-    indices[column], indices[column + 1] = indices[column + 1], indices[column]
+    a, b = columns
+    indices[a], indices[b] = indices[b], indices[a]
     return (*indices, sign * values)
 
 
@@ -379,6 +384,17 @@ def _keyed(terms, radix):
     return _merged(keys, values)
 
 
+def _summed(terms):
+    """A sum of integer terms with the terms of each index tuple summed
+    into one, the zero sums dropped."""
+    *indices, _ = terms
+    radix = 1 + max(int(index.max(initial=0)) for index in indices)
+    keys, values = _keyed(terms, radix)
+    for column in reversed(range(len(indices))):
+        keys, indices[column] = np.divmod(keys, radix)
+    return (*indices, values)
+
+
 def _same(first, second):
     """Whether two sums of integer terms with the same index columns are
     equal: equal once the terms of each index tuple are summed."""
@@ -391,7 +407,17 @@ def _alternating(bracket, mixed):
     two neighbouring arguments, which makes it totally antisymmetric; an
     entry with two equal arguments must then be zero."""
     terms = _join(bracket, mixed, 0)
-    return all(_same(terms, _swapped(terms, column, -1)) for column in (0, 1))
+    return all(_same(terms, _swapped(terms, (column, column + 1), -1)) for column in (0, 1))
+
+
+def _brackets_antisymmetric(bracket, even):
+    """Whether [q_a, q_b][q_c, q_d] changes sign when a and c are
+    swapped, which makes [q_a, q_b][q_a, q_d] zero.  The bracket's
+    triples are summed first: half(a, b) - half(b, a) lists each pair
+    twice, and both joins would repeat the pair's terms."""
+    bracket = _summed(bracket)
+    terms = _join(bracket, _join(bracket, even, 0), 2)
+    return _same(terms, _swapped(terms, (0, 2), -1))
 
 
 def _doubling(bracket, product):
@@ -775,7 +801,7 @@ def validate_algebra(descriptor):
         unit, basis = i == 0, np.arange(descriptor.even_dim)  # the triples unit * b
         return _same((j[unit], k[unit], s[unit]), (basis, basis, np.ones_like(basis)))
 
-    record("even_mul commutative", _proven(lambda e: _same(e, _swapped(e, 0, 1)), even),
+    record("even_mul commutative", _proven(lambda e: _same(e, _swapped(e, (0, 1), 1)), even),
            "exact, over all even basis pairs")
     record("even_mul associative", _proven(lambda e: _same(_join(e, e, 0), _join(e, e, 1)), even),
            "exact, over all even basis triples")
@@ -795,10 +821,13 @@ def validate_algebra(descriptor):
            _proven(lambda e, m: _same(_join(e, m, 0), _join(m, m, 1)), even, mixed),
            "exact, over all (even, even, odd) basis triples")
     record("odd_commutator antisymmetric",
-           _proven(lambda b: _same(b, _swapped(b, 0, -1)), alg._bracket),
+           _proven(lambda b: _same(b, _swapped(b, (0, 1), -1)), alg._bracket),
            "exact, over all odd basis pairs")
     record("[q1, q2] q3 totally antisymmetric", _proven(_alternating, alg._bracket, mixed),
            "exact, over all odd basis triples")
+    record("[q1, q2][q3, q4] antisymmetric in q1, q3",
+           _proven(_brackets_antisymmetric, alg._bracket, even),
+           "exact, over all odd basis quadruples")
     if descriptor.kind == "grassmann":
         record("commutator is twice the odd product",
                _proven(_doubling, alg._bracket, alg.gather_fold("odd_mul")),

@@ -193,7 +193,7 @@ class _SpectralRHS(_Program):
             spectra = self.spectra
             spectra[:self.n_rows] = spec[:, None]
             self._derive(spectra)
-        np.fft.irfft(spectra, n=self.grid.N, axis=-1, out=self.samples)
+        self.grid.irfft(spectra, out=self.samples)
         return self.head
 
     def __call__(self, out=None, check=True):
@@ -206,10 +206,10 @@ class _SpectralRHS(_Program):
         if check and not np.isfinite(self.values).all():
             raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
         if self.spec is None:
-            k = np.fft.rfft(self.values, axis=-1, out=out)
+            k = self.grid.rfft(self.values, out=out)
             k *= self.weight
             return k
-        spec = np.fft.rfft(self.values, axis=-1, out=self.spec)
+        spec = self.grid.rfft(self.values, out=self.spec)
         spec *= self.weight
         n_flux, n_rows = self.n_flux, self.n_rows
         k = np.empty((n_rows, spec.shape[-1]), complex) if out is None else out
@@ -228,12 +228,12 @@ def _rhs(kind, grid, desc, lam, eps, dealias, dispersion, fields):
     pair one stacked rfft, the map and one stacked irfft."""
     nonlinear = _SpectralRHS(kind, grid, desc, lam, eps, dealias)
     for even, odd in fields:
-        spec = np.fft.rfft(np.concatenate((even.data, odd.data)), axis=-1)
+        spec = grid.rfft(np.concatenate((even.data, odd.data)))
         nonlinear.physical(spec)
         k = nonlinear()
         if dispersion:
             k -= grid.derivative_symbol(3) * spec
-        data = np.fft.irfft(k, n=grid.N, axis=-1)
+        data = grid.irfft(k)
         yield (EvenField(grid, desc, data[:desc.even_dim]),
                OddField(grid, desc, data[desc.even_dim:]))
 
@@ -290,10 +290,11 @@ class Trajectory:
 
     Refuses states that are not one run: times that do not strictly
     increase, or a system kind, grid, backend, lam or eps other than the
-    first state's."""
+    first state's.  The states are a tuple; `replaced` builds an altered
+    trajectory through the same check."""
 
     def __init__(self, states):
-        self.states = list(states)
+        self.states = tuple(states)
         if not self.states:
             raise SuperKdVError("empty trajectory")
         first = self.states[0]
@@ -324,6 +325,13 @@ class Trajectory:
     @property
     def final(self):
         return self.states[-1]
+
+    def replaced(self, i, state):
+        """A trajectory with record i replaced by state, refused as the
+        constructor refuses records that are not one run."""
+        states = list(self.states)
+        states[i] = state
+        return Trajectory(states)
 
     def __len__(self):
         return len(self.states)
@@ -464,7 +472,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     # inverse transform after each step gives the finite check, the record
     # and the callback state, and with its derivative rows it is the
     # samples of the next step's k1.
-    spec = np.fft.rfft(np.concatenate((state.even.data, state.odd.data)), axis=-1)
+    spec = grid.rfft(np.concatenate((state.even.data, state.odd.data)))
     if dealias:
         spec[:, nonlinear.cut:] = 0.0
     phys = nonlinear.physical(spec)

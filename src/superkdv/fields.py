@@ -16,13 +16,21 @@ decay to machine-negligible values at the boundary.
 import warnings
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft runs
 
 from .algebra import EvenValue, OddValue, _Graded, _OddGraded, value_norm
 from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError, whole_number
 
 
 class PeriodicGrid:
-    """Uniform periodic grid on [0, L) with N a power of two >= 16."""
+    """Uniform periodic grid on [0, L) with N a power of two >= 16.
+
+    rfft and irfft are the grid's one transform pair over the last axis,
+    and every transform of the package goes through them.  Each is one
+    call to the pocketfft kernel np.fft.rfft or irfft ends in, with the
+    same backward-normalisation factor (1 forward, 1/N back), so results
+    are bit-identical to numpy.fft's, without its per-call argument
+    handling.  rfft_calls and irfft_calls count the calls."""
 
     def __init__(self, L, N):
         L = float(L)
@@ -38,6 +46,30 @@ class PeriodicGrid:
         self.k = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)  # modes 0..N/2
         self.dealias_keep = N // 3  # highest surviving mode index
         self._symbols = {}
+        self._inverse_scale = np.reciprocal(N, dtype=float)  # as numpy.fft's irfft
+        self.rfft_calls = 0
+        self.irfft_calls = 0
+
+    # The kernels are gufuncs whose core dimension is the last axis by
+    # default.  N is even, so the forward kernel is rfft_n_even; the
+    # inverse one reads n = N from out.
+    def rfft(self, samples, out=None):
+        """np.fft.rfft(samples, axis=-1, out=out) of float samples with N
+        points on the last axis: the N // 2 + 1 modes, into out (a fresh
+        array when out is None), which is returned."""
+        if out is None:
+            out = np.empty(samples.shape[:-1] + (len(self.k),), complex)
+        self.rfft_calls += 1
+        return _pocketfft.rfft_n_even(samples, 1, out=out)
+
+    def irfft(self, spectrum, out=None):
+        """np.fft.irfft(spectrum, n=N, axis=-1, out=out) of N // 2 + 1
+        modes on the last axis: the N samples, into out (a fresh array
+        when out is None), which is returned."""
+        if out is None:
+            out = np.empty(spectrum.shape[:-1] + (self.N,))
+        self.irfft_calls += 1
+        return _pocketfft.irfft(spectrum, self._inverse_scale, out=out)
 
     def derivative_symbol(self, order):
         """(ik)^order on the rfft modes, made once per order and read-only."""
@@ -113,15 +145,16 @@ class _Field(_Graded):
     def derivative(self, order=1):
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteFieldError("non-finite samples in spectral derivative")
-        spec = np.fft.rfft(self.data, axis=-1) * self.grid.derivative_symbol(order)
-        return type(self)(self.grid, self.descriptor,
-                          np.fft.irfft(spec, n=self.grid.N, axis=-1))
+        grid = self.grid
+        spec = grid.rfft(self.data)
+        spec *= grid.derivative_symbol(order)
+        return type(self)(grid, self.descriptor, grid.irfft(spec))
 
     def dealiased(self):
-        spec = np.fft.rfft(self.data, axis=-1)
-        spec[..., ~self.grid.dealias_mask] = 0.0
-        return type(self)(self.grid, self.descriptor,
-                          np.fft.irfft(spec, n=self.grid.N, axis=-1))
+        grid = self.grid
+        spec = grid.rfft(self.data)
+        spec[..., ~grid.dealias_mask] = 0.0
+        return type(self)(grid, self.descriptor, grid.irfft(spec))
 
     def quadrature(self):
         coords = self.grid.dx * self.data.sum(axis=-1)

@@ -694,9 +694,8 @@ class _Program:
         if not np.isfinite(self.head[:n_rows]).all():
             raise NonFiniteFieldError("non-finite samples in the fields")
         if self.derivatives:
-            self._derive(np.fft.rfft(self.samples[:n_rows], axis=-1))
-            np.fft.irfft(self.spectra[n_rows:], n=self.grid.N, axis=-1,
-                         out=self.samples[n_rows:])
+            self._derive(self.grid.rfft(self.samples[:n_rows]))
+            self.grid.irfft(self.spectra[n_rows:], out=self.samples[n_rows:])
         self.run()
 
     def batch(self, node, height):
@@ -1167,7 +1166,8 @@ def density_poly(label):
     (modified system), whose quadrature that system's flow conserves.
 
     The L^2 [xi', xi]^2 terms of H6 and H vanish in every admissible
-    realization (brackets sharing an argument multiply to zero) but are
+    realization (brackets sharing an argument multiply to zero, the
+    "[q1, q2][q3, q4] antisymmetric in q1, q3" line of check algebra) but are
     kept for fidelity to the deformation expansion.  Parsed once per
     label and shared; treat as read-only.
     """

@@ -257,7 +257,7 @@ def test_validate_algebra_pass_and_fail():
 
 _EVEN_LINES = ["even_mul commutative", "even_mul associative", "unit neutral"]
 _ODD_LINES = ["mixed_mul associative over P", "odd_commutator antisymmetric",
-              "[q1, q2] q3 totally antisymmetric"]
+              "[q1, q2] q3 totally antisymmetric", "[q1, q2][q3, q4] antisymmetric in q1, q3"]
 
 
 def with_constants(table, s):
@@ -305,9 +305,9 @@ def test_validate_algebra_keeps_its_lines_and_verdicts(text, monkeypatch):
 
 @pytest.mark.parametrize("value", [np.nan, 0.5])
 @pytest.mark.parametrize("table,failed", [
-    ("even_mul", _EVEN_LINES + _ODD_LINES[:1]),
-    ("odd_mul", ["odd_commutator antisymmetric", "[q1, q2] q3 totally antisymmetric",
-                 "commutator is twice the odd product", "nondegenerate on generators"])])
+    ("even_mul", _EVEN_LINES + _ODD_LINES[:1] + _ODD_LINES[3:]),
+    ("odd_mul", _ODD_LINES[1:] + ["commutator is twice the odd product",
+                                  "nondegenerate on generators"])])
 def test_validate_algebra_fails_a_non_integer_coefficient(table, failed, value, monkeypatch):
     # one structure constant (unit times unit, or t1 times t2) that is NaN
     # or not an integer fails exactly the lines that read its table, with
@@ -330,7 +330,8 @@ def test_validate_algebra_fails_a_non_integer_coefficient(table, failed, value, 
 
 def test_validate_algebra_fails_a_flipped_even_mul_sign(monkeypatch):
     # t1t2 * t3t4 with its sign flipped: t3t4 * t1t2 differs, and so do
-    # (t1t2 t3t4) t5t6 and t1t2 (t3t4 t5t6); the unit row is untouched
+    # (t1t2 t3t4) t5t6 and t1t2 (t3t4 t5t6), and [t1, t2][t3, t4] from
+    # -[t3, t2][t1, t4]; the unit row is untouched
     descriptor = AlgebraDescriptor.from_string("grassmann:6")
     altered = Algebra(descriptor)
     table, labels = altered._tables["even_mul"], descriptor.even_labels
@@ -342,7 +343,8 @@ def test_validate_algebra_fails_a_flipped_even_mul_sign(monkeypatch):
     assert {c["name"]: c["detail"] for c in report.failures} == {
         "even_mul commutative": "exact, over all even basis pairs",
         "even_mul associative": "exact, over all even basis triples",
-        "mixed_mul associative over P": "exact, over all (even, even, odd) basis triples"}
+        "mixed_mul associative over P": "exact, over all (even, even, odd) basis triples",
+        "[q1, q2][q3, q4] antisymmetric in q1, q3": "exact, over all odd basis quadruples"}
 
 
 def test_validate_algebra_fails_a_flipped_mixed_mul_sign(monkeypatch):

@@ -34,6 +34,29 @@ def test_grid_validation():
     assert g.N == 16 and type(g.N) is int
 
 
+@pytest.mark.parametrize("N", [16, 64, 512])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("given_out", [False, True])
+def test_transform_pair_matches_numpy_fft_bit_for_bit(N, lead, given_out):
+    # the pair calls numpy.fft's private pocketfft kernels directly: this
+    # fails loudly if a numpy release moves or changes them
+    g = PeriodicGrid(10.0, N)
+    samples = np.random.default_rng(N).standard_normal(lead + (N,))
+    want_spec = np.fft.rfft(samples, axis=-1)
+    out = np.empty_like(want_spec) if given_out else None
+    spec = g.rfft(samples, out=out)
+    assert spec.dtype == want_spec.dtype and spec.shape == want_spec.shape
+    assert spec.tobytes() == want_spec.tobytes()
+    assert not given_out or spec is out
+    want = np.fft.irfft(spec, n=N, axis=-1)
+    out = np.empty_like(want) if given_out else None
+    back = g.irfft(spec, out=out)
+    assert back.dtype == want.dtype and back.shape == want.shape
+    assert back.tobytes() == want.tobytes()
+    assert not given_out or back is out
+    assert (g.rfft_calls, g.irfft_calls) == (1, 1)
+
+
 def test_sin_derivative_bandlimited_exact():
     g = PeriodicGrid(7.0, 64)
     f = scalar_field(g, np.sin(2 * np.pi * g.x / g.L))

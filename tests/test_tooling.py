@@ -76,3 +76,47 @@ def test_import_builds_no_table_and_parses_no_text():
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == ["[0, 0, 0, 0, 0]",
                                 "[] ['even_mul', 'mixed_mul', 'odd_mul'] {}", "[]", "[]"]
+
+
+FFT_TRANSFORMS = {f"numpy.fft.{name}" for name in ("rfft", "irfft", "fft", "ifft")}
+
+
+def fft_transform_calls(source):
+    """The lines of a module's calls to a numpy.fft transform, however the
+    module imports numpy, numpy.fft or the transform itself."""
+    tree = ast.parse(source)
+    bound = {}  # the names the imports bind, as what they stand for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname, alias.name) if alias.asname
+                         else (alias.name.partition(".")[0],) * 2 for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and dotted(node.func) in FFT_TRANSFORMS)
+
+
+def test_only_the_grid_calls_fft_transforms():
+    # PeriodicGrid.rfft/irfft are the one place a transform is made; the
+    # frequencies (rfftfreq) are no transform
+    sample = ("import numpy as np\nimport numpy.fft\nimport numpy.fft as f\n"
+              "from numpy.fft import irfft as back, rfftfreq\nfrom numpy import fft\n"
+              "np.fft.rfft(x)\nnumpy.fft.ifft(x)\nf.fft(x)\nback(x)\nfft.irfft(x)\n"
+              "np.fft.rfftfreq(8)\nrfftfreq(8)\ngrid.rfft(x)\nnp.rfft(x)\n")
+    assert fft_transform_calls(sample) == [6, 7, 8, 9, 10]
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "fields.py")
+    assert {"dynamics.py", "symbolic.py"} <= {p.name for p in modules}
+    calls = {p.name: fft_transform_calls(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+    # nor does any other module name numpy's private kernels
+    assert [p.name for p in modules if "_pocketfft" in p.read_text(encoding="utf-8")] == []

@@ -205,8 +205,17 @@ def test_fd_flow_residual_flags_wrong_dynamics():
     traj = integrate(st, dt=1e-3, steps=40, scheme="ifrk4", record_every=5)
     assert fd_flow_residual(traj) < 1e-6
     middle = traj[4]
-    traj.states[4] = middle.replace_fields(1.05 * middle.even, middle.odd)
-    assert fd_flow_residual(traj) > 1e-3
+    altered = traj.replaced(4, middle.replace_fields(1.05 * middle.even, middle.odd))
+    assert fd_flow_residual(altered) > 1e-3
+    assert fd_flow_residual(traj) < 1e-6  # the original is untouched
+    with pytest.raises(TypeError):
+        traj.states[4] = altered[4]
+    # the replacement goes through the one-run check
+    with pytest.raises(SuperKdVError, match="strictly increase"):
+        traj.replaced(4, traj[3])
+    with pytest.raises(SuperKdVError, match="not one run"):
+        traj.replaced(4, SystemState("extended", middle.even, middle.odd,
+                                     time=middle.time, lam=1.0))
 
 
 def test_fd_flow_residual_input_validation():
