@@ -371,14 +371,14 @@ def _check_susy(args):
 
 
 def _check_densities(args):
-    table = reproduce_conserved_quantities(max_order=6, seed=args.seed)
+    table = reproduce_conserved_quantities(max_order=6)
     expected = {0: "1", 2: "-1", 4: "1", 6: "-1"}
     got = {e["n"]: str(e["c"]) for e in table.entries}
     ok = table.all_ok and got == expected
     verdict = {
         "check": "densities",
         "pass": ok,
-        "tolerances": {"monte carlo": 1e-8, "trials": 32},
+        "tolerances": "exact",
         "results": table.as_dict(),
         "expected_constants": expected,
     }

@@ -188,12 +188,11 @@ class _SpectralRHS(_Program):
         """Samples of the fields and of the derivatives the terms read,
         made into the head of the stack, which is returned.  They stay
         valid until the next call."""
-        spectra = spec[:, None]  # the batch axis of the one trial
         if self.spectra is not None:
-            spectra = self.spectra
-            spectra[:self.n_rows] = spec[:, None]
-            self._derive(spectra)
-        self.grid.irfft(spectra, out=self.samples)
+            self.spectra[:self.n_rows] = spec
+            self._derive(self.spectra)
+            spec = self.spectra
+        self.grid.irfft(spec, out=self.head)
         return self.head
 
     def __call__(self, out=None, check=True):

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft runs
 
-from .algebra import EvenValue, OddValue, _Graded, _OddGraded, value_norm
+from .algebra import EvenValue, OddValue, _Graded, _OddGraded
 from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError, whole_number
 
 
@@ -247,28 +247,6 @@ class RandomBandlimitedIC:
         return {"max_mode": self.max_mode, "amplitude": self.amplitude,
                 "seed": self.seed}
 
-    def basis(self, grid):
-        """The (max_mode + 1, N) cos and sin bases on grid, which every seed
-        shares."""
-        phase = 2.0 * np.pi * np.outer(np.arange(self.max_mode + 1), grid.x) / grid.L
-        return np.cos(phase), np.sin(phase)
-
-    def draw(self, fields, basis):
-        """Write the seed's samples into fields, the (channels, N) rows of
-        the even and of the odd field, from the grid's basis: per channel
-        uniform cos then sin amplitudes, each field then scaled to peak
-        amplitude."""
-        rng = np.random.default_rng(self.seed)
-        basis_cos, basis_sin = basis
-        for data in fields:
-            for ch in range(len(data)):
-                a = rng.uniform(-1.0, 1.0, len(basis_cos))
-                b = rng.uniform(-1.0, 1.0, len(basis_cos))
-                data[ch] = a @ basis_cos + b @ basis_sin
-            peak = value_norm(data)
-            if peak > 0:
-                data *= self.amplitude / peak
-
 
 def _resolve_channel(spec, descriptor):
     part, _, label = str(spec).partition(":")
@@ -318,7 +296,17 @@ def build_initial_condition(spec, grid, descriptor):
         if spec.seed < 0:
             raise SuperKdVError(f"random_bandlimited needs a non-negative seed, "
                                 f"got {spec.seed}")
-        spec.draw((even.data, odd.data), spec.basis(grid))
+        rng = np.random.default_rng(spec.seed)
+        phase = 2.0 * np.pi * np.outer(np.arange(spec.max_mode + 1), x) / grid.L
+        basis_cos, basis_sin = np.cos(phase), np.sin(phase)
+        for field in (even, odd):
+            for ch in range(field.data.shape[0]):
+                a = rng.uniform(-1.0, 1.0, len(phase))
+                b = rng.uniform(-1.0, 1.0, len(phase))
+                field.data[ch] = a @ basis_cos + b @ basis_sin
+            peak = field.norm()
+            if peak > 0:
+                field.data *= spec.amplitude / peak
     else:
         raise SuperKdVError(f"unknown IC spec {spec!r}")
     return even, odd

@@ -23,36 +23,30 @@ once per call site at one backend and coupling by one rule into
 straight-line product ops, one per group of terms sharing their last
 factor, and run level by level, each level's small ops fused into one,
 it runs them on samples it checks finite, the derivatives taken with one
-stacked transform each way.  A program may run a batch of
-trials side by side along the trailing axis of its rows; no fold sees
-that axis.  Every numeric evaluation of the package, the evolution
-right-hand sides included, runs on it.
+stacked transform each way.  Every numeric evaluation of the package, the
+evolution right-hand sides included, runs on it.
 
-Equality modulo total derivatives is decided by randomized instantiation:
-both sides are evaluated on random band-limited fields over two different
-algebra backends with random couplings, and their quadratures compared.
-A decision compiles its polynomials once per backend it draws, at L = 1
-with one output per power of L, and runs that backend's trials side by
-side, at most MC_WIDTH at a time; each trial's coupling enters as
-lam^power on the quadratures, and the trials are read in draw order, so
-the first refuting one is the witness.  reproduce_conserved_quantities
-reads its fit from the same path.  That test is sound for refutation; for
-confirmation it is as reliable as the trial count and the backends'
-ability to distinguish monomials (see equal_mod_total_derivative for the
-one known blind sector).
+Equality modulo total derivatives is decided exactly, in the free model
+of the normal form (u-derivatives and brackets as independent symbols).
+D keeps a monomial's u-degree, bracket count, odd flag and power of L and
+raises its order by one, so a polynomial is a total derivative exactly
+when each group of its terms of one grade and order w lies in the span of
+D of every monomial of that grade and order w - 1: one Fraction
+elimination per group.  reproduce_conserved_quantities reads its
+constants from the same residues.  A free-model "equal" holds on every
+backend; a "different" may still vanish on a realized one.
 """
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, get_algebra, value_norm
+from .algebra import get_algebra
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                      NonFiniteFieldError, SuperKdVError, whole_number)
-from .fields import EvenField, OddField, PeriodicGrid, RandomBandlimitedIC
+from .fields import EvenField, OddField
 
 
 def _orient_comm(a, b):
@@ -502,11 +496,10 @@ def _op_step(stack, left_rows, right_rows, left, right, groups, inverse, folded,
 
 
 # A level's dense ops run as one fused op while their gathers stay within
-# FUSED_SAMPLES samples (rows times width N).  Fusing saves numpy calls,
-# which cost more than the arithmetic on the small tables; past about this
-# many samples the gathers outgrow the cache and the calls no longer
-# dominate, and the Monte Carlo programs, 32 trials of N = 64, keep their
-# memory.  FUSED_ROWS keeps every fused matrix product's inner dimension
+# FUSED_SAMPLES samples (rows times N).  Fusing saves numpy calls, which
+# cost more than the arithmetic on the small tables; past about this many
+# samples the gathers outgrow the cache and the calls no longer dominate.
+# FUSED_ROWS keeps every fused matrix product's inner dimension
 # within the 384 columns OpenBLAS sums in one block, with any thread count.
 FUSED_SAMPLES = 8192
 FUSED_ROWS = 384
@@ -552,7 +545,7 @@ class _Program:
     (product, left rows, right rows, fold, node) gathers the rows of the
     named product's Algebra.gather_fold table, offset to its operands'
     nodes, multiplies them and folds them onto the output channels with
-    the algebra.Fold the table's cost rule picks for width * N samples:
+    the algebra.Fold the table's cost rule picks for N samples:
     one dense matrix product on a small table, else one batched matrix
     product per group of channels with equal pair counts, each channel
     summing only its own pairs, and one take into channel order.  Its
@@ -596,19 +589,14 @@ class _Program:
     grouped fold, run as they are: the modified stage on
     grassmann:3 runs its 6 ops as 2 fused levels, on grassmann:6 at N =
     256 one at a time.  `ops` keeps each op, at its laid-out rows, and
-    `fused` the ops of each fused level.
-
-    A program runs width trials side by side, fixed when it is built:
-    every block has width * N columns, trial t's samples in columns t N to
-    (t + 1) N, and `samples` views the head as (rows, width, N) for the
-    stacked transforms.  The trials share each op, whose fold acts on the
-    rows only.  `link()` also allocates the stack and binds the steps to
-    it, and `run` walks them level by level.
+    `fused` the ops of each fused level.  `link()` also allocates the
+    stack, each block N columns wide, and binds the steps to it, and `run`
+    walks them level by level.
     """
 
-    def __init__(self, grid, descriptor, terms, xi_orders=(), width=1):
+    def __init__(self, grid, descriptor, terms, xi_orders=()):
         n_even = descriptor.even_dim
-        self.grid, self.n_rows, self.width = grid, n_even + descriptor.odd_dim, width
+        self.grid, self.n_rows = grid, n_even + descriptor.odd_dim
         self.algebra = get_algebra(descriptor)
         u_orders = {f for factors, _, _ in terms for f in factors
                     if not isinstance(f, tuple)}
@@ -649,10 +637,9 @@ class _Program:
         self.outputs = []  # (field type, node, height) of each compiled polynomial
 
     @classmethod
-    def compile(cls, polys, grid, descriptor, lam, width=1):
-        """The polynomials compiled at one grid, backend and coupling, for
-        batches of width trials side by side; a mixed-grading polynomial
-        raises GradingError."""
+    def compile(cls, polys, grid, descriptor, lam):
+        """The polynomials compiled at one grid, backend and coupling; a
+        mixed-grading polynomial raises GradingError."""
         lives, fields = [], []
         for poly in polys:
             gradings = poly.gradings()
@@ -660,8 +647,7 @@ class _Program:
                 raise GradingError("cannot instantiate a mixed-grading polynomial")
             lives.append(_live_terms(poly, lam, descriptor))
             fields.append(OddField if gradings == {True} else EvenField)
-        program = cls(grid, descriptor, [term for live in lives for term in live],
-                      width=width)
+        program = cls(grid, descriptor, [term for live in lives for term in live])
         for live, field in zip(lives, fields):
             height = field._dim(descriptor)
             node = program._block(height)
@@ -671,8 +657,7 @@ class _Program:
         return program
 
     def __call__(self, u, xi):
-        """Each polynomial's value at the fields (u, xi), as a fresh field,
-        from a program of batch width 1."""
+        """Each polynomial's value at the fields (u, xi), as a fresh field."""
         u._require_compatible(xi)
         if u.grid != self.grid or u.descriptor != self.algebra.descriptor:
             raise DescriptorMismatch(f"fields over {u.descriptor} on {u.grid} given to "
@@ -688,19 +673,14 @@ class _Program:
         """Run the program on the samples [u; xi] in the head of the stack.
 
         The derivatives come from one stacked rfft of them and one stacked
-        irfft, each trial of the batch along its own axis.  Non-finite
-        samples raise NonFiniteFieldError."""
+        irfft.  Non-finite samples raise NonFiniteFieldError."""
         n_rows = self.n_rows
         if not np.isfinite(self.head[:n_rows]).all():
             raise NonFiniteFieldError("non-finite samples in the fields")
         if self.derivatives:
-            self._derive(self.grid.rfft(self.samples[:n_rows]))
-            self.grid.irfft(self.spectra[n_rows:], out=self.samples[n_rows:])
+            self._derive(self.grid.rfft(self.head[:n_rows]))
+            self.grid.irfft(self.spectra[n_rows:], out=self.head[n_rows:])
         self.run()
-
-    def batch(self, node, height):
-        """The rows at node as (height, width, N): each trial's samples."""
-        return self.stack[node:node + height].reshape(height, self.width, self.grid.N)
 
     def _block(self, height):
         node, self.top = self.top, self.top + height
@@ -711,10 +691,9 @@ class _Program:
         """The node of scale times the named Algebra product of nodes a and
         b: a new block, or the given node's rows.  A node times itself
         gathers the product's square table.  The table folds as its
-        fold(width N) chooses, so a batch of width trials may group a fold
-        that one trial keeps dense."""
+        fold(N) chooses."""
         table = (self.algebra.square_fold if a == b else self.algebra.gather_fold)(product)
-        fold = table.fold(self.width * self.grid.N)
+        fold = table.fold(self.grid.N)
         if scale != 1.0:
             fold = fold.scaled(scale)
         if node is None:
@@ -795,9 +774,9 @@ class _Program:
 
     def link(self):
         """Schedule the steps into levels, fuse each level's dense ops, lay
-        out the stack, allocate it, the gather buffers and the scratch rows
-        for batches of width trials, and bind every step to its rows."""
-        N, width = self.grid.N, self.width
+        out the stack, allocate it, the gather buffers and the scratch rows,
+        and bind every step to its rows."""
+        N = self.grid.N
         runs, links = self._schedule()
         # the row each row built lies at: the head stays, and the blocks
         # follow in build order, each chain of linked blocks together (an
@@ -819,21 +798,20 @@ class _Program:
             self.unit = int(placed[self.unit])
         self.outputs = [(field, int(placed[node]), height) for field, node, height in self.outputs]
 
-        stack = self.stack = np.zeros((self.top, width * N))
+        stack = self.stack = np.zeros((self.top, N))
         if self.unit is not None:
             stack[self.unit] = 1.0
         self.head = stack[:self.height]
-        self.samples = self.batch(0, self.height)
-        self.spectra = (np.empty((self.height, width, N // 2 + 1), complex)
+        self.spectra = (np.empty((self.height, N // 2 + 1), complex)
                         if self.derivatives else None)
         gathers = [sum(len(steps[index][1]) for index in run) for run in runs
                    if self.steps[run[0]][0] is _op_step]
         widest = max(gathers, default=0)
-        self.buffers = (np.empty((widest, width * N)), np.empty((widest, width * N)))
+        self.buffers = (np.empty((widest, N)), np.empty((widest, N)))
         descriptor = self.algebra.descriptor
         # the rows a sum scales a term into, and those a grouped fold folds
         # into before its take
-        scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), width * N))
+        scratch = np.empty((max(descriptor.even_dim, descriptor.odd_dim), N))
 
         def rows(node, height):
             return stack[node:node + height]
@@ -927,7 +905,7 @@ class _Program:
         """
         if len(ops) < 2:
             return []
-        size, rows, parts = self.width * self.grid.N, 0, {}
+        size, rows, parts = self.grid.N, 0, {}
         starts = [node for node, _ in self._blocks]
         for index in ops:
             *_, fold, node = self.steps[index][1]
@@ -972,19 +950,104 @@ def instantiate(poly, u, xi, lam):
 # ---------------------------------------------------------------------------
 # equality modulo total derivatives
 
-MC_BACKENDS = ("grassmann:3", "symplectic:2")
-MC_GRID = (2 * np.pi, 64)
-MC_MAX_MODE = 3
-MC_WIDTH = 32  # the most trials of one backend a program runs side by side
+def _grade(key):
+    """What D keeps of a monomial, and its order, which D raises by one:
+    (u-degree, bracket count, odd flag, power of L, sum of its derivative
+    orders)."""
+    even, comms, odd, power = key
+    order = sum(even) + sum(a + b for a, b in comms) + (odd or 0)
+    return len(even), len(comms), odd is not None, power, order
+
+
+def _multisets(items, k, total):
+    """The sorted k-tuples, repeats allowed, of the items of (item, order)
+    pairs, listed in item order, whose orders sum to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for i, (item, order) in enumerate(items):
+        if order <= total:
+            for rest in _multisets(items[i:], k - 1, total - order):
+                yield (item,) + rest
+
+
+def _eliminate(vector, pivot, row):
+    """Subtract vector[pivot] times row from the vector (monomial ->
+    coefficient) in place, dropping the zeros."""
+    c = vector.get(pivot)
+    if c:
+        for key, v in row.items():
+            total = vector.get(key, 0) - c * v
+            if total:
+                vector[key] = total
+            else:
+                del vector[key]
+
+
+def _residue(rows, vector):
+    """The vector less its part in the span of the reduced rows: each row
+    is 1 at its pivot and 0 at every other pivot, so one pass over them
+    clears every pivot."""
+    out = dict(vector)
+    for pivot, row in rows.items():
+        _eliminate(out, pivot, row)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _image_rows(degree, brackets, odd, order):
+    """D of every normal-form monomial with degree u-factors, brackets
+    brackets, a bare odd factor when odd, no L and the given order, as
+    reduced rows over the monomials without their power of L: pivot ->
+    row, by exact Fraction elimination.  Built once per grade and shared;
+    treat as read-only."""
+    pairs = [((a, b), a + b) for a in range(1, order + 1) for b in range(a)
+             if a + b <= order]
+    rows = {}
+    for s in range(order + 1):
+        for even in _multisets([(k, k) for k in range(s + 1)], degree, s):
+            for t in range(order - s + 1) if odd else (order - s,):
+                for comms in _multisets(pairs, brackets, t):
+                    key = (even, comms, order - s - t if odd else None, 0)
+                    image = DiffPolynomial({key: Fraction(1)}).differentiate_total()
+                    row = _residue(rows, {k[:3]: c for k, c in image.terms.items()})
+                    if not row:
+                        continue
+                    pivot = max(row)
+                    row = {k: c / row[pivot] for k, c in row.items()}
+                    for other in rows.values():
+                        _eliminate(other, pivot, row)
+                    rows[pivot] = row
+    return rows
+
+
+def _residues(poly):
+    """(group, residue) for each grade of poly's terms, in grade order: the
+    group is the terms of that grade and the residue its part outside Im D,
+    both DiffPolynomials, the residue zero exactly when the group is a total
+    derivative.  A group of order 0 is its own residue."""
+    groups = {}
+    for key, c in poly.terms.items():
+        groups.setdefault(_grade(key), {})[key] = c
+    for grade in sorted(groups):
+        degree, brackets, odd, power, order = grade
+        group = groups[grade]
+        if order:
+            rest = _residue(_image_rows(degree, brackets, odd, order - 1),
+                            {key[:3]: c for key, c in group.items()})
+            residue = {key + (power,): c for key, c in rest.items()}
+        else:
+            residue = group
+        yield DiffPolynomial(group), DiffPolynomial(residue)
 
 
 class EquivalenceVerdict:
-    """Outcome of the randomized density comparison."""
+    """Outcome of the exact density comparison: equal, or the text of the
+    first group of p - q, in grade order, that is no total derivative."""
 
-    def __init__(self, equal, trials, tol, witness=None):
+    def __init__(self, equal, witness=None):
         self.equal = equal
-        self.trials = trials
-        self.tol = tol
         self.witness = witness
 
     def __bool__(self):
@@ -992,135 +1055,29 @@ class EquivalenceVerdict:
 
     def __repr__(self):
         if self.equal:
-            return f"equal ({self.trials} trials, tol {self.tol:g})"
+            return "equal (exact)"
         return f"different (witness {self.witness})"
 
 
-def _mc_settings(trials, tol, seed, backends):
-    """(trials, tol, seed, backends) of a Monte Carlo decision, checked
-    before any trial; a bad setting raises SuperKdVError naming it."""
-    trials, seed = whole_number("trials", trials), whole_number("seed", seed)
-    if trials < 1:
-        raise SuperKdVError(f"trials must be at least 1, got {trials}")
-    if not 0.0 <= tol < math.inf:
-        raise SuperKdVError(f"tol must be finite and nonnegative, got {tol!r}")
-    if seed < 0:
-        raise SuperKdVError(f"seed must be nonnegative, got {seed}")
-    if backends is None:
-        backends = MC_BACKENDS
-    if isinstance(backends, str):
-        raise SuperKdVError(f"backends must be a sequence of descriptors, "
-                            f"not the string {backends!r}")
-    backends = tuple(backends)
-    if not backends:
-        raise SuperKdVError("at least one backend is needed for the trials")
-    for backend in backends:
-        AlgebraDescriptor.from_string(backend)
-    return trials, tol, seed, backends
+def equal_mod_total_derivative(p, q, seed=None):
+    """Exact decision of p == q modulo total x-derivatives.
 
-
-def _trial_draws(seed, trials, backends):
-    """(trial seed, backend, coupling in [-2, 2]) of each randomized trial."""
-    root = np.random.default_rng(seed)
-    draws = []
-    for trial_seed in root.integers(0, 2 ** 62, size=trials):
-        rng = np.random.default_rng(trial_seed)
-        draws.append((int(trial_seed), backends[int(rng.integers(len(backends)))],
-                      float(rng.uniform(-2.0, 2.0))))
-    return draws
-
-
-def _trial_quadratures(polys, draws):
-    """The quadratures of the even polynomials on the random band-limited
-    fields of each (trial seed, backend, coupling) draw, yielded in draw
-    order as one (polynomial, channel) array per draw.
-
-    Each backend's polynomials are compiled once, at L = 1 with one output
-    per (polynomial, power of L).  The draws are taken MC_WIDTH at a time,
-    and each backend's program runs its trials among them side by side
-    along the trailing axis of its rows; a trial's coupling enters only as
-    lam^power on the quadratures.  Every trial draws its fields on one
-    cos and sin basis of the grid, made once per call.  A caller that
-    stops at a refuting trial has at most the rest of its MC_WIDTH draws
-    evaluated for nothing."""
-    grid = PeriodicGrid(*MC_GRID)
-    basis = RandomBandlimitedIC(MC_MAX_MODE).basis(grid)
-    parts = {}  # (polynomial, power of L) -> its terms
-    for index, poly in enumerate(polys):
-        for key, c in poly.terms.items():
-            parts.setdefault((index, key[3]), {})[key] = c
-    owners = np.array([owner for owner, _ in parts], dtype=np.intp)
-    powers = np.array([power for _, power in parts])
-    backends = [backend for _, backend, _ in draws]
-    programs = {}
-    for start in range(0, len(draws), MC_WIDTH):
-        run = backends[start:start + MC_WIDTH]
-        quads = [None] * len(run)
-        for backend in dict.fromkeys(run):
-            program = programs.get(backend)
-            if program is None:
-                program = programs[backend] = _Program.compile(
-                    map(DiffPolynomial, parts.values()), grid,
-                    AlgebraDescriptor.from_string(backend), 1.0,
-                    min(MC_WIDTH, backends.count(backend)))
-            desc, samples = program.algebra.descriptor, program.samples
-            slots = [start + i for i, drawn_on in enumerate(run) if drawn_on == backend]
-            lams = np.zeros(program.width)
-            for slot, i in enumerate(slots):
-                trial_seed, _, lams[slot] = draws[i]
-                RandomBandlimitedIC(MC_MAX_MODE, 0.6, trial_seed).draw(
-                    (samples[:desc.even_dim, slot], samples[desc.even_dim:program.n_rows, slot]),
-                    basis)
-            # slots past len(slots) keep earlier, finite samples, never read
-            program.evaluate()
-            # (part, channel, trial) integrals, each at its trial's lam^power
-            integrals = np.array([grid.dx * program.batch(node, height).sum(axis=-1)
-                                  for _, node, height in program.outputs])
-            integrals *= (lams ** powers[:, None])[:, None, :]
-            totals = np.zeros((len(polys), desc.even_dim, program.width))
-            np.add.at(totals, owners, integrals)
-            for slot, i in enumerate(slots):
-                quads[i - start] = totals[:, :, slot]
-        yield from quads
-
-
-def equal_mod_total_derivative(p, q, trials=32, tol=1e-8, seed=0, backends=None):
-    """Randomized decision of p == q modulo total x-derivatives.
-
-    Instantiates p - q on random band-limited fields over two backends and
-    random couplings in [-2, 2], and accepts when every quadrature is at
-    most tol times a cancellation-aware scale (1 plus the per-monomial
-    integral magnitudes).  Both default backends annihilate products of
-    two brackets on four independent arguments, so densities differing
-    only in that sector need a wider backend (pass e.g. ("grassmann:4",)).
-    At least one trial, a nonnegative whole seed, a sequence of at least
-    one backend descriptor and a finite nonnegative tol are required: no
-    trial confirms nothing, and a NaN or infinite tol would confirm
-    everything.  The trials run in draw order, batched per backend
-    (_trial_quadratures), and the first refuting one is the witness.
+    D keeps a monomial's u-degree, bracket count, odd flag and power of L
+    and raises its order by one, so p - q is a total derivative exactly
+    when each group of its terms of one grade and order w lies in the span
+    of D of every monomial of that grade and order w - 1 (a group of order
+    0 never does): one Fraction elimination per group (_residues).  The
+    verdict holds in the free model of the normal form, brackets being
+    independent symbols: "equal" then holds on every backend, while a
+    "different" may still vanish on a realized one, as the L^2 [xi', xi]^2
+    sector does.  seed is ignored.
     """
-    trials, tol, seed, backends = _mc_settings(trials, tol, seed, backends)
     if not (p.is_even() and q.is_even()):
         raise GradingError("densities must be even-graded")
-    diff = p - q
-    if diff.is_zero():
-        return EquivalenceVerdict(True, 0, tol)
-    # one polynomial per product of factors, its powers of L together: the
-    # scale needs each product's own integral
-    products = {}
-    for key, c in diff.terms.items():
-        products.setdefault(key[:3], {})[key] = c
-    terms = [DiffPolynomial(group) for group in products.values()]
-    draws = _trial_draws(seed, trials, backends)
-    for i, ((trial_seed, backend, lam), quads) in enumerate(
-            zip(draws, _trial_quadratures(terms, draws))):
-        scale = 1.0 + float(np.abs(quads).max(axis=1).sum())
-        residual = value_norm(quads.sum(axis=0))
-        if residual > tol * scale:
-            witness = {"backend": backend, "lambda": lam, "seed": trial_seed,
-                       "residual": residual, "scale": scale}
-            return EquivalenceVerdict(False, i + 1, tol, witness)
-    return EquivalenceVerdict(True, trials, tol)
+    for group, residue in _residues(p - q):
+        if not residue.is_zero():
+            return EquivalenceVerdict(False, to_text(group))
+    return EquivalenceVerdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,43 +1163,31 @@ class CoefficientTable:
         return "\n".join(lines)
 
 
-def reproduce_conserved_quantities(max_order=6, trials=32, tol=1e-8, seed=0):
-    """Fit constants c with int z_n == c * H_n mod total derivatives.
+def _residue_of(poly):
+    """poly's part outside Im D, summed over its grades."""
+    return sum((residue for _, residue in _residues(poly)), DiffPolynomial())
 
-    For each even n <= max_order a least-squares fit over random
-    instantiations determines c, which is snapped to a small rational and
-    re-verified with equal_mod_total_derivative; all odd orders must
-    vanish.  Returns a CoefficientTable.
+
+def reproduce_conserved_quantities(max_order=6):
+    """Solve for the constants c with int z_n == c * H_n mod total derivatives.
+
+    The residue modulo Im D is linear, so z_n - c H_n is a total
+    derivative exactly when residue(z_n) = c residue(H_n): c is read off
+    one monomial of residue(H_n) and the equation checked term by term, in
+    exact rationals.  Every odd order must be a total derivative.  Returns
+    a CoefficientTable.
     """
     max_order = whole_number("max_order", max_order)
     if max_order < 0 or max_order % 2 or max_order > 6:
         raise SuperKdVError(f"max_order must be even, nonnegative and at most 6, got {max_order}")
-    trials, tol, seed, _ = _mc_settings(trials, tol, seed, None)
     coeffs = gardner_coefficients(max_order)
-    zero = DiffPolynomial.zero()
-    odd_ok = True
-    for n in range(1, max_order + 1, 2):
-        verdict = equal_mod_total_derivative(coeffs[n][0], zero,
-                                             trials=trials, tol=tol, seed=seed + n)
-        odd_ok = odd_ok and verdict.equal
-    orders = range(0, max_order + 1, 2)
-    polys = [p for n in orders for p in (coeffs[n][0], conserved_density_poly(n))]
-    num, den = [0.0] * len(orders), [0.0] * len(orders)
-    for quads in _trial_quadratures(polys, _trial_draws(seed, trials, MC_BACKENDS)):
-        for k in range(len(orders)):
-            a, b = quads[2 * k], quads[2 * k + 1]
-            num[k] += float(a @ b)
-            den[k] += float(b @ b)
+    odd_ok = all(_residue_of(coeffs[n][0]).is_zero() for n in range(1, max_order + 1, 2))
     entries = []
-    for k, n in enumerate(orders):
-        zn, hn = coeffs[n][0], conserved_density_poly(n)
-        if den[k] == 0.0:
-            entries.append({"n": n, "c": Fraction(0), "verified": False})
-            continue
-        c = Fraction(num[k] / den[k]).limit_denominator(64)
-        verdict = equal_mod_total_derivative(zn, hn.scaled(c),
-                                             trials=trials, tol=tol, seed=seed + n)
-        entries.append({"n": n, "c": c, "verified": verdict.equal})
+    for n in range(0, max_order + 1, 2):
+        z, h = _residue_of(coeffs[n][0]), _residue_of(conserved_density_poly(n))
+        key = next(iter(h.terms), None)
+        c = Fraction(0) if key is None else z.terms.get(key, 0) / h.terms[key]
+        entries.append({"n": n, "c": c, "verified": (z - h.scaled(c)).is_zero()})
     return CoefficientTable(entries, odd_ok)
 
 

@@ -217,7 +217,7 @@ def test_criterion_09_coefficient_table():
     ok = (table.all_ok and elapsed < 60.0
           and constants == {0: "1", 2: "-1", 4: "1", 6: "-1"})
     verdict(9, ok, f"integrals match c*H_n with c = {constants}, odd orders "
-                   f"vanish, all re-verified at tol 1e-8; runtime "
+                   f"vanish, all decided exactly modulo D; runtime "
                    f"{elapsed:.1f}s < 60s")
 
 

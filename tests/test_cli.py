@@ -213,7 +213,12 @@ def test_check_densities_passes(capsys):
     assert verdict["pass"] is True
     constants = {e["n"]: e["c"] for e in verdict["results"]["entries"]}
     assert constants == {0: "1", 2: "-1", 4: "1", 6: "-1"}
+    assert verdict["tolerances"] == "exact"
     assert "order" in captured.err
+    # the decision is exact, so the seed changes nothing
+    for seed in (1, 2, 3):
+        assert run(["check", "densities", "--seed", seed]) == 0
+        assert capsys.readouterr().out == captured.out
 
 
 def test_check_verdict_shape(capsys):

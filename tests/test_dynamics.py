@@ -683,28 +683,22 @@ def test_fused_compiled_programs_keep_their_bits(desc_str, monkeypatch):
     assert fused == single
 
 
-@pytest.mark.parametrize("desc_str,N,width,fuses", [
-    ("grassmann:3", 64, 1, True), ("grassmann:4", 128, 1, True), ("symplectic:2", 64, 1, True),
-    ("grassmann:6", 16, 1, True), ("grassmann:6", 256, 1, False),
-    ("grassmann:3", 64, 32, False)])
-def test_fused_gathers_stay_within_the_budget(desc_str, N, width, fuses, monkeypatch):
+@pytest.mark.parametrize("desc_str,N,fuses", [
+    ("grassmann:3", 64, True), ("grassmann:4", 128, True), ("symplectic:2", 64, True),
+    ("grassmann:6", 16, True), ("grassmann:6", 256, False)])
+def test_fused_gathers_stay_within_the_budget(desc_str, N, fuses, monkeypatch):
     # a fused level gathers at most FUSED_SAMPLES samples and FUSED_ROWS
     # rows (the widest matmul OpenBLAS sums in one block), only from
     # dense folds, into contiguous output rows; fusing moves blocks, so
     # the stack is as tall as without it.  Grassmann:6 at N = 16 fuses up
-    # to the row cap; at N = 256 its folds are grouped and nothing fuses,
-    # nor in the densities for 32 Monte Carlo trials of N = 64, where no
-    # two ops fit the budget
+    # to the row cap; at N = 256 its folds are grouped and nothing fuses
     desc, grid = AlgebraDescriptor.from_string(desc_str), PeriodicGrid(20.0, N)
 
     def programs():
-        made = [_Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
-                                 grid, desc, 1.3, width)]
-        if width == 1:
-            made += [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
-                     for kind in SYSTEM_KINDS
-                     if kind != "skdv_grassmann" or desc.kind == "grassmann"]
-        return made
+        return [_Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
+                                 grid, desc, 1.3)] + [
+            _SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
+            for kind in SYSTEM_KINDS if kind != "skdv_grassmann" or desc.kind == "grassmann"]
 
     fused = programs()
     assert symbolic.FUSED_ROWS <= 384
@@ -712,7 +706,7 @@ def test_fused_gathers_stay_within_the_budget(desc_str, N, width, fuses, monkeyp
         for ops in program.fused:
             rows = sum(len(left) for _, left, *_ in ops)
             assert len(ops) > 1 and rows <= symbolic.FUSED_ROWS
-            assert rows * width * N <= symbolic.FUSED_SAMPLES
+            assert rows * N <= symbolic.FUSED_SAMPLES
             assert all(fold.matrix is not None for *_, fold, _ in ops)
             ends = [node + fold.out_dim for *_, fold, node in ops]
             assert [node for *_, node in ops[1:]] == ends[:-1]

@@ -11,15 +11,9 @@ from superkdv.fields import EvenField, OddField, PeriodicGrid, build_initial_con
 from superkdv import symbolic
 from superkdv.invariants import conserved_quantities, hamiltonian_density
 from superkdv.symbolic import (
-    MC_BACKENDS,
-    MC_GRID,
-    MC_MAX_MODE,
-    MC_WIDTH,
     CoefficientTable,
     _live_terms,
     _Program,
-    _trial_draws,
-    _trial_quadratures,
     DiffPolynomial,
     commutator,
     conserved_density_poly,
@@ -101,7 +95,7 @@ comm_pairs = st.tuples(orders, orders).filter(lambda p: p[0] != p[1])
 
 
 @st.composite
-def polynomials(draw):
+def polynomials(draw, orders=orders, comm_pairs=comm_pairs):
     poly = DiffPolynomial.zero()
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         term = DiffPolynomial.constant(draw(coefficients), draw(st.integers(0, 2)))
@@ -284,17 +278,18 @@ def test_shared_argument_bracket_square_instantiates_to_zero():
 
 
 def test_distinct_argument_bracket_product_needs_wide_backend():
-    # products of brackets over four independent arguments vanish on the
-    # default Monte Carlo backends but not on grassmann:4
+    # products of brackets over four independent arguments vanish on
+    # grassmann:3 and symplectic:2 but not on grassmann:4
     poly = parse("[xi^(3),xi^(2)]*[xi',xi]")
     for backend in ("grassmann:3", "symplectic:2"):
         u, xi = random_fields(backend, seed=2)
         assert instantiate(poly, u, xi, 1.0).norm() <= 1e-13
     u, xi = random_fields("grassmann:4", seed=2)
     assert instantiate(poly, u, xi, 1.0).norm() > 1e-6
-    verdict = equal_mod_total_derivative(poly, DiffPolynomial.zero(),
-                                         backends=("grassmann:4",))
+    # the exact decision needs no backend at all
+    verdict = equal_mod_total_derivative(poly, DiffPolynomial.zero())
     assert not verdict.equal
+    assert verdict.witness == "[xi^(1),xi]*[xi^(3),xi^(2)]"
 
 
 # a bracket times one of its own arguments: zero on every backend, as
@@ -341,123 +336,115 @@ def test_equivalence_accepts_total_derivative_shift():
 
 
 def test_equivalence_detects_difference_with_witness():
+    # u u'' + u'^2 = D(u u'), so u u'' - u'^2 is -2 u'^2 modulo D
     verdict = equal_mod_total_derivative(parse("u*u''"), parse("u'^2"))
-    assert not verdict.equal
-    witness = verdict.witness
-    assert witness["residual"] > verdict.tol * witness["scale"]
-    assert witness["backend"] in ("grassmann:3", "symplectic:2")
-    assert -2.0 <= witness["lambda"] <= 2.0
+    assert not verdict.equal and not verdict
+    assert verdict.witness == "u*u^(2) - u^(1)^2"
+    assert repr(verdict) == "different (witness u*u^(2) - u^(1)^2)"
+    assert repr(equal_mod_total_derivative(parse("u*u''"), parse("-u'^2"))) == "equal (exact)"
 
 
-def test_equivalence_is_seed_deterministic():
-    v1 = equal_mod_total_derivative(parse("u*u''"), parse("u'^2"), seed=42)
-    v2 = equal_mod_total_derivative(parse("u*u''"), parse("u'^2"), seed=42)
-    assert v1.witness == v2.witness
+def test_equivalence_ignores_the_seed():
+    # the seed is accepted and has no effect: the decision draws nothing
+    for p, q in ((parse("u*u''"), parse("u'^2")), (parse("u*u''"), parse("-u'^2"))):
+        verdicts = [equal_mod_total_derivative(p, q, seed=seed) for seed in (None, 0, 42)]
+        assert len({(v.equal, v.witness) for v in verdicts}) == 1
 
 
 def test_equivalence_rejects_odd_input():
     with pytest.raises(GradingError):
         equal_mod_total_derivative(parse("xi'"), DiffPolynomial.zero())
+    with pytest.raises(GradingError):
+        equal_mod_total_derivative(parse("u"), parse("u*xi + u"))
 
 
-def test_equivalence_needs_a_trial():
-    # no trial confirms nothing: u is not a total derivative.  A NaN or
-    # infinite tol would confirm it, a negative one refute everything, and
-    # no backend leaves nothing to draw a trial from.
-    for trials in (0, -1, 1.5):
-        with pytest.raises(SuperKdVError, match="trials"):
-            equal_mod_total_derivative(parse("u"), parse("0"), trials=trials)
-    for tol in (float("nan"), float("inf"), -1e-8):
-        with pytest.raises(SuperKdVError, match="tol"):
-            equal_mod_total_derivative(parse("u"), parse("0"), tol=tol)
-    with pytest.raises(SuperKdVError, match="backend"):
-        equal_mod_total_derivative(parse("u"), parse("0"), backends=())
-    assert not equal_mod_total_derivative(parse("u"), parse("0"), trials=1)
-    one = equal_mod_total_derivative(parse("u*u''"), parse("-u'^2"), trials=1)
-    assert one.equal and one.trials == 1
+def test_order_zero_terms_are_no_total_derivative():
+    # D raises the order, so nothing of order 0 is in its image
+    for text in ("u", "u^3", "2", "L*u^2"):
+        verdict = equal_mod_total_derivative(parse(text), DiffPolynomial.zero())
+        assert not verdict.equal and verdict.witness == to_text(parse(text))
 
 
-def _no_trial(*args, **kwargs):
-    raise AssertionError("a trial ran")
+def test_witness_is_the_first_group_outside_the_image():
+    # u'^2 + L [xi'', xi'] + u u'' is L [xi'', xi'] modulo D: the u group
+    # is D(u u'), and [xi'', xi'] is no total derivative (the only bracket
+    # of order 2 is [xi'', xi], and D of it is [xi''', xi] + [xi'', xi'])
+    verdict = equal_mod_total_derivative(parse("u'^2 + L*[xi'',xi']"), parse("-u*u''"))
+    assert (verdict.equal, verdict.witness) == (False, "L*[xi^(2),xi^(1)]")
+    assert equal_mod_total_derivative(parse("[xi''',xi] + [xi'',xi']"), parse("0")).equal
 
 
-@pytest.mark.parametrize("kwargs,setting", [
-    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"trials": True}, "trials"),
-    ({"backends": "grassmann:3"}, "backends")])
-def test_monte_carlo_settings_are_refused_before_any_trial(kwargs, setting, monkeypatch):
-    # a bare string is not a sequence of descriptors, True is not a count,
-    # and a trial seed must be a nonnegative whole number
-    monkeypatch.setattr(symbolic, "_trial_quadratures", _no_trial)
-    with pytest.raises(SuperKdVError, match=setting):
-        equal_mod_total_derivative(parse("u"), parse("0"), **kwargs)
-    if setting != "backends":
-        with pytest.raises(SuperKdVError, match=setting):
-            reproduce_conserved_quantities(max_order=2, **kwargs)
+def test_decisions_evaluate_and_draw_nothing(monkeypatch):
+    # equal_mod_total_derivative and reproduce_conserved_quantities are
+    # rational eliminations: no program is compiled and no field drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numeric evaluation ran")
 
-
-def test_one_compile_per_backend_drawn(monkeypatch):
-    # each decision compiles its polynomials once per backend it draws,
-    # also when the trials of a backend take several batches
-    compile_, calls = _Program.compile.__func__, []
-
-    def counted(cls, polys, grid, descriptor, lam, width=1):
-        calls.append(str(descriptor))
-        return compile_(cls, polys, grid, descriptor, lam, width)
-
-    monkeypatch.setattr(_Program, "compile", classmethod(counted))
+    monkeypatch.setattr(_Program, "compile", classmethod(refuse))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     rate = evolutionary_derivative(conserved_density_poly(6))
-    for trials in (32, 3 * MC_WIDTH):
-        calls.clear()
-        assert equal_mod_total_derivative(rate, DiffPolynomial.zero(), trials=trials).equal
-        drawn = {backend for _, backend, _ in _trial_draws(0, trials, MC_BACKENDS)}
-        assert sorted(calls) == sorted(drawn)
+    assert equal_mod_total_derivative(rate, DiffPolynomial.zero()).equal
+    assert reproduce_conserved_quantities(max_order=6).all_ok
 
 
-@pytest.mark.parametrize("backend", ["grassmann:3", "symplectic:2"])
-def test_batched_quadratures_match_one_compile_per_trial(backend):
-    # 40 trials of one backend run as a full batch of MC_WIDTH and a batch
-    # of 8; each equals its own program compiled at its own coupling
-    polys = [conserved_density_poly(4), gardner_coefficients(4)[4][0],
-             evolutionary_derivative(conserved_density_poly(2))]
-    grid, desc = PeriodicGrid(*MC_GRID), AlgebraDescriptor.from_string(backend)
-    draws = _trial_draws(7, MC_WIDTH + 8, (backend,))
-    batched = list(_trial_quadratures(polys, draws))
-    assert len(batched) == len(draws)
-    for (trial_seed, _, lam), got in zip(draws, batched):
-        u, xi = build_initial_condition(
-            f"random_bandlimited(max_mode={MC_MAX_MODE},amplitude=0.6,seed={trial_seed})",
-            grid, desc)
-        want = np.array([quadrature(value).coords
-                         for value in _Program.compile(polys, grid, desc, lam)(u, xi)])
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+# orders up to 2 keep each grade's elimination small: its monomials grow
+# steeply with the order
+low_orders = st.integers(min_value=0, max_value=2)
+low_polynomials = polynomials(low_orders, st.tuples(low_orders, low_orders).filter(
+    lambda p: p[0] != p[1]))
+even_polynomials = low_polynomials.map(lambda poly: DiffPolynomial(
+    {key: c for key, c in poly.terms.items() if key[2] is None}))
 
 
-def test_trial_fields_share_one_basis_and_keep_their_draws(monkeypatch):
-    # 40 draws over both Monte Carlo backends: the samples each trial runs
-    # on equal, bit for bit, the random_bandlimited formula written out
-    # here (per channel two uniform draws on the cos and sin bases, each
-    # field scaled to peak 0.6), and the bases are made once per call
-    grid = PeriodicGrid(*MC_GRID)
-    draws = _trial_draws(11, 40, MC_BACKENDS)
-    assert {backend for _, backend, _ in draws} == set(MC_BACKENDS)
-    bases, runs = [], []
-    basis = symbolic.RandomBandlimitedIC.basis
-    evaluate = _Program.evaluate
-    monkeypatch.setattr(symbolic.RandomBandlimitedIC, "basis",
-                        lambda self, g: bases.append(g) or basis(self, g))
-    monkeypatch.setattr(_Program, "evaluate", lambda self: (
-        runs.append((str(self.algebra.descriptor), self.samples[:self.n_rows].copy())),
-        evaluate(self))[-1])
-    list(_trial_quadratures([conserved_density_poly(2)], draws))
-    assert len(bases) == 1
-    modes = np.arange(MC_MAX_MODE + 1)
+@given(even_polynomials, even_polynomials)
+@settings(max_examples=60, deadline=None)
+def test_adding_a_total_derivative_keeps_the_class(p, q):
+    assert equal_mod_total_derivative(p + q.differentiate_total(), p).equal
+    assert equal_mod_total_derivative(q.differentiate_total(), DiffPolynomial.zero()).equal
+
+
+def euler_operator(poly):
+    """The variational derivative of a polynomial in u alone: the sum
+    over k of (-D)^k of its partial derivative by u^(k)."""
+    out = DiffPolynomial.zero()
+    for (even, _, _, power), c in poly.terms.items():
+        for i, k in enumerate(even):
+            partial = DiffPolynomial({(even[:i] + even[i + 1:], (), None, power): c})
+            for _ in range(k):
+                partial = -partial.differentiate_total()
+            out = out + partial
+    return out
+
+
+u_polynomials = low_polynomials.map(lambda poly: DiffPolynomial(
+    {key: c for key, c in poly.terms.items() if key[0] and not key[1] and key[2] is None}))
+
+
+@given(u_polynomials, u_polynomials)
+@settings(max_examples=60, deadline=None)
+def test_decision_agrees_with_the_euler_operator(p, q):
+    # without constants, a polynomial in u alone is a total derivative
+    # exactly when its variational derivative vanishes; q's derivative
+    # makes the true verdicts common
+    poly = p + q.differentiate_total()
+    assert equal_mod_total_derivative(poly, DiffPolynomial.zero()).equal \
+        == euler_operator(poly).is_zero()
+
+
+def test_random_bandlimited_fields_keep_their_draws():
+    # the samples equal, bit for bit, the random_bandlimited formula
+    # written out here: per channel two uniform draws on the cos and sin
+    # bases, each field then scaled to peak amplitude
+    grid = PeriodicGrid(2 * np.pi, 64)
+    modes = np.arange(4)
     basis_cos = np.cos(2.0 * np.pi * np.outer(modes, grid.x) / grid.L)
     basis_sin = np.sin(2.0 * np.pi * np.outer(modes, grid.x) / grid.L)
-
-    def formula(trial_seed, desc):
-        rng = np.random.default_rng(trial_seed)
-        fields = []
-        for dim in (desc.even_dim, desc.odd_dim):
+    for backend, seed in (("grassmann:3", 11), ("symplectic:2", 12), ("scalar", 13)):
+        desc = AlgebraDescriptor.from_string(backend)
+        got = build_initial_condition(
+            f"random_bandlimited(max_mode=3,amplitude=0.6,seed={seed})", grid, desc)
+        rng = np.random.default_rng(seed)
+        for dim, field in zip((desc.even_dim, desc.odd_dim), got):
             data = np.zeros((dim, grid.N))
             for ch in range(dim):
                 a = rng.uniform(-1.0, 1.0, len(modes))
@@ -466,35 +453,7 @@ def test_trial_fields_share_one_basis_and_keep_their_draws(monkeypatch):
             peak = np.max(np.abs(data)) if data.size else 0.0
             if peak > 0:
                 data *= 0.6 / peak
-            fields.append(data)
-        return np.concatenate(fields)
-
-    runs, checked = iter(runs), 0
-    for start in range(0, len(draws), MC_WIDTH):
-        batch = draws[start:start + MC_WIDTH]
-        for _ in {backend for _, backend, _ in batch}:
-            backend, samples = next(runs)
-            desc = AlgebraDescriptor.from_string(backend)
-            seeds = [trial_seed for trial_seed, drawn_on, _ in batch if drawn_on == backend]
-            for slot, trial_seed in enumerate(seeds):
-                assert np.array_equal(samples[:, slot], formula(trial_seed, desc))
-                checked += 1
-    assert checked == len(draws) and next(runs, None) is None
-
-
-def test_refuted_pair_keeps_its_witness():
-    # u'^2 + L [xi'', xi'] + u u'' is L [xi'', xi'] modulo D.  At tol 0.7
-    # and seed 5 the first four trials pass and the fifth refutes, with the
-    # seed, backend and coupling it had when each trial compiled its own
-    # program
-    verdict = equal_mod_total_derivative(parse("u'^2 + L*[xi'',xi']"), parse("-u*u''"),
-                                         tol=0.7, seed=5)
-    witness = verdict.witness
-    assert (verdict.equal, verdict.trials) == (False, 5)
-    assert (witness["seed"], witness["backend"], witness["lambda"]) == (
-        248711466137453627, "grassmann:3", -1.095543113649542)
-    assert witness["residual"] == pytest.approx(5.613104853196015, rel=1e-12)
-    assert witness["scale"] == pytest.approx(7.734577256546508, rel=1e-12)
+            assert np.array_equal(field.data, data)
 
 
 # -- deformation coefficients ---------------------------------------------------
@@ -558,14 +517,22 @@ def test_symbolic_matches_numeric_inverse_series():
 
 
 def test_deformation_integrals_match_conserved_family():
-    coeffs = gardner_coefficients(6)
+    coeffs = gardner_coefficients(10)
     zero = DiffPolynomial.zero()
-    for n in (1, 3, 5):
+    for n in (1, 3, 5, 7, 9):
         assert equal_mod_total_derivative(coeffs[n][0], zero).equal
     frozen = {0: Fraction(1), 2: Fraction(-1), 4: Fraction(1), 6: Fraction(-1)}
     for n, c in frozen.items():
-        density = conserved_density_poly(n).scaled(c)
-        assert equal_mod_total_derivative(coeffs[n][0], density).equal
+        density = conserved_density_poly(n)
+        assert equal_mod_total_derivative(coeffs[n][0], density.scaled(c)).equal
+        assert not equal_mod_total_derivative(coeffs[n][0], density.scaled(-c)).equal
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_higher_deformation_integrals_are_conserved(n):
+    # no H_8 or H_10 is tabulated, but z_8 and z_10 are conserved densities
+    rate = evolutionary_derivative(gardner_coefficients(n)[n][0])
+    assert equal_mod_total_derivative(rate, DiffPolynomial.zero()).equal
 
 
 def test_reproduction_table_matches_frozen_constants():
@@ -589,7 +556,7 @@ def test_reproduction_rejects_odd_or_large_order():
     # a negative order gave an empty table that passed
     with pytest.raises(SuperKdVError, match="nonnegative"):
         reproduce_conserved_quantities(max_order=-2)
-    # H_8 is not tabulated, so order 8 must be refused before any trial runs
+    # H_8 is not tabulated, so order 8 must be refused
     with pytest.raises(SuperKdVError, match="at most 6"):
         reproduce_conserved_quantities(max_order=8)
     with pytest.raises(SuperKdVError, match="max_order"):
@@ -599,6 +566,22 @@ def test_reproduction_rejects_odd_or_large_order():
 def test_reproduction_takes_an_integral_float_order():
     table = reproduce_conserved_quantities(max_order=2.0)
     assert table.all_ok and [e["n"] for e in table.entries] == [0, 2]
+
+
+def test_reproduction_refutes_a_density_without_its_bracket_square(monkeypatch):
+    # H6 without 3 L^2 [xi', xi]^2 is c z_6 modulo D for no c, although
+    # the term vanishes on every backend
+    truncated = symbolic._DENSITY_TEXTS["H6"].replace(" + 3*L^2*[xi',xi]^2", "")
+    assert truncated != symbolic._DENSITY_TEXTS["H6"]
+    monkeypatch.setitem(symbolic._DENSITY_TEXTS, "H6", truncated)
+    symbolic.density_poly.cache_clear()
+    try:
+        table = reproduce_conserved_quantities(max_order=6)
+    finally:
+        monkeypatch.undo()
+        symbolic.density_poly.cache_clear()
+    assert [e["verified"] for e in table.entries] == [True, True, True, False]
+    assert not table.all_ok
 
 
 # -- conservation along the flow ------------------------------------------------
@@ -618,3 +601,12 @@ def test_conserved_densities_have_vanishing_time_derivative(n):
 def test_non_conserved_density_detected():
     rate = evolutionary_derivative(parse("u^2 + u'^2"))
     assert not equal_mod_total_derivative(rate, DiffPolynomial.zero()).equal
+
+
+def test_h6_needs_its_bracket_square_term():
+    # 3 L^2 [xi', xi]^2 vanishes on every backend, but in the free model
+    # H6 without it is not conserved: the decision sees the L^2 sector
+    truncated = conserved_density_poly(6) - parse("3*L^2*[xi',xi]^2")
+    verdict = equal_mod_total_derivative(evolutionary_derivative(truncated),
+                                         DiffPolynomial.zero())
+    assert not verdict.equal and verdict.witness.startswith("-6*L^2*")

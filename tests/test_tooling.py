@@ -81,29 +81,62 @@ def test_import_builds_no_table_and_parses_no_text():
 FFT_TRANSFORMS = {f"numpy.fft.{name}" for name in ("rfft", "irfft", "fft", "ifft")}
 
 
-def fft_transform_calls(source):
-    """The lines of a module's calls to a numpy.fft transform, however the
-    module imports numpy, numpy.fft or the transform itself."""
-    tree = ast.parse(source)
-    bound = {}  # the names the imports bind, as what they stand for
+def _imported(tree):
+    """What each name a module's imports bind stands for, as a dotted name
+    (a relative import's without its package)."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update((alias.asname, alias.name) if alias.asname
                          else (alias.name.partition(".")[0],) * 2 for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.ImportFrom):
+            bound.update((alias.asname or alias.name,
+                          f"{node.module}.{alias.name}" if node.module else alias.name)
                          for alias in node.names)
+    return bound
 
-    def dotted(node):
-        if isinstance(node, ast.Name):
-            return bound.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = dotted(node.value)
-            return base and f"{base}.{node.attr}"
-        return None
 
+def _dotted(node, bound):
+    """The dotted name a Name or Attribute node stands for, through the
+    module's imports, or None."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, bound)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def fft_transform_calls(source):
+    """The lines of a module's calls to a numpy.fft transform, however the
+    module imports numpy, numpy.fft or the transform itself."""
+    tree = ast.parse(source)
+    bound = _imported(tree)
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and dotted(node.func) in FFT_TRANSFORMS)
+                  if isinstance(node, ast.Call) and _dotted(node.func, bound) in FFT_TRANSFORMS)
+
+
+RANDOM_NAMES = {"default_rng", "RandomBandlimitedIC"}
+
+
+def random_draws(source):
+    """The lines of a module that import or name numpy.random, anything in
+    it, default_rng or RandomBandlimitedIC, however it is imported."""
+    tree = ast.parse(source)
+    bound = _imported(tree)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name if isinstance(node, ast.Import) or not node.module
+                     else f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = [_dotted(node, bound), getattr(node, "id", None),
+                     getattr(node, "attr", None)]
+        if any(name and (name.split(".")[-1] in RANDOM_NAMES or name == "numpy.random"
+                         or name.startswith("numpy.random."))
+               for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def test_only_the_grid_calls_fft_transforms():
@@ -120,3 +153,14 @@ def test_only_the_grid_calls_fft_transforms():
     assert {name: lines for name, lines in calls.items() if lines} == {}
     # nor does any other module name numpy's private kernels
     assert [p.name for p in modules if "_pocketfft" in p.read_text(encoding="utf-8")] == []
+
+
+def test_symbolic_decisions_draw_nothing_random():
+    # equality modulo total derivatives is decided exactly: the symbolic
+    # module draws no random number and builds no random initial condition
+    sample = ("import numpy as np\nimport numpy.random\nfrom numpy import random as r\n"
+              "from numpy.random import default_rng\nfrom .fields import RandomBandlimitedIC\n"
+              "np.random.default_rng(0)\nr.uniform()\ndefault_rng(1)\nrng.default_rng\n"
+              "fields.RandomBandlimitedIC(3)\nnp.fft.rfft(x)\ngrid.random\n")
+    assert random_draws(sample) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert random_draws((PACKAGE / "symbolic.py").read_text(encoding="utf-8")) == []
