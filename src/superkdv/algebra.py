@@ -191,14 +191,10 @@ def _coo(triples):
 GROUP_WASTE = 3e5
 
 
-def fold_into(groups, inverse, folded, out):
-    """Run a fold bound by Fold.bind: one matmul per group (a multiply for
-    a group of one pair per channel), then, when the folded rows are not
-    in channel order, one take that puts them there."""
-    for function, coefficients, products, rows in groups:
-        function(coefficients, products, out=rows)
-    if inverse is not None:
-        folded.take(inverse, axis=0, out=out, mode="clip")
+def fold_into(*calls):
+    """Run the calls of a fold bound by Fold.bind, in order."""
+    for function, args in calls:
+        function(*args)
 
 
 class Fold:
@@ -244,23 +240,33 @@ class Fold:
                           for rows, columns, coefficients in self.groups), self.inverse)
 
     def bind(self, products, out, folded):
-        """The arguments of fold_into that fold the (nnz, size) products
-        into out, (out_dim, size); folded is scratch of at least out_dim
-        rows for a fold that needs the take.  Every array bound is a view
-        of products, out or folded."""
+        """The calls, each (function, arguments), that fold the (nnz, size)
+        products into out, (out_dim, size): one matmul per group, then,
+        when the folded rows are not in channel order, one take by inverse
+        that puts them there; folded is scratch of at least out_dim rows
+        for a fold that needs the take.  A group of one pair per channel
+        multiplies by its coefficients instead, and so does a dense fold of
+        one channel and one pair (scalar's): the 1x1 matmul's 0 + s p
+        differs from s p only in making a -0 product +0.  Wider diagonal
+        folds stay matmuls, whose zero columns can flip a zero's sign too.
+        Every array bound is a view of products, out or folded."""
         size = products.shape[1]
         target = out if self.inverse is None else folded[:self.out_dim]
-        bound = []
+        calls = []
         for rows, columns, coefficients in self.groups:
             function, part, into = np.matmul, products[columns], target[rows]
-            if coefficients.ndim == 3:
+            if coefficients.shape == (1, 1):
+                function = np.multiply  # a matmul costs about 5 times as much here
+            elif coefficients.ndim == 3:
                 n, _, c = coefficients.shape
                 if c == 1:  # matmul is about twice as slow on one-term sums
                     function, coefficients = np.multiply, coefficients.reshape(n, 1)
                 else:
                     part, into = part.reshape(n, c, size), into.reshape(n, 1, size)
-            bound.append((function, coefficients, part, into))
-        return bound, self.inverse, target, out
+            calls.append((function, (coefficients, part, into)))
+        if self.inverse is not None:
+            calls.append((target.take, (self.inverse, 0, out, "clip")))
+        return calls
 
 
 class ProductTable:

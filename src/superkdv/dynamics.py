@@ -16,8 +16,8 @@ source], times one precomputed weight, gives ik F + S with the 2/3-rule
 mask (Orszag) applied.  The terms that survive at the run's coupling,
 their coefficients, derivative orders and rows, and the weight are fixed
 once per integrate call, and so are the terms' products: _SpectralRHS is
-a symbolic._Program, the one evaluator of polynomials, whose
-straight-line steps run over one preallocated stack of sample rows.
+a symbolic._Program, the one evaluator of polynomials, which runs as one
+flat list of numpy calls bound to one preallocated stack of sample rows.
 Each flux or source part is built by the program's one rule into its
 rows: its terms grouped by the factor multiplied last, one
 gather-multiply-fold op per group over one product table, after one op
@@ -40,13 +40,21 @@ source's in L [sigma', sigma] sigma'.  So the modified odd source is
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
 irfft and one rfft, and the irfft of each new state is also the next
-step's first stage: 4 of each per step for every system.  A state is
-built only for a step that is recorded or passed to the callback.  The
-samples of each new state are checked finite once; the stages are not,
-as a NaN in a stage's terms spreads through their rfft into the new
-state.  A step that fails the check is replayed from its kept spectrum
-with every stage checked, which tells a blow-up during the step from one
-after it, and the last finite state is rebuilt from that spectrum.  The ifrk4
+step's first stage: 4 of each per step for every system.  A step is one
+flat list of bound numpy calls, each (function, arguments), made once per
+integrate call (_RK4Step) for each of the two spectrum buffers a step
+writes into in turn.  Per stage it holds the stage's formation, its
+samples (the copy and derivative multiplies into the program's spectra,
+the irfft into its head), the program's calls, the rfft and weight into
+its k and, for rk4, the dispersion term: 38 calls for scalar extended
+with ifrk4, where the hand-written step made 48.  A state is built only
+for a step that is recorded or passed to the callback.  The samples of
+each new state are checked finite once; the stages are not, as a NaN in
+a stage's terms spreads through their rfft into the new state.  A step
+that fails the check is replayed from its kept spectrum by a list from
+the same builder that checks each stage, which tells a blow-up during the
+step from one after it, and the last finite state is rebuilt from that
+spectrum.  The ifrk4
 scheme is the Lawson integrating-factor form: it advances the -f''' term
 exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
 rk4 is the same loop with unit factors and the dispersion folded into
@@ -64,7 +72,7 @@ import numpy as np
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError, whole_number)
 from .fields import EvenField, OddField
-from .symbolic import _live_terms, _Program, nonlinear_terms
+from .symbolic import _live_terms, _Program, _run, nonlinear_terms
 
 SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
 
@@ -127,8 +135,9 @@ class _SpectralRHS(_Program):
     precomputed (rows, modes) weight turns into [ik F; S], masked; k takes
     the flux and source rows of that.  Where [flux; source] is exactly
     [even; odd], as for modified, the rfft is written into k itself and
-    weighted there.  Given its k, a call makes no spectrum or sample
-    array; only the finite check, which integrate skips, builds its mask.
+    weighted there.  `physical_calls` and `calls_into` bind this work as
+    calls for integrate's steps, which make no array; only the finite
+    check, which they leave out, builds its mask.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
@@ -184,41 +193,52 @@ class _SpectralRHS(_Program):
                 *range(self.source_rows.start, self.source_rows.stop)]
         self.spec = None if rows == list(range(n_rows)) else np.empty_like(self.weight)
 
+    def physical_calls(self, spec):
+        """The calls that make the samples at the spectrum spec in the head:
+        spec copied into the spectra, the derivative rows, one irfft."""
+        if self.spectra is None:
+            return [(self.grid.irfft, (spec, self.head))]
+        return [(np.copyto, (self.spectra[:self.n_rows], spec)),
+                *self._derivative_calls(self.spectra),
+                (self.grid.irfft, (self.spectra, self.head))]
+
     def physical(self, spec):
-        """Samples of the fields and of the derivatives the terms read,
-        made into the head of the stack, which is returned.  They stay
-        valid until the next call."""
-        if self.spectra is not None:
-            self.spectra[:self.n_rows] = spec
-            self._derive(self.spectra)
-            spec = self.spectra
-        self.grid.irfft(spec, out=self.head)
+        """Make the samples at spec into the head of the stack, which is
+        returned.  They stay valid until the next call."""
+        _run(self.physical_calls(spec))
         return self.head
+
+    def calls_into(self, k, check):
+        """The calls that write ik F + S, masked, into k from the samples
+        in the head.  With check, non-finite flux or source samples raise
+        NonFiniteFieldError; without, they reach k, as a NaN spreads
+        through the rfft into every mode of its rows."""
+        calls = list(self.calls)
+        if check:
+            calls.append((_require_finite, (self.values,)))
+        spec = k if self.spec is None else self.spec
+        calls += [(self.grid.rfft, (self.values, spec)), (np.multiply, (spec, self.weight, spec))]
+        if self.spec is not None:
+            n_flux, sources = self.n_flux, k[self.source_rows]
+            if n_flux < self.n_rows:
+                calls.append((k.fill, (0.0,)))
+            calls.append((np.copyto, (k[self.flux_rows], spec[:n_flux])))
+            if n_flux < len(spec):
+                calls.append((np.add, (sources, spec[n_flux:], sources)))
+        return calls
 
     def __call__(self, out=None, check=True):
         """ik F + S, masked, from the samples the last `physical` call made,
         written into out (a fresh array when out is None), which is
-        returned.  With check, non-finite flux or source samples raise
-        NonFiniteFieldError; without, they reach the result, as a NaN
-        spreads through the rfft into every mode of its rows."""
-        self.run()
-        if check and not np.isfinite(self.values).all():
-            raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
-        if self.spec is None:
-            k = self.grid.rfft(self.values, out=out)
-            k *= self.weight
-            return k
-        spec = self.grid.rfft(self.values, out=self.spec)
-        spec *= self.weight
-        n_flux, n_rows = self.n_flux, self.n_rows
-        k = np.empty((n_rows, spec.shape[-1]), complex) if out is None else out
-        if n_flux == n_rows:
-            k[...] = spec[:n_rows]
-        else:
-            k[...] = 0.0
-            k[self.flux_rows] = spec[:n_flux]
-        k[self.source_rows] += spec[n_flux:]
+        returned; checked as calls_into checks."""
+        k = np.empty((self.n_rows, self.weight.shape[1]), complex) if out is None else out
+        _run(self.calls_into(k, check))
         return k
+
+
+def _require_finite(values):
+    if not np.isfinite(values).all():
+        raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
 
 
 def _rhs(kind, grid, desc, lam, eps, dealias, dispersion, fields):
@@ -391,63 +411,12 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     grid, desc = state.grid, state.descriptor
     n_even, n_rows = desc.even_dim, desc.even_dim + desc.odd_dim
     nonlinear = _SpectralRHS(state.kind, grid, desc, state.lam, state.epsilon, dealias)
-    dispersion = -grid.derivative_symbol(3)  # f_t = -f''' in transform space
-    if scheme == "ifrk4":
-        # exp(+i k^3 dt/2): exact half-step of f_t = -f'''
-        e_half, linear = np.exp(0.5 * dt * dispersion), None
-    else:
-        e_half, linear = 1.0, dispersion
-    e_full = e_half * e_half
+    step_calls = _RK4Step(nonlinear, dt, scheme)
+    phys = nonlinear.head
 
-    def rhs(spec, k, check):
-        # at spec, whose samples the last nonlinear.physical call made
-        nonlinear(k, check)
-        if linear is not None:
-            np.multiply(linear, spec, out=tmp)
-            k += tmp
-
-    def advance(spec, new, check):
-        # the step from spec, whose samples the last nonlinear.physical
-        # call made, into new.  The stages and the step are formed in
-        # place, in the stage and tmp buffers and the four k buffers, with
-        # the operands of each product and the terms of each sum in the
-        # order of the formulas noted beside them
-        rhs(spec, k1, check)
-        # stage = e_half * (spec + half * k1)
-        np.multiply(half, k1, out=stage)
-        np.add(spec, stage, out=stage)
-        np.multiply(e_half, stage, out=stage)
-        nonlinear.physical(stage)
-        rhs(stage, k2, check)
-        # stage = e_half * spec + half * k2
-        np.multiply(e_half, spec, out=stage)
-        np.multiply(half, k2, out=tmp)
-        np.add(stage, tmp, out=stage)
-        nonlinear.physical(stage)
-        rhs(stage, k3, check)
-        # k3 = e_half * k3; stage = e_full * spec + dt * k3
-        np.multiply(e_half, k3, out=k3)
-        np.multiply(e_full, spec, out=stage)
-        np.multiply(dt, k3, out=tmp)
-        np.add(stage, tmp, out=stage)
-        nonlinear.physical(stage)
-        rhs(stage, k4, check)
-        # new = e_full * spec + sixth * (e_full * k1 + 2.0 * (e_half * k2)
-        #                                + 2.0 * k3 + k4)
-        np.multiply(e_full, k1, out=k1)
-        np.multiply(e_half, k2, out=k2)
-        np.multiply(2.0, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(2.0, k3, out=k3)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(sixth, k1, out=k1)
-        np.multiply(e_full, spec, out=stage)
-        np.add(stage, k1, out=new)
-
-    def at(phys, time):
-        # the state whose samples are phys; copies, so that recorded states
-        # do not hold the derivative rows
+    def at(time):
+        # the state whose samples the head holds; copies, so that recorded
+        # states do not hold the derivative rows
         return state.replace_fields(EvenField(grid, desc, phys[:n_even].copy()),
                                     OddField(grid, desc, phys[n_even:n_rows].copy()), time)
 
@@ -459,11 +428,12 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         # as no state is built for a step nothing reads
         nonlinear.physical(spec)
         try:
-            advance(spec, new, True)
+            _run(step_calls(spec, new, check=True))
             when = "after"
         except NonFiniteFieldError:
             when = "during"
-        last = at(nonlinear.physical(spec), state.time + (step - 1) * dt) if step > 1 else first
+        nonlinear.physical(spec)
+        last = at(state.time + (step - 1) * dt) if step > 1 else first
         return NumericalBlowup(f"non-finite values {when} step {step} (t={last.time + dt:g})",
                                last, step, last.time + dt)
 
@@ -474,14 +444,14 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     spec = grid.rfft(np.concatenate((state.even.data, state.odd.data)))
     if dealias:
         spec[:, nonlinear.cut:] = 0.0
-    phys = nonlinear.physical(spec)
-    first = at(phys, None) if dealias else state
+    nonlinear.physical(spec)
+    first = at(None) if dealias else state
     records = [first]
 
-    # Each step writes the new spectrum into `previous` and swaps the two.
-    stage, tmp, previous = np.empty_like(spec), np.empty_like(spec), np.empty_like(spec)
-    k1, k2, k3, k4 = np.empty((4,) + spec.shape, complex)
-    half, sixth = 0.5 * dt, dt / 6.0
+    # A step writes the new spectrum into the other of two buffers, so the
+    # steps alternate between two lists of calls, each made once
+    buffers = (spec, np.empty_like(spec))
+    steps_calls = (step_calls(*buffers), step_calls(*buffers[::-1]))
 
     # The stages are not checked: a non-finite stage makes the new spectrum
     # non-finite, so the one finite check of the new state's samples sees
@@ -489,19 +459,75 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     # a blow-up is reported by that check, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(1, steps + 1):
-            advance(spec, previous, False)
-            spec, previous = previous, spec
-            phys = nonlinear.physical(spec)
+            for function, args in steps_calls[1 - step % 2]:
+                function(*args)
             if not np.isfinite(phys[:n_rows]).all():
-                raise blowup(previous, spec, step)
+                raise blowup(buffers[1 - step % 2], buffers[step % 2], step)
             record = step % record_every == 0 or step == steps
             if record or callback is not None:
-                current = at(phys, state.time + step * dt)
+                current = at(state.time + step * dt)
                 if callback is not None:
                     callback(current)
                 if record:
                     records.append(current)
     return Trajectory(records)
+
+
+class _RK4Step:
+    """integrate's RK4 step, made once per call: called with the spectrum
+    buffers spec, whose samples the head of the _SpectralRHS `nonlinear`
+    holds, and new, it gives the step from spec into new, and new's
+    samples, as one flat list of bound calls.  The stages are formed in
+    buffers made here, with the operands of each product and the terms of
+    each sum in the order of the formulas noted beside them.  With check,
+    each stage's flux and source samples are checked finite."""
+
+    def __init__(self, nonlinear, dt, scheme):
+        self.nonlinear, self.dt = nonlinear, dt
+        dispersion = -nonlinear.grid.derivative_symbol(3)  # f_t = -f''' in transform space
+        if scheme == "ifrk4":
+            # exp(+i k^3 dt/2): exact half-step of f_t = -f'''
+            self.e_half, self.linear = np.exp(0.5 * dt * dispersion), None
+        else:
+            self.e_half, self.linear = 1.0, dispersion
+        self.e_full = self.e_half * self.e_half
+        # 2 (e_half k2) as one product: scaling by 2 commutes with rounding
+        self.e_twice = 2.0 * self.e_half
+        self.stage, self.tmp, self.full, *self.k = np.empty(
+            (7, nonlinear.n_rows, len(dispersion)), complex)
+
+    def _rhs(self, spec, k, check):
+        # the calls that write the right-hand side at spec into k, from the
+        # samples of spec in the head
+        calls = self.nonlinear.calls_into(k, check)
+        if self.linear is not None:
+            calls += [(np.multiply, (self.linear, spec, self.tmp)), (np.add, (k, self.tmp, k))]
+        return calls
+
+    def __call__(self, spec, new, check=False):
+        stage, tmp, full, (k1, k2, k3, k4) = self.stage, self.tmp, self.full, self.k
+        e_half, e_full, dt = self.e_half, self.e_full, self.dt
+        half, physical = 0.5 * dt, self.nonlinear.physical_calls
+        multiply, add = np.multiply, np.add
+        return [
+            *self._rhs(spec, k1, check),
+            # stage = e_half * (spec + half * k1)
+            (multiply, (half, k1, stage)), (add, (spec, stage, stage)),
+            (multiply, (e_half, stage, stage)),
+            *physical(stage), *self._rhs(stage, k2, check),
+            # stage = e_half * spec + half * k2
+            (multiply, (e_half, spec, stage)), (multiply, (half, k2, tmp)),
+            (add, (stage, tmp, stage)),
+            *physical(stage), *self._rhs(stage, k3, check),
+            # k3 = e_half * k3; full = e_full * spec; stage = full + dt * k3
+            (multiply, (e_half, k3, k3)), (multiply, (e_full, spec, full)),
+            (multiply, (dt, k3, tmp)), (add, (full, tmp, stage)),
+            *physical(stage), *self._rhs(stage, k4, check),
+            # new = full + sixth * (e_full * k1 + e_twice * k2 + 2.0 * k3 + k4)
+            (multiply, (e_full, k1, k1)), (multiply, (self.e_twice, k2, k2)),
+            (add, (k1, k2, k1)), (multiply, (2.0, k3, k3)), (add, (k1, k3, k1)),
+            (add, (k1, k4, k1)), (multiply, (dt / 6.0, k1, k1)), (add, (full, k1, new)),
+            *physical(new)]
 
 
 def soliton_profile(grid, kappa, x0, t=0.0):

@@ -20,11 +20,12 @@ and the Miura and gardner maps (in their source fields v, eta and z, s).
 
 One engine, _Program, evaluates polynomials on fields (u, xi): compiled
 once per call site at one backend and coupling by one rule into
-straight-line product ops, one per group of terms sharing their last
-factor, and run level by level, each level's small ops fused into one,
-it runs them on samples it checks finite, the derivatives taken with one
-stacked transform each way.  Every numeric evaluation of the package, the
-evolution right-hand sides included, runs on it.
+product ops, one per group of terms sharing their last factor, and
+bound level by level, each level's small ops fused into one, as one flat
+list of numpy calls, it runs them on samples it checks finite, the
+derivatives taken with one stacked transform each way.  Every numeric
+evaluation of the package, the evolution right-hand sides included, runs
+on it.
 
 Equality modulo total derivatives is decided exactly, in the free model
 of the normal form (u-derivatives and brackets as independent symbols).
@@ -475,26 +476,6 @@ def _live_terms(poly, lam, descriptor, weight=1.0):
     return live
 
 
-def _op_step(stack, left_rows, right_rows, left, right, groups, inverse, folded, out):
-    """Gather the operands' rows of one product table from the stack,
-    multiply them and fold them onto the output channels: the groups and
-    the take of a fold bound by algebra.Fold.bind, run as
-    algebra.fold_into runs them, grouped or dense alike.
-
-    The gathers use the take method with mode="clip": the default mode
-    buffers the output, which would allocate the very array the gather
-    buffers replace, and np.take adds a dispatch layer that costs more
-    than gathering a few rows.  Clipping never alters an index: every row
-    index is offset from a node of the stack."""
-    stack.take(left_rows, axis=0, out=left, mode="clip")
-    stack.take(right_rows, axis=0, out=right, mode="clip")
-    left *= right
-    for function, coefficients, products, rows in groups:
-        function(coefficients, products, out=rows)
-    if inverse is not None:
-        folded.take(inverse, axis=0, out=out, mode="clip")
-
-
 # A level's dense ops run as one fused op while their gathers stay within
 # FUSED_SAMPLES samples (rows times N).  Fusing saves numpy calls, which
 # cost more than the arithmetic on the small tables; past about this many
@@ -520,22 +501,9 @@ def _block_diagonal(matrices):
     return out
 
 
-def _sum_step(out, first, rest, scratch):
-    """out = the sum of coefficient times rows over first and the rest of
-    the (rows, coefficient) terms, or out plus the rest when first is None."""
-    if first is not None:
-        np.multiply(*first, out=out)
-    for rows, coeff in rest:
-        if coeff == 1.0:
-            out += rows
-        else:
-            np.multiply(rows, coeff, out=scratch)
-            out += scratch
-
-
 class _Program:
-    """Polynomials on one grid and backend as straight-line steps over one
-    stack of sample rows.
+    """Polynomials on one grid and backend as one flat list of bound numpy
+    calls over one stack of sample rows.
 
     The head of the stack holds the samples: [u; xi], then one block per
     derivative order the terms read, u-orders first (`derivatives` lists
@@ -590,8 +558,13 @@ class _Program:
     grassmann:3 runs its 6 ops as 2 fused levels, on grassmann:6 at N =
     256 one at a time.  `ops` keeps each op, at its laid-out rows, and
     `fused` the ops of each fused level.  `link()` also allocates the
-    stack, each block N columns wide, and binds the steps to it, and `run`
-    walks them level by level.
+    stack, each block N columns wide, and binds the steps to it as `calls`,
+    one flat list of (function, arguments) in run order, which `run` calls:
+    an op as its gathers (a take, or a view of the stack where the rows
+    are one contiguous run), one multiply and its fold's calls
+    (`algebra.Fold.bind`, or a fused level's matmul), a sum as its
+    multiplies and adds.  So scalar's u u is two calls, u times u and the
+    product times 3.
     """
 
     def __init__(self, grid, descriptor, terms, xi_orders=()):
@@ -631,8 +604,8 @@ class _Program:
         self.unit = None
         self._blocks = []  # (node, height) of each block, in build order
         self.ops = []
-        # (step function, arguments, nodes read) in build order; link binds
-        # them in run order, as (step function, arguments)
+        # ("op" or "sum", arguments, nodes read) in build order; link binds
+        # them in run order as the calls
         self.steps = []
         self.outputs = []  # (field type, node, height) of each compiled polynomial
 
@@ -678,7 +651,7 @@ class _Program:
         if not np.isfinite(self.head[:n_rows]).all():
             raise NonFiniteFieldError("non-finite samples in the fields")
         if self.derivatives:
-            self._derive(self.grid.rfft(self.head[:n_rows]))
+            _run(self._derivative_calls(self.grid.rfft(self.head[:n_rows])))
             self.grid.irfft(self.spectra[n_rows:], out=self.head[n_rows:])
         self.run()
 
@@ -700,14 +673,14 @@ class _Program:
             node = self._block(table.out_dim)
         op = (product, a + fold.i, b + fold.j, fold, node)
         self.ops.append(op)
-        self.steps.append((_op_step, op, (a, b)))
+        self.steps.append(("op", op, (a, b)))
         return node
 
     def _sum(self, node, height, terms, onto):
         """A step that sets the rows at node to the sum of coefficient times
         node over the (node, coefficient) terms, or adds it onto them."""
         first = None if onto else terms[0]
-        self.steps.append((_sum_step, (node, height, first, terms[0 if onto else 1:]),
+        self.steps.append(("sum", (node, height, first, terms[0 if onto else 1:]),
                            [term for term, _ in terms] + [node] * onto))
 
     def _product(self, factors):
@@ -792,7 +765,7 @@ class _Program:
                 row += height
                 block = links.get(block)
         steps = [self._placed(step, args) for step, args, _ in self.steps]
-        self.ops = [args for (step, *_), args in zip(self.steps, steps) if step is _op_step]
+        self.ops = [args for (step, *_), args in zip(self.steps, steps) if step == "op"]
         self.fused = [[steps[index] for index in run] for run in runs if len(run) > 1]
         if self.unit is not None:
             self.unit = int(placed[self.unit])
@@ -805,7 +778,7 @@ class _Program:
         self.spectra = (np.empty((self.height, N // 2 + 1), complex)
                         if self.derivatives else None)
         gathers = [sum(len(steps[index][1]) for index in run) for run in runs
-                   if self.steps[run[0]][0] is _op_step]
+                   if self.steps[run[0]][0] == "op"]
         widest = max(gathers, default=0)
         self.buffers = (np.empty((widest, N)), np.empty((widest, N)))
         descriptor = self.algebra.descriptor
@@ -816,35 +789,50 @@ class _Program:
         def rows(node, height):
             return stack[node:node + height]
 
-        def bind(run):
-            if self.steps[run[0]][0] is _sum_step:
-                node, height, first, rest = steps[run[0]]
-                return _sum_step, (
-                    rows(node, height),
-                    None if first is None else (rows(first[0], height), first[1]),
-                    [(rows(term, height), coeff) for term, coeff in rest], scratch[:height])
-            ops = [steps[index] for index in run]
-            (_, left_rows, right_rows, fold, node), *rest = ops
-            if not rest:
-                left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
-                return _op_step, (stack, left_rows, right_rows, left, right,
-                                  *fold.bind(left, rows(node, fold.out_dim), scratch))
-            # a fused level: the ops' gathers one after another, folded by
-            # one block-diagonal matrix onto their contiguous output rows
-            left_rows, right_rows = (np.concatenate(gathers) for gathers in zip(
-                *((left, right) for _, left, right, *_ in ops)))
-            matrix = _block_diagonal([fold.matrix for *_, fold, _ in ops])
-            left, right = (buffer[:len(left_rows)] for buffer in self.buffers)
-            out = rows(node, len(matrix))
-            return _op_step, (stack, left_rows, right_rows, left, right,
-                              [(np.matmul, matrix, left, out)], None, out, out)
+        def gather(indices, buffer):
+            # (the rows, the calls that gather them): a view of one run of
+            # rows, else a take into buffer, whose mode="clip" does not
+            # buffer its output (no index is clipped, all are offset nodes)
+            n = len(indices)
+            if n and np.array_equal(indices, np.arange(indices[0], indices[0] + n)):
+                return rows(indices[0], n), []
+            buffer = buffer[:n]
+            return buffer, [(stack.take, (indices, 0, buffer, "clip"))]
 
-        self.steps = [bind(run) for run in runs]
+        def bind(run):
+            if self.steps[run[0]][0] == "sum":
+                node, height, first, rest = steps[run[0]]
+                out, scaled = rows(node, height), scratch[:height]
+                calls = [] if first is None else [
+                    (np.multiply, (rows(first[0], height), first[1], out))]
+                for term, coeff in rest:
+                    term = rows(term, height)
+                    if coeff != 1.0:
+                        calls.append((np.multiply, (term, coeff, scaled)))
+                        term = scaled
+                    calls.append((np.add, (out, term, out)))
+                return calls
+            # one op, or a fused level: the ops' gathers one after another,
+            # folded by one block-diagonal matrix onto their output rows
+            ops = [steps[index] for index in run]
+            left_rows, right_rows = (np.concatenate(indices) for indices in zip(
+                *((left, right) for _, left, right, *_ in ops)))
+            products = self.buffers[0][:len(left_rows)]
+            (left, calls), (right, more) = (gather(indices, buffer) for indices, buffer in
+                                            zip((left_rows, right_rows), self.buffers))
+            calls += more + [(np.multiply, (left, right, products))]
+            (*_, fold, node), *rest = ops
+            if not rest:
+                return calls + fold.bind(products, rows(node, fold.out_dim), scratch)
+            matrix = _block_diagonal([fold.matrix for *_, fold, _ in ops])
+            return calls + [(np.matmul, (matrix, products, rows(node, len(matrix))))]
+
+        self.calls = [call for run in runs for call in bind(run)]
 
     def _placed(self, step, args):
         """A step's arguments with every node and row where link placed it."""
         placed = self.placed
-        if step is _op_step:
+        if step == "op":
             product, left, right, fold, node = args
             return product, placed[left], placed[right], fold, int(placed[node])
         node, height, first, rest = args
@@ -866,23 +854,23 @@ class _Program:
         steps = self.steps
         writer, inputs = {}, []
         for index, (step, args, reads) in enumerate(steps):
-            node = args[4] if step is _op_step else args[0]
+            node = args[4] if step == "op" else args[0]
             inputs.append({writer[read] for read in (*reads, node) if read in writer})
             writer[node] = index
         below = [0] * len(steps)  # the most ops on a path from each step's output on
         for index in reversed(range(len(steps))):
-            depth = below[index] + (steps[index][0] is _op_step)
+            depth = below[index] + (steps[index][0] == "op")
             for p in inputs[index]:
                 below[p] = max(below[p], depth)
         top = max([below[index] + 1 for index, (step, *_) in enumerate(steps)
-                   if step is _op_step], default=0)
+                   if step == "op"], default=0)
         levels = []
         for index, (step, *_) in enumerate(steps):
-            levels.append(top - below[index] if step is _op_step
+            levels.append(top - below[index] if step == "op"
                           else max([levels[p] for p in inputs[index]], default=0))
         by_level = {}  # level -> (its ops, its sums), each in build order
         for index, level in enumerate(levels):
-            by_level.setdefault(level, ([], []))[steps[index][0] is _sum_step].append(index)
+            by_level.setdefault(level, ([], []))[steps[index][0] == "sum"].append(index)
         runs, links = [], {}
         for level in sorted(by_level):
             ops, sums = by_level[level]
@@ -925,16 +913,21 @@ class _Program:
         links.update(zip(chain, chain[1:]))
         return fused
 
-    def _derive(self, spec):
-        """The derivative rows of the spectra, from spec = rfft([u; xi])."""
-        for rows, of, symbol in self.derivatives:
-            np.multiply(spec[of], symbol, out=self.spectra[rows])
+    def _derivative_calls(self, spec):
+        """The calls that make the derivative rows of the spectra from spec
+        = rfft([u; xi])."""
+        return [(np.multiply, (spec[of], symbol, self.spectra[rows]))
+                for rows, of, symbol in self.derivatives]
 
     def run(self):
-        """Run the steps level by level over the samples in the head of
-        the stack."""
-        for step, args in self.steps:
-            step(*args)
+        """Run the calls over the samples in the head of the stack."""
+        _run(self.calls)
+
+
+def _run(calls):
+    """Call each (function, arguments) of calls, in order."""
+    for function, args in calls:
+        function(*args)
 
 
 def instantiate(poly, u, xi, lam):

@@ -249,17 +249,21 @@ def test_criterion_10_byte_determinism(tmp_path):
                     "check verdict, and plot: all byte-identical")
 
 
-@pytest.mark.parametrize("system", [["modified"], ["gardner", "--gardner-eps", "0.1"]],
-                         ids=["modified", "gardner"])
-def test_byte_determinism_across_blas_thread_counts(tmp_path, system):
+@pytest.mark.parametrize("system,algebra,grid", [
+    (["modified"], "grassmann:6", "256"),
+    (["gardner", "--gardner-eps", "0.1"], "grassmann:6", "256"),
+    (["modified"], "grassmann:8", "64")], ids=["modified", "gardner", "modified-grassmann:8"])
+def test_byte_determinism_across_blas_thread_counts(tmp_path, system, algebra, grid):
     # The algebra products reduce with a BLAS matmul, so every field value
     # passes through it.  grassmann:6 at N=256 gives the largest product
     # tables the benchmark runs, large enough for OpenBLAS to split them
     # over two threads.  Gardner's even flux and odd source have two groups
     # each, whose folds laid side by side would be wider than one table.
+    # grassmann:8 is the largest backend the README says is independent of
+    # the thread count: its top channels sum 128 products each
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    sim_args = ["simulate", "--system", *system, "--algebra", "grassmann:6",
-                "--lambda", "1", "--scheme", "rk4", "--grid", "256", "--dt", "2e-4",
+    sim_args = ["simulate", "--system", *system, "--algebra", algebra,
+                "--lambda", "1", "--scheme", "rk4", "--grid", grid, "--dt", "2e-4",
                 "--t-end", "0.004", "--record-every", "5", "--seed", "3",
                 "--ic", "random_bandlimited(max_mode=4,amplitude=0.4)"]
     dirs = {threads: tmp_path / f"threads{threads}" for threads in ("1", "2")}

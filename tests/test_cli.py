@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import re
 import subprocess
@@ -63,6 +64,23 @@ def test_same_seed_byte_identical(tmp_path):
     assert filecmp.cmp(a / "manifest.json", b / "manifest.json", shallow=False)
     for snap_a in sorted(a.glob("snapshot_*.json")):
         assert filecmp.cmp(snap_a, b / snap_a.name, shallow=False)
+
+
+def test_readme_run_reproduces_its_digest(tmp_path):
+    # the README's first simulate command at --seed 7: the sha256 of its 53
+    # files, in sorted-name order, as perfbench/workloads.py's digest
+    # computes it.  CHANGES.md records each move of this digest
+    out = tmp_path / "run1"
+    assert main(["simulate", "--system", "extended", "--algebra", "grassmann:3",
+                 "--lambda", "1.0", "--ic", "random_bandlimited(max_mode=5,amplitude=0.5)",
+                 "--seed", "7", "--L", "40", "--grid", "256", "--dt", "1e-3",
+                 "--t-end", "1.0", "--scheme", "ifrk4", "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update((out / name).read_bytes())
+    assert len(names) == 53
+    assert digest.hexdigest()[:12] == "ff9ac92416b6"
 
 
 def test_seed_flag_feeds_random_ic(tmp_path):

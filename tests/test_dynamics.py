@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from superkdv.algebra import Algebra, AlgebraDescriptor, ProductTable, get_algebra, value_norm
-from superkdv.dynamics import (SYSTEM_KINDS, _SpectralRHS, SystemState, Trajectory,
-                               integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
+from superkdv.dynamics import (SYSTEM_KINDS, _RK4Step, _SpectralRHS, SystemState,
+                               Trajectory, integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
                                rhs_states, soliton_profile, stability_limit)
 from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
@@ -536,17 +536,22 @@ def _unbuffered_steps(st, dt, steps, scheme, dealias):
     return nonlinear.physical(spec)[:desc.even_dim + desc.odd_dim]
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
-@pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS[1:])
-def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, dealias):
+@pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS)
+def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, dealias, zero):
     # the stages are formed in place with the same operations in the same
-    # order, so the fields agree bit for bit
+    # order, so the fields agree bit for bit, and so does the sign of each
+    # zero of a zero state: the bytes are compared
     st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
+    if zero:
+        st = st.replace_fields(EvenField.zeros(st.grid, st.descriptor),
+                               OddField.zeros(st.grid, st.descriptor))
     dt = 0.5 * stability_limit(st.grid, scheme, dealias)
     got = integrate(st, dt=dt, steps=3, scheme=scheme, dealias=dealias).final
     want = _unbuffered_steps(st, dt, 3, scheme, dealias)
-    assert np.array_equal(np.concatenate((got.even.data, got.odd.data)), want)
+    assert np.concatenate((got.even.data, got.odd.data)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:3"),
@@ -556,21 +561,36 @@ def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, 
 def test_integrate_owns_the_four_k_arrays(kind, desc_str, monkeypatch):
     # every stage writes its k into one of four arrays integrate made once,
     # whether [flux; source] is [even; odd] (modified, scalar extended) or not;
-    # and no stage checks its samples: a run that stays finite checks each
-    # new state only
+    # the stages are bound once per call, four for each of the two step
+    # lists, not once per step; and no stage checks its samples: a run that
+    # stays finite checks each new state only
     st = random_state(kind, desc_str, 1.3, N=64, L=20.0, eps=0.4 if kind == "gardner" else 0.0)
-    call, handed, checked = _SpectralRHS.__call__, [], []
+    calls_into, handed, checked = _SpectralRHS.calls_into, [], []
 
-    def recording(self, out=None, check=True):
-        handed.append(call(self, out, check))
+    def recording(self, k, check):
+        handed.append(k)
         checked.append(check)
-        return handed[-1]
+        return calls_into(self, k, check)
 
-    monkeypatch.setattr(_SpectralRHS, "__call__", recording)
+    monkeypatch.setattr(_SpectralRHS, "calls_into", recording)
     integrate(st, dt=0.5 * stability_limit(st.grid, "ifrk4"), steps=10, scheme="ifrk4")
-    assert len(handed) == 40
+    assert len(handed) == 8
     assert len({id(k) for k in handed}) <= 4
     assert not any(checked)
+
+
+def test_scalar_extended_ifrk4_step_is_38_calls():
+    # the soliton benchmark's step, one list of bound calls: per stage the
+    # program's two (u u read from the samples in place, the fold's
+    # multiply by 3), the rfft and the weight into k, and one irfft (4 for
+    # the stages, the last for the new state); 10 for the three stage
+    # formations, 8 for the update.  The hand-written step made 48 calls
+    u, xi = build_initial_condition("soliton(kappa=1)", PeriodicGrid(40.0, 512),
+                                    AlgebraDescriptor.from_string("scalar"))
+    nonlinear = _SpectralRHS("extended", u.grid, u.descriptor, 0.0)
+    spec, new = np.zeros((2, 1, 257), complex)
+    calls = _RK4Step(nonlinear, 1e-4, "ifrk4")(spec, new)
+    assert len(nonlinear.calls) == 2 and len(calls) == 4 * (2 + 2 + 1) + 10 + 8 == 38
 
 
 def test_non_finite_stage_surfaces_as_blowup_during_step():
@@ -586,32 +606,33 @@ def test_non_finite_stage_surfaces_as_blowup_during_step():
 
 @pytest.mark.parametrize("poisoned_calls,when,made", [
     pytest.param((7, 12), "during", 13, id="7-during"),
-    pytest.param((9,), "after", 14, id="9-after")])
+    pytest.param((9,), "after", 15, id="9-after")])
 def test_blowup_carries_the_state_of_the_step_before(poisoned_calls, when, made, monkeypatch):
     # no state is built for a step nothing records, so a blow-up in step 2
     # rebuilds step 1's state from its spectrum: bit for bit the state a
-    # one-step run records.  The samples are made once initially, then
-    # three times for the stages and once for the new state per step; a
-    # NaN written into the spectrum of call 7 (step 2's third stage) or 9
-    # (step 2's new state) is the blow-up.  The stages are not checked, so
-    # either NaN first shows in the new state (call 9), and integrate
-    # replays step 2 with every stage checked: its first stage's samples
-    # (call 10), then the stages (11 to 13).  Call 12 is the third stage
-    # again, poisoned as before, and so "during"; unpoisoned, the replay
-    # finds every stage finite, and so "after".  Then the last state is
-    # rebuilt (call 13 or 14)
+    # one-step run records.  The samples are made by one irfft, once
+    # initially, then three times for the stages and once for the new
+    # state per step; a NaN written into the spectrum call 7 (step 2's
+    # third stage) or 9 (step 2's new state) transforms is the blow-up.
+    # The stages are not checked, so either NaN first shows in the new
+    # state (call 9), and integrate replays step 2 with every stage
+    # checked: its first stage's samples (call 10), then the stages (11 to
+    # 13) and the new state (14).  Call 12 is the third stage again,
+    # poisoned as before, and so "during", which stops the replay;
+    # unpoisoned, the replay finds every stage finite, and so "after".
+    # Then the last state is rebuilt (call 13 or 15)
     st = random_state("modified", "grassmann:3", 1.3, N=64, L=20.0)
     dt = 0.5 * stability_limit(st.grid, "rk4")
     want = integrate(st, dt=dt, steps=1).final
-    physical, calls = _SpectralRHS.physical, []
+    irfft, calls = PeriodicGrid.irfft, []
 
-    def poisoned(self, spec):
+    def poisoned(self, spectrum, out=None):
         calls.append(None)
         if len(calls) in poisoned_calls:
-            spec[0, 1] = np.nan
-        return physical(self, spec)
+            spectrum[0, 1] = np.nan
+        return irfft(self, spectrum, out)
 
-    monkeypatch.setattr(_SpectralRHS, "physical", poisoned)
+    monkeypatch.setattr(PeriodicGrid, "irfft", poisoned)
     with pytest.raises(NumericalBlowup, match=f"{when} step 2") as info:
         integrate(st, dt=dt, steps=5, record_every=5)
     last = info.value.last_state
@@ -946,6 +967,27 @@ def test_ops_that_keep_one_group_keep_their_bits(kind, desc_str, scheme):
         digest.update(record.even.data.tobytes())
         digest.update(record.odd.data.tobytes())
     assert digest.hexdigest()[:16] == _DENSE_RECORDS[kind, desc_str, scheme]
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
+@pytest.mark.parametrize("kind", ["extended", "modified", "gardner"])
+def test_scalar_zero_states_keep_the_bits_of_the_1x1_matmul(kind, scheme):
+    # a scalar op folds by multiplying with its coefficient, where a 1x1
+    # matmul gave 0 + s p: the two differ only in the sign of a zero
+    # product.  Every record of runs from a state of +0 and one of -0 keeps
+    # the sha256 prefix recorded when the folds were matmuls
+    import hashlib
+    grid, desc = PeriodicGrid(20.0, 64), AlgebraDescriptor.from_string("scalar")
+    digest = hashlib.sha256()
+    for sign in (1.0, -1.0):
+        st = SystemState(kind, EvenField(grid, desc, sign * np.zeros((1, 64))),
+                         OddField.zeros(grid, desc), lam=1.3,
+                         epsilon=0.4 if kind == "gardner" else 0.0)
+        assert all(fold.s.shape == (1,) for *_, fold, _ in _SpectralRHS(
+            kind, grid, desc, st.lam, st.epsilon).ops)
+        for record in integrate(st, 1e-3, 30, scheme=scheme, record_every=10):
+            digest.update(record.even.data.tobytes())
+    assert digest.hexdigest()[:16] == "6732d53a2be7a668"
 
 
 def test_rhs_states_match_rhs_state_one_at_a_time():
