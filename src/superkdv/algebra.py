@@ -191,8 +191,9 @@ def _coo(triples):
 GROUP_WASTE = 3e5
 
 
-def fold_into(*calls):
-    """Run the calls of a fold bound by Fold.bind, in order."""
+def run_calls(calls):
+    """Call each (function, arguments) of calls, in order: a fold bound by
+    Fold.bind, a compiled program, an integrator step."""
     for function, args in calls:
         function(*args)
 
@@ -333,7 +334,7 @@ def _apply(table, dims, a, b):
     fold = table.fold(size)
     out = np.empty((table.out_dim, size))
     folded = None if fold.inverse is None else np.empty_like(out)
-    fold_into(*fold.bind((a[fold.i] * b[fold.j]).reshape(len(fold.s), size), out, folded))
+    run_calls(fold.bind((a[fold.i] * b[fold.j]).reshape(len(fold.s), size), out, folded))
     return out.reshape((table.out_dim,) + shape)
 
 

@@ -8,7 +8,6 @@ artifact byte for byte.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import __version__, snapshots
 from .algebra import AlgebraDescriptor, OddValue, validate_algebra
-from .dynamics import SystemState, integrate
-from .errors import NumericalBlowup, StabilityError, SuperKdVError
+from .dynamics import SYSTEM_KINDS, SystemState, integrate
+from .errors import NumericalBlowup, StabilityError, SuperKdVError, finite_number
 from .fields import PeriodicGrid, RandomBandlimitedIC, build_initial_condition, parse_ic, quadrature
 from .invariants import (drift_report, hamiltonian_density,
                          reduced_hamiltonian_density, tracked_labels)
@@ -90,19 +89,7 @@ def resolve_config(args, defaults):
 
 
 def _number(cfg, key, kind=float):
-    """cfg[key] as a finite number of the given kind, else a UsageError; an
-    int setting takes an integral float such as 256.0 but not 2.5."""
-    raw = cfg[key]
-    try:
-        value = kind(raw)
-        finite = math.isfinite(value)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise UsageError(f"{key} must be a finite {kind.__name__}, got {raw!r}")
-    if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise UsageError(f"{key} must be an integer, got {raw!r}")
-    return value
+    return finite_number(key, cfg[key], kind)
 
 
 def _positive(cfg, key, kind=float):
@@ -132,12 +119,10 @@ def _resolve_ic(cfg, seed):
 def cmd_simulate(args):
     cfg = resolve_config(args, SIMULATE_DEFAULTS)
     system = str(cfg["system"])
-    if system not in ("modified", "skdv", "extended", "gardner"):
+    if system not in SYSTEM_KINDS:
         raise UsageError(f"unknown system {system!r}")
     algebra = str(cfg["algebra"])
     descriptor = AlgebraDescriptor.from_string(algebra)
-    if system == "skdv" and descriptor.kind != "grassmann":
-        raise UsageError("system skdv needs a grassmann algebra")
     if cfg["gardner_eps"] is not None and system != "gardner":
         raise UsageError("--gardner-eps applies to the gardner system only")
 
@@ -160,9 +145,8 @@ def cmd_simulate(args):
     ic_spec = _resolve_ic(cfg, seed)
     grid = PeriodicGrid(L, N)
     even, odd = build_initial_condition(ic_spec, grid, descriptor)
-    kind = "skdv_grassmann" if system == "skdv" else system
-    state = SystemState(kind, even, odd, lam=lam,
-                        epsilon=eps if kind == "gardner" else 0.0)
+    state = SystemState(system, even, odd, lam=lam,
+                        epsilon=eps if system == "gardner" else 0.0)
 
     outdir = args.out
     if not outdir:
@@ -469,7 +453,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="integrate a system and write artifacts")
-    sim.add_argument("--system", choices=("modified", "skdv", "extended", "gardner"))
+    sim.add_argument("--system", choices=SYSTEM_KINDS)
     sim.add_argument("--algebra", help="scalar | grassmann:N | symplectic:n")
     sim.add_argument("--lambda", dest="lam", type=float,
                      help="coupling constant in front of the bracket terms")

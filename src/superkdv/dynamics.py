@@ -1,12 +1,14 @@
-"""Right-hand sides of the four evolution systems and fixed-step integrators.
+"""Right-hand sides of the three evolution systems and fixed-step integrators.
 
 All systems share the linear dispersion -f''' on every field; the
 remaining terms are polynomial in the fields and their first two
 derivatives.  They are written once, in conservative form D(flux) +
 source, as symbolic.nonlinear_terms, with u and xi standing for each
 system's own fields: (u, xi) for extended, (z, sigma) for gardner and
-(v, eta) for modified.  skdv_grassmann (Grassmann only) is extended with
-its 3 L [xi'', xi] written as -6 L xi xi'', one odd_mul op.
+(v, eta) for modified; a system is its texts and nothing beside them.
+The N=1 super KdV is extended on a grassmann backend, where
+3 L [xi'', xi] = -6 L xi xi''; rhs_skdv_grassmann writes it that way, by
+field arithmetic, as an independent check of the compiled one.
 
 The terms are evaluated between spectra, one stacked transform each way
 (_SpectralRHS).  One irfft gives the fields and the derivatives the terms
@@ -69,12 +71,13 @@ import math
 
 import numpy as np
 
+from .algebra import run_calls
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
                      SuperKdVError, whole_number)
 from .fields import EvenField, OddField
-from .symbolic import _live_terms, _Program, _run, nonlinear_terms
+from .symbolic import _live_terms, _Program, nonlinear_terms
 
-SYSTEM_KINDS = ("modified", "skdv_grassmann", "extended", "gardner")
+SYSTEM_KINDS = ("modified", "extended", "gardner")
 
 
 class SystemState:
@@ -89,8 +92,6 @@ class SystemState:
         if not all(map(math.isfinite, (time, lam, epsilon))):
             raise SuperKdVError("time, lam and epsilon must be finite")
         even._require_compatible(odd)
-        if kind == "skdv_grassmann" and even.descriptor.kind != "grassmann":
-            raise SuperKdVError("the skdv_grassmann system needs a grassmann backend")
         if epsilon != 0.0 and kind != "gardner":
             raise SuperKdVError("epsilon is a gardner-only parameter")
         self.kind = kind
@@ -141,25 +142,18 @@ class _SpectralRHS(_Program):
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
-        skdv = kind == "skdv_grassmann"
-        if skdv and desc.kind != "grassmann":
-            raise SuperKdVError("rhs_skdv_grassmann needs a grassmann backend")
         n_even, n_odd = desc.even_dim, desc.odd_dim
         n_rows = n_even + n_odd
         # (even, odd) live terms of the fluxes and of the sources
         flux, source = ([], []), ([], [])
-        for power, fluxes, sources in nonlinear_terms("extended" if skdv else kind):
-            for parts, polys in ((flux, fluxes), (source, () if skdv else sources)):
+        for power, fluxes, sources in nonlinear_terms(kind):
+            for parts, polys in ((flux, fluxes), (source, sources)):
                 for live, poly in zip(parts, polys):
                     live += _live_terms(poly, lam, desc, eps ** power)
-        # extended's 3 L [xi'', xi] as -6 L xi xi'', a plain odd product the
-        # bracket-only grammar cannot write
-        pair = skdv and lam != 0.0
 
         # the rows of [even; odd] the live parts cover
         self.flux_rows = slice(0 if flux[0] else n_even, n_rows if flux[1] else n_even)
-        self.source_rows = slice(0 if source[0] or pair else n_even,
-                                 n_rows if source[1] else n_even)
+        self.source_rows = slice(0 if source[0] else n_even, n_rows if source[1] else n_even)
         self.n_flux = self.flux_rows.stop - self.flux_rows.start
         n_values = self.n_flux + self.source_rows.stop - self.source_rows.start
         # the live terms of the even flux, odd flux, even source and odd
@@ -170,14 +164,10 @@ class _SpectralRHS(_Program):
             split = offset + n_even - rows.start
             parts += [(even, offset, split), (odd, split, offset + rows.stop - rows.start)]
 
-        super().__init__(grid, desc, [term for live, _, _ in parts for term in live],
-                         {2} if pair else ())
+        super().__init__(grid, desc, [term for live, _, _ in parts for term in live])
         values = self._block(n_values)
-        # skdv's pair goes into the even source
-        extras = [(), (), [("odd_mul", n_even, self.xi_rows[2], -6.0 * lam)] if pair else (),
-                  ()]
-        for (live, start, stop), extra in zip(parts, extras):
-            self._poly(live, values + start, stop - start, extra)
+        for live, start, stop in parts:
+            self._poly(live, values + start, stop - start)
         self.link()
         values = self.placed[values]
         self.values = self.stack[values:values + n_values]
@@ -205,7 +195,7 @@ class _SpectralRHS(_Program):
     def physical(self, spec):
         """Make the samples at spec into the head of the stack, which is
         returned.  They stay valid until the next call."""
-        _run(self.physical_calls(spec))
+        run_calls(self.physical_calls(spec))
         return self.head
 
     def calls_into(self, k, check):
@@ -232,7 +222,7 @@ class _SpectralRHS(_Program):
         written into out (a fresh array when out is None), which is
         returned; checked as calls_into checks."""
         k = np.empty((self.n_rows, self.weight.shape[1]), complex) if out is None else out
-        _run(self.calls_into(k, check))
+        run_calls(self.calls_into(k, check))
         return k
 
 
@@ -279,7 +269,14 @@ def rhs_extended(u, xi, lam, dealias=True):
 
 
 def rhs_skdv_grassmann(u, xi, lam, dealias=True):
-    return _full_rhs("skdv_grassmann", u, xi, lam, 0.0, dealias)
+    """The N=1 super KdV right-hand side (Mathieu 1988) by field
+    arithmetic, with no compiled program: extended's at lam = 0 plus
+    -6 L xi xi'', its 3 L [xi'', xi] written with the odd product, which
+    only the grassmann backend has (GradingError elsewhere).  There
+    [a, b] = 2ab, so it is the extended right-hand side."""
+    pair = (-6.0 * lam) * xi.odd_mul(xi.derivative(2))
+    even, odd = rhs_extended(u, xi, 0.0, dealias)
+    return even + (pair.dealiased() if dealias else pair), odd
 
 
 def rhs_gardner(z, sigma, lam, eps, dealias=True):
@@ -382,9 +379,10 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
     states it records.
     Raises StabilityError when dt exceeds the guard (unless force=True),
     SuperKdVError before any step when the recorded times would not
-    strictly increase (t + dt rounds to t near a large start time t), and
-    NumericalBlowup (carrying the last finite state) when the fields stop
-    being finite.
+    strictly increase (t + dt rounds to t near a large start time t),
+    NonFiniteFieldError before any step when the initial fields are not
+    finite, and NumericalBlowup (carrying the last finite state) when the
+    fields stop being finite.
     """
     if not 0 < dt < math.inf:
         raise SuperKdVError(f"dt must be positive and finite, got {dt!r}")
@@ -396,6 +394,8 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         raise SuperKdVError("record_every must be >= 1")
     if scheme not in ("rk4", "ifrk4"):
         raise SuperKdVError(f"unknown scheme {scheme!r}")
+    if not (np.isfinite(state.even.data).all() and np.isfinite(state.odd.data).all()):
+        raise NonFiniteFieldError("the initial state is not finite")
     dt_max = stability_limit(state.grid, scheme, dealias)
     if dt > dt_max and not force:
         raise StabilityError(
@@ -428,7 +428,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         # as no state is built for a step nothing reads
         nonlinear.physical(spec)
         try:
-            _run(step_calls(spec, new, check=True))
+            run_calls(step_calls(spec, new, check=True))
             when = "after"
         except NonFiniteFieldError:
             when = "during"

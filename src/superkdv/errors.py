@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the whole-number check
-that raises one."""
+"""Exception types shared across the package, and the number checks that
+raise one."""
+
+import math
 
 
 class SuperKdVError(Exception):
@@ -55,3 +57,19 @@ def whole_number(name, value):
     if not whole:
         raise SuperKdVError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def finite_number(name, value, kind=float):
+    """value, a number or its text, as a finite number of the given kind,
+    else a SuperKdVError naming the setting; an int setting takes an
+    integral float such as 256.0 but not 2.5."""
+    try:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise SuperKdVError(f"{name} must be a finite {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise SuperKdVError(f"{name} must be an integer, got {value!r}")
+    return number

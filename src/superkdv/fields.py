@@ -19,7 +19,8 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft runs
 
 from .algebra import EvenValue, OddValue, _Graded, _OddGraded
-from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError, whole_number
+from .errors import (DescriptorMismatch, NonFiniteFieldError, SuperKdVError, finite_number,
+                     whole_number)
 
 
 class PeriodicGrid:
@@ -194,8 +195,8 @@ class SolitonIC:
     name = "soliton"
 
     def __init__(self, kappa=1.0, x0=None):
-        self.kappa = float(kappa)
-        self.x0 = None if x0 is None else float(x0)
+        self.kappa = finite_number("kappa", kappa)
+        self.x0 = None if x0 is None else finite_number("x0", x0)
 
     def params(self):
         return {"kappa": self.kappa, "x0": self.x0}
@@ -212,9 +213,11 @@ class GaussianIC:
     name = "gaussian"
 
     def __init__(self, amplitude=1.0, width=1.0, center=None, channel="even:unit"):
-        self.amplitude = float(amplitude)
-        self.width = float(width)
-        self.center = None if center is None else float(center)
+        self.amplitude = finite_number("amplitude", amplitude)
+        self.width = finite_number("width", width)
+        if self.width <= 0.0:
+            raise SuperKdVError(f"width must be positive, got {self.width}")
+        self.center = None if center is None else finite_number("center", center)
         self.channel = channel
 
     def params(self):
@@ -239,9 +242,11 @@ class RandomBandlimitedIC:
     name = "random_bandlimited"
 
     def __init__(self, max_mode=5, amplitude=0.5, seed=0):
-        self.max_mode = int(max_mode)
-        self.amplitude = float(amplitude)
-        self.seed = int(seed)
+        self.max_mode = finite_number("max_mode", max_mode, int)
+        if self.max_mode < 0:
+            raise SuperKdVError(f"max_mode must be >= 0, got {self.max_mode}")
+        self.amplitude = finite_number("amplitude", amplitude)
+        self.seed = finite_number("seed", seed, int)
 
     def params(self):
         return {"max_mode": self.max_mode, "amplitude": self.amplitude,
@@ -277,7 +282,8 @@ def build_initial_condition(spec, grid, descriptor):
         x0 = grid.L / 2 if spec.x0 is None else spec.x0
         kappa = spec.kappa
         arg = np.minimum(np.abs(kappa * (x - x0)), 350.0)
-        even.data[0] = -2.0 * kappa ** 2 / np.cosh(arg) ** 2
+        # kappa * kappa overflows to inf where kappa ** 2 raises OverflowError
+        even.data[0] = -2.0 * (kappa * kappa) / np.cosh(arg) ** 2
         tail = 1.0 / np.cosh(min(abs(kappa) * grid.L / 2, 350.0)) ** 2
         if tail > 1e-10:
             warnings.warn(
@@ -317,7 +323,8 @@ _IC_CLASSES = {cls.name: cls for cls in (SolitonIC, GaussianIC,
 
 
 def parse_ic(text):
-    """Parse "name(arg=value, ...)" into an IC spec (CLI surface).
+    """Parse "name(arg=value, ...)" into an IC spec (CLI surface); the IC
+    class checks each value's text.
 
     Examples: soliton(kappa=1,x0=20); random_bandlimited(max_mode=5,
     amplitude=0.5,seed=7); gaussian(amplitude=0.2,width=3,channel=odd:e1).
@@ -337,14 +344,7 @@ def parse_ic(text):
                 key, eq, val = item.partition("=")
                 if not eq:
                     raise SuperKdVError(f"IC arguments must be key=value, got {item!r}")
-                key = key.strip()
-                val = val.strip()
-                if key == "channel":
-                    kwargs[key] = val
-                elif key == "seed" or key == "max_mode":
-                    kwargs[key] = int(val)
-                else:
-                    kwargs[key] = float(val)
+                kwargs[key.strip()] = val.strip()
     try:
         return _IC_CLASSES[name](**kwargs)
     except TypeError as exc:

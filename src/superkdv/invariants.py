@@ -10,9 +10,10 @@ hamiltonian_density evaluates it.  Under the Miura substitution h reduces
 to 1/2 u^2 + L/2 [xi', xi], half the H2 density.
 
 drift_report evaluates the quantities appropriate to a trajectory's
-system (the H_k for extended and skdv_grassmann, int h ("H") for
-modified, and the H_k of the mapped fields for gardner) and reports each
-quantity's worst relative excursion from its initial value.
+system (the H_k for extended, which on a grassmann backend is the N=1
+super KdV, int h ("H") for modified, and the H_k of the mapped fields
+for gardner) and reports each quantity's worst relative excursion from
+its initial value.
 """
 
 import numpy as np

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import get_algebra
+from .algebra import get_algebra, run_calls
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                      NonFiniteFieldError, SuperKdVError, whole_number)
 from .fields import EvenField, OddField
@@ -567,13 +567,13 @@ class _Program:
     product times 3.
     """
 
-    def __init__(self, grid, descriptor, terms, xi_orders=()):
+    def __init__(self, grid, descriptor, terms):
         n_even = descriptor.even_dim
         self.grid, self.n_rows = grid, n_even + descriptor.odd_dim
         self.algebra = get_algebra(descriptor)
         u_orders = {f for factors, _, _ in terms for f in factors
                     if not isinstance(f, tuple)}
-        xi_orders = {odd for _, odd, _ in terms if odd is not None}.union(xi_orders)
+        xi_orders = {odd for _, odd, _ in terms if odd is not None}
         xi_orders.update(o for factors, _, _ in terms for f in factors
                          if isinstance(f, tuple) for o in f)
         # (rows of the samples, rows of [u; xi], (ik)^order) of each
@@ -651,7 +651,7 @@ class _Program:
         if not np.isfinite(self.head[:n_rows]).all():
             raise NonFiniteFieldError("non-finite samples in the fields")
         if self.derivatives:
-            _run(self._derivative_calls(self.grid.rfft(self.head[:n_rows])))
+            run_calls(self._derivative_calls(self.grid.rfft(self.head[:n_rows])))
             self.grid.irfft(self.spectra[n_rows:], out=self.head[n_rows:])
         self.run()
 
@@ -701,9 +701,8 @@ class _Program:
             self._products[factors] = node
         return node
 
-    def _poly(self, live, node, height, pieces=()):
-        """Build the sum of the live terms and of the (product, a, b,
-        coefficient) pieces, products of nodes, into the rows at node."""
+    def _poly(self, live, node, height):
+        """Build the sum of the live terms into the rows at node."""
         groups, linear = {}, []
         for factors, odd, coeff in live:
             if odd is not None and factors:
@@ -718,7 +717,7 @@ class _Program:
                                else self._product(factors), coeff))
                 continue
             groups.setdefault(key, []).append((rest, coeff))
-        pieces, shared = list(pieces), []
+        pieces, shared = [], []
         for (product, last), members in groups.items():
             if product == "odd_commutator":
                 pieces.append((product, self.xi_rows[last[0]], self.xi_rows[last[1]],
@@ -921,13 +920,7 @@ class _Program:
 
     def run(self):
         """Run the calls over the samples in the head of the stack."""
-        _run(self.calls)
-
-
-def _run(calls):
-    """Call each (function, arguments) of calls, in order."""
-    for function, args in calls:
-        function(*args)
+        run_calls(self.calls)
 
 
 def instantiate(poly, u, xi, lam):

@@ -169,6 +169,9 @@ def test_criterion_06_inverse_roundtrip():
 
 
 def test_criterion_07_grassmann_equivalences():
+    # the extended system on grassmann is the N=1 super KdV: its compiled
+    # right-hand side against the one written with the odd product,
+    # -6 L xi xi'', by field arithmetic
     grid = PeriodicGrid(20.0, 128)
     u, eta = random_ic("grassmann:4", grid)
     re1, ro1 = rhs_extended(u, eta, 1.0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from superkdv import algebra
 from superkdv.algebra import (Algebra, AlgebraDescriptor, EvenValue, OddValue, ProductTable,
-                              fold_into, get_algebra, validate_algebra, value_norm)
+                              get_algebra, run_calls, validate_algebra, value_norm)
 from superkdv.cli import DEFAULT_VALIDATION_SET
 from superkdv.errors import DescriptorMismatch, GradingError, SuperKdVError
 
@@ -561,7 +561,7 @@ def run_fold(fold, products):
     """The fold of the (nnz, size) products, into output and scratch rows
     that start as NaN, so a row no group writes shows."""
     out = np.full((fold.out_dim, products.shape[1]), np.nan)
-    fold_into(*fold.bind(products, out, np.full_like(out, np.nan)))
+    run_calls(fold.bind(products, out, np.full_like(out, np.nan)))
     return out
 
 

@@ -95,7 +95,6 @@ def test_seed_flag_feeds_random_ic(tmp_path):
 
 def test_invalid_combinations_exit_2(tmp_path):
     refused = {
-        "x": ["--system", "skdv", "--algebra", "scalar"],
         "y": ["--system", "extended", "--gardner-eps", 0.1],
         "z": ["--system", "extended", "--dt", -1],
         "w": ["--algebra", "grassmann:99"],
@@ -111,17 +110,55 @@ def test_invalid_combinations_exit_2(tmp_path):
         "lam_inf": ["--lambda", "inf"],
         "eps_nan": ["--system", "gardner", "--gardner-eps", "nan"],
     }
+    # initial-condition arguments that do not parse, are not finite or are
+    # out of range
+    for ic in ["random_bandlimited(seed=1.5)", "soliton(kappa=abc)", "gaussian(width=0)",
+               "gaussian(width=-2)", "gaussian(amplitude=nan)", "soliton(x0=nan)",
+               "soliton(kappa=inf)", "random_bandlimited(max_mode=-1)",
+               "random_bandlimited(max_mode=2.5)", "gaussian(center=1e999)"]:
+        refused["ic_" + re.sub(r"\W", "_", ic)] = ["--ic", ic]
     # config values that are not (finite) numbers; json writes NaN and Infinity
     for key, value in [("seed", "abc"), ("seed", float("nan")),
                        ("record_every", "x"), ("record_every", float("inf")),
                        ("lambda", "x"), ("lambda", None), ("gardner_eps", "x"),
-                       ("grid", float("inf"))]:
+                       ("grid", float("inf")), ("system", "skdv")]:
         cfg = tmp_path / f"cfg_{key}_{value}.json"
         cfg.write_text(json.dumps({"system": "gardner", key: value}))
         refused[cfg.stem] = ["--config", cfg]
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
         assert not (tmp_path / name / "manifest.json").exists(), flags
+
+
+def test_system_skdv_is_refused(tmp_path, capsys):
+    # the N=1 super KdV is --system extended on a grassmann algebra; skdv is
+    # no system, as a flag or in a config, and a snapshot of the deleted
+    # skdv_grassmann kind does not plot
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--system", "skdv", "--algebra", "grassmann:3",
+             "--out", tmp_path / "flag"])
+    assert info.value.code == 2
+    assert not (tmp_path / "flag").exists()
+    assert run(["simulate", "--system", "extended", "--algebra", "grassmann:3",
+                "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)", "--grid", 64,
+                "--t-end", 0.002, "--out", tmp_path / "run"]) == 0
+    doc = load_json(tmp_path / "run" / "snapshot_0000.json")
+    doc["system"] = "skdv_grassmann"
+    dump_json(doc, tmp_path / "skdv.json")
+    capsys.readouterr()
+    assert run(["plot", "--snapshot", tmp_path / "skdv.json",
+                "--out", tmp_path / "u.svg"]) == 2
+    assert "skdv_grassmann" in capsys.readouterr().err
+    assert not (tmp_path / "u.svg").exists()
+
+
+def test_non_finite_initial_state_exits_2_writing_nothing(tmp_path, capsys):
+    # kappa = 1e154 is finite, but -2 kappa^2 is not: the run is refused
+    # before any step, with no manifest and no snapshot_last.json
+    out = tmp_path / "inf"
+    assert run(["simulate", "--ic", "soliton(kappa=1e154)", "--out", out]) == 2
+    assert "initial state is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_refuses_non_finite_coupling(capsys):

@@ -14,9 +14,8 @@ Oracles used here:
   - one RK4 or Lawson RK4 step assembled by hand from the public
     nonlinear_rhs and the dispersion, against the integrator's fused
     stages;
-  - the same hand-written fluxes and sources (and skdv_grassmann's
-    -6 L xi xi'' as an odd product) on a stage's own samples, against
-    the values its compiled product program makes;
+  - the same hand-written fluxes and sources on a stage's own samples,
+    against the values its compiled product program makes;
   - the RK4 loop written with a fresh array for every stage product and
     sum, against integrate's in-place stages, bit for bit.
 """
@@ -31,7 +30,8 @@ from superkdv.dynamics import (SYSTEM_KINDS, _RK4Step, _SpectralRHS, SystemState
                                Trajectory, integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
                                rhs_states, soliton_profile, stability_limit)
-from superkdv.errors import NumericalBlowup, StabilityError, SuperKdVError
+from superkdv.errors import (GradingError, NonFiniteFieldError, NumericalBlowup, StabilityError,
+                             SuperKdVError)
 from superkdv.fields import (EvenField, OddField, PeriodicGrid,
                              build_initial_condition, quadrature)
 from superkdv.invariants import conserved_quantities, drift_report
@@ -121,8 +121,7 @@ def test_zero_state_is_a_fixed_point():
     desc = AlgebraDescriptor.from_string("grassmann:2")
     even = EvenField.zeros(grid, desc)
     odd = OddField.zeros(grid, desc)
-    for kind, eps in [("modified", 0.0), ("extended", 0.0),
-                      ("skdv_grassmann", 0.0), ("gardner", 0.3)]:
+    for kind, eps in [("modified", 0.0), ("extended", 0.0), ("gardner", 0.3)]:
         st = SystemState(kind, even, odd, lam=1.0, epsilon=eps)
         re, ro = rhs_state(st)
         assert re.norm() == 0.0
@@ -157,7 +156,6 @@ def test_soliton_rhs_matches_centered_time_difference():
     ("modified", "grassmann:3", 0.0),
     ("extended", "grassmann:3", 0.0),
     ("extended", "symplectic:2", 0.0),
-    ("skdv_grassmann", "grassmann:3", 0.0),
     ("gardner", "symplectic:1", 0.25),
 ])
 def test_rhs_commutes_with_grid_translation(kind, desc_str, eps):
@@ -195,19 +193,27 @@ def test_lambda_zero_decouples_even_sector():
 
 
 def test_extended_and_skdv_agree_on_grassmann():
+    # the compiled extended right-hand side against the N=1 super KdV one
+    # written with the odd product by field arithmetic, dealiased or not;
+    # the odd parts are extended's own, which reads no lam
     st = random_state("extended", "grassmann:4", lam=0.9)
-    re_a, ro_a = rhs_extended(st.even, st.odd, lam=0.9)
-    re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=0.9)
-    scale = max(re_a.norm(), 1.0)
-    assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
-    assert np.array_equal(ro_a.data, ro_b.data)
+    for dealias in (True, False):
+        re_a, ro_a = rhs_extended(st.even, st.odd, lam=0.9, dealias=dealias)
+        re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=0.9, dealias=dealias)
+        scale = max(re_a.norm(), 1.0)
+        assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
+        assert np.array_equal(ro_a.data, ro_b.data)
 
 
 def test_skdv_rejects_non_grassmann_backend():
+    # only grassmann has the odd product, at any lam; and the N=1 super KdV
+    # is extended on grassmann, not a system kind of its own
     st = random_state("extended", "symplectic:1", lam=1.0)
-    with pytest.raises(SuperKdVError):
-        rhs_skdv_grassmann(st.even, st.odd, lam=1.0)
-    with pytest.raises(SuperKdVError):
+    for lam in (1.0, 0.0):
+        with pytest.raises(GradingError):
+            rhs_skdv_grassmann(st.even, st.odd, lam=lam)
+    st = random_state("extended", "grassmann:3", lam=1.0)
+    with pytest.raises(SuperKdVError, match="unknown system kind"):
         SystemState("skdv_grassmann", st.even, st.odd, lam=1.0)
 
 
@@ -391,7 +397,7 @@ def test_integrate_argument_validation():
 
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("kind,eps", [("modified", 0.0), ("extended", 0.0),
-                                      ("skdv_grassmann", 0.0), ("gardner", 0.3)])
+                                      ("gardner", 0.3)])
 def test_ifrk4_matches_rk4_closely_on_smooth_data(kind, eps, dealias):
     # dt = 5e-4 would exceed the rk4 guard on the full N = 128 spectrum
     st = random_state(kind, "grassmann:2", lam=1.0, N=128, L=40.0, eps=eps)
@@ -425,7 +431,6 @@ def test_nonlinear_rhs_is_dealiased():
 
 
 STEP_SYSTEMS = [("extended", "scalar", 0.0, 0.0), ("extended", "grassmann:3", 1.0, 0.0),
-                ("skdv_grassmann", "grassmann:3", 1.0, 0.0),
                 ("modified", "grassmann:6", 1.0, 0.0), ("gardner", "symplectic:1", 0.8, 0.3)]
 
 
@@ -604,6 +609,23 @@ def test_non_finite_stage_surfaces_as_blowup_during_step():
     assert np.all(np.isfinite(info.value.last_state.even.data))
 
 
+def test_non_finite_initial_state_is_refused_before_any_step():
+    # a blow-up carries the last finite state, which a non-finite initial
+    # state does not have: integrate refuses it before any transform
+    st = random_state("extended", "grassmann:2", lam=1.0, N=64, L=20.0)
+    for part, bad in (("even", np.nan), ("odd", np.inf), ("even", -np.inf)):
+        even, odd = st.even.data.copy(), st.odd.data.copy()
+        (even if part == "even" else odd)[0, 5] = bad
+        state = st.replace_fields(EvenField(st.grid, st.descriptor, even),
+                                  OddField(st.grid, st.descriptor, odd))
+        before = st.grid.rfft_calls, st.grid.irfft_calls
+        for scheme in ("rk4", "ifrk4"):
+            with pytest.raises(NonFiniteFieldError, match="initial state") as info:
+                integrate(state, dt=1e-4, steps=3, scheme=scheme, force=True)
+            assert not isinstance(info.value, NumericalBlowup)
+        assert (st.grid.rfft_calls, st.grid.irfft_calls) == before
+
+
 @pytest.mark.parametrize("poisoned_calls,when,made", [
     pytest.param((7, 12), "during", 13, id="7-during"),
     pytest.param((9,), "after", 15, id="9-after")])
@@ -642,10 +664,8 @@ def test_blowup_carries_the_state_of_the_step_before(poisoned_calls, when, made,
     assert np.array_equal(last.odd.data, want.odd.data)
 
 
-PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "skdv_grassmann", "extended",
-                                                 "gardner")
-                   for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")
-                   if kind != "skdv_grassmann" or desc_str.startswith("grassmann")]
+PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "extended", "gardner")
+                   for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")]
 
 
 def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
@@ -719,7 +739,7 @@ def test_fused_gathers_stay_within_the_budget(desc_str, N, fuses, monkeypatch):
         return [_Program.compile([density_poly(label) for label in ("H0", "H2", "H4", "H6")],
                                  grid, desc, 1.3)] + [
             _SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
-            for kind in SYSTEM_KINDS if kind != "skdv_grassmann" or desc.kind == "grassmann"]
+            for kind in SYSTEM_KINDS]
 
     fused = programs()
     assert symbolic.FUSED_ROWS <= 384
@@ -747,10 +767,6 @@ def _assert_stage_matches_handwritten(st, nonlinear):
     reference = {"modified": reference_modified, "gardner": reference_gardner}.get(
         st.kind, reference_extended)
     (flux_even, flux_odd), (source_even, source_odd) = reference(u, xi, st.lam, st.epsilon)
-    if st.kind == "skdv_grassmann":
-        # its bracket term is -6 L xi xi'', a plain odd product
-        source_even = EvenField(grid, desc, -6.0 * st.lam * get_algebra(desc).odd_mul(
-            xi.data, xi.derivative(2).data))
     flux = np.concatenate((flux_even.data, flux_odd.data))
     source = np.concatenate((source_even.data, source_odd.data))
     want = np.concatenate((flux[nonlinear.flux_rows], source[nonlinear.source_rows]))
@@ -759,7 +775,6 @@ def _assert_stage_matches_handwritten(st, nonlinear):
 
 
 @pytest.mark.parametrize("kind,desc_str", [("modified", "grassmann:3"),
-                                           ("skdv_grassmann", "grassmann:3"),
                                            ("gardner", "symplectic:2"),
                                            ("extended", "grassmann:4")])
 def test_evaluations_make_no_algebra_product(kind, desc_str, monkeypatch):
@@ -786,7 +801,7 @@ def test_evaluations_make_no_algebra_product(kind, desc_str, monkeypatch):
 
 @pytest.mark.parametrize("kind,desc_str,ops", [
     ("extended", "scalar", 1), ("extended", "grassmann:3", 3),
-    ("skdv_grassmann", "grassmann:3", 3), ("modified", "grassmann:3", 6),
+    ("modified", "grassmann:3", 6),
     ("gardner", "symplectic:1", 7)])
 def test_stage_op_count(kind, desc_str, ops):
     # modified: v v, v v', [eta', eta], then one op per group:
@@ -890,7 +905,7 @@ def _coefficient_tensor(out_dim, dim, left, right, k, s):
 
 @pytest.mark.parametrize("desc_str", ["grassmann:6", "symplectic:2"])
 def test_every_op_gathers_one_product_table(desc_str):
-    # the right-hand sides of all four systems, the densities and the maps
+    # the right-hand sides of all three systems, the densities and the maps
     # each fold one product table per op: the product's own table, or its
     # square table when both operands are one node.  The op's gathered
     # (left, right, coefficient) triples are the table's, offset to its
@@ -901,7 +916,7 @@ def test_every_op_gathers_one_product_table(desc_str):
     grid, algebra = PeriodicGrid(20.0, 64), get_algebra(desc)
     dim = max(desc.even_dim, desc.odd_dim)
     programs = [_SpectralRHS(kind, grid, desc, 1.3, 0.4 if kind == "gardner" else 0.0)
-                for kind in SYSTEM_KINDS if kind != "skdv_grassmann" or desc.kind == "grassmann"]
+                for kind in SYSTEM_KINDS]
     programs.append(_Program.compile([density_poly(label)
                                       for label in ("H0", "H2", "H4", "H6", "H")],
                                      grid, desc, 1.3))

@@ -191,6 +191,39 @@ def test_parse_ic():
         parse_ic("soliton(2)")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("soliton(kappa=abc)", "kappa"), ("soliton(kappa=inf)", "kappa"),
+    ("soliton(x0=nan)", "x0"), ("gaussian(amplitude=nan)", "amplitude"),
+    ("gaussian(width=0)", "width"), ("gaussian(width=-1)", "width"),
+    ("gaussian(center=-inf)", "center"), ("random_bandlimited(seed=1.5)", "seed"),
+    ("random_bandlimited(seed=x)", "seed"), ("random_bandlimited(max_mode=-1)", "max_mode"),
+    ("random_bandlimited(amplitude=1e999)", "amplitude")])
+def test_bad_ic_arguments_are_refused_by_name(text, key):
+    # each was a raw ValueError or ZeroDivisionError, a run to a blow-up,
+    # or (max_mode=-1) silently zero fields; the classes refuse the text too
+    with pytest.raises(SuperKdVError, match=key):
+        parse_ic(text)
+    name, _, rest = text.partition("(")
+    _, _, value = rest[:-1].partition("=")
+    cls = {"soliton": SolitonIC, "gaussian": GaussianIC,
+           "random_bandlimited": RandomBandlimitedIC}[name]
+    with pytest.raises(SuperKdVError, match=key):
+        cls(**{key: value})
+
+
+def test_ic_arguments_keep_their_values():
+    # ints for the int arguments, parsed from their text without rounding
+    # through a float, and finite floats for the others
+    ic = parse_ic("random_bandlimited(max_mode=0,amplitude=1e-3,seed=12345678901234567891)")
+    assert (ic.max_mode, ic.amplitude, ic.seed) == (0, 1e-3, 12345678901234567891)
+    assert RandomBandlimitedIC(seed=7.0).seed == 7  # an integral float, but not its text
+    with pytest.raises(SuperKdVError, match="seed"):
+        parse_ic("random_bandlimited(seed=7.0)")
+    ic = parse_ic("gaussian(amplitude=-2,width=1e-3,center=0)")
+    assert (ic.amplitude, ic.width, ic.center) == (-2.0, 1e-3, 0.0)
+    assert type(ic.amplitude) is float and type(ic.center) is float
+
+
 def test_field_products_and_grading():
     g = PeriodicGrid(2 * np.pi, 32)
     d = AlgebraDescriptor("symplectic", 1)

@@ -14,6 +14,7 @@ from superkdv.snapshots import (
     load_json,
     read_csv,
     read_snapshot,
+    state_from_dict,
     state_to_dict,
     write_csv,
     write_line_plot,
@@ -62,6 +63,17 @@ def test_snapshot_missing_channel_rejected(tmp_path):
     dump_json(doc, path)
     with pytest.raises(SuperKdVError):
         read_snapshot(path)
+
+
+def test_snapshot_of_a_skdv_grassmann_state_is_refused(tmp_path):
+    # the N=1 super KdV is the extended system on grassmann, not a kind of
+    # its own; a snapshot naming the deleted kind is refused, not misread
+    path = tmp_path / "snap.json"
+    write_snapshot(sample_state(), path)
+    doc = load_json(path)
+    doc["system"] = "skdv_grassmann"
+    with pytest.raises(SuperKdVError, match="unknown system kind 'skdv_grassmann'"):
+        state_from_dict(doc)
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):

@@ -53,6 +53,18 @@ def test_package_runs_as_a_module():
     assert run.returncode == 2 and run.stderr.startswith("usage:")
 
 
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps package functions by name, so deleting or
+    # renaming one of them makes its install raise
+    env = _source_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent.parent / "perfbench"),
+                                         env["PYTHONPATH"]])
+    run = subprocess.run([sys.executable, "-c",
+                          "from tracing import Tracer; Tracer().install().uninstall()"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 def test_import_builds_no_table_and_parses_no_text():
     # the set-up every run pays starts with this import: no algebra table,
     # proof or parsed formula may be made on the way.  get_algebra then
