@@ -205,6 +205,21 @@ def test_extended_and_skdv_agree_on_grassmann():
         assert np.array_equal(ro_a.data, ro_b.data)
 
 
+@pytest.mark.parametrize("desc_str", ["grassmann:1", "grassmann:2", "grassmann:3",
+                                      "grassmann:5", "grassmann:6"])
+def test_n1_super_kdv_rhs_is_extended_on_every_grassmann_order(desc_str):
+    # as above on the other orders and at other lam, lam = 0 included: on
+    # grassmann:1 xi xi'' vanishes, and so must extended's bracket term
+    st = random_state("extended", desc_str, lam=1.0, N=64, L=20.0)
+    for lam in (0.0, -0.7, 2.5):
+        for dealias in (True, False):
+            re_a, ro_a = rhs_extended(st.even, st.odd, lam=lam, dealias=dealias)
+            re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=lam, dealias=dealias)
+            scale = max(re_a.norm(), 1.0)
+            assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
+            assert np.array_equal(ro_a.data, ro_b.data)
+
+
 def test_skdv_rejects_non_grassmann_backend():
     # only grassmann has the odd product, at any lam; and the N=1 super KdV
     # is extended on grassmann, not a system kind of its own
@@ -450,10 +465,12 @@ def test_integrate_makes_one_transform_each_way_per_stage(kind, desc_str, lam, e
     assert (three[0] - one[0], three[1] - one[1]) == (2 * 4, 2 * 4)
 
 
-def _hand_rk4_step(st, dt, scheme, dealias):
+def _hand_rk4_step(st, dt, scheme, dealias, full_rhs=None):
     """One RK4 step assembled from the public nonlinear_rhs and the
     dispersion, in physical space; ifrk4 is the Lawson form with the exact
-    dispersion propagator exp(-h (ik)^3) applied to whole fields."""
+    dispersion propagator exp(-h (ik)^3) applied to whole fields.  A given
+    full_rhs(even, odd) replaces both: its nonlinear part is it less the
+    dispersion."""
     grid, desc = st.grid, st.descriptor
     n_even = desc.even_dim
 
@@ -463,7 +480,12 @@ def _hand_rk4_step(st, dt, scheme, dealias):
     def split(data):
         return EvenField(grid, desc, data[:n_even]), OddField(grid, desc, data[n_even:])
 
+    def dispersion(y):
+        return -join(*(f.derivative(3) for f in split(y)))
+
     def nonlinear(y):
+        if full_rhs is not None:
+            return join(*full_rhs(*split(y))) - dispersion(y)
         return join(*nonlinear_rhs(st.kind, *split(y), st.lam, st.epsilon,
                                    dealias=dealias))
 
@@ -471,12 +493,11 @@ def _hand_rk4_step(st, dt, scheme, dealias):
         spec = np.fft.rfft(y, axis=-1) * np.exp(-h * grid.derivative_symbol(3))
         return np.fft.irfft(spec, n=grid.N, axis=-1)
 
-    def dispersion(y):
-        return -join(*(f.derivative(3) for f in split(y)))
-
     y = join(st.even, st.odd)
     if scheme == "rk4":
         def f(z):
+            if full_rhs is not None:
+                return join(*full_rhs(*split(z)))
             return nonlinear(z) + dispersion(z)
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
@@ -505,6 +526,22 @@ def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, sc
     for g, w in zip((got.even, got.odd), want):
         assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
         assert g.data.base is None  # a record does not hold the derivative rows
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
+@pytest.mark.parametrize("desc_str", ["grassmann:2", "grassmann:3", "grassmann:4"])
+def test_n1_super_kdv_step_matches_rk4_from_the_odd_product(desc_str, scheme, dealias):
+    # the N=1 super KdV is extended on grassmann: one integrator step of it
+    # against one assembled from rhs_skdv_grassmann, whose bracket term is
+    # -6 L xi xi'' by field arithmetic, not a compiled bracket
+    st = random_state("extended", desc_str, 1.0, N=64, L=20.0)
+    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
+    got = integrate(st, dt=dt, steps=1, scheme=scheme, dealias=dealias).final
+    want = _hand_rk4_step(st, dt, scheme, dealias, full_rhs=lambda u, xi: rhs_skdv_grassmann(
+        u, xi, st.lam, dealias=dealias))
+    for g, w in zip((got.even, got.odd), want):
+        assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
 
 
 def _unbuffered_steps(st, dt, steps, scheme, dealias):
