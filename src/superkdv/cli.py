@@ -56,7 +56,6 @@ SIMULATE_DEFAULTS = {
     "track": None,
     "seed": 0,
     "record_every": None,
-    "dealias": True,
     "force": False,
 }
 
@@ -108,7 +107,7 @@ def _tracked_labels(cfg, system):
 
 def _resolve_ic(cfg, seed):
     spec = parse_ic(str(cfg["ic"]))
-    if isinstance(spec, RandomBandlimitedIC) and "seed=" not in str(cfg["ic"]):
+    if isinstance(spec, RandomBandlimitedIC) and spec.seed is None:
         spec.seed = seed
     return spec
 
@@ -140,7 +139,6 @@ def cmd_simulate(args):
     record_every = (_number(cfg, "record_every", int) if cfg["record_every"] is not None
                     else max(1, steps // 50))
     track = _tracked_labels(cfg, system)
-    dealias = bool(cfg["dealias"])
 
     ic_spec = _resolve_ic(cfg, seed)
     grid = PeriodicGrid(L, N)
@@ -167,14 +165,12 @@ def cmd_simulate(args):
         "track": list(track),
         "seed": seed,
         "record_every": record_every,
-        "dealias": dealias,
     }
 
     # a refused run writes nothing: the manifest follows the integration
     try:
         traj = integrate(state, dt, steps, scheme=scheme,
-                         record_every=record_every, force=bool(cfg["force"]),
-                         dealias=dealias)
+                         record_every=record_every, force=bool(cfg["force"]))
     except StabilityError as exc:
         raise UsageError(f"{exc}; rerun with --force to override")
     except NumericalBlowup as exc:
@@ -470,8 +466,6 @@ def build_parser():
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, help="seed for random initial data")
     sim.add_argument("--record-every", dest="record_every", type=int)
-    sim.add_argument("--no-dealias", dest="dealias", action="store_false",
-                     default=None)
     sim.add_argument("--force", action="store_true", default=None,
                      help="run past the linear stability guard")
     sim.add_argument("--config", help="JSON file mirroring the flags; flags win")
@@ -505,9 +499,6 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SuperKdVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,21 +50,20 @@ samples (the copy and derivative multiplies into the program's spectra,
 the irfft into its head), the program's calls, the rfft and weight into
 its k and, for rk4, the dispersion term: 38 calls for scalar extended
 with ifrk4, where the hand-written step made 48.  A state is built only
-for a step that is recorded or passed to the callback.  The samples of
-each new state are checked finite once; the stages are not, as a NaN in
-a stage's terms spreads through their rfft into the new state.  A step
-that fails the check is replayed from its kept spectrum by a list from
-the same builder that checks each stage, which tells a blow-up during the
-step from one after it, and the last finite state is rebuilt from that
-spectrum.  The ifrk4
+for a step that is recorded.  The samples of each new state are checked
+finite once; the stages are not, as a NaN in a stage's terms spreads
+through their rfft into the new state.  A step that fails the check is
+replayed from its kept spectrum by a list from the same builder that
+checks each stage, which tells a blow-up during the step from one after
+it, and the last finite state is rebuilt from that spectrum.  The ifrk4
 scheme is the Lawson integrating-factor form: it advances the -f''' term
 exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
 rk4 is the same loop with unit factors and the dispersion folded into
-each stage's right-hand side.  A stability guard rejects dt beyond
-0.5/k_lim^3 (10x relaxed for ifrk4), where k_lim is the largest
-wavenumber the dealias filter lets survive (the full spectrum when
-dealiasing is off); the mask is applied to the initial state and to every
-nonlinear evaluation, so no active mode ever exceeds k_lim.
+each stage's right-hand side.  Every run is dealiased by the 2/3 rule:
+modes above grid.dealias_keep are cut from the initial state and from
+every nonlinear evaluation, so no active mode ever exceeds
+k_lim = grid.k_max_active, and a stability guard rejects dt beyond
+0.5/k_lim^3 (10x relaxed for ifrk4).
 """
 
 import math
@@ -120,7 +119,7 @@ class SystemState:
 class _SpectralRHS(_Program):
     """The nonlinear terms of one system on one grid and backend at fixed
     lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
-    spectrum of D(flux) + source, masked by the 2/3 rule when dealias is set.
+    spectrum of D(flux) + source, masked by the 2/3 rule.
 
     Everything static is made here, once: the terms that do not vanish at
     lam and eps or on the backend (symbolic._live_terms) with their float
@@ -141,7 +140,7 @@ class _SpectralRHS(_Program):
     check, which they leave out, builds its mask.
     """
 
-    def __init__(self, kind, grid, desc, lam, eps=0.0, dealias=True):
+    def __init__(self, kind, grid, desc, lam, eps=0.0):
         n_even, n_odd = desc.even_dim, desc.odd_dim
         n_rows = n_even + n_odd
         # (even, odd) live terms of the fluxes and of the sources
@@ -171,12 +170,10 @@ class _SpectralRHS(_Program):
         self.link()
         values = self.placed[values]
         self.values = self.stack[values:values + n_values]
-        self.cut = grid.dealias_keep + 1 if dealias else None
         # ik on the flux rows, 1 on the source rows, and the 2/3 mask on both
         self.weight = np.ones((n_values, grid.N // 2 + 1), complex)
         self.weight[:self.n_flux] = grid.derivative_symbol(1)
-        if dealias:
-            self.weight[:, self.cut:] = 0.0
+        self.weight[:, grid.dealias_keep + 1:] = 0.0
         # the spectrum of [flux; source] is made in its own buffer unless
         # those rows are exactly [even; odd], when the weighted one is k
         rows = [*range(self.flux_rows.start, self.flux_rows.stop),
@@ -217,12 +214,12 @@ class _SpectralRHS(_Program):
                 calls.append((np.add, (sources, spec[n_flux:], sources)))
         return calls
 
-    def __call__(self, out=None, check=True):
+    def __call__(self):
         """ik F + S, masked, from the samples the last `physical` call made,
-        written into out (a fresh array when out is None), which is
-        returned; checked as calls_into checks."""
-        k = np.empty((self.n_rows, self.weight.shape[1]), complex) if out is None else out
-        run_calls(self.calls_into(k, check))
+        as a fresh array; non-finite flux or source samples raise
+        NonFiniteFieldError, as calls_into's check does."""
+        k = np.empty((self.n_rows, self.weight.shape[1]), complex)
+        run_calls(self.calls_into(k, True))
         return k
 
 
@@ -231,11 +228,11 @@ def _require_finite(values):
         raise NonFiniteFieldError("non-finite samples in the nonlinear terms")
 
 
-def _rhs(kind, grid, desc, lam, eps, dealias, dispersion, fields):
+def _rhs(kind, grid, desc, lam, eps, dispersion, fields):
     """The nonlinear terms, and the dispersion when asked, at each (even,
     odd) pair of fields, as fields: one _SpectralRHS for them all, and per
     pair one stacked rfft, the map and one stacked irfft."""
-    nonlinear = _SpectralRHS(kind, grid, desc, lam, eps, dealias)
+    nonlinear = _SpectralRHS(kind, grid, desc, lam, eps)
     for even, odd in fields:
         spec = grid.rfft(np.concatenate((even.data, odd.data)))
         nonlinear.physical(spec)
@@ -247,48 +244,46 @@ def _rhs(kind, grid, desc, lam, eps, dealias, dispersion, fields):
                OddField(grid, desc, data[desc.even_dim:]))
 
 
-def nonlinear_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
-    """Everything except the -f''' dispersion, dealiased when requested:
+def nonlinear_rhs(kind, even, odd, lam, eps=0.0):
+    """Everything except the -f''' dispersion, dealiased by the 2/3 rule:
     D(flux) + source from symbolic.nonlinear_terms, through the same
     spectral map the integrator steps with."""
-    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, dealias, False,
-                     [(even, odd)]))
+    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, False, [(even, odd)]))
 
 
-def _full_rhs(kind, even, odd, lam, eps=0.0, dealias=True):
-    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, dealias, True,
-                     [(even, odd)]))
+def _full_rhs(kind, even, odd, lam, eps=0.0):
+    return next(_rhs(kind, even.grid, even.descriptor, lam, eps, True, [(even, odd)]))
 
 
-def rhs_modified(v, eta, lam, dealias=True):
-    return _full_rhs("modified", v, eta, lam, 0.0, dealias)
+def rhs_modified(v, eta, lam):
+    return _full_rhs("modified", v, eta, lam)
 
 
-def rhs_extended(u, xi, lam, dealias=True):
-    return _full_rhs("extended", u, xi, lam, 0.0, dealias)
+def rhs_extended(u, xi, lam):
+    return _full_rhs("extended", u, xi, lam)
 
 
-def rhs_skdv_grassmann(u, xi, lam, dealias=True):
+def rhs_skdv_grassmann(u, xi, lam):
     """The N=1 super KdV right-hand side (Mathieu 1988) by field
     arithmetic, with no compiled program: extended's at lam = 0 plus
     -6 L xi xi'', its 3 L [xi'', xi] written with the odd product, which
-    only the grassmann backend has (GradingError elsewhere).  There
+    only the grassmann backend has (GradingError elsewhere), and
+    dealiased by the 2/3 rule as every right-hand side is.  There
     [a, b] = 2ab, so it is the extended right-hand side."""
     pair = (-6.0 * lam) * xi.odd_mul(xi.derivative(2))
-    even, odd = rhs_extended(u, xi, 0.0, dealias)
-    return even + (pair.dealiased() if dealias else pair), odd
+    even, odd = rhs_extended(u, xi, 0.0)
+    return even + pair.dealiased(), odd
 
 
-def rhs_gardner(z, sigma, lam, eps, dealias=True):
-    return _full_rhs("gardner", z, sigma, lam, eps, dealias)
+def rhs_gardner(z, sigma, lam, eps):
+    return _full_rhs("gardner", z, sigma, lam, eps)
 
 
-def rhs_state(state, dealias=True):
-    return _full_rhs(state.kind, state.even, state.odd, state.lam,
-                     state.epsilon, dealias)
+def rhs_state(state):
+    return _full_rhs(state.kind, state.even, state.odd, state.lam, state.epsilon)
 
 
-def rhs_states(states, dealias=True):
+def rhs_states(states):
     """rhs_state of each of several states of one system, grid, backend,
     lam and eps, as a list, through one _SpectralRHS."""
     def key(s):
@@ -298,7 +293,7 @@ def rhs_states(states, dealias=True):
     if any(key(s) != key(first) for s in states):
         raise SuperKdVError("states must share system, grid, backend, lam and eps")
     return list(_rhs(first.kind, first.grid, first.descriptor, first.lam,
-                     first.epsilon, dealias, True, [(s.even, s.odd) for s in states]))
+                     first.epsilon, True, [(s.even, s.odd) for s in states]))
 
 
 class Trajectory:
@@ -359,24 +354,24 @@ class Trajectory:
         return iter(self.states)
 
 
-def stability_limit(grid, scheme, dealias=True):
-    """Largest dt the guard accepts for the -f''' dispersion."""
-    k_lim = grid.k_max_active if dealias else float(grid.k[-1])
-    dt_max = 0.5 / k_lim ** 3
+def stability_limit(grid, scheme):
+    """Largest dt the guard accepts for the -f''' dispersion on the modes
+    the 2/3 rule keeps."""
+    dt_max = 0.5 / grid.k_max_active ** 3
     if scheme == "ifrk4":
         dt_max *= 10.0  # dispersion handled exactly; guard only the nonlinearity
     return dt_max
 
 
-def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
-              force=False, dealias=True):
-    """Advance `state` by `steps` fixed steps of size `dt`.
+def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False):
+    """Advance `state` by `steps` fixed steps of size `dt`, dealiased by
+    the 2/3 rule.
 
-    Returns a Trajectory holding the initial state, every record_every-th
-    step, and the final step.  callback(state) runs after every step.  The
-    spectra of the state, the stages and the four k's live in buffers made
-    once per call, so a step makes no spectrum or sample array beyond the
-    states it records.
+    Returns a Trajectory holding the initial state with its modes above
+    grid.dealias_keep cut, every record_every-th step, and the final step.
+    The spectra of the state, the stages and the four k's live in buffers
+    made once per call, so a step makes no spectrum or sample array beyond
+    the states it records.
     Raises StabilityError when dt exceeds the guard (unless force=True),
     SuperKdVError before any step when the recorded times would not
     strictly increase (t + dt rounds to t near a large start time t),
@@ -396,7 +391,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
         raise SuperKdVError(f"unknown scheme {scheme!r}")
     if not (np.isfinite(state.even.data).all() and np.isfinite(state.odd.data).all()):
         raise NonFiniteFieldError("the initial state is not finite")
-    dt_max = stability_limit(state.grid, scheme, dealias)
+    dt_max = stability_limit(state.grid, scheme)
     if dt > dt_max and not force:
         raise StabilityError(
             f"dt={dt:g} exceeds the {scheme} dispersion guard {dt_max:g} "
@@ -410,7 +405,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
 
     grid, desc = state.grid, state.descriptor
     n_even, n_rows = desc.even_dim, desc.even_dim + desc.odd_dim
-    nonlinear = _SpectralRHS(state.kind, grid, desc, state.lam, state.epsilon, dealias)
+    nonlinear = _SpectralRHS(state.kind, grid, desc, state.lam, state.epsilon)
     step_calls = _RK4Step(nonlinear, dt, scheme)
     phys = nonlinear.head
 
@@ -438,14 +433,13 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
                                last, step, last.time + dt)
 
     # The state lives in transform space as rfft([even; odd]).  The stacked
-    # inverse transform after each step gives the finite check, the record
-    # and the callback state, and with its derivative rows it is the
-    # samples of the next step's k1.
+    # inverse transform after each step gives the finite check and the
+    # record, and with its derivative rows it is the samples of the next
+    # step's k1.
     spec = grid.rfft(np.concatenate((state.even.data, state.odd.data)))
-    if dealias:
-        spec[:, nonlinear.cut:] = 0.0
+    spec[:, grid.dealias_keep + 1:] = 0.0
     nonlinear.physical(spec)
-    first = at(None) if dealias else state
+    first = at(None)
     records = [first]
 
     # A step writes the new spectrum into the other of two buffers, so the
@@ -463,13 +457,8 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, callback=None,
                 function(*args)
             if not np.isfinite(phys[:n_rows]).all():
                 raise blowup(buffers[1 - step % 2], buffers[step % 2], step)
-            record = step % record_every == 0 or step == steps
-            if record or callback is not None:
-                current = at(state.time + step * dt)
-                if callback is not None:
-                    callback(current)
-                if record:
-                    records.append(current)
+            if step % record_every == 0 or step == steps:
+                records.append(at(state.time + step * dt))
     return Trajectory(records)
 
 

@@ -84,10 +84,6 @@ class PeriodicGrid:
         return sym
 
     @property
-    def dealias_mask(self):
-        return (np.arange(self.N // 2 + 1) <= self.dealias_keep)
-
-    @property
     def k_max_active(self):
         """Largest wavenumber the dealias filter lets survive."""
         return 2.0 * np.pi * self.dealias_keep / self.L
@@ -154,7 +150,7 @@ class _Field(_Graded):
     def dealiased(self):
         grid = self.grid
         spec = grid.rfft(self.data)
-        spec[..., ~grid.dealias_mask] = 0.0
+        spec[..., grid.dealias_keep + 1:] = 0.0
         return type(self)(grid, self.descriptor, grid.irfft(spec))
 
     def quadrature(self):
@@ -237,16 +233,18 @@ class ZeroIC:
 class RandomBandlimitedIC:
     """Seeded trig polynomials (modes 0..max_mode) on every channel of both
     fields, each field rescaled so its largest coordinate sample equals
-    amplitude.  Mode 0 is included so the mean of u starts at O(amplitude)."""
+    amplitude.  Mode 0 is included so the mean of u starts at O(amplitude).
+    seed stays None when none is given, which draws as seed 0, so that the
+    CLI can tell it apart and fill in its --seed."""
 
     name = "random_bandlimited"
 
-    def __init__(self, max_mode=5, amplitude=0.5, seed=0):
+    def __init__(self, max_mode=5, amplitude=0.5, seed=None):
         self.max_mode = finite_number("max_mode", max_mode, int)
         if self.max_mode < 0:
             raise SuperKdVError(f"max_mode must be >= 0, got {self.max_mode}")
         self.amplitude = finite_number("amplitude", amplitude)
-        self.seed = finite_number("seed", seed, int)
+        self.seed = None if seed is None else finite_number("seed", seed, int)
 
     def params(self):
         return {"max_mode": self.max_mode, "amplitude": self.amplitude,
@@ -299,10 +297,11 @@ def build_initial_condition(spec, grid, descriptor):
     elif isinstance(spec, ZeroIC):
         pass
     elif isinstance(spec, RandomBandlimitedIC):
-        if spec.seed < 0:
+        seed = 0 if spec.seed is None else spec.seed
+        if seed < 0:
             raise SuperKdVError(f"random_bandlimited needs a non-negative seed, "
-                                f"got {spec.seed}")
-        rng = np.random.default_rng(spec.seed)
+                                f"got {seed}")
+        rng = np.random.default_rng(seed)
         phase = 2.0 * np.pi * np.outer(np.arange(spec.max_mode + 1), x) / grid.L
         basis_cos, basis_sin = np.cos(phase), np.sin(phase)
         for field in (even, odd):

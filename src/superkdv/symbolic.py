@@ -24,8 +24,9 @@ product ops, one per group of terms sharing their last factor, and
 bound level by level, each level's small ops fused into one, as one flat
 list of numpy calls, it runs them on samples it checks finite, the
 derivatives taken with one stacked transform each way.  Every numeric
-evaluation of the package, the evolution right-hand sides included, runs
-on it.
+evaluation of these texts, the evolution right-hand sides included, runs
+on it; transforms.susy_variation and dynamics.rhs_skdv_grassmann, whose
+formulas are no texts here, use field arithmetic.
 
 Equality modulo total derivatives is decided exactly, in the free model
 of the normal form (u-derivatives and brackets as independent symbols).

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from superkdv.algebra import AlgebraDescriptor
-from superkdv.cli import main
+from superkdv.cli import _DEST, SIMULATE_DEFAULTS, build_parser, main
 from superkdv.dynamics import SystemState
 from superkdv.fields import EvenField, OddField, PeriodicGrid
 from superkdv.snapshots import dump_json, load_json, read_csv, read_snapshot, state_to_dict
@@ -33,6 +33,7 @@ def test_simulate_writes_artifacts(tmp_path):
     assert manifest["N"] == 256
     assert manifest["ic"]["name"] == "soliton"
     assert "code_version" in manifest
+    assert "dealias" not in manifest  # every run uses the 2/3 rule
     header, rows = read_csv(out / "conserved.csv")
     assert header[0] == "time"
     assert "H2[unit]" in header
@@ -80,7 +81,7 @@ def test_readme_run_reproduces_its_digest(tmp_path):
     for name in names:
         digest.update((out / name).read_bytes())
     assert len(names) == 53
-    assert digest.hexdigest()[:12] == "ff9ac92416b6"
+    assert digest.hexdigest()[:12] == "775f75d47979"
 
 
 def test_seed_flag_feeds_random_ic(tmp_path):
@@ -91,6 +92,23 @@ def test_seed_flag_feeds_random_ic(tmp_path):
     assert run(args + [b, "--seed", 2]) == 0
     assert load_json(a / "manifest.json")["ic"]["params"]["seed"] == 1
     assert not filecmp.cmp(a / "conserved.csv", b / "conserved.csv", shallow=False)
+
+
+def test_ic_seed_wins_over_the_seed_flag_however_written(tmp_path):
+    # the IC's own seed is read from the parsed IC, not its text, so
+    # "seed = 3" is seed 3 as "seed=3" is, and --seed does not replace it
+    outs = {}
+    for name, ic in (("tight", "random_bandlimited(seed=3)"),
+                     ("spaced", "random_bandlimited(seed = 3)")):
+        outs[name] = tmp_path / name
+        assert run(["simulate", "--ic", ic, "--grid", 64, "--t-end", 0.002,
+                    "--seed", 5, "--out", outs[name]]) == 0
+    tight, spaced = outs["tight"], outs["spaced"]
+    assert load_json(tight / "manifest.json")["ic"]["params"]["seed"] == 3
+    names = sorted(p.name for p in tight.iterdir())
+    assert names == sorted(p.name for p in spaced.iterdir())
+    for name in names:
+        assert filecmp.cmp(tight / name, spaced / name, shallow=False), name
 
 
 def test_invalid_combinations_exit_2(tmp_path):
@@ -202,6 +220,27 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sytsem": "extended"}))
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+
+
+def test_simulate_config_keys_are_the_flags():
+    # every config key is read through its flag's dest, so a key whose
+    # flag is gone would be silently config-only
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in sub.choices["simulate"]._actions} - {"help", "out", "config"}
+    assert dests == {_DEST.get(k, k) for k in SIMULATE_DEFAULTS}
+
+
+def test_dealiasing_cannot_be_turned_off(tmp_path, capsys):
+    # every run uses the 2/3 rule: --no-dealias is no flag, dealias no
+    # config key
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--no-dealias", "--out", tmp_path / "flag"])
+    assert info.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dealias": False}))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "key"]) == 2
+    assert "unknown config key 'dealias'" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
 
 
 def test_config_integer_settings_refuse_fractions(tmp_path, capsys):

@@ -107,7 +107,7 @@ def reference_modified(v, eta, lam, eps):
 ])
 def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str):
     st = random_state(kind, desc_str, lam, eps=eps)
-    got = nonlinear_rhs(kind, st.even, st.odd, lam, eps, dealias=False)
+    got = nonlinear_rhs(kind, st.even, st.odd, lam, eps)
     fluxes, sources = reference(st.even, st.odd, lam, eps)
     want = [flux.derivative(1) + source for flux, source in zip(fluxes, sources)]
     scale = max(want[0].norm(), want[1].norm())
@@ -194,15 +194,14 @@ def test_lambda_zero_decouples_even_sector():
 
 def test_extended_and_skdv_agree_on_grassmann():
     # the compiled extended right-hand side against the N=1 super KdV one
-    # written with the odd product by field arithmetic, dealiased or not;
-    # the odd parts are extended's own, which reads no lam
+    # written with the odd product by field arithmetic; the odd parts are
+    # extended's own, which reads no lam
     st = random_state("extended", "grassmann:4", lam=0.9)
-    for dealias in (True, False):
-        re_a, ro_a = rhs_extended(st.even, st.odd, lam=0.9, dealias=dealias)
-        re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=0.9, dealias=dealias)
-        scale = max(re_a.norm(), 1.0)
-        assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
-        assert np.array_equal(ro_a.data, ro_b.data)
+    re_a, ro_a = rhs_extended(st.even, st.odd, lam=0.9)
+    re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=0.9)
+    scale = max(re_a.norm(), 1.0)
+    assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
+    assert np.array_equal(ro_a.data, ro_b.data)
 
 
 @pytest.mark.parametrize("desc_str", ["grassmann:1", "grassmann:2", "grassmann:3",
@@ -212,12 +211,11 @@ def test_n1_super_kdv_rhs_is_extended_on_every_grassmann_order(desc_str):
     # grassmann:1 xi xi'' vanishes, and so must extended's bracket term
     st = random_state("extended", desc_str, lam=1.0, N=64, L=20.0)
     for lam in (0.0, -0.7, 2.5):
-        for dealias in (True, False):
-            re_a, ro_a = rhs_extended(st.even, st.odd, lam=lam, dealias=dealias)
-            re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=lam, dealias=dealias)
-            scale = max(re_a.norm(), 1.0)
-            assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
-            assert np.array_equal(ro_a.data, ro_b.data)
+        re_a, ro_a = rhs_extended(st.even, st.odd, lam=lam)
+        re_b, ro_b = rhs_skdv_grassmann(st.even, st.odd, lam=lam)
+        scale = max(re_a.norm(), 1.0)
+        assert np.max(np.abs(re_a.data - re_b.data)) < 1e-13 * scale
+        assert np.array_equal(ro_a.data, ro_b.data)
 
 
 def test_skdv_rejects_non_grassmann_backend():
@@ -270,10 +268,11 @@ def test_stability_guard_rejects_and_force_overrides():
 
 
 def test_ifrk4_guard_is_ten_times_looser():
+    # the guard reads the largest wavenumber the 2/3 rule keeps
     grid = PeriodicGrid(40.0, 128)
     assert stability_limit(grid, "ifrk4") == pytest.approx(
         10.0 * stability_limit(grid, "rk4"))
-    assert stability_limit(grid, "rk4", dealias=False) < stability_limit(grid, "rk4")
+    assert stability_limit(grid, "rk4") == 0.5 / grid.k_max_active ** 3
 
 
 def test_ifrk4_transports_linear_mode_exactly():
@@ -313,12 +312,9 @@ def test_rk4_is_fourth_order_on_soliton():
         assert 12.0 < coarse / fine < 20.0
 
 
-def test_trajectory_recording_and_callback():
+def test_trajectory_recording():
     st = random_state("extended", "grassmann:2", lam=1.0, N=64, L=20.0)
-    seen = []
-    traj = integrate(st, dt=2e-4, steps=10, record_every=4,
-                     callback=lambda s: seen.append(s.time))
-    assert len(seen) == 10
+    traj = integrate(st, dt=2e-4, steps=10, record_every=4)
     assert [len(traj), traj[0].time] == [4, 0.0]
     assert traj.times == pytest.approx([0.0, 8e-4, 16e-4, 20e-4])
     assert traj.final.time == pytest.approx(20e-4)
@@ -410,35 +406,32 @@ def test_integrate_argument_validation():
     assert np.array_equal(traj.final.even.data, want.final.even.data)
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("kind,eps", [("modified", 0.0), ("extended", 0.0),
                                       ("gardner", 0.3)])
-def test_ifrk4_matches_rk4_closely_on_smooth_data(kind, eps, dealias):
-    # dt = 5e-4 would exceed the rk4 guard on the full N = 128 spectrum
+def test_ifrk4_matches_rk4_closely_on_smooth_data(kind, eps):
     st = random_state(kind, "grassmann:2", lam=1.0, N=128, L=40.0, eps=eps)
     dt, steps = 2.5e-4, 128
-    a = integrate(st, dt=dt, steps=steps, record_every=steps,
-                  dealias=dealias).final
-    b = integrate(st, dt=dt, steps=steps, scheme="ifrk4", record_every=steps,
-                  dealias=dealias).final
+    a = integrate(st, dt=dt, steps=steps, record_every=steps).final
+    b = integrate(st, dt=dt, steps=steps, scheme="ifrk4", record_every=steps).final
     scale = max(a.even.norm(), 1.0)
     assert np.max(np.abs(a.even.data - b.even.data)) < 1e-8 * scale
     assert np.max(np.abs(a.odd.data - b.odd.data)) < 1e-8 * scale
-    if dealias:
-        keep = st.grid.dealias_keep
-        for field in (a.even, a.odd, b.even, b.odd):
-            spec = np.abs(np.fft.rfft(field.data, axis=-1))
-            assert np.max(spec[:, keep + 1:]) < 1e-12 * max(spec.max(), 1.0)
+    keep = st.grid.dealias_keep
+    for field in (a.even, a.odd, b.even, b.odd):
+        spec = np.abs(np.fft.rfft(field.data, axis=-1))
+        assert np.max(spec[:, keep + 1:]) < 1e-12 * max(spec.max(), 1.0)
 
 
 def test_nonlinear_rhs_is_dealiased():
+    # the hand-written flux, by field arithmetic with no mask, spills over
+    # the retained band; the right-hand side does not
     grid = PeriodicGrid(20.0, 64)
     desc = AlgebraDescriptor.from_string("scalar")
     even, odd = build_initial_condition(
         "random_bandlimited(max_mode=15,amplitude=0.4,seed=5)", grid, desc)
     keep = grid.dealias_keep
-    raw, _ = nonlinear_rhs("extended", even, odd, 0.0, dealias=False)
-    spec_raw = np.fft.rfft(raw.data[0])
+    (flux, _), (source, _) = reference_extended(even, odd, 0.0, 0.0)
+    spec_raw = np.fft.rfft((flux.derivative(1) + source).data[0])
     assert np.max(np.abs(spec_raw[keep + 1:])) > 1e-3  # products really spill over
     filtered, _ = nonlinear_rhs("extended", even, odd, 0.0)
     spec = np.fft.rfft(filtered.data[0])
@@ -465,7 +458,7 @@ def test_integrate_makes_one_transform_each_way_per_stage(kind, desc_str, lam, e
     assert (three[0] - one[0], three[1] - one[1]) == (2 * 4, 2 * 4)
 
 
-def _hand_rk4_step(st, dt, scheme, dealias, full_rhs=None):
+def _hand_rk4_step(st, dt, scheme, full_rhs=None):
     """One RK4 step assembled from the public nonlinear_rhs and the
     dispersion, in physical space; ifrk4 is the Lawson form with the exact
     dispersion propagator exp(-h (ik)^3) applied to whole fields.  A given
@@ -486,8 +479,7 @@ def _hand_rk4_step(st, dt, scheme, dealias, full_rhs=None):
     def nonlinear(y):
         if full_rhs is not None:
             return join(*full_rhs(*split(y))) - dispersion(y)
-        return join(*nonlinear_rhs(st.kind, *split(y), st.lam, st.epsilon,
-                                   dealias=dealias))
+        return join(*nonlinear_rhs(st.kind, *split(y), st.lam, st.epsilon))
 
     def propagate(y, h):
         spec = np.fft.rfft(y, axis=-1) * np.exp(-h * grid.derivative_symbol(3))
@@ -513,43 +505,40 @@ def _hand_rk4_step(st, dt, scheme, dealias, full_rhs=None):
                                                 + 2.0 * propagate(k3, half) + k4))
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS[1:])
-def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, scheme,
-                                                    dealias):
+def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, scheme):
     # band-limited below N//3, so the initial 2/3 mask changes nothing
     st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
-    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
-    got = integrate(st, dt=dt, steps=1, scheme=scheme, dealias=dealias).final
-    want = _hand_rk4_step(st, dt, scheme, dealias)
+    dt = 0.5 * stability_limit(st.grid, scheme)
+    got = integrate(st, dt=dt, steps=1, scheme=scheme).final
+    want = _hand_rk4_step(st, dt, scheme)
     for g, w in zip((got.even, got.odd), want):
         assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
         assert g.data.base is None  # a record does not hold the derivative rows
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("desc_str", ["grassmann:2", "grassmann:3", "grassmann:4"])
-def test_n1_super_kdv_step_matches_rk4_from_the_odd_product(desc_str, scheme, dealias):
+def test_n1_super_kdv_step_matches_rk4_from_the_odd_product(desc_str, scheme):
     # the N=1 super KdV is extended on grassmann: one integrator step of it
     # against one assembled from rhs_skdv_grassmann, whose bracket term is
     # -6 L xi xi'' by field arithmetic, not a compiled bracket
     st = random_state("extended", desc_str, 1.0, N=64, L=20.0)
-    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
-    got = integrate(st, dt=dt, steps=1, scheme=scheme, dealias=dealias).final
-    want = _hand_rk4_step(st, dt, scheme, dealias, full_rhs=lambda u, xi: rhs_skdv_grassmann(
-        u, xi, st.lam, dealias=dealias))
+    dt = 0.5 * stability_limit(st.grid, scheme)
+    got = integrate(st, dt=dt, steps=1, scheme=scheme).final
+    want = _hand_rk4_step(st, dt, scheme, full_rhs=lambda u, xi: rhs_skdv_grassmann(
+        u, xi, st.lam))
     for g, w in zip((got.even, got.odd), want):
         assert np.max(np.abs(g.data - w.data)) <= 1e-13 * max(w.norm(), 1.0)
 
 
-def _unbuffered_steps(st, dt, steps, scheme, dealias):
+def _unbuffered_steps(st, dt, steps, scheme):
     """integrate's RK4 loop on the same _SpectralRHS, with a fresh array for
     every product and sum of the stage formulas; returns the final samples
     of [even; odd]."""
     grid, desc = st.grid, st.descriptor
-    nonlinear = _SpectralRHS(st.kind, grid, desc, st.lam, st.epsilon, dealias)
+    nonlinear = _SpectralRHS(st.kind, grid, desc, st.lam, st.epsilon)
     dispersion = -grid.derivative_symbol(3)
     if scheme == "ifrk4":
         e_half, linear = np.exp(0.5 * dt * dispersion), None
@@ -565,8 +554,7 @@ def _unbuffered_steps(st, dt, steps, scheme, dealias):
         return k
 
     spec = np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1)
-    if dealias:
-        spec[:, nonlinear.cut:] = 0.0
+    spec[:, grid.dealias_keep + 1:] = 0.0
     for _ in range(steps):
         k1 = rhs(spec)
         k2 = rhs(e_half * (spec + (0.5 * dt) * k1))
@@ -579,10 +567,9 @@ def _unbuffered_steps(st, dt, steps, scheme, dealias):
 
 
 @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS)
-def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, dealias, zero):
+def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, zero):
     # the stages are formed in place with the same operations in the same
     # order, so the fields agree bit for bit, and so does the sign of each
     # zero of a zero state: the bytes are compared
@@ -590,9 +577,9 @@ def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, 
     if zero:
         st = st.replace_fields(EvenField.zeros(st.grid, st.descriptor),
                                OddField.zeros(st.grid, st.descriptor))
-    dt = 0.5 * stability_limit(st.grid, scheme, dealias)
-    got = integrate(st, dt=dt, steps=3, scheme=scheme, dealias=dealias).final
-    want = _unbuffered_steps(st, dt, 3, scheme, dealias)
+    dt = 0.5 * stability_limit(st.grid, scheme)
+    got = integrate(st, dt=dt, steps=3, scheme=scheme).final
+    want = _unbuffered_steps(st, dt, 3, scheme)
     assert np.concatenate((got.even.data, got.odd.data)).tobytes() == want.tobytes()
 
 
@@ -705,24 +692,23 @@ PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "extended", "gardne
                    for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")]
 
 
-def _stage(kind, desc_str, dealias, lam=1.3, eps=0.4):
+def _stage(kind, desc_str, lam=1.3, eps=0.4):
     """A _SpectralRHS of the system with one stage run on random data."""
     st = random_state(kind, desc_str, lam, N=64, L=20.0,
                       eps=eps if kind == "gardner" else 0.0)
-    nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon, dealias)
+    nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon)
     nonlinear.physical(np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1))
     nonlinear()
     return st, nonlinear
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("kind,desc_str,lam,eps", [
     (kind, desc_str, lam, eps) for kind, desc_str in PROGRAM_SYSTEMS
     # lam = 0 drops every bracket term, eps = 0 the e^2 part of gardner,
     # so groups shrink to one term and parts vanish
     for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
-def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps, dealias):
-    _assert_stage_matches_handwritten(*_stage(kind, desc_str, dealias, lam, eps))
+def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps):
+    _assert_stage_matches_handwritten(*_stage(kind, desc_str, lam, eps))
 
 
 @pytest.mark.parametrize("kind,desc_str", PROGRAM_SYSTEMS)
@@ -732,9 +718,9 @@ def test_fused_levels_keep_the_bits_of_op_by_op_evaluation(kind, desc_str, monke
     # their order between exact zeros: the stage equals op by op
     # evaluation (no fused level) bit for bit, in a stack of the same rows.
     # On scalar each level of these stages has one op, so nothing fuses
-    _, fused = _stage(kind, desc_str, dealias=True)
+    _, fused = _stage(kind, desc_str)
     monkeypatch.setattr(symbolic, "FUSED_SAMPLES", 0)
-    _, single = _stage(kind, desc_str, dealias=True)
+    _, single = _stage(kind, desc_str)
     assert single.fused == [] and bool(fused.fused) == (desc_str != "scalar")
     assert fused.values.tobytes() == single.values.tobytes()
     assert fused.stack.shape == single.stack.shape
@@ -850,7 +836,7 @@ def test_stage_op_count(kind, desc_str, ops):
     # u xi, u u', 3 e^2 u^2 xi' (its 3 e^2 L [xi', xi] xi' vanishes) and
     # 3 e^2 u u' xi; the lone 3 L [xi', xi] of the even flux reads the
     # bracket the group multiplies, where it took an op of its own (8)
-    _, nonlinear = _stage(kind, desc_str, dealias=True)
+    _, nonlinear = _stage(kind, desc_str)
     assert len(nonlinear.ops) == ops
 
 
@@ -860,7 +846,7 @@ def test_stage_without_the_proof_compiles_the_free_form(monkeypatch):
     # its group op included, and the values still match the hand-written
     # terms, which evaluate them all
     monkeypatch.setattr(Algebra, "bracket_product_alternates", property(lambda self: False))
-    st, nonlinear = _stage("modified", "grassmann:3", dealias=True)
+    st, nonlinear = _stage("modified", "grassmann:3")
     assert len(nonlinear.ops) == 7
     _assert_stage_matches_handwritten(st, nonlinear)
 
@@ -873,7 +859,7 @@ def test_stage_gathered_rows(kind, desc_str, rows):
     # odd source's two groups (182 each).  grassmann:3: 4 + 7 + 6 + 7 + 7
     # + 7.  The free form also makes [eta'', eta], one commutator table
     # more: 1186 and 44.
-    _, nonlinear = _stage(kind, desc_str, dealias=True)
+    _, nonlinear = _stage(kind, desc_str)
     assert sum(len(left) for _, left, *_ in nonlinear.ops) == rows
 
 
@@ -892,7 +878,7 @@ def test_stage_without_the_half_table_proof_gathers_both_halves(monkeypatch):
     assert not altered.odd_half_antisymmetric and altered.bracket_product_alternates
     monkeypatch.setattr(symbolic, "get_algebra", lambda descriptor: (
         altered if descriptor == desc else get_algebra(descriptor)))
-    st, nonlinear = _stage("modified", "grassmann:6", dealias=True)
+    st, nonlinear = _stage("modified", "grassmann:6")
     assert [len(left) for product, left, *_ in nonlinear.ops
             if product == "odd_commutator"] == [364]
     assert sum(len(left) for _, left, *_ in nonlinear.ops) == 1186

@@ -180,6 +180,14 @@ def test_parse_ic():
     assert isinstance(ic, SolitonIC) and ic.kappa == 2.0 and ic.x0 == 10.0
     ic = parse_ic("random_bandlimited(max_mode=4,amplitude=0.3,seed=12)")
     assert isinstance(ic, RandomBandlimitedIC) and ic.seed == 12
+    assert parse_ic("random_bandlimited(seed = 12)").seed == 12
+    # no seed given stays None, so the CLI can fill in --seed, and draws seed 0
+    unseeded = parse_ic("random_bandlimited")
+    assert unseeded.seed is None
+    g, d = PeriodicGrid(20.0, 32), AlgebraDescriptor("symplectic", 1)
+    drawn = build_initial_condition(unseeded, g, d)
+    zero = build_initial_condition(RandomBandlimitedIC(seed=0), g, d)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(drawn, zero))
     ic = parse_ic("gaussian(amplitude=0.2,width=3,channel=odd:e1)")
     assert isinstance(ic, GaussianIC) and ic.channel == "odd:e1"
     assert parse_ic("soliton").kappa == 1.0

@@ -37,14 +37,14 @@ def random_fields(desc_str, seed=3, N=128, L=2 * np.pi, amplitude=0.3, max_mode=
 def test_miura_intertwines_the_flows(desc_str):
     lam = 1.3
     v, eta = random_fields(desc_str)
-    vt, etat = rhs_modified(v, eta, lam, dealias=False)
+    vt, etat = rhs_modified(v, eta, lam)
     etap = eta.derivative(1)
     u, xi = miura(v, eta, lam)
     ut_chain = (vt.derivative(1) + 2.0 * (v * vt)
                 + (-lam) * (etat.commutator(etap)
                             + eta.commutator(etat.derivative(1))))
     xit_chain = etat.derivative(1) + vt * eta + v * etat
-    ut, xit = rhs_extended(u, xi, lam, dealias=False)
+    ut, xit = rhs_extended(u, xi, lam)
     scale = max(ut.norm(), xit.norm(), 1.0)
     assert np.max(np.abs(ut_chain.data - ut.data)) < 1e-9 * scale
     assert np.max(np.abs(xit_chain.data - xit.data)) < 1e-9 * scale
