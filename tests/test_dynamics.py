@@ -40,11 +40,14 @@ from superkdv.symbolic import _Program, density_poly, gardner_coefficients, map_
 from superkdv.transforms import _series_program, miura
 
 
-def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0):
+def random_state(kind, desc_str, lam, N=128, L=40.0, seed=3, eps=0.0, wide=False):
+    """Seeded random fields of modes up to 5, well inside the 2/3 band, or
+    with wide up to N//2 - 1, past it."""
     grid = PeriodicGrid(L, N)
     desc = AlgebraDescriptor.from_string(desc_str)
+    max_mode = N // 2 - 1 if wide else 5
     even, odd = build_initial_condition(
-        f"random_bandlimited(max_mode=5,amplitude=0.4,seed={seed})", grid, desc)
+        f"random_bandlimited(max_mode={max_mode},amplitude=0.4,seed={seed})", grid, desc)
     return SystemState(kind, even, odd, lam=lam, epsilon=eps)
 
 
@@ -105,11 +108,16 @@ def reference_modified(v, eta, lam, eps):
     ("gardner", 0.3, reference_gardner),
     ("modified", 0.0, reference_modified),
 ])
-def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str):
-    st = random_state(kind, desc_str, lam, eps=eps)
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "wide"])
+def test_nonlinear_rhs_matches_handwritten_terms(kind, eps, reference, lam, desc_str, wide):
+    # the right-hand side is the hand-written terms with the modes past the
+    # 2/3 band cut; on wide data the products reach every mode, on band
+    # data the cut changes nothing
+    st = random_state(kind, desc_str, lam, eps=eps, wide=wide)
     got = nonlinear_rhs(kind, st.even, st.odd, lam, eps)
     fluxes, sources = reference(st.even, st.odd, lam, eps)
-    want = [flux.derivative(1) + source for flux, source in zip(fluxes, sources)]
+    want = [(flux.derivative(1) + source).dealiased()
+            for flux, source in zip(fluxes, sources)]
     scale = max(want[0].norm(), want[1].norm())
     for g, w in zip(got, want):
         assert type(g) is type(w)
@@ -461,9 +469,10 @@ def test_integrate_makes_one_transform_each_way_per_stage(kind, desc_str, lam, e
 def _hand_rk4_step(st, dt, scheme, full_rhs=None):
     """One RK4 step assembled from the public nonlinear_rhs and the
     dispersion, in physical space; ifrk4 is the Lawson form with the exact
-    dispersion propagator exp(-h (ik)^3) applied to whole fields.  A given
-    full_rhs(even, odd) replaces both: its nonlinear part is it less the
-    dispersion."""
+    dispersion propagator exp(-h (ik)^3) applied to whole fields.  It starts
+    from st with the modes past the 2/3 band cut, as integrate does.  A
+    given full_rhs(even, odd) replaces both: its nonlinear part is it less
+    the dispersion."""
     grid, desc = st.grid, st.descriptor
     n_even = desc.even_dim
 
@@ -485,7 +494,7 @@ def _hand_rk4_step(st, dt, scheme, full_rhs=None):
         spec = np.fft.rfft(y, axis=-1) * np.exp(-h * grid.derivative_symbol(3))
         return np.fft.irfft(spec, n=grid.N, axis=-1)
 
-    y = join(st.even, st.odd)
+    y = join(st.even.dealiased(), st.odd.dealiased())
     if scheme == "rk4":
         def f(z):
             if full_rhs is not None:
@@ -505,11 +514,13 @@ def _hand_rk4_step(st, dt, scheme, full_rhs=None):
                                                 + 2.0 * propagate(k3, half) + k4))
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "wide"])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS[1:])
-def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, scheme):
-    # band-limited below N//3, so the initial 2/3 mask changes nothing
-    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
+def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, scheme, wide):
+    # on band data the initial 2/3 mask changes nothing; on wide data it
+    # cuts the modes past the band, as the hand step does
+    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps, wide=wide)
     dt = 0.5 * stability_limit(st.grid, scheme)
     got = integrate(st, dt=dt, steps=1, scheme=scheme).final
     want = _hand_rk4_step(st, dt, scheme)
@@ -518,13 +529,14 @@ def test_integrate_step_matches_rk4_from_public_rhs(kind, desc_str, lam, eps, sc
         assert g.data.base is None  # a record does not hold the derivative rows
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "wide"])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("desc_str", ["grassmann:2", "grassmann:3", "grassmann:4"])
-def test_n1_super_kdv_step_matches_rk4_from_the_odd_product(desc_str, scheme):
+def test_n1_super_kdv_step_matches_rk4_from_the_odd_product(desc_str, scheme, wide):
     # the N=1 super KdV is extended on grassmann: one integrator step of it
     # against one assembled from rhs_skdv_grassmann, whose bracket term is
     # -6 L xi xi'' by field arithmetic, not a compiled bracket
-    st = random_state("extended", desc_str, 1.0, N=64, L=20.0)
+    st = random_state("extended", desc_str, 1.0, N=64, L=20.0, wide=wide)
     dt = 0.5 * stability_limit(st.grid, scheme)
     got = integrate(st, dt=dt, steps=1, scheme=scheme).final
     want = _hand_rk4_step(st, dt, scheme, full_rhs=lambda u, xi: rhs_skdv_grassmann(
@@ -566,15 +578,16 @@ def _unbuffered_steps(st, dt, steps, scheme):
     return nonlinear.physical(spec)[:desc.even_dim + desc.odd_dim]
 
 
-@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+@pytest.mark.parametrize("data", ["random", "wide", "zero"])
 @pytest.mark.parametrize("scheme", ["rk4", "ifrk4"])
 @pytest.mark.parametrize("kind,desc_str,lam,eps", STEP_SYSTEMS)
-def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, zero):
+def test_integrate_equals_the_unbuffered_loop(kind, desc_str, lam, eps, scheme, data):
     # the stages are formed in place with the same operations in the same
     # order, so the fields agree bit for bit, and so does the sign of each
-    # zero of a zero state: the bytes are compared
-    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps)
-    if zero:
+    # zero of a zero state: the bytes are compared.  Wide data has modes
+    # past the 2/3 band, which both cut from the initial spectrum
+    st = random_state(kind, desc_str, lam, N=64, L=20.0, eps=eps, wide=data == "wide")
+    if data == "zero":
         st = st.replace_fields(EvenField.zeros(st.grid, st.descriptor),
                                OddField.zeros(st.grid, st.descriptor))
     dt = 0.5 * stability_limit(st.grid, scheme)
@@ -692,10 +705,10 @@ PROGRAM_SYSTEMS = [(kind, desc_str) for kind in ("modified", "extended", "gardne
                    for desc_str in ("scalar", "grassmann:3", "grassmann:4", "symplectic:2")]
 
 
-def _stage(kind, desc_str, lam=1.3, eps=0.4):
+def _stage(kind, desc_str, lam=1.3, eps=0.4, wide=False):
     """A _SpectralRHS of the system with one stage run on random data."""
     st = random_state(kind, desc_str, lam, N=64, L=20.0,
-                      eps=eps if kind == "gardner" else 0.0)
+                      eps=eps if kind == "gardner" else 0.0, wide=wide)
     nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon)
     nonlinear.physical(np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1))
     nonlinear()
@@ -707,8 +720,11 @@ def _stage(kind, desc_str, lam=1.3, eps=0.4):
     # lam = 0 drops every bracket term, eps = 0 the e^2 part of gardner,
     # so groups shrink to one term and parts vanish
     for lam, eps in ((1.3, 0.4), (0.0, 0.4)) + (((1.3, 0.0),) if kind == "gardner" else ())])
-def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps):
-    _assert_stage_matches_handwritten(*_stage(kind, desc_str, lam, eps))
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "wide"])
+def test_stage_values_match_the_handwritten_terms(kind, desc_str, lam, eps, wide):
+    # the stage runs on the samples of the spectrum it is given, unmasked,
+    # so wide data puts every mode and its large derivatives into them
+    _assert_stage_matches_handwritten(*_stage(kind, desc_str, lam, eps, wide))
 
 
 @pytest.mark.parametrize("kind,desc_str", PROGRAM_SYSTEMS)
