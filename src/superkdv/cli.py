@@ -9,7 +9,9 @@ artifact byte for byte.
 import argparse
 import json
 import os
+import pickle
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -224,25 +226,77 @@ def _random_fields(backend, seed, max_mode=4, amplitude=0.4, L=40.0, N=128):
                                    PeriodicGrid(L, N), AlgebraDescriptor.from_string(backend))
 
 
-def _check_miura(args):
-    lam, seed = args.lam, args.seed
-    tol_map, tol_ham = 1e-5, 1e-10
-    residuals, ok = {}, True
-    for backend in ("grassmann:4", "symplectic:1"):
-        v, eta = _random_fields(backend, seed)
-        state = SystemState("modified", v, eta, lam=lam)
-        traj = integrate(state, 1e-3, 500, scheme="ifrk4", record_every=5)
-        mapped = to_extended_trajectory(traj)
-        res = fd_flow_residual(mapped)
-        residuals[f"mapped flow residual [{backend}]"] = res
-        ok = ok and res <= tol_map
+def _in_parallel(*thunks):
+    """Each thunk's value, in order.  When this process may run on two or
+    more CPUs, the first thunk runs in one child forked from it while the
+    rest run here; otherwise all run here, one after another.  Either way
+    the error raised is the one the serial order raises first.  The child
+    sends back its value or its exception, pickled, through a pipe, and
+    ends with os._exit, so it runs none of this process's exit handlers."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [thunk() for thunk in thunks]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                sent = pickle.dumps((True, thunks[0]()))
+            except Exception as exc:
+                sent = pickle.dumps((False, exc))
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(sent)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        rest = [thunk() for thunk in thunks[1:]]
+    finally:
+        first = _sent_value(pid, read_end)
+    return [first, *rest]
 
-        u, xi = miura(v, eta, lam)
-        ham = quadrature(hamiltonian_density(v, eta, lam))
-        red = quadrature(reduced_hamiltonian_density(u, xi, lam))
-        hres = (ham - red).norm() / max(ham.norm(), 1.0)
+
+def _sent_value(pid, read_end):
+    """The value the child pid sent through read_end; its exception is
+    raised here, and so is a SuperKdVError if it sent nothing."""
+    with os.fdopen(read_end, "rb") as fh:
+        sent = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise SuperKdVError(f"a check's worker process {how} before sending its result")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return value
+
+
+def _miura_half(backend, lam, seed):
+    """The mapped flow residual of a 500-step modified run on backend, and
+    the Hamiltonian reduction's relative residual on its initial data."""
+    v, eta = _random_fields(backend, seed)
+    traj = integrate(SystemState("modified", v, eta, lam=lam), 1e-3, 500,
+                     scheme="ifrk4", record_every=5)
+    res = fd_flow_residual(to_extended_trajectory(traj))
+    u, xi = miura(v, eta, lam)
+    ham = quadrature(hamiltonian_density(v, eta, lam))
+    red = quadrature(reduced_hamiltonian_density(u, xi, lam))
+    return res, (ham - red).norm() / max(ham.norm(), 1.0)
+
+
+def _check_miura(args):
+    tol_map, tol_ham = 1e-5, 1e-10
+    backends = ("grassmann:4", "symplectic:1")
+    halves = _in_parallel(*(partial(_miura_half, b, args.lam, args.seed) for b in backends))
+    residuals, ok = {}, True
+    for backend, (res, hres) in zip(backends, halves):
+        residuals[f"mapped flow residual [{backend}]"] = res
         residuals[f"hamiltonian reduction [{backend}]"] = hres
-        ok = ok and hres <= tol_ham
+        ok = ok and res <= tol_map and hres <= tol_ham
     verdict = {
         "check": "miura",
         "pass": ok,
@@ -254,35 +308,29 @@ def _check_miura(args):
     return verdict, summary
 
 
-def _gardner_deviations(z, sigma, epsilons, lam, reached):
-    """Deviation of the gardner flow of (z, sigma) at each eps from the
-    extended flow of the same data after 300 steps of 1e-3, the extended
-    flow integrated once for them all.  reached maps an eps to its gardner
-    even field at that step where a longer run has recorded it already."""
-    dt, steps = 1e-3, 300
-
-    def final_even(kind, eps=0.0):
-        return integrate(SystemState(kind, z, sigma, lam=lam, epsilon=eps),
-                         dt, steps, scheme="ifrk4", record_every=steps).final.even
-
-    extended = final_even("extended")
-    return [((reached[eps] if eps in reached else final_even("gardner", eps))
-             - extended).norm() for eps in epsilons]
-
-
 def _check_gardner(args):
     lam, eps, seed = args.lam, args.gardner_eps, args.seed
-    residuals, ok = {}, True
-
     z, sigma = _random_fields("symplectic:1", seed)
-    traj = integrate(SystemState("gardner", z, sigma, lam=lam, epsilon=eps),
-                     1e-3, 500, scheme="ifrk4", record_every=5)
-    res = fd_flow_residual(to_extended_trajectory(traj))
-    residuals["mapped flow residual"] = res
-    ok = ok and res <= 1e-5
 
-    # the run above recorded step 300 as record 60
-    dev1, dev2 = _gardner_deviations(z, sigma, (eps, eps / 2), lam, {eps: traj[60].even})
+    def run(kind, epsilon, steps, record_every):
+        return integrate(SystemState(kind, z, sigma, lam=lam, epsilon=epsilon),
+                         1e-3, steps, scheme="ifrk4", record_every=record_every)
+
+    def mapped():
+        traj = run("gardner", eps, 500, 5)
+        # record 60 is step 300, where the deviations compare
+        return fd_flow_residual(to_extended_trajectory(traj)), traj[60].even
+
+    def at_step_300():
+        return [run(kind, e, 300, 300).final.even
+                for kind, e in (("extended", 0.0), ("gardner", eps / 2))]
+
+    (res, reached), (extended, halved) = _in_parallel(mapped, at_step_300)
+    residuals = {"mapped flow residual": res}
+    ok = res <= 1e-5
+
+    # the gardner flow's deviation from the extended flow at eps and eps/2
+    dev1, dev2 = (reached - extended).norm(), (halved - extended).norm()
     ratio = dev1 / dev2 if dev2 else float("inf")
     residuals["flux deviation ratio under eps halving"] = ratio
     ok = ok and _band(ratio, 3.4, 4.6)
@@ -310,19 +358,29 @@ def _check_gardner(args):
     return verdict, summary
 
 
-def _check_susy(args):
-    lam, seed = args.lam, args.seed
-    noise_floor = 1e-9
-    residuals, ok = {}, True
-    for backend in ("grassmann:4", "symplectic:1"):
-        u, xi = _random_fields(backend, seed, max_mode=3, amplitude=0.3, L=20.0, N=64)
-        desc = u.descriptor
-        state = SystemState("extended", u, xi, lam=lam)
-        param_rng = np.random.default_rng(seed + 1)
-        param = OddValue(desc, 0.2 * param_rng.uniform(-1.0, 1.0, desc.odd_dim))
+def _susy_half(backend, lam, seed):
+    """The flow commutation defects at steps h and h/2 on backend, and the
+    relative size of the supersymmetry variation applied twice."""
+    u, xi = _random_fields(backend, seed, max_mode=3, amplitude=0.3, L=20.0, N=64)
+    desc = u.descriptor
+    state = SystemState("extended", u, xi, lam=lam)
+    param_rng = np.random.default_rng(seed + 1)
+    param = OddValue(desc, 0.2 * param_rng.uniform(-1.0, 1.0, desc.odd_dim))
 
-        d1 = flow_commutation_defect(state, param, 1e-3, 40)
-        d2 = flow_commutation_defect(state, param, 5e-4, 80)
+    d1 = flow_commutation_defect(state, param, 1e-3, 40)
+    d2 = flow_commutation_defect(state, param, 5e-4, 80)
+    du1, dxi1 = susy_variation(u, xi, param, lam)
+    du2, dxi2 = susy_variation(du1, dxi1, param, lam)
+    scale = max(u.norm(), xi.norm(), 1.0)
+    return d1, d2, max(du2.norm(), dxi2.norm()) / scale
+
+
+def _check_susy(args):
+    noise_floor = 1e-9
+    backends = ("grassmann:4", "symplectic:1")
+    halves = _in_parallel(*(partial(_susy_half, b, args.lam, args.seed) for b in backends))
+    residuals, ok = {}, True
+    for backend, (d1, d2, nil) in zip(backends, halves):
         residuals[f"commutation defect h [{backend}]"] = d1
         residuals[f"commutation defect h/2 [{backend}]"] = d2
         if d1 <= noise_floor and d2 <= noise_floor:
@@ -331,11 +389,6 @@ def _check_susy(args):
             ratio = d1 / d2 if d2 else float("inf")
             residuals[f"defect ratio [{backend}]"] = ratio
             ok = ok and _band(ratio, 3.4, 4.6)
-
-        du1, dxi1 = susy_variation(u, xi, param, lam)
-        du2, dxi2 = susy_variation(du1, dxi1, param, lam)
-        scale = max(u.norm(), xi.norm(), 1.0)
-        nil = max(du2.norm(), dxi2.norm()) / scale
         residuals[f"variation squared [{backend}]"] = nil
         ok = ok and nil <= 1e-12
     verdict = {
@@ -377,6 +430,8 @@ _CHECKS = {
 def cmd_check(args):
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
+    if args.algebra is not None and args.suite != "algebra":
+        raise UsageError("--algebra applies to check algebra only")
     verdict, summary = _CHECKS[args.suite](args)
     verdict = snapshots.jsonable(verdict)
     print(summary, file=sys.stderr)
@@ -473,7 +528,7 @@ def build_parser():
 
     chk = sub.add_parser("check", help="run a verification suite")
     chk.add_argument("suite", choices=sorted(_CHECKS))
-    chk.add_argument("--algebra", help="restrict check algebra to one backend")
+    chk.add_argument("--algebra", help="check algebra only: validate this one backend")
     chk.add_argument("--lambda", dest="lam", type=float, default=1.0)
     chk.add_argument("--gardner-eps", dest="gardner_eps", type=float, default=0.1)
     chk.add_argument("--seed", type=int, default=0)

@@ -7,6 +7,18 @@ import math
 class SuperKdVError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # rebuilt without __init__, whose extra arguments some subclasses
+        # require, so an error keeps its type, message and attributes when
+        # a worker process sends it back pickled
+        return _rebuilt, (type(self), self.args, vars(self))
+
+
+def _rebuilt(cls, args, attributes):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(attributes)
+    return error
+
 
 class DescriptorMismatch(SuperKdVError):
     """Operands built over different algebra descriptors."""

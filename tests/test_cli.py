@@ -1,6 +1,8 @@
 import filecmp
 import hashlib
 import json
+import os
+import pickle
 import re
 import subprocess
 import sys
@@ -9,7 +11,11 @@ import numpy as np
 import pytest
 
 from superkdv.algebra import AlgebraDescriptor
-from superkdv.cli import _DEST, SIMULATE_DEFAULTS, build_parser, main
+from superkdv.cli import (_DEST, SIMULATE_DEFAULTS, UsageError, _in_parallel, build_parser,
+                          main)
+from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
+                             NonFiniteFieldError, NumericalBlowup, StabilityError,
+                             SuperKdVError)
 from superkdv.dynamics import SystemState
 from superkdv.fields import EvenField, OddField, PeriodicGrid
 from superkdv.snapshots import dump_json, load_json, read_csv, read_snapshot, state_to_dict
@@ -319,6 +325,110 @@ def test_check_verdict_shape(capsys):
     run(["check", "algebra"])
     verdict = json.loads(capsys.readouterr().out)
     assert set(verdict) >= {"check", "pass", "tolerances"}
+
+
+# ---------------------------------------------------------------------------
+# check suites that split their runs across two processes
+
+FORKED, SERIAL = {0, 1}, {0}
+
+
+def cpus(monkeypatch, allowed):
+    """Make this process appear to run on the CPUs in allowed, which sets
+    whether _in_parallel forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the sha256 of each suite's stdout at its defaults
+NUMERIC_SUITE_DIGESTS = {"miura": "ff3de21553ea", "gardner": "52e888238332",
+                         "susy": "c72c9d77d743"}
+
+
+@pytest.mark.parametrize("suite", sorted(NUMERIC_SUITE_DIGESTS))
+def test_numeric_check_suites_print_the_same_verdict_forked_and_serially(
+        suite, monkeypatch, capsys):
+    printed = {}
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        assert run(["check", suite]) == 0
+        assert_no_child_left()
+        printed[len(allowed)] = capsys.readouterr()
+    forked, serial = printed[2], printed[1]
+    assert hashlib.sha256(forked.out.encode()).hexdigest()[:12] == NUMERIC_SUITE_DIGESTS[suite]
+    assert (serial.out, serial.err) == (forked.out, forked.err)
+
+
+def test_check_error_in_a_worker_exits_2_as_serially(monkeypatch, capsys):
+    # eps = 50 blows up the 500-step gardner run, which runs in the child
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        assert run(["check", "gardner", "--gardner-eps", 50]) == 2
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: non-finite values during step 4 (t=0.004)\n")
+
+
+@pytest.mark.parametrize("suite", ["miura", "gardner", "susy", "densities"])
+def test_check_refuses_algebra_outside_check_algebra(suite, capsys):
+    assert run(["check", suite, "--algebra", "grassmann:6"]) == 2
+    assert "--algebra" in capsys.readouterr().err
+
+
+def test_in_parallel_forks_one_child_for_the_first_thunk(monkeypatch):
+    cpus(monkeypatch, FORKED)
+    me = os.getpid()
+    first, *rest = _in_parallel(os.getpid, os.getpid, os.getpid)
+    assert first != me and rest == [me, me]
+    assert_no_child_left()
+    cpus(monkeypatch, SERIAL)
+    assert _in_parallel(os.getpid, os.getpid) == [me, me]
+
+
+def test_in_parallel_names_the_status_of_a_child_that_sent_nothing(monkeypatch):
+    cpus(monkeypatch, FORKED)
+    with pytest.raises(SuperKdVError, match="exited with status 3"):
+        _in_parallel(lambda: os._exit(3), lambda: 1)
+    assert_no_child_left()
+
+
+def raise_error(error):
+    raise error
+
+
+@pytest.mark.parametrize("allowed", [FORKED, SERIAL], ids=["forked", "serial"])
+def test_in_parallel_raises_the_first_error_in_thunk_order(allowed, monkeypatch):
+    cpus(monkeypatch, allowed)
+    with pytest.raises(StabilityError) as raised:
+        _in_parallel(lambda: raise_error(StabilityError("dt too large", 0.5)), lambda: 1)
+    assert (str(raised.value), raised.value.suggested_dt) == ("dt too large", 0.5)
+    with pytest.raises(ValueError, match="child"):
+        _in_parallel(lambda: raise_error(ValueError("child")),
+                     lambda: raise_error(KeyError("here")))
+    with pytest.raises(KeyError, match="here"):
+        _in_parallel(lambda: 1, lambda: raise_error(KeyError("here")))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    SuperKdVError("plain"),
+    DescriptorMismatch("grassmann:2 vs grassmann:3"),
+    GradingError("odd * odd"),
+    NonFiniteFieldError("nan samples"),
+    UsageError("--out DIR is required"),
+    StabilityError("dt too large", 1e-3),
+    NumericalBlowup("non-finite values during step 4", "the last state", 4, 0.004),
+    ExpressionSyntaxError("unexpected ')'", 7),
+], ids=lambda error: type(error).__name__)
+def test_package_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert (copy.args, str(copy), vars(copy)) == (error.args, str(error), vars(error))
 
 
 def test_plot_csv_columns(tmp_path):
