@@ -15,11 +15,10 @@ from .errors import (SuperKdVError, DescriptorMismatch, GradingError,
                      ExpressionSyntaxError)
 from .fields import (PeriodicGrid, EvenField, OddField, SolitonIC, GaussianIC,
                      RandomBandlimitedIC, ZeroIC, build_initial_condition,
-                     parse_ic, quadrature, spectral_derivative)
+                     parse_ic, quadrature, soliton_profile, spectral_derivative)
 from .dynamics import (SYSTEM_KINDS, SystemState, Trajectory, integrate,
                        nonlinear_rhs, rhs_state, rhs_modified, rhs_extended,
-                       rhs_skdv_grassmann, rhs_gardner, soliton_profile,
-                       stability_limit)
+                       rhs_skdv_grassmann, rhs_gardner, stability_limit)
 from .invariants import (ConservedReport, conserved_densities,
                          conserved_quantities, drift_report,
                          hamiltonian_density, reduced_hamiltonian_density)

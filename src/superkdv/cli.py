@@ -104,6 +104,8 @@ def _tracked_labels(cfg, system):
     track = cfg["track"]
     if isinstance(track, str):
         track = [t.strip() for t in track.split(",") if t.strip()]
+    elif not isinstance(track, (list, type(None))):
+        raise UsageError(f"track must be a comma list or a JSON list, got {track!r}")
     return tracked_labels(system, track)
 
 
@@ -169,10 +171,12 @@ def cmd_simulate(args):
         "record_every": record_every,
     }
 
+    if not isinstance(cfg["force"], bool):
+        raise UsageError(f"force must be true or false, got {cfg['force']!r}")
     # a refused run writes nothing: the manifest follows the integration
     try:
         traj = integrate(state, dt, steps, scheme=scheme,
-                         record_every=record_every, force=bool(cfg["force"]))
+                         record_every=record_every, force=cfg["force"])
     except StabilityError as exc:
         raise UsageError(f"{exc}; rerun with --force to override")
     except NumericalBlowup as exc:
@@ -198,10 +202,6 @@ def cmd_simulate(args):
 
 # ---------------------------------------------------------------------------
 # check suites
-
-def _band(value, lo, hi):
-    return lo <= value <= hi
-
 
 def _check_algebra(args):
     backends = [args.algebra] if args.algebra else list(DEFAULT_VALIDATION_SET)
@@ -275,6 +275,21 @@ def _sent_value(pid, read_end):
     return value
 
 
+def _judged(check, tolerances, rows, fmt):
+    """A numeric suite's verdict and stderr summary.  rows are (residual
+    name, value, tolerance name or None); the suite passes when each value
+    meets its tolerance: a number is an upper bound and a [lo, hi] pair a
+    closed band, so a NaN value meets neither."""
+    def meets(value, bound):
+        lo, hi = bound if isinstance(bound, list) else (-np.inf, bound)
+        return lo <= value <= hi
+
+    residuals = {name: value for name, value, _ in rows}
+    verdict = {"check": check, "tolerances": tolerances, "residuals": residuals,
+               "pass": all(meets(value, tolerances[t]) for _, value, t in rows if t is not None)}
+    return verdict, "\n".join(f"{k}: {v:{fmt}}" for k, v in residuals.items())
+
+
 def _miura_half(backend, lam, seed):
     """The mapped flow residual of a 500-step modified run on backend, and
     the Hamiltonian reduction's relative residual on its initial data."""
@@ -289,52 +304,36 @@ def _miura_half(backend, lam, seed):
 
 
 def _check_miura(args):
-    tol_map, tol_ham = 1e-5, 1e-10
+    tolerances = {"mapped flow residual": 1e-5, "hamiltonian reduction": 1e-10}
     backends = ("grassmann:4", "symplectic:1")
     halves = _in_parallel(*(partial(_miura_half, b, args.lam, args.seed) for b in backends))
-    residuals, ok = {}, True
-    for backend, (res, hres) in zip(backends, halves):
-        residuals[f"mapped flow residual [{backend}]"] = res
-        residuals[f"hamiltonian reduction [{backend}]"] = hres
-        ok = ok and res <= tol_map and hres <= tol_ham
-    verdict = {
-        "check": "miura",
-        "pass": ok,
-        "tolerances": {"mapped flow residual": tol_map,
-                       "hamiltonian reduction": tol_ham},
-        "residuals": residuals,
-    }
-    summary = "\n".join(f"{k}: {v:.3e}" for k, v in residuals.items())
-    return verdict, summary
+    # each half's values are those the tolerances bound, in their order
+    rows = [(f"{name} [{backend}]", value, name)
+            for backend, values in zip(backends, halves)
+            for name, value in zip(tolerances, values)]
+    return _judged("miura", tolerances, rows, ".3e")
 
 
-def _check_gardner(args):
-    lam, eps, seed = args.lam, args.gardner_eps, args.seed
-    z, sigma = _random_fields("symplectic:1", seed)
+def _gardner_mapped(z, sigma, lam, eps):
+    """The mapped flow residual of a 500-step gardner run at eps from (z,
+    sigma), and its even field at step 300 (record 60), where the
+    deviations compare."""
+    traj = integrate(SystemState("gardner", z, sigma, lam=lam, epsilon=eps), 1e-3, 500,
+                     scheme="ifrk4", record_every=5)
+    return fd_flow_residual(to_extended_trajectory(traj)), traj[60].even
 
-    def run(kind, epsilon, steps, record_every):
-        return integrate(SystemState(kind, z, sigma, lam=lam, epsilon=epsilon),
-                         1e-3, steps, scheme="ifrk4", record_every=record_every)
 
-    def mapped():
-        traj = run("gardner", eps, 500, 5)
-        # record 60 is step 300, where the deviations compare
-        return fd_flow_residual(to_extended_trajectory(traj)), traj[60].even
+def _gardner_references(z, sigma, lam, eps):
+    """The even fields at step 300 of the extended run and the gardner run
+    at eps/2 from (z, sigma)."""
+    return [integrate(SystemState(kind, z, sigma, lam=lam, epsilon=e), 1e-3, 300,
+                      scheme="ifrk4", record_every=300).final.even
+            for kind, e in (("extended", 0.0), ("gardner", eps / 2))]
 
-    def at_step_300():
-        return [run(kind, e, 300, 300).final.even
-                for kind, e in (("extended", 0.0), ("gardner", eps / 2))]
 
-    (res, reached), (extended, halved) = _in_parallel(mapped, at_step_300)
-    residuals = {"mapped flow residual": res}
-    ok = res <= 1e-5
-
-    # the gardner flow's deviation from the extended flow at eps and eps/2
-    dev1, dev2 = (reached - extended).norm(), (halved - extended).norm()
-    ratio = dev1 / dev2 if dev2 else float("inf")
-    residuals["flux deviation ratio under eps halving"] = ratio
-    ok = ok and _band(ratio, 3.4, 4.6)
-
+def _roundtrip_slope(lam, seed):
+    """log2 of the order-6 inverse gardner series' round-trip error at eps
+    0.1 over that at eps 0.05, which is 7 when the series is right."""
     u, xi = _random_fields("symplectic:1", seed, max_mode=2, amplitude=0.3)
 
     def roundtrip(e):
@@ -342,20 +341,28 @@ def _check_gardner(args):
         uu, xx = gardner_map(zz, ss, lam, e)
         return max((uu - u).norm(), (xx - xi).norm())
 
-    slope = float(np.log2(roundtrip(0.1) / roundtrip(0.05)))
-    residuals["round-trip eps-halving slope at order 6"] = slope
-    ok = ok and _band(slope, 6.5, 7.5)
+    return float(np.log2(roundtrip(0.1) / roundtrip(0.05)))
 
-    verdict = {
-        "check": "gardner",
-        "pass": ok,
-        "tolerances": {"mapped flow residual": 1e-5,
-                       "deviation ratio band": [3.4, 4.6],
-                       "slope band": [6.5, 7.5]},
-        "residuals": residuals,
-    }
-    summary = "\n".join(f"{k}: {v:.4g}" for k, v in residuals.items())
-    return verdict, summary
+
+def _check_gardner(args):
+    lam, eps, seed = args.lam, args.gardner_eps, args.seed
+    if eps == 0:
+        raise UsageError("--gardner-eps must be nonzero: the deviation ratio compares "
+                         "the gardner runs at eps and eps/2")
+    tolerances = {"mapped flow residual": 1e-5, "deviation ratio band": [3.4, 4.6],
+                  "slope band": [6.5, 7.5]}
+    z, sigma = _random_fields("symplectic:1", seed)
+    (res, reached), (extended, halved) = _in_parallel(
+        partial(_gardner_mapped, z, sigma, lam, eps),
+        partial(_gardner_references, z, sigma, lam, eps))
+    # the gardner flow's deviation from the extended flow at eps and eps/2
+    dev1, dev2 = (reached - extended).norm(), (halved - extended).norm()
+    return _judged("gardner", tolerances, [
+        ("mapped flow residual", res, "mapped flow residual"),
+        ("flux deviation ratio under eps halving", dev1 / dev2 if dev2 else float("inf"),
+         "deviation ratio band"),
+        ("round-trip eps-halving slope at order 6", _roundtrip_slope(lam, seed), "slope band"),
+    ], ".4g")
 
 
 def _susy_half(backend, lam, seed):
@@ -376,31 +383,21 @@ def _susy_half(backend, lam, seed):
 
 
 def _check_susy(args):
-    noise_floor = 1e-9
+    tolerances = {"noise floor": 1e-9, "defect ratio band": [3.4, 4.6],
+                  "variation squared": 1e-12}
+    floor = tolerances["noise floor"]
     backends = ("grassmann:4", "symplectic:1")
     halves = _in_parallel(*(partial(_susy_half, b, args.lam, args.seed) for b in backends))
-    residuals, ok = {}, True
+    rows = []
     for backend, (d1, d2, nil) in zip(backends, halves):
-        residuals[f"commutation defect h [{backend}]"] = d1
-        residuals[f"commutation defect h/2 [{backend}]"] = d2
-        if d1 <= noise_floor and d2 <= noise_floor:
-            pass  # defect saturates at roundoff; second-order band not measurable
-        else:
-            ratio = d1 / d2 if d2 else float("inf")
-            residuals[f"defect ratio [{backend}]"] = ratio
-            ok = ok and _band(ratio, 3.4, 4.6)
-        residuals[f"variation squared [{backend}]"] = nil
-        ok = ok and nil <= 1e-12
-    verdict = {
-        "check": "susy",
-        "pass": ok,
-        "tolerances": {"noise floor": noise_floor,
-                       "defect ratio band": [3.4, 4.6],
-                       "variation squared": 1e-12},
-        "residuals": residuals,
-    }
-    summary = "\n".join(f"{k}: {v:.3e}" for k, v in residuals.items())
-    return verdict, summary
+        rows += [(f"commutation defect h [{backend}]", d1, None),
+                 (f"commutation defect h/2 [{backend}]", d2, None)]
+        # a defect saturated at roundoff has no second-order ratio to measure
+        if not (d1 <= floor and d2 <= floor):
+            rows.append((f"defect ratio [{backend}]", d1 / d2 if d2 else float("inf"),
+                         "defect ratio band"))
+        rows.append((f"variation squared [{backend}]", nil, "variation squared"))
+    return _judged("susy", tolerances, rows, ".3e")
 
 
 def _check_densities(args):

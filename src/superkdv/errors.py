@@ -73,11 +73,11 @@ def whole_number(name, value):
 
 def finite_number(name, value, kind=float):
     """value, a number or its text, as a finite number of the given kind,
-    else a SuperKdVError naming the setting; an int setting takes an
-    integral float such as 256.0 but not 2.5."""
+    else, a bool included, a SuperKdVError naming the setting; an int
+    setting takes an integral float such as 256.0 but not 2.5."""
     try:
         number = kind(value)
-        finite = math.isfinite(number)
+        finite = not isinstance(value, bool) and math.isfinite(number)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:

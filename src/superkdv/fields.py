@@ -269,6 +269,17 @@ def _resolve_channel(spec, descriptor):
     return part, idx
 
 
+def soliton_profile(grid, kappa, x0, t=0.0):
+    """The one-soliton -2 kappa^2 sech^2(kappa (x - x0 - 4 kappa^2 t)) of the
+    xi = 0 sector, with x - x0 - 4 kappa^2 t taken at its nearest periodic
+    image, so that the profile is periodic wherever x0 lies."""
+    # kappa * kappa overflows to inf where kappa ** 2 raises OverflowError
+    speed = 4.0 * (kappa * kappa)
+    shift = np.mod(grid.x - x0 - speed * t + grid.L / 2, grid.L) - grid.L / 2
+    arg = np.minimum(np.abs(kappa * shift), 350.0)
+    return -2.0 * (kappa * kappa) / np.cosh(arg) ** 2
+
+
 def build_initial_condition(spec, grid, descriptor):
     """Realize an IC spec (object or "name(k=v,...)" string) as field pair."""
     if isinstance(spec, str):
@@ -278,11 +289,8 @@ def build_initial_condition(spec, grid, descriptor):
     x = grid.x
     if isinstance(spec, SolitonIC):
         x0 = grid.L / 2 if spec.x0 is None else spec.x0
-        kappa = spec.kappa
-        arg = np.minimum(np.abs(kappa * (x - x0)), 350.0)
-        # kappa * kappa overflows to inf where kappa ** 2 raises OverflowError
-        even.data[0] = -2.0 * (kappa * kappa) / np.cosh(arg) ** 2
-        tail = 1.0 / np.cosh(min(abs(kappa) * grid.L / 2, 350.0)) ** 2
+        even.data[0] = soliton_profile(grid, spec.kappa, x0)
+        tail = 1.0 / np.cosh(min(abs(spec.kappa) * grid.L / 2, 350.0)) ** 2
         if tail > 1e-10:
             warnings.warn(
                 f"soliton tail sech^2(kappa L/2) = {tail:.2e} does not decay "

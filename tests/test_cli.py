@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from superkdv import cli
 from superkdv.algebra import AlgebraDescriptor
 from superkdv.cli import (_DEST, SIMULATE_DEFAULTS, UsageError, _in_parallel, build_parser,
                           main)
@@ -117,7 +118,7 @@ def test_ic_seed_wins_over_the_seed_flag_however_written(tmp_path):
         assert filecmp.cmp(tight / name, spaced / name, shallow=False), name
 
 
-def test_invalid_combinations_exit_2(tmp_path):
+def test_invalid_combinations_exit_2(tmp_path, capsys):
     refused = {
         "y": ["--system", "extended", "--gardner-eps", 0.1],
         "z": ["--system", "extended", "--dt", -1],
@@ -149,9 +150,21 @@ def test_invalid_combinations_exit_2(tmp_path):
         cfg = tmp_path / f"cfg_{key}_{value}.json"
         cfg.write_text(json.dumps({"system": "gardner", key: value}))
         refused[cfg.stem] = ["--config", cfg]
+    # config values of the wrong JSON type, refused by key rather than
+    # coerced: true is no number, "false" no boolean, which as --force
+    # would run dt = 0.1 past the stability guard, and 5 no list
+    for key, values in [("seed", {"seed": True}), ("record_every", {"record_every": True}),
+                        ("lambda", {"lambda": True}), ("track", {"track": 5}),
+                        ("force", {"force": "false", "dt": 0.1, "scheme": "rk4"})]:
+        cfg = tmp_path / f"type_{key}.json"
+        cfg.write_text(json.dumps({"grid": 64, "t_end": 0.01, **values}))
+        refused[cfg.stem] = ["--config", cfg]
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
         assert not (tmp_path / name / "manifest.json").exists(), flags
+        err = capsys.readouterr().err
+        if name.startswith("type_"):
+            assert name[len("type_"):] in err, err
 
 
 def test_system_skdv_is_refused(tmp_path, capsys):
@@ -344,23 +357,124 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# the sha256 of each suite's stdout at its defaults
-NUMERIC_SUITE_DIGESTS = {"miura": "ff3de21553ea", "gardner": "52e888238332",
-                         "susy": "c72c9d77d743"}
+# the sha256 of each suite's stdout, and its exit code, at its defaults,
+# and at a coupling where check susy fails: variation squared on
+# grassmann:4 reads 4.0e-11 against 1e-12
+NUMERIC_SUITE_DIGESTS = {"miura": ("ff3de21553ea", 0), "gardner": ("52e888238332", 0),
+                         "susy": ("c72c9d77d743", 0), "susy --lambda 1e6": ("f732c67d9ab6", 1)}
 
 
-@pytest.mark.parametrize("suite", sorted(NUMERIC_SUITE_DIGESTS))
+@pytest.mark.parametrize("flags", sorted(NUMERIC_SUITE_DIGESTS))
 def test_numeric_check_suites_print_the_same_verdict_forked_and_serially(
-        suite, monkeypatch, capsys):
+        flags, monkeypatch, capsys):
+    digest, code = NUMERIC_SUITE_DIGESTS[flags]
     printed = {}
     for allowed in (FORKED, SERIAL):
         cpus(monkeypatch, allowed)
-        assert run(["check", suite]) == 0
+        assert run(["check", *flags.split()]) == code
         assert_no_child_left()
         printed[len(allowed)] = capsys.readouterr()
     forked, serial = printed[2], printed[1]
-    assert hashlib.sha256(forked.out.encode()).hexdigest()[:12] == NUMERIC_SUITE_DIGESTS[suite]
+    assert hashlib.sha256(forked.out.encode()).hexdigest()[:12] == digest
     assert (serial.out, serial.err) == (forked.out, forked.err)
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.0"])
+def test_check_gardner_refuses_eps_zero(eps, tmp_path, capsys):
+    # at eps = 0 the runs at eps and eps/2 are one computation, whose
+    # deviation ratio is 1 however right the map: no test, so no verdict
+    out = tmp_path / "verdict.json"
+    assert run(["check", "gardner", "--gardner-eps", eps, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--gardner-eps" in captured.err
+    assert not out.exists()
+
+
+def scalar_field(value):
+    return EvenField(PeriodicGrid(40.0, 16), AlgebraDescriptor.from_string("scalar"),
+                     np.full((1, 16), value))
+
+
+def stand_in_halves(suite, v):
+    """Stand-ins for suite's halves whose rows read v[t] where tolerance t
+    bounds them: the gardner deviation ratio is |v - 0| / |1 - 0|, and the
+    susy defect ratio is v / 1, the h/2 defect 1 being above the noise
+    floor."""
+    if suite == "miura":
+        return {"_miura_half": lambda backend, lam, seed: (
+            v["mapped flow residual"], v["hamiltonian reduction"])}
+    if suite == "gardner":
+        return {"_gardner_mapped": lambda z, sigma, lam, eps: (
+                    v["mapped flow residual"], scalar_field(v["deviation ratio band"])),
+                "_gardner_references": lambda z, sigma, lam, eps: (
+                    scalar_field(0.0), scalar_field(1.0)),
+                "_roundtrip_slope": lambda lam, seed: v["slope band"]}
+    return {"_susy_half": lambda backend, lam, seed: (
+        v["defect ratio band"], 1.0, v["variation squared"])}
+
+
+# values each suite's stand-ins pass with, by tolerance
+PASSING = {"miura": {"mapped flow residual": 0.0, "hamiltonian reduction": 0.0},
+           "gardner": {"mapped flow residual": 0.0, "deviation ratio band": 4.0,
+                       "slope band": 7.0},
+           "susy": {"defect ratio band": 4.0, "variation squared": 0.0}}
+
+
+def stand_in_verdict(suite, halves, monkeypatch, capsys):
+    """The verdict check suite prints with its halves replaced by halves,
+    after checking that its exit code follows its pass."""
+    for name, half in halves.items():
+        monkeypatch.setattr(cli, name, half)
+    code = run(["check", suite])
+    assert_no_child_left()
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == (0 if verdict["pass"] else 1)
+    return verdict
+
+
+def bound_cases(bound):
+    """(value, whether it meets bound) for values just inside and just
+    outside bound, and NaN: a number is an upper bound, a [lo, hi] pair a
+    closed band."""
+    lo, hi = bound if isinstance(bound, list) else (None, bound)
+    cases = [(hi, True), (float(np.nextafter(hi, np.inf)), False), (float("nan"), False)]
+    if lo is not None:
+        cases += [(lo, True), (float(np.nextafter(lo, -np.inf)), False)]
+    return cases
+
+
+@pytest.mark.parametrize("allowed", [FORKED, SERIAL], ids=["forked", "serial"])
+@pytest.mark.parametrize("suite", sorted(PASSING))
+def test_numeric_verdicts_apply_their_printed_tolerances(suite, allowed, monkeypatch, capsys):
+    # each row's value just inside, just outside and at NaN of the bound the
+    # verdict prints for it: pass flips exactly where that bound says
+    cpus(monkeypatch, allowed)
+    passing = PASSING[suite]
+    verdict = stand_in_verdict(suite, stand_in_halves(suite, passing), monkeypatch, capsys)
+    assert verdict["pass"] is True
+    tolerances = verdict["tolerances"]
+    for name in passing:
+        for value, meets in bound_cases(tolerances[name]):
+            values = {**passing, name: value}
+            verdict = stand_in_verdict(suite, stand_in_halves(suite, values), monkeypatch, capsys)
+            assert verdict["pass"] is meets, (name, value)
+
+
+@pytest.mark.parametrize("allowed", [FORKED, SERIAL], ids=["forked", "serial"])
+def test_check_susy_judges_the_defect_ratio_above_its_noise_floor(allowed, monkeypatch,
+                                                                  capsys):
+    # defects d and floor / 16 have ratio 16, outside the band: unjudged, and
+    # not printed, while d is at the floor; judged above it or at NaN
+    cpus(monkeypatch, allowed)
+    verdict = stand_in_verdict("susy", stand_in_halves("susy", PASSING["susy"]),
+                               monkeypatch, capsys)
+    floor = verdict["tolerances"]["noise floor"]
+    for d, judged in [(floor, False), (float(np.nextafter(floor, np.inf)), True),
+                      (float("nan"), True)]:
+        halves = {"_susy_half": lambda backend, lam, seed: (d, floor / 16, 0.0)}
+        verdict = stand_in_verdict("susy", halves, monkeypatch, capsys)
+        ratios = [name for name in verdict["residuals"] if name.startswith("defect ratio")]
+        assert (verdict["pass"], len(ratios)) == ((False, 2) if judged else (True, 0)), d
 
 
 def test_check_error_in_a_worker_exits_2_as_serially(monkeypatch, capsys):

@@ -1059,3 +1059,11 @@ def test_rhs_states_match_rhs_state_one_at_a_time():
     coarse = random_state("modified", "grassmann:3", 1.3, N=32, L=20.0)
     with pytest.raises(SuperKdVError, match="share"):
         rhs_states(states + [coarse])
+    # gardner states too, and rhs_gardner is rhs_state of a gardner state
+    gardner = [random_state("gardner", "grassmann:3", 1.3, N=64, L=20.0, seed=seed, eps=0.3)
+               for seed in (1, 2, 3)]
+    for (re, ro), st in zip(rhs_states(gardner), gardner):
+        want_e, want_o = rhs_state(st)
+        named_e, named_o = rhs_gardner(st.even, st.odd, st.lam, st.epsilon)
+        for got, want in ((re, want_e), (ro, want_o), (named_e, want_e), (named_o, want_o)):
+            assert np.array_equal(got.data, want.data)

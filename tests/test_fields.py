@@ -8,7 +8,7 @@ from superkdv.errors import GradingError, SuperKdVError
 from superkdv.fields import (EvenField, OddField, PeriodicGrid, GaussianIC,
                              RandomBandlimitedIC, SolitonIC,
                              build_initial_condition, parse_ic, quadrature,
-                             spectral_derivative)
+                             soliton_profile, spectral_derivative)
 
 SCALAR = AlgebraDescriptor("scalar")
 
@@ -137,6 +137,19 @@ def test_soliton_ic():
     i = np.argmin(even.data[0])
     assert g.x[i] == pytest.approx(20.0, abs=g.dx)
     assert even.data[0][i] == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_off_centre_soliton_ic_is_periodic():
+    # the IC is soliton_profile at t = 0, which measures each point from
+    # the centre's nearest periodic image: a soliton centred 115 points
+    # left of mid-box is the centred one rolled by -115, with no jump
+    # across the boundary, where an unwrapped profile would step by 0.13
+    g = PeriodicGrid(40.0, 256)
+    x0 = g.L / 2 - 115 * g.dx
+    even, _ = build_initial_condition(SolitonIC(kappa=1.0, x0=x0), g, SCALAR)
+    assert np.array_equal(even.data[0], soliton_profile(g, 1.0, x0, t=0.0))
+    centred, _ = build_initial_condition(SolitonIC(kappa=1.0), g, SCALAR)
+    assert np.max(np.abs(even.data[0] - np.roll(centred.data[0], -115))) <= 1e-15
 
 
 def test_soliton_decay_warning():
