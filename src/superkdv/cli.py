@@ -429,12 +429,16 @@ def cmd_check(args):
         raise UsageError(f"seed must be non-negative, got {args.seed}")
     if args.algebra is not None and args.suite != "algebra":
         raise UsageError("--algebra applies to check algebra only")
+    # read before any suite runs or forks, under the flags' own names
+    args.lam = finite_number("--lambda", args.lam)
+    args.gardner_eps = finite_number("--gardner-eps", args.gardner_eps)
     verdict, summary = _CHECKS[args.suite](args)
-    verdict = snapshots.jsonable(verdict)
+    text = json.dumps(verdict, sort_keys=True, indent=2, default=snapshots.json_default) + "\n"
     print(summary, file=sys.stderr)
-    print(json.dumps(verdict, sort_keys=True, indent=2))
+    print(text, end="")
     if args.out:
-        snapshots.dump_json(verdict, args.out)
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(text)
     return EXIT_OK if verdict["pass"] else EXIT_CHECK_FAILED
 
 
@@ -529,7 +533,7 @@ def build_parser():
     chk.add_argument("--lambda", dest="lam", type=float, default=1.0)
     chk.add_argument("--gardner-eps", dest="gardner_eps", type=float, default=0.1)
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--out", help="also write the JSON verdict to this file")
+    chk.add_argument("--out", help="also write the JSON verdict, as printed, to this file")
     chk.set_defaults(func=cmd_check)
 
     plt = sub.add_parser("plot", help="render CSV columns or a snapshot as SVG")

@@ -348,10 +348,12 @@ def parse_ic(text):
         body = rest[:-1].strip()
         if body:
             for item in body.split(","):
-                key, eq, val = item.partition("=")
+                key, eq, val = (part.strip() for part in item.partition("="))
                 if not eq:
                     raise SuperKdVError(f"IC arguments must be key=value, got {item!r}")
-                kwargs[key.strip()] = val.strip()
+                if key in kwargs:
+                    raise SuperKdVError(f"IC argument {key!r} is given twice in {text!r}")
+                kwargs[key] = val
     try:
         return _IC_CLASSES[name](**kwargs)
     except TypeError as exc:

@@ -88,7 +88,31 @@ def test_readme_run_reproduces_its_digest(tmp_path):
     for name in names:
         digest.update((out / name).read_bytes())
     assert len(names) == 53
-    assert digest.hexdigest()[:12] == "775f75d47979"
+    assert digest.hexdigest()[:12] == "c3419535298c"
+
+
+def assert_one_line_json(directory):
+    """Every .json file in directory is one line, its document's compact
+    form with sorted keys."""
+    names = sorted(p.name for p in directory.glob("*.json"))
+    assert names
+    for name in names:
+        text = (directory / name).read_text()
+        canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == canonical + "\n", name
+
+
+def test_every_json_file_of_a_run_is_one_compact_line(tmp_path):
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", "gardner", "--algebra", "grassmann:3",
+                "--gardner-eps", 0.1, "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)",
+                "--grid", 64, "--t-end", 0.002, "--out", out]) == 0
+    assert_one_line_json(out)
+    blow = tmp_path / "blow"
+    assert run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05, "--scheme", "rk4",
+                "--t-end", 5, "--force", "--out", blow]) == 3
+    assert sorted(p.name for p in blow.iterdir()) == ["manifest.json", "snapshot_last.json"]
+    assert_one_line_json(blow)
 
 
 def test_seed_flag_feeds_random_ic(tmp_path):
@@ -136,7 +160,8 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         "eps_nan": ["--system", "gardner", "--gardner-eps", "nan"],
     }
     # initial-condition arguments that do not parse, are not finite or are
-    # out of range
+    # out of range, and one given twice
+    refused["ic_repeated"] = ["--ic", "soliton(kappa=1,kappa=2)"]
     for ic in ["random_bandlimited(seed=1.5)", "soliton(kappa=abc)", "gaussian(width=0)",
                "gaussian(width=-2)", "gaussian(amplitude=nan)", "soliton(x0=nan)",
                "soliton(kappa=inf)", "random_bandlimited(max_mode=-1)",
@@ -165,6 +190,8 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         if name.startswith("type_"):
             assert name[len("type_"):] in err, err
+        if name == "ic_repeated":
+            assert "IC argument 'kappa' is given twice" in err, err
 
 
 def test_system_skdv_is_refused(tmp_path, capsys):
@@ -196,11 +223,6 @@ def test_non_finite_initial_state_exits_2_writing_nothing(tmp_path, capsys):
     assert run(["simulate", "--ic", "soliton(kappa=1e154)", "--out", out]) == 2
     assert "initial state is not finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_check_refuses_non_finite_coupling(capsys):
-    assert run(["check", "miura", "--lambda", "nan"]) == 2
-    assert "finite" in capsys.readouterr().err
 
 
 def test_stability_guard_refusal_exit_2(tmp_path, capsys):
@@ -377,6 +399,30 @@ def test_numeric_check_suites_print_the_same_verdict_forked_and_serially(
     forked, serial = printed[2], printed[1]
     assert hashlib.sha256(forked.out.encode()).hexdigest()[:12] == digest
     assert (serial.out, serial.err) == (forked.out, forked.err)
+
+
+@pytest.mark.parametrize("flags", [
+    f"{suite} --lambda {value}" for suite in ("miura", "gardner", "susy") for value in ("nan", "inf")
+] + [f"gardner --gardner-eps {value}" for value in ("nan", "inf")])
+def test_check_refuses_a_non_finite_flag_before_any_run(flags, tmp_path, monkeypatch, capsys):
+    # the flag is read under its own name before any suite runs, so no
+    # worker is forked and no verdict written
+    _, flag, value = flags.split()
+    cpus(monkeypatch, FORKED)
+    out = tmp_path / "verdict.json"
+    assert run(["check", *flags.split(), "--out", out]) == 2
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be a finite float, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["algebra", "gardner"])
+def test_check_out_writes_the_printed_bytes(suite, tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    assert run(["check", suite, "--out", out]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.0"])
@@ -610,6 +656,19 @@ def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
         dump_json(doc, path)
     assert run(["plot", flag, path, "--out", tmp_path / "x.svg"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("key,value", [("L", True), ("time", False), ("lambda", True),
+                                       ("epsilon", True), ("lambda", "nan")])
+def test_plot_refuses_a_snapshot_number_that_is_no_finite_number(key, value, tmp_path, capsys):
+    # JSON true and false are no numbers, as in a config file
+    doc = small_snapshot_doc()
+    doc[key] = value
+    path = tmp_path / "snap.json"
+    dump_json(doc, path)
+    assert run(["plot", "--snapshot", path, "--out", tmp_path / "x.svg"]) == 2
+    assert f"error: {key} must be a finite float, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
 
 

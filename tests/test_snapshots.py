@@ -1,5 +1,6 @@
 import filecmp
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from superkdv.errors import SuperKdVError
 from superkdv.fields import PeriodicGrid, build_initial_condition
 from superkdv.snapshots import (
     dump_json,
-    jsonable,
+    json_default,
     load_json,
     read_csv,
     read_snapshot,
@@ -130,12 +131,19 @@ def test_manifest_records_code_version(tmp_path):
     assert doc["seed"] == 7
 
 
-def test_jsonable_handles_numpy_types():
-    doc = jsonable({"a": np.float64(1.5), "b": np.int64(2),
-                    "c": np.bool_(True), "d": np.arange(3.0),
-                    "e": [np.float32(0.5)]})
-    assert doc == {"a": 1.5, "b": 2, "c": True, "d": [0.0, 1.0, 2.0], "e": [0.5]}
-    assert isinstance(doc["c"], bool)
+def test_json_default_writes_numpy_values_as_python_ones():
+    text = json.dumps({"a": np.float64(1.5), "b": np.int64(2),
+                       "c": np.bool_(True), "d": np.arange(3.0),
+                       "e": [np.float32(0.5)], "f": np.arange(4).reshape(2, 2)},
+                      sort_keys=True, separators=(",", ":"), default=json_default)
+    assert text == '{"a":1.5,"b":2,"c":true,"d":[0.0,1.0,2.0],"e":[0.5],"f":[[0,1],[2,3]]}'
+    assert isinstance(json_default(np.bool_(False)), bool)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json_default({1, 2})
+
+
+def compact(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("kind,backend,eps", [
@@ -147,27 +155,41 @@ def test_snapshot_bytes_equal_the_json_module(tmp_path, kind, backend, eps):
     state.odd.data[..., -2:] = [-1e-300, 0.0]
     path = tmp_path / "snap.json"
     write_snapshot(state, path)
-    expected = json.dumps(jsonable(state_to_dict(state)), sort_keys=True, indent=2) + "\n"
+    expected = compact(state_to_dict(state))
     assert path.read_bytes() == expected.encode()
+    assert expected.count("\n") == 1
     assert ('"epsilon"' in expected) == (kind == "gardner")
-    assert "-0.0," in expected and "1e+16," in expected
+    assert "[-0.0,1e-300,1e+16,1e-05," in expected
 
 
-@pytest.mark.parametrize("doc", [
-    {"b": [1, 2.5, True, None, "x\u00e9"], "a": {"z": [], "y": {}, "x": (np.int64(3),)}},
-    {"rows": np.arange(4.0).reshape(2, 2), "flags": [np.bool_(False), np.float32(0.5)]},
-    {"special": [float("nan"), float("inf"), -float("inf"), 10 ** 400], "f": np.float64(-0.0)},
-    {2: "int keys", 10: "sort as numbers"},
-    [],
-    "top-level string",
+# a document, and the same document with numpy values written as Python ones
+@pytest.mark.parametrize("doc,plain", [
+    ({"b": [1, 2.5, True, None, "x\u00e9"], "a": {"z": [], "y": {}, "x": (np.int64(3),)}},
+     {"b": [1, 2.5, True, None, "x\u00e9"], "a": {"z": [], "y": {}, "x": [3]}}),
+    ({"rows": np.arange(4.0).reshape(2, 2), "flags": [np.bool_(False), np.float32(0.5)]},
+     {"rows": [[0.0, 1.0], [2.0, 3.0]], "flags": [False, 0.5]}),
+    ({"special": [float("nan"), float("inf"), -float("inf"), 10 ** 400], "f": np.float64(-0.0)},
+     {"special": [float("nan"), float("inf"), -float("inf"), 10 ** 400], "f": -0.0}),
+    ({2: "int keys", 10: "sort as numbers"}, {2: "int keys", 10: "sort as numbers"}),
+    ([], []),
+    ("top-level string", "top-level string"),
 ])
-def test_dump_json_bytes_equal_the_json_module(tmp_path, doc):
+def test_dump_json_bytes_equal_the_json_module(tmp_path, doc, plain):
     path = tmp_path / "doc.json"
     dump_json(doc, path)
-    expected = json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == compact(plain).encode()
 
 
 def test_dump_json_refuses_what_json_refuses(tmp_path):
     with pytest.raises(TypeError):
         dump_json({"a": {1, 2}}, tmp_path / "doc.json")
+
+
+def test_line_plot_escapes_its_text(tmp_path):
+    # the title, x label and series labels are XML text: &, < and > in
+    # them are escaped, and the parsed file gives them back unchanged
+    path = tmp_path / "escaped.svg"
+    texts = ["H2 & <H4>", "t < 1 & t > 0", "H2[unit] & <nil>"]
+    write_line_plot(path, [0.0, 1.0], {texts[2]: [1.0, 2.0]}, title=texts[0], xlabel=texts[1])
+    parsed = [element.text for element in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert all(text in parsed for text in texts)
