@@ -20,8 +20,7 @@ from .algebra import AlgebraDescriptor, OddValue, validate_algebra
 from .dynamics import SYSTEM_KINDS, SystemState, integrate
 from .errors import NumericalBlowup, StabilityError, SuperKdVError, finite_number
 from .fields import PeriodicGrid, RandomBandlimitedIC, build_initial_condition, parse_ic, quadrature
-from .invariants import (drift_report, hamiltonian_density,
-                         reduced_hamiltonian_density, tracked_labels)
+from .invariants import drift_report, hamiltonian_density, reduced_hamiltonian_density
 from .symbolic import reproduce_conserved_quantities
 from .transforms import (fd_flow_residual, flow_commutation_defect, gardner_map,
                          inverse_gardner_series, miura, susy_variation,
@@ -55,7 +54,6 @@ SIMULATE_DEFAULTS = {
     "t_end": 1.0,
     "scheme": "ifrk4",
     "ic": "zero",
-    "track": None,
     "seed": 0,
     "record_every": None,
     "force": False,
@@ -100,15 +98,6 @@ def _positive(cfg, key, kind=float):
     return value
 
 
-def _tracked_labels(cfg, system):
-    track = cfg["track"]
-    if isinstance(track, str):
-        track = [t.strip() for t in track.split(",") if t.strip()]
-    elif not isinstance(track, (list, type(None))):
-        raise UsageError(f"track must be a comma list or a JSON list, got {track!r}")
-    return tracked_labels(system, track)
-
-
 def _resolve_ic(cfg, seed):
     spec = parse_ic(str(cfg["ic"]))
     if isinstance(spec, RandomBandlimitedIC) and spec.seed is None:
@@ -142,7 +131,8 @@ def cmd_simulate(args):
     steps = max(1, round(t_end / dt))
     record_every = (_number(cfg, "record_every", int) if cfg["record_every"] is not None
                     else max(1, steps // 50))
-    track = _tracked_labels(cfg, system)
+    if not isinstance(cfg["force"], bool):
+        raise UsageError(f"force must be true or false, got {cfg['force']!r}")
 
     ic_spec = _resolve_ic(cfg, seed)
     grid = PeriodicGrid(L, N)
@@ -166,13 +156,11 @@ def cmd_simulate(args):
         "steps": steps,
         "scheme": scheme,
         "ic": {"name": ic_spec.name, "params": ic_spec.params()},
-        "track": list(track),
         "seed": seed,
         "record_every": record_every,
+        "force": cfg["force"],
     }
 
-    if not isinstance(cfg["force"], bool):
-        raise UsageError(f"force must be true or false, got {cfg['force']!r}")
     # a refused run writes nothing: the manifest follows the integration
     try:
         traj = integrate(state, dt, steps, scheme=scheme,
@@ -193,7 +181,7 @@ def cmd_simulate(args):
     for i, recorded in enumerate(traj):
         snapshots.write_snapshot(recorded,
                                  os.path.join(outdir, f"snapshot_{i:04d}.json"))
-    report = drift_report(traj, track)
+    report = drift_report(traj)
     snapshots.write_report_csv(report, os.path.join(outdir, "conserved.csv"))
     print(f"wrote {len(traj)} snapshots over t in [0, {steps * dt:g}] "
           f"to {outdir}; max relative drift {report.max_drift:.3e}")
@@ -518,7 +506,6 @@ def build_parser():
     sim.add_argument("--scheme", choices=("rk4", "ifrk4"))
     sim.add_argument("--ic", help='e.g. soliton(kappa=1) | zero | '
                                   'random_bandlimited(max_mode=5,amplitude=0.5)')
-    sim.add_argument("--track", help="comma list of conserved quantities")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, help="seed for random initial data")
     sim.add_argument("--record-every", dest="record_every", type=int)

@@ -9,17 +9,16 @@ once as symbolic.density_poly("H") with u and xi standing for v and eta;
 hamiltonian_density evaluates it.  Under the Miura substitution h reduces
 to 1/2 u^2 + L/2 [xi', xi], half the H2 density.
 
-drift_report evaluates the quantities appropriate to a trajectory's
-system (the H_k for extended, which on a grassmann backend is the N=1
-super KdV, int h ("H") for modified, and the H_k of the mapped fields
-for gardner) and reports each quantity's worst relative excursion from
-its initial value.
+drift_report evaluates every conserved quantity of a trajectory's
+system, a set the system fixes and no caller chooses: H0-H6 for
+extended, which on a grassmann backend is the N=1 super KdV, int h ("H")
+for modified, and H0-H6 of the mapped fields for gardner.  It reports
+each quantity's worst relative excursion from its initial value.
 """
 
 import numpy as np
 
 from .algebra import value_norm
-from .errors import SuperKdVError
 from .fields import quadrature
 from .symbolic import _Program, density_poly, instantiate
 from .transforms import to_extended_trajectory
@@ -28,27 +27,17 @@ H_LABELS = ("H0", "H2", "H4", "H6")
 DRIFT_FLOOR = 1e-12
 
 
-def _label_tuple(labels):
-    """The labels as a tuple, a bare string being one label."""
-    return (labels,) if isinstance(labels, str) else tuple(labels)
+def conserved_densities(u, xi, lam):
+    """Map label -> EvenField whose quadrature is the conserved quantity,
+    for each of H_LABELS."""
+    densities = _Program.compile(map(density_poly, H_LABELS), u.grid, u.descriptor, lam)
+    return dict(zip(H_LABELS, densities(u, xi)))
 
 
-def conserved_densities(u, xi, lam, which=H_LABELS):
-    """Map label -> EvenField whose quadrature is the conserved quantity;
-    which is a label or a collection of them."""
-    which = _label_tuple(which)
-    bad = [w for w in which if w not in H_LABELS]
-    if bad:
-        raise SuperKdVError(f"unknown conserved quantities {bad}; have {H_LABELS}")
-    labels = [label for label in H_LABELS if label in which]
-    densities = _Program.compile(map(density_poly, labels), u.grid, u.descriptor, lam)
-    return dict(zip(labels, densities(u, xi)))
-
-
-def conserved_quantities(u, xi, lam, which=H_LABELS):
+def conserved_quantities(u, xi, lam):
     """Map label -> EvenValue, the quadrature of each conserved density."""
     return {label: quadrature(density)
-            for label, density in conserved_densities(u, xi, lam, which).items()}
+            for label, density in conserved_densities(u, xi, lam).items()}
 
 
 def hamiltonian_density(v, eta, lam):
@@ -58,7 +47,7 @@ def hamiltonian_density(v, eta, lam):
 
 def reduced_hamiltonian_density(u, xi, lam):
     """What hamiltonian_density becomes in the extended variables."""
-    return 0.5 * conserved_densities(u, xi, lam, ("H2",))["H2"]
+    return 0.5 * instantiate(density_poly("H2"), u, xi, lam)
 
 
 class ConservedReport:
@@ -109,23 +98,11 @@ class ConservedReport:
         return "\n".join(lines)
 
 
-def tracked_labels(kind, quantities=None):
-    """The labels drift_report evaluates for a system, checked before any
-    work: int h ("H") for modified, a choice of H_LABELS otherwise, given
-    as one label or a collection of them."""
-    have = ("H",) if kind == "modified" else H_LABELS
-    labels = have if quantities is None else _label_tuple(quantities)
-    if not labels or not set(labels) <= set(have):
-        raise SuperKdVError(f"cannot track {list(labels)} for the {kind} system; "
-                            f"choose from {list(have)}")
-    return labels
-
-
-def drift_report(traj, quantities=None):
-    """Evaluate the conserved quantities appropriate to traj's system at
-    every record and report their relative drifts."""
+def drift_report(traj):
+    """Evaluate the conserved quantities of traj's system at every record
+    and report their relative drifts."""
     kind = traj.kind
-    labels = tracked_labels(kind, quantities)
+    labels = ("H",) if kind == "modified" else H_LABELS
     if kind == "gardner":  # its H_k are those of the mapped fields
         traj = to_extended_trajectory(traj)
     first = traj[0]

@@ -66,9 +66,9 @@ _SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "even", "odd"
 def state_from_dict(doc):
     """Rebuild a SystemState from a snapshot document.
 
-    Malformed content (a missing key or channel, an L, time, lambda or
-    epsilon that is not a finite number, true and false included, a sample
-    that is not a number, a row not N long) raises SuperKdVError.
+    Malformed content (a missing key or channel, an L, time, lambda,
+    epsilon or sample that is not a finite JSON number, true, false and
+    text included, a row that is no list N long) raises SuperKdVError.
     """
     if not isinstance(doc, dict):
         raise SuperKdVError("a snapshot must be a JSON object")
@@ -88,16 +88,19 @@ def state_from_dict(doc):
         for i, label in enumerate(field.labels):
             if label not in part:
                 raise SuperKdVError(f"snapshot missing channel {label!r}")
-            try:
-                row = np.asarray(part[label], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise SuperKdVError(f"snapshot channel {part_name}:{label}: {exc}")
-            if row.shape != (grid.N,):
-                raise SuperKdVError(
-                    f"snapshot channel {part_name}:{label} holds shape {row.shape}, "
-                    f"not ({grid.N},)")
-            field.data[i] = row
+            name, row = f"snapshot channel {part_name}:{label}", part[label]
+            if not isinstance(row, list) or len(row) != grid.N:
+                raise SuperKdVError(f"{name} must be a list of {grid.N} samples")
+            field.data[i] = [_sample(name, sample) for sample in row]
     return SystemState(doc["system"], even, odd, time=time, lam=lam, epsilon=epsilon)
+
+
+def _sample(name, value):
+    """value as a float when it is a finite JSON number; a bool or text,
+    which float() would read, raises SuperKdVError naming the channel."""
+    if type(value) not in (int, float):
+        raise SuperKdVError(f"{name} must be a finite float, got {value!r}")
+    return finite_number(name, value)
 
 
 def read_snapshot(path):
@@ -168,22 +171,28 @@ def _ticks(lo, hi, count=5):
 def write_line_plot(path, x, series, title="", xlabel=""):
     """Standalone SVG with one polyline per named series.
 
-    series maps label -> sequence of y values (same length as x).  The
-    title, x label and series labels are escaped as XML text.
+    series maps label -> sequence of y values (same length as x).  A
+    non-finite x or y value raises SuperKdVError before any file is
+    written.  The title, x label and series labels are escaped as XML text.
     """
     from xml.sax.saxutils import escape  # here: it imports urllib.request, 35 ms
 
     x = np.asarray(x, dtype=float)
     if not series:
         raise SuperKdVError("nothing to plot: no series given")
+    series = {label: np.asarray(ys, dtype=float) for label, ys in series.items()}
     for label, ys in series.items():
         if len(ys) != len(x):
             raise SuperKdVError(
                 f"series {label!r} has {len(ys)} points, x axis has {len(x)}")
+        if not np.isfinite(ys).all():
+            raise SuperKdVError(f"series {label!r} holds a non-finite value")
     if len(x) == 0:
         raise SuperKdVError("nothing to plot: empty data")
-    ymin = min(float(np.min(np.asarray(ys, dtype=float))) for ys in series.values())
-    ymax = max(float(np.max(np.asarray(ys, dtype=float))) for ys in series.values())
+    if not np.isfinite(x).all():
+        raise SuperKdVError(f"the x axis {xlabel!r} holds a non-finite value")
+    ymin = min(float(np.min(ys)) for ys in series.values())
+    ymax = max(float(np.max(ys)) for ys in series.values())
     if ymax == ymin:
         ymax, ymin = ymax + 1.0, ymin - 1.0
     pad = 0.05 * (ymax - ymin)

@@ -88,7 +88,7 @@ def test_readme_run_reproduces_its_digest(tmp_path):
     for name in names:
         digest.update((out / name).read_bytes())
     assert len(names) == 53
-    assert digest.hexdigest()[:12] == "c3419535298c"
+    assert digest.hexdigest()[:12] == "487fecfb57bd"
 
 
 def assert_one_line_json(directory):
@@ -148,9 +148,6 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         "z": ["--system", "extended", "--dt", -1],
         "w": ["--algebra", "grassmann:99"],
         "v": ["--record-every", 0],
-        "m": ["--system", "modified", "--track", "H2"],
-        "e": ["--system", "extended", "--track", "H8"],
-        "t": ["--track", ","],
         "dt_nan": ["--dt", "nan"],
         "t_end_inf": ["--t-end", "inf"],
         "L_inf": ["--L", "inf"],
@@ -176,10 +173,10 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         cfg.write_text(json.dumps({"system": "gardner", key: value}))
         refused[cfg.stem] = ["--config", cfg]
     # config values of the wrong JSON type, refused by key rather than
-    # coerced: true is no number, "false" no boolean, which as --force
-    # would run dt = 0.1 past the stability guard, and 5 no list
+    # coerced: true is no number, and "false" no boolean, which as --force
+    # would run dt = 0.1 past the stability guard
     for key, values in [("seed", {"seed": True}), ("record_every", {"record_every": True}),
-                        ("lambda", {"lambda": True}), ("track", {"track": 5}),
+                        ("lambda", {"lambda": True}),
                         ("force", {"force": "false", "dt": 0.1, "scheme": "rk4"})]:
         cfg = tmp_path / f"type_{key}.json"
         cfg.write_text(json.dumps({"grid": 64, "t_end": 0.01, **values}))
@@ -282,6 +279,35 @@ def test_dealiasing_cannot_be_turned_off(tmp_path, capsys):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "key"]) == 2
     assert "unknown config key 'dealias'" in capsys.readouterr().err
     assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
+
+def test_conserved_quantities_cannot_be_chosen(tmp_path, capsys):
+    # a run evaluates every conserved quantity of its system: --track is no
+    # flag, track no config key, and a manifest does not record it
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--track", "H2", "--out", tmp_path / "flag"])
+    assert info.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"track": ["H2"]}))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "key"]) == 2
+    assert "unknown config key 'track'" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+    out = tmp_path / "run"
+    assert run(["simulate", "--grid", 64, "--t-end", 0.002, "--out", out]) == 0
+    assert "track" not in load_json(out / "manifest.json")
+    header, _ = read_csv(out / "conserved.csv")
+    assert header == ["time", "H0[unit]", "H2[unit]", "H4[unit]", "H6[unit]"]
+
+
+def test_manifest_records_every_setting(tmp_path):
+    # everything the run depended on: each SIMULATE_DEFAULTS key, grid as N
+    out = tmp_path / "run"
+    assert run(["simulate", "--t-end", 0.002, "--force", "--out", out]) == 0
+    manifest = load_json(out / "manifest.json")
+    assert {"N" if key == "grid" else key for key in SIMULATE_DEFAULTS} <= set(manifest)
+    assert manifest["force"] is True
+    assert run(["simulate", "--t-end", 0.002, "--out", tmp_path / "plain"]) == 0
+    assert load_json(tmp_path / "plain" / "manifest.json")["force"] is False
 
 
 def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
@@ -642,10 +668,8 @@ UNREADABLE_PLOT_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNREADABLE_PLOT_INPUTS))
-def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
-    flag, content = UNREADABLE_PLOT_INPUTS[case]
-    path = tmp_path / "input"
+def write_plot_input(path, content):
+    """A plot input at path, given as in UNREADABLE_PLOT_INPUTS."""
     if isinstance(content, str):
         path.write_text(content)
     elif isinstance(content, bytes):
@@ -654,8 +678,47 @@ def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
         doc = small_snapshot_doc()
         content(doc)
         dump_json(doc, path)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_PLOT_INPUTS))
+def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
+    flag, content = UNREADABLE_PLOT_INPUTS[case]
+    path = tmp_path / "input"
+    write_plot_input(path, content)
     assert run(["plot", flag, path, "--out", tmp_path / "x.svg"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def set_sample(value):
+    """An edit of a snapshot document that sets its fourth even:unit sample."""
+    return lambda doc: doc["even"]["unit"].__setitem__(3, value)
+
+
+# flag, content as in UNREADABLE_PLOT_INPUTS, and the error that names the data
+NON_NUMERIC_PLOT_DATA = {
+    "csv-nan-cell": ("--csv", "time,H0[unit]\n0.0,1.0\n0.1,nan\n",
+                     "error: series 'H0[unit]' holds a non-finite value"),
+    "csv-inf-time": ("--csv", "time,H0[unit]\n0.0,1.0\ninf,2.0\n",
+                     "error: the x axis 'time' holds a non-finite value"),
+    # json reads NaN, true and "1.5", which float() would take as nan, 1.0, 1.5
+    "snapshot-nan-sample": ("--snapshot", set_sample(float("nan")),
+                            "error: snapshot channel even:unit must be a finite float, got nan"),
+    "snapshot-true-sample": ("--snapshot", set_sample(True),
+                             "error: snapshot channel even:unit must be a finite float, got True"),
+    "snapshot-text-sample": ("--snapshot", set_sample("1.5"),
+                             "error: snapshot channel even:unit must be a finite float, "
+                             "got '1.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_PLOT_DATA))
+def test_plot_refuses_data_that_is_no_finite_number(case, tmp_path, capsys):
+    flag, content, message = NON_NUMERIC_PLOT_DATA[case]
+    path = tmp_path / "input"
+    write_plot_input(path, content)
+    assert run(["plot", flag, path, "--out", tmp_path / "x.svg"]) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -119,6 +120,19 @@ def test_line_plot_input_validation(tmp_path):
         write_line_plot(tmp_path / "x.svg", [], {})
     with pytest.raises(SuperKdVError):
         write_line_plot(tmp_path / "x.svg", [0.0, 1.0], {"a": [1.0]})
+
+
+@pytest.mark.parametrize("x,ys,named", [
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 2.0], "series 'H0[unit]'"),
+    ([0.0, 1.0, 2.0], [1.0, 2.0, -np.inf], "series 'H0[unit]'"),
+    ([0.0, np.inf, 2.0], [1.0, 2.0, 3.0], "the x axis 'time'"),
+])
+def test_line_plot_refuses_non_finite_values(x, ys, named, tmp_path):
+    # a NaN would draw as the text "nan" in every point of the polyline
+    path = tmp_path / "x.svg"
+    with pytest.raises(SuperKdVError, match=re.escape(f"{named} holds a non-finite value")):
+        write_line_plot(path, x, {"H0[unit]": ys}, xlabel="time")
+    assert not path.exists()
 
 
 def test_manifest_records_code_version(tmp_path):

@@ -65,6 +65,34 @@ def test_benchmark_tracer_installs():
     assert run.returncode == 0, run.stderr
 
 
+def test_benchmark_tracer_counts_drift_report_records():
+    # the tracer counts drift_report's records from its first argument,
+    # given by position or as traj=, so that parameter keeps its name
+    env = _source_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent.parent / "perfbench"),
+                                         env["PYTHONPATH"]])
+    probe = ("from tracing import Tracer\n"
+             "from superkdv import invariants\n"
+             "from superkdv.dynamics import SystemState, integrate\n"
+             "from superkdv.fields import build_initial_condition, PeriodicGrid\n"
+             "from superkdv.algebra import AlgebraDescriptor\n"
+             "u, xi = build_initial_condition('soliton(kappa=1)', PeriodicGrid(40.0, 64),\n"
+             "                                AlgebraDescriptor.from_string('scalar'))\n"
+             "traj = integrate(SystemState('extended', u, xi), 1e-3, 2)\n"
+             "assert len(traj) == 3, len(traj)\n"
+             "tracer = Tracer().install()\n"
+             "try:\n"
+             "    invariants.drift_report(traj)\n"
+             "    invariants.drift_report(traj=traj)\n"
+             "finally:\n"
+             "    tracer.uninstall()\n"
+             "print(tracer.counts['invariants.records'])\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "6\n"
+
+
 def test_import_builds_no_table_and_parses_no_text():
     # the set-up every run pays starts with this import: no algebra table,
     # proof or parsed formula may be made on the way.  get_algebra then
