@@ -1,9 +1,11 @@
 """Command line front end: simulation runs, verification checks, plots.
 
-Exit codes: 0 success, 1 a check failed, 2 usage or configuration error,
-3 numeric blow-up (the last finite state is still written).  All outputs
-are deterministic: rerunning with the same configuration reproduces every
-artifact byte for byte.
+Flags are the only input: each setting's default, type and allowed values
+are written once, on its argument in build_parser.  Exit codes: 0 success,
+1 a check failed, 2 usage error (an output that cannot be written
+included), 3 numeric blow-up (the last finite state is still written).
+All outputs are deterministic: rerunning with the same flags reproduces
+every artifact byte for byte.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import os
 import pickle
 import sys
 from functools import partial
+from inspect import signature
 
 import numpy as np
 
@@ -41,130 +44,52 @@ class UsageError(SuperKdVError):
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# simulate
 
-SIMULATE_DEFAULTS = {
-    "system": "extended",
-    "algebra": "scalar",
-    "lambda": 0.0,
-    "gardner_eps": None,
-    "L": 40.0,
-    "grid": 256,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "scheme": "ifrk4",
-    "ic": "zero",
-    "seed": 0,
-    "record_every": None,
-    "force": False,
-}
-
-_DEST = {"lambda": "lam"}
-
-
-def resolve_config(args, defaults):
-    """Start from defaults, overlay the JSON config file, overlay explicit
-    flags (flags win)."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            key = key.replace("-", "_")
-            if key not in cfg:
-                raise UsageError(f"unknown config key {key!r}")
-            cfg[key] = value
-    for key in cfg:
-        value = getattr(args, _DEST.get(key, key), None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def _number(cfg, key, kind=float):
-    return finite_number(key, cfg[key], kind)
-
-
-def _positive(cfg, key, kind=float):
-    value = _number(cfg, key, kind)
-    if value <= 0:
-        raise UsageError(f"{key} must be positive, got {value}")
+def _positive(flag, value):
+    if not finite_number(flag, value) > 0:
+        raise UsageError(f"{flag} must be positive, got {value}")
     return value
 
 
-def _resolve_ic(cfg, seed):
-    spec = parse_ic(str(cfg["ic"]))
-    if isinstance(spec, RandomBandlimitedIC) and spec.seed is None:
-        spec.seed = seed
-    return spec
-
-
-# ---------------------------------------------------------------------------
-# simulate
-
 def cmd_simulate(args):
-    cfg = resolve_config(args, SIMULATE_DEFAULTS)
-    system = str(cfg["system"])
-    if system not in SYSTEM_KINDS:
-        raise UsageError(f"unknown system {system!r}")
-    algebra = str(cfg["algebra"])
-    descriptor = AlgebraDescriptor.from_string(algebra)
-    if cfg["gardner_eps"] is not None and system != "gardner":
+    if args.gardner_eps is not None and args.system != "gardner":
         raise UsageError("--gardner-eps applies to the gardner system only")
-
-    L = _positive(cfg, "L")
-    N = _positive(cfg, "grid", int)
-    dt = _positive(cfg, "dt")
-    t_end = _positive(cfg, "t_end")
-    lam = _number(cfg, "lambda")
-    eps = _number(cfg, "gardner_eps") if cfg["gardner_eps"] is not None else 0.0
-    scheme = str(cfg["scheme"])
-    if scheme not in ("rk4", "ifrk4"):
-        raise UsageError(f"unknown scheme {scheme!r}")
-    seed = _number(cfg, "seed", int)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    L, N = _positive("--L", args.L), _positive("--grid", args.grid)
+    dt, t_end = _positive("--dt", args.dt), _positive("--t-end", args.t_end)
+    lam = finite_number("--lambda", args.lam)
+    eps = 0.0 if args.gardner_eps is None else finite_number("--gardner-eps", args.gardner_eps)
     steps = max(1, round(t_end / dt))
-    record_every = (_number(cfg, "record_every", int) if cfg["record_every"] is not None
-                    else max(1, steps // 50))
-    if not isinstance(cfg["force"], bool):
-        raise UsageError(f"force must be true or false, got {cfg['force']!r}")
+    record_every = max(1, steps // 50) if args.record_every is None else args.record_every
 
-    ic_spec = _resolve_ic(cfg, seed)
+    ic_spec = parse_ic(args.ic)
+    if isinstance(ic_spec, RandomBandlimitedIC) and ic_spec.seed is None:
+        ic_spec.seed = args.seed
     grid = PeriodicGrid(L, N)
-    even, odd = build_initial_condition(ic_spec, grid, descriptor)
-    state = SystemState(system, even, odd, lam=lam,
-                        epsilon=eps if system == "gardner" else 0.0)
+    even, odd = build_initial_condition(ic_spec, grid, AlgebraDescriptor.from_string(args.algebra))
+    state = SystemState(args.system, even, odd, lam=lam, epsilon=eps)
 
     outdir = args.out
     if not outdir:
-        raise UsageError("--out DIR is required")
-    manifest = {
-        "command": "simulate",
-        "system": system,
-        "algebra": algebra,
-        "lambda": lam,
-        "gardner_eps": eps if system == "gardner" else None,
-        "L": L,
-        "N": N,
-        "dt": dt,
-        "t_end": steps * dt,
-        "steps": steps,
-        "scheme": scheme,
-        "ic": {"name": ic_spec.name, "params": ic_spec.params()},
-        "seed": seed,
-        "record_every": record_every,
-        "force": cfg["force"],
-    }
+        raise UsageError("--out must not be empty")
+    # an --out where no directory can be made is refused before any step
+    head = os.path.abspath(outdir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise UsageError(f"cannot write --out {outdir}: {head} is no writable directory")
+    manifest = {"command": "simulate", "system": args.system, "algebra": args.algebra,
+                "lambda": lam, "gardner_eps": eps if args.system == "gardner" else None,
+                "L": L, "N": N, "dt": dt, "t_end": steps * dt, "steps": steps,
+                "scheme": args.scheme, "ic": {"name": ic_spec.name, "params": ic_spec.params()},
+                "seed": args.seed, "record_every": record_every, "force": args.force}
 
     # a refused run writes nothing: the manifest follows the integration
     try:
-        traj = integrate(state, dt, steps, scheme=scheme,
-                         record_every=record_every, force=cfg["force"])
+        traj = integrate(state, dt, steps, scheme=args.scheme,
+                         record_every=record_every, force=args.force)
     except StabilityError as exc:
         raise UsageError(f"{exc}; rerun with --force to override")
     except NumericalBlowup as exc:
@@ -191,8 +116,8 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # check suites
 
-def _check_algebra(args):
-    backends = [args.algebra] if args.algebra else list(DEFAULT_VALIDATION_SET)
+def _check_algebra(algebra=None):
+    backends = [algebra] if algebra else list(DEFAULT_VALIDATION_SET)
     results = []
     for backend in backends:
         report = validate_algebra(AlgebraDescriptor.from_string(backend))
@@ -291,10 +216,10 @@ def _miura_half(backend, lam, seed):
     return res, (ham - red).norm() / max(ham.norm(), 1.0)
 
 
-def _check_miura(args):
+def _check_miura(lam=1.0, seed=0):
     tolerances = {"mapped flow residual": 1e-5, "hamiltonian reduction": 1e-10}
     backends = ("grassmann:4", "symplectic:1")
-    halves = _in_parallel(*(partial(_miura_half, b, args.lam, args.seed) for b in backends))
+    halves = _in_parallel(*(partial(_miura_half, b, lam, seed) for b in backends))
     # each half's values are those the tolerances bound, in their order
     rows = [(f"{name} [{backend}]", value, name)
             for backend, values in zip(backends, halves)
@@ -332,17 +257,16 @@ def _roundtrip_slope(lam, seed):
     return float(np.log2(roundtrip(0.1) / roundtrip(0.05)))
 
 
-def _check_gardner(args):
-    lam, eps, seed = args.lam, args.gardner_eps, args.seed
-    if eps == 0:
+def _check_gardner(lam=1.0, gardner_eps=0.1, seed=0):
+    if gardner_eps == 0:
         raise UsageError("--gardner-eps must be nonzero: the deviation ratio compares "
                          "the gardner runs at eps and eps/2")
     tolerances = {"mapped flow residual": 1e-5, "deviation ratio band": [3.4, 4.6],
                   "slope band": [6.5, 7.5]}
     z, sigma = _random_fields("symplectic:1", seed)
     (res, reached), (extended, halved) = _in_parallel(
-        partial(_gardner_mapped, z, sigma, lam, eps),
-        partial(_gardner_references, z, sigma, lam, eps))
+        partial(_gardner_mapped, z, sigma, lam, gardner_eps),
+        partial(_gardner_references, z, sigma, lam, gardner_eps))
     # the gardner flow's deviation from the extended flow at eps and eps/2
     dev1, dev2 = (reached - extended).norm(), (halved - extended).norm()
     return _judged("gardner", tolerances, [
@@ -370,12 +294,12 @@ def _susy_half(backend, lam, seed):
     return d1, d2, max(du2.norm(), dxi2.norm()) / scale
 
 
-def _check_susy(args):
+def _check_susy(lam=1.0, seed=0):
     tolerances = {"noise floor": 1e-9, "defect ratio band": [3.4, 4.6],
                   "variation squared": 1e-12}
     floor = tolerances["noise floor"]
     backends = ("grassmann:4", "symplectic:1")
-    halves = _in_parallel(*(partial(_susy_half, b, args.lam, args.seed) for b in backends))
+    halves = _in_parallel(*(partial(_susy_half, b, lam, seed) for b in backends))
     rows = []
     for backend, (d1, d2, nil) in zip(backends, halves):
         rows += [(f"commutation defect h [{backend}]", d1, None),
@@ -388,7 +312,7 @@ def _check_susy(args):
     return _judged("susy", tolerances, rows, ".3e")
 
 
-def _check_densities(args):
+def _check_densities():
     table = reproduce_conserved_quantities(max_order=6)
     expected = {0: "1", 2: "-1", 4: "1", 6: "-1"}
     got = {e["n"]: str(e["c"]) for e in table.entries}
@@ -403,6 +327,7 @@ def _check_densities(args):
     return verdict, str(table)
 
 
+# each suite reads the flags its function takes, at the defaults it gives them
 _CHECKS = {
     "algebra": _check_algebra,
     "miura": _check_miura,
@@ -413,20 +338,23 @@ _CHECKS = {
 
 
 def cmd_check(args):
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
-    if args.algebra is not None and args.suite != "algebra":
-        raise UsageError("--algebra applies to check algebra only")
+    check, flags = _CHECKS[args.suite], args.suite_flags
+    given = {dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None}
+    unread = [flags[dest] for dest in given if dest not in signature(check).parameters]
+    if unread:
+        raise UsageError(f"check {args.suite} does not read {', '.join(unread)}")
+    if given.get("seed", 0) < 0:
+        raise UsageError(f"--seed must be non-negative, got {given['seed']}")
     # read before any suite runs or forks, under the flags' own names
-    args.lam = finite_number("--lambda", args.lam)
-    args.gardner_eps = finite_number("--gardner-eps", args.gardner_eps)
-    verdict, summary = _CHECKS[args.suite](args)
+    for dest in {"lam", "gardner_eps"} & set(given):
+        given[dest] = finite_number(flags[dest], given[dest])
+    verdict, summary = check(**given)
     text = json.dumps(verdict, sort_keys=True, indent=2, default=snapshots.json_default) + "\n"
-    print(summary, file=sys.stderr)
-    print(text, end="")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
+    print(summary, file=sys.stderr)
+    print(text, end="")
     return EXIT_OK if verdict["pass"] else EXIT_CHECK_FAILED
 
 
@@ -492,36 +420,40 @@ def build_parser():
                         version=f"superkdv {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    sim = sub.add_parser("simulate", help="integrate a system and write artifacts")
-    sim.add_argument("--system", choices=SYSTEM_KINDS)
-    sim.add_argument("--algebra", help="scalar | grassmann:N | symplectic:n")
-    sim.add_argument("--lambda", dest="lam", type=float,
+    sim = sub.add_parser("simulate", help="integrate a system and write artifacts",
+                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sim.add_argument("--system", choices=SYSTEM_KINDS, default="extended", help="evolution system")
+    sim.add_argument("--algebra", default="scalar", help="scalar | grassmann:N | symplectic:n")
+    sim.add_argument("--lambda", dest="lam", type=float, default=0.0,
                      help="coupling constant in front of the bracket terms")
     sim.add_argument("--gardner-eps", dest="gardner_eps", type=float,
-                     help="deformation parameter (gardner system only)")
-    sim.add_argument("--L", type=float, help="periodic box length")
-    sim.add_argument("--grid", type=int, help="number of spatial points")
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--scheme", choices=("rk4", "ifrk4"))
-    sim.add_argument("--ic", help='e.g. soliton(kappa=1) | zero | '
-                                  'random_bandlimited(max_mode=5,amplitude=0.5)')
+                     help="deformation parameter; gardner system only, where unset means 0")
+    sim.add_argument("--L", type=float, default=40.0, help="periodic box length")
+    sim.add_argument("--grid", type=int, default=256, help="number of spatial points")
+    sim.add_argument("--dt", type=float, default=1e-3, help="time step")
+    sim.add_argument("--t-end", dest="t_end", type=float, default=1.0, help="final time")
+    sim.add_argument("--scheme", choices=("rk4", "ifrk4"), default="ifrk4",
+                     help="time integrator")
+    sim.add_argument("--ic", default="zero", help='e.g. soliton(kappa=1) | zero | '
+                                                  'random_bandlimited(max_mode=5,amplitude=0.5)')
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, help="seed for random initial data")
-    sim.add_argument("--record-every", dest="record_every", type=int)
-    sim.add_argument("--force", action="store_true", default=None,
-                     help="run past the linear stability guard")
-    sim.add_argument("--config", help="JSON file mirroring the flags; flags win")
+    sim.add_argument("--seed", type=int, default=0,
+                     help="seed for a random initial condition that gives none")
+    sim.add_argument("--record-every", dest="record_every", type=int,
+                     help="steps between snapshots; unset means steps // 50, at least 1")
+    sim.add_argument("--force", action="store_true", help="run past the linear stability guard")
     sim.set_defaults(func=cmd_simulate)
 
     chk = sub.add_parser("check", help="run a verification suite")
     chk.add_argument("suite", choices=sorted(_CHECKS))
-    chk.add_argument("--algebra", help="check algebra only: validate this one backend")
-    chk.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    chk.add_argument("--gardner-eps", dest="gardner_eps", type=float, default=0.1)
-    chk.add_argument("--seed", type=int, default=0)
+    flags = [chk.add_argument("--algebra", help="validate this one backend (algebra only)"),
+             chk.add_argument("--lambda", dest="lam", type=float,
+                              help="coupling constant (miura, gardner, susy)"),
+             chk.add_argument("--gardner-eps", dest="gardner_eps", type=float,
+                              help="deformation parameter (gardner)"),
+             chk.add_argument("--seed", type=int, help="seed for random data (miura, gardner, susy)")]
     chk.add_argument("--out", help="also write the JSON verdict, as printed, to this file")
-    chk.set_defaults(func=cmd_check)
+    chk.set_defaults(func=cmd_check, suite_flags={f.dest: f.option_strings[0] for f in flags})
 
     plt = sub.add_parser("plot", help="render CSV columns or a snapshot as SVG")
     plt.add_argument("--csv", help="conserved-quantity table from simulate")
@@ -544,6 +476,12 @@ def main(argv=None):
         return args.func(args)
     except SuperKdVError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # each input is read where its errors are refused: this is an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

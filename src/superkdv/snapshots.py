@@ -66,9 +66,10 @@ _SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "even", "odd"
 def state_from_dict(doc):
     """Rebuild a SystemState from a snapshot document.
 
-    Malformed content (a missing key or channel, an L, time, lambda,
-    epsilon or sample that is not a finite JSON number, true, false and
-    text included, a row that is no list N long) raises SuperKdVError.
+    Malformed content (a missing key or channel, a channel the declared
+    algebra lacks, an L, time, lambda, epsilon or sample that is not a
+    finite JSON number, true, false and text included, a row that is no
+    list N long) raises SuperKdVError.
     """
     if not isinstance(doc, dict):
         raise SuperKdVError("a snapshot must be a JSON object")
@@ -85,6 +86,10 @@ def state_from_dict(doc):
         part = doc[part_name]
         if not isinstance(part, dict):
             raise SuperKdVError(f"snapshot {part_name!r} must map channel labels to rows")
+        foreign = sorted(set(part) - set(field.labels))
+        if foreign:
+            raise SuperKdVError(f"snapshot {part_name} channels {foreign} are not "
+                                f"channels of {desc}")
         for i, label in enumerate(field.labels):
             if label not in part:
                 raise SuperKdVError(f"snapshot missing channel {label!r}")

@@ -12,8 +12,7 @@ import pytest
 
 from superkdv import cli
 from superkdv.algebra import AlgebraDescriptor
-from superkdv.cli import (_DEST, SIMULATE_DEFAULTS, UsageError, _in_parallel, build_parser,
-                          main)
+from superkdv.cli import UsageError, _in_parallel, build_parser, main
 from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
                              NonFiniteFieldError, NumericalBlowup, StabilityError,
                              SuperKdVError)
@@ -164,37 +163,18 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
                "soliton(kappa=inf)", "random_bandlimited(max_mode=-1)",
                "random_bandlimited(max_mode=2.5)", "gaussian(center=1e999)"]:
         refused["ic_" + re.sub(r"\W", "_", ic)] = ["--ic", ic]
-    # config values that are not (finite) numbers; json writes NaN and Infinity
-    for key, value in [("seed", "abc"), ("seed", float("nan")),
-                       ("record_every", "x"), ("record_every", float("inf")),
-                       ("lambda", "x"), ("lambda", None), ("gardner_eps", "x"),
-                       ("grid", float("inf")), ("system", "skdv")]:
-        cfg = tmp_path / f"cfg_{key}_{value}.json"
-        cfg.write_text(json.dumps({"system": "gardner", key: value}))
-        refused[cfg.stem] = ["--config", cfg]
-    # config values of the wrong JSON type, refused by key rather than
-    # coerced: true is no number, and "false" no boolean, which as --force
-    # would run dt = 0.1 past the stability guard
-    for key, values in [("seed", {"seed": True}), ("record_every", {"record_every": True}),
-                        ("lambda", {"lambda": True}),
-                        ("force", {"force": "false", "dt": 0.1, "scheme": "rk4"})]:
-        cfg = tmp_path / f"type_{key}.json"
-        cfg.write_text(json.dumps({"grid": 64, "t_end": 0.01, **values}))
-        refused[cfg.stem] = ["--config", cfg]
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
-        assert not (tmp_path / name / "manifest.json").exists(), flags
+        assert not (tmp_path / name).exists(), flags
         err = capsys.readouterr().err
-        if name.startswith("type_"):
-            assert name[len("type_"):] in err, err
         if name == "ic_repeated":
             assert "IC argument 'kappa' is given twice" in err, err
 
 
 def test_system_skdv_is_refused(tmp_path, capsys):
     # the N=1 super KdV is --system extended on a grassmann algebra; skdv is
-    # no system, as a flag or in a config, and a snapshot of the deleted
-    # skdv_grassmann kind does not plot
+    # no system, and a snapshot of the deleted skdv_grassmann kind does not
+    # plot
     with pytest.raises(SystemExit) as info:
         run(["simulate", "--system", "skdv", "--algebra", "grassmann:3",
              "--out", tmp_path / "flag"])
@@ -230,6 +210,23 @@ def test_stability_guard_refusal_exit_2(tmp_path, capsys):
     assert not (tmp_path / "g" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+def test_simulate_refuses_an_unwritable_out_before_any_step(below, tmp_path, monkeypatch,
+                                                            capsys):
+    # --out is a regular file, or a path under one: no directory can be
+    # made there, which is known before the run integrates anything
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if below else blocker
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("integrated"))
+    assert run(["simulate", "--t-end", 0.002, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {out}: {blocker} is no writable directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_blowup_exit_3_saves_last_state(tmp_path):
     out = tmp_path / "blow"
     code = run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05,
@@ -240,58 +237,32 @@ def test_blowup_exit_3_saves_last_state(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "system": "gardner", "algebra": "symplectic:1", "lambda": 1.0,
-        "gardner-eps": 0.1, "grid": 128, "dt": 1e-3, "t_end": 0.02,
-        "ic": "random_bandlimited(max_mode=4,amplitude=0.4,seed=3)"}))
-    out = tmp_path / "run"
-    assert run(["simulate", "--config", cfg, "--gardner-eps", 0.2,
-                "--out", out]) == 0
-    manifest = load_json(out / "manifest.json")
-    assert manifest["system"] == "gardner"
-    assert manifest["gardner_eps"] == 0.2
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sytsem": "extended"}))
-    assert run(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
-
-
-def test_simulate_config_keys_are_the_flags():
-    # every config key is read through its flag's dest, so a key whose
-    # flag is gone would be silently config-only
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    dests = {a.dest for a in sub.choices["simulate"]._actions} - {"help", "out", "config"}
-    assert dests == {_DEST.get(k, k) for k in SIMULATE_DEFAULTS}
-
-
-def test_dealiasing_cannot_be_turned_off(tmp_path, capsys):
-    # every run uses the 2/3 rule: --no-dealias is no flag, dealias no
-    # config key
+def test_dealiasing_cannot_be_turned_off(tmp_path):
+    # every run uses the 2/3 rule: --no-dealias is no flag
     with pytest.raises(SystemExit) as info:
         run(["simulate", "--no-dealias", "--out", tmp_path / "flag"])
     assert info.value.code == 2
+    assert not (tmp_path / "flag").exists()
+
+
+def test_config_is_no_flag(tmp_path):
+    # flags are the only input: --config is no flag, and nothing is read
+    # from the file it would name
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dealias": False}))
-    assert run(["simulate", "--config", cfg, "--out", tmp_path / "key"]) == 2
-    assert "unknown config key 'dealias'" in capsys.readouterr().err
-    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+    cfg.write_text(json.dumps({"system": "gardner", "gardner_eps": 0.1}))
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--config", cfg, "--out", tmp_path / "flag"])
+    assert info.value.code == 2
+    assert not (tmp_path / "flag").exists()
 
 
-def test_conserved_quantities_cannot_be_chosen(tmp_path, capsys):
+def test_conserved_quantities_cannot_be_chosen(tmp_path):
     # a run evaluates every conserved quantity of its system: --track is no
-    # flag, track no config key, and a manifest does not record it
+    # flag, and a manifest does not record it
     with pytest.raises(SystemExit) as info:
         run(["simulate", "--track", "H2", "--out", tmp_path / "flag"])
     assert info.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"track": ["H2"]}))
-    assert run(["simulate", "--config", cfg, "--out", tmp_path / "key"]) == 2
-    assert "unknown config key 'track'" in capsys.readouterr().err
-    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+    assert not (tmp_path / "flag").exists()
     out = tmp_path / "run"
     assert run(["simulate", "--grid", 64, "--t-end", 0.002, "--out", out]) == 0
     assert "track" not in load_json(out / "manifest.json")
@@ -300,35 +271,26 @@ def test_conserved_quantities_cannot_be_chosen(tmp_path, capsys):
 
 
 def test_manifest_records_every_setting(tmp_path):
-    # everything the run depended on: each SIMULATE_DEFAULTS key, grid as N
+    # everything the run depended on: each simulate flag's setting but
+    # --out, under its flag's name, grid as N
     out = tmp_path / "run"
     assert run(["simulate", "--t-end", 0.002, "--force", "--out", out]) == 0
     manifest = load_json(out / "manifest.json")
-    assert {"N" if key == "grid" else key for key in SIMULATE_DEFAULTS} <= set(manifest)
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in sub.choices["simulate"]._actions} - {"help", "out"}
+    names = {"lam": "lambda", "grid": "N"}
+    assert {names.get(dest, dest) for dest in dests} <= set(manifest)
     assert manifest["force"] is True
     assert run(["simulate", "--t-end", 0.002, "--out", tmp_path / "plain"]) == 0
     assert load_json(tmp_path / "plain" / "manifest.json")["force"] is False
 
 
-def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
-    base = {"ic": "random_bandlimited(max_mode=3,amplitude=0.1)", "t_end": 0.01}
-    for key, value in [("seed", 2.5), ("record_every", 1.7), ("grid", 64.5)]:
-        cfg = tmp_path / f"{key}.json"
-        cfg.write_text(json.dumps({**base, key: value}))
-        assert run(["simulate", "--config", cfg, "--out", tmp_path / key]) == 2, key
-        assert "integer" in capsys.readouterr().err
-        assert not (tmp_path / key).exists()
-    # integral floats are still integers
-    cfg = tmp_path / "integral.json"
-    cfg.write_text(json.dumps({**base, "seed": 3.0, "record_every": 5.0, "grid": 64.0}))
-    assert run(["simulate", "--config", cfg, "--out", tmp_path / "ok"]) == 0
-    manifest = load_json(tmp_path / "ok" / "manifest.json")
-    assert [manifest["seed"], manifest["record_every"], manifest["N"]] == [3, 5, 64]
-
-
 @pytest.mark.parametrize("flags", [
     ["--ic", "random_bandlimited(max_mode=3,amplitude=0.1)", "--seed", -1],
     ["--ic", "random_bandlimited(max_mode=3,amplitude=0.1,seed=-2)"],
+    # refused up front, whether or not the initial condition reads it
+    ["--ic", "zero", "--seed", -4],
+    ["--ic", "random_bandlimited(seed=2)", "--seed", -4],
 ])
 def test_negative_seed_exits_2(flags, tmp_path, capsys):
     out = tmp_path / "neg"
@@ -338,8 +300,8 @@ def test_negative_seed_exits_2(flags, tmp_path, capsys):
 
 
 def test_check_refuses_negative_seed(capsys):
-    assert run(["check", "densities", "--seed", -1]) == 2
-    assert "seed" in capsys.readouterr().err
+    assert run(["check", "miura", "--seed", -1]) == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
 
 
 def test_modified_system_tracks_hamiltonian(tmp_path):
@@ -376,10 +338,6 @@ def test_check_densities_passes(capsys):
     assert constants == {0: "1", 2: "-1", 4: "1", 6: "-1"}
     assert verdict["tolerances"] == "exact"
     assert "order" in captured.err
-    # the decision is exact, so the seed changes nothing
-    for seed in (1, 2, 3):
-        assert run(["check", "densities", "--seed", seed]) == 0
-        assert capsys.readouterr().out == captured.out
 
 
 def test_check_verdict_shape(capsys):
@@ -441,6 +399,40 @@ def test_check_refuses_a_non_finite_flag_before_any_run(flags, tmp_path, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be a finite float, got {value}\n"
+    assert not out.exists()
+
+
+def test_check_refuses_an_unwritable_out_printing_no_verdict(tmp_path, capsys):
+    out = tmp_path / "missing" / "verdict.json"
+    assert run(["check", "algebra", "--algebra", "scalar", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
+# flags, and those of them the suite does not read
+UNREAD_CHECK_FLAGS = {
+    "densities --lambda 5 --gardner-eps 3 --seed 9": "--lambda, --gardner-eps, --seed",
+    "densities --seed 0": "--seed",
+    "algebra --lambda 7": "--lambda",
+    "algebra --algebra scalar --seed 1": "--seed",
+    "miura --gardner-eps 0.3": "--gardner-eps",
+    "susy --lambda 2 --gardner-eps 0.3": "--gardner-eps",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(UNREAD_CHECK_FLAGS))
+def test_check_refuses_a_flag_its_suite_does_not_read(flags, tmp_path, monkeypatch, capsys):
+    # refused before any suite runs: no worker forked, no verdict written
+    cpus(monkeypatch, FORKED)
+    suite = flags.split()[0]
+    out = tmp_path / "verdict.json"
+    assert run(["check", *flags.split(), "--out", out]) == 2
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {suite} does not read {UNREAD_CHECK_FLAGS[flags]}\n"
     assert not out.exists()
 
 
@@ -628,6 +620,17 @@ def test_plot_csv_columns(tmp_path):
     assert "H2[unit]" in text
 
 
+def test_plot_refuses_an_unwritable_out(tmp_path, capsys):
+    csv = tmp_path / "conserved.csv"
+    csv.write_text("time,H0[unit]\n0.0,1.0\n0.1,1.0\n")
+    out = tmp_path / "missing" / "h0.svg"
+    assert run(["plot", "--csv", csv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_plot_missing_column_exit_2(tmp_path, capsys):
     out = tmp_path / "run"
     simulate_soliton(out)
@@ -733,6 +736,23 @@ def test_plot_refuses_a_snapshot_number_that_is_no_finite_number(key, value, tmp
     assert run(["plot", "--snapshot", path, "--out", tmp_path / "x.svg"]) == 2
     assert f"error: {key} must be a finite float, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_refuses_a_snapshot_channel_its_algebra_lacks(tmp_path, capsys):
+    # a grassmann:3 snapshot relabelled grassmann:2 would lose its t3
+    # channels in the loading; it is refused instead
+    assert run(["simulate", "--algebra", "grassmann:3", "--grid", 64, "--t-end", 0.002,
+                "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)",
+                "--out", tmp_path / "run"]) == 0
+    doc = load_json(tmp_path / "run" / "snapshot_0000.json")
+    doc["algebra"] = "grassmann:2"
+    dump_json(doc, tmp_path / "relabelled.json")
+    capsys.readouterr()
+    svg = tmp_path / "u.svg"
+    assert run(["plot", "--snapshot", tmp_path / "relabelled.json", "--out", svg]) == 2
+    assert capsys.readouterr().err == ("error: snapshot even channels ['t1t3', 't2t3'] "
+                                       "are not channels of grassmann:2\n")
+    assert not svg.exists()
 
 
 def test_plot_soliton_snapshot_minimum(tmp_path):

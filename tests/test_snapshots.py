@@ -67,6 +67,23 @@ def test_snapshot_missing_channel_rejected(tmp_path):
         read_snapshot(path)
 
 
+def test_snapshot_channel_its_algebra_lacks_is_refused():
+    # relabelled grassmann:2, a grassmann:3 snapshot holds channels its
+    # declared backend lacks; loading refuses them rather than drop them
+    doc = state_to_dict(sample_state())
+    doc["algebra"] = "grassmann:2"
+    with pytest.raises(SuperKdVError, match=re.escape(
+            "snapshot even channels ['t1t3', 't2t3'] are not channels of grassmann:2")):
+        state_from_dict(doc)
+    doc["even"] = {label: doc["even"][label] for label in ("unit", "t1t2")}
+    with pytest.raises(SuperKdVError, match=re.escape(
+            "snapshot odd channels ['t1t2t3', 't3'] are not channels of grassmann:2")):
+        state_from_dict(doc)
+    # with only its own channels it loads
+    doc["odd"] = {label: doc["odd"][label] for label in ("t1", "t2")}
+    assert state_from_dict(doc).even.labels == ("unit", "t1t2")
+
+
 def test_snapshot_of_a_skdv_grassmann_state_is_refused(tmp_path):
     # the N=1 super KdV is the extended system on grassmann, not a kind of
     # its own; a snapshot naming the deleted kind is refused, not misread

@@ -3,11 +3,18 @@
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from superkdv.cli import build_parser
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superkdv"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def unused_imports(source):
@@ -204,3 +211,34 @@ def test_symbolic_decisions_draw_nothing_random():
               "fields.RandomBandlimitedIC(3)\nnp.fft.rfft(x)\ngrid.random\n")
     assert random_draws(sample) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
     assert random_draws((PACKAGE / "symbolic.py").read_text(encoding="utf-8")) == []
+
+
+def readme_commands(text):
+    """The arguments of each superkdv command in text's fenced code blocks,
+    continuation lines joined and shell comments dropped."""
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("superkdv "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # a README that still shows a deleted flag fails here, not in a reader's
+    # shell
+    sample = ("```\nsuperkdv check algebra   # all backends\n"
+              "superkdv simulate --ic \"soliton(kappa=1)\" \\\n    --out run\n```\n"
+              "superkdv plot --no-such-flag\n"
+              "```python\nfrom superkdv import parse\n```\n")
+    assert readme_commands(sample) == [["check", "algebra"],
+                                       ["simulate", "--ic", "soliton(kappa=1)", "--out", "run"]]
+    parser = build_parser()
+    for deleted in ("--config run.json", "--track H2", "--no-dealias"):
+        shown = readme_commands(f"```\nsuperkdv simulate {deleted} --out run\n```\n")
+        with pytest.raises(SystemExit):
+            parser.parse_args(shown[0])
+    commands = readme_commands(README.read_text(encoding="utf-8"))
+    assert {argv[0] for argv in commands} == {"simulate", "check", "plot"}
+    for argv in commands:
+        parser.parse_args(argv)
