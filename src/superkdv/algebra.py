@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DescriptorMismatch, GradingError, SuperKdVError, whole_number
+from .errors import DescriptorMismatch, GradingError, SuperKdVError, finite_number
 
 KINDS = ("scalar", "grassmann", "symplectic")
 
@@ -97,7 +97,7 @@ class AlgebraDescriptor:
             raise SuperKdVError(f"unknown algebra kind {kind!r}")
         if kind == "scalar":
             generators = 0
-        elif whole_number("generator count", generators) < 1:
+        elif finite_number("generator count", generators, int) < 1:
             raise SuperKdVError(f"{kind} backend needs a positive generator count")
         elif generators > self._MAX_GENERATORS[kind]:
             raise SuperKdVError(

@@ -18,7 +18,7 @@ from inspect import signature
 
 import numpy as np
 
-from . import __version__, snapshots
+from . import __version__, fields, snapshots
 from .algebra import AlgebraDescriptor, OddValue, validate_algebra
 from .dynamics import SYSTEM_KINDS, SystemState, integrate
 from .errors import NumericalBlowup, StabilityError, SuperKdVError, finite_number
@@ -71,15 +71,12 @@ def cmd_simulate(args):
     even, odd = build_initial_condition(ic_spec, grid, AlgebraDescriptor.from_string(args.algebra))
     state = SystemState(args.system, even, odd, lam=lam, epsilon=eps)
 
-    outdir = args.out
-    if not outdir:
-        raise UsageError("--out must not be empty")
     # an --out where no directory can be made is refused before any step
-    head = os.path.abspath(outdir)
+    head = os.path.abspath(args.out)
     while not os.path.exists(head):
         head = os.path.dirname(head)
     if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
-        raise UsageError(f"cannot write --out {outdir}: {head} is no writable directory")
+        raise UsageError(f"cannot write --out {args.out}: {head} is no writable directory")
     manifest = {"command": "simulate", "system": args.system, "algebra": args.algebra,
                 "lambda": lam, "gardner_eps": eps if args.system == "gardner" else None,
                 "L": L, "N": N, "dt": dt, "t_end": steps * dt, "steps": steps,
@@ -94,22 +91,22 @@ def cmd_simulate(args):
         raise UsageError(f"{exc}; rerun with --force to override")
     except NumericalBlowup as exc:
         traj, blowup = None, exc
-    os.makedirs(outdir, exist_ok=True)
-    snapshots.write_manifest(manifest, os.path.join(outdir, "manifest.json"))
+    os.makedirs(args.out, exist_ok=True)
+    snapshots.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
     if traj is None:
         snapshots.write_snapshot(blowup.last_state,
-                                 os.path.join(outdir, "snapshot_last.json"))
+                                 os.path.join(args.out, "snapshot_last.json"))
         print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
               f"last finite state saved", file=sys.stderr)
         return EXIT_NUMERIC
 
     for i, recorded in enumerate(traj):
         snapshots.write_snapshot(recorded,
-                                 os.path.join(outdir, f"snapshot_{i:04d}.json"))
+                                 os.path.join(args.out, f"snapshot_{i:04d}.json"))
     report = drift_report(traj)
-    snapshots.write_report_csv(report, os.path.join(outdir, "conserved.csv"))
+    snapshots.write_report_csv(report, os.path.join(args.out, "conserved.csv"))
     print(f"wrote {len(traj)} snapshots over t in [0, {steps * dt:g}] "
-          f"to {outdir}; max relative drift {report.max_drift:.3e}")
+          f"to {args.out}; max relative drift {report.max_drift:.3e}")
     return EXIT_OK
 
 
@@ -364,8 +361,9 @@ def cmd_check(args):
 def cmd_plot(args):
     if bool(args.csv) == bool(args.snapshot):
         raise UsageError("exactly one of --csv or --snapshot is required")
-    if not args.out:
-        raise UsageError("--out FILE.svg is required")
+    mode, other = ("--csv", "channel") if args.csv else ("--snapshot", "columns")
+    if getattr(args, other) is not None:
+        raise UsageError(f"plot {mode} does not read --{other}")
     if args.csv:
         try:
             header, rows = snapshots.read_csv(args.csv)
@@ -390,18 +388,11 @@ def cmd_plot(args):
             state = snapshots.read_snapshot(args.snapshot)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read {args.snapshot}: {exc}")
-        specs = ([c.strip() for c in args.channel.split(",") if c.strip()]
-                 if args.channel else ["even:" + state.even.labels[0]])
+        specs = [c.strip() for c in (args.channel or "even:unit").split(",") if c.strip()]
         series = {}
         for spec in specs:
-            part, _, label = spec.partition(":")
-            field = {"even": state.even, "odd": state.odd}.get(part)
-            if field is None:
-                raise UsageError(f"channel {spec!r} must start with even: or odd:")
-            channels = field.channels()
-            if label not in channels:
-                raise UsageError(f"unknown channel {label!r}; have {field.labels}")
-            series[spec] = channels[label]
+            part, row = fields._resolve_channel(spec, state.descriptor)
+            series[spec] = getattr(state, part).data[row]
         snapshots.write_line_plot(args.out, state.grid.x, series,
                                   title=args.title or f"t = {state.time:g}",
                                   xlabel="x")
@@ -411,6 +402,13 @@ def cmd_plot(args):
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+def _path(text):
+    """An --out path: any text but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -436,7 +434,7 @@ def build_parser():
                      help="time integrator")
     sim.add_argument("--ic", default="zero", help='e.g. soliton(kappa=1) | zero | '
                                                   'random_bandlimited(max_mode=5,amplitude=0.5)')
-    sim.add_argument("--out", required=True, help="output directory")
+    sim.add_argument("--out", type=_path, required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=0,
                      help="seed for a random initial condition that gives none")
     sim.add_argument("--record-every", dest="record_every", type=int,
@@ -452,16 +450,16 @@ def build_parser():
              chk.add_argument("--gardner-eps", dest="gardner_eps", type=float,
                               help="deformation parameter (gardner)"),
              chk.add_argument("--seed", type=int, help="seed for random data (miura, gardner, susy)")]
-    chk.add_argument("--out", help="also write the JSON verdict, as printed, to this file")
+    chk.add_argument("--out", type=_path, help="also write the JSON verdict, as printed, to this file")
     chk.set_defaults(func=cmd_check, suite_flags={f.dest: f.option_strings[0] for f in flags})
 
     plt = sub.add_parser("plot", help="render CSV columns or a snapshot as SVG")
     plt.add_argument("--csv", help="conserved-quantity table from simulate")
     plt.add_argument("--snapshot", help="state snapshot JSON from simulate")
     plt.add_argument("--columns", help="comma list of CSV columns (default: all)")
-    plt.add_argument("--channel", help="comma list like even:unit,odd:t1")
+    plt.add_argument("--channel", help="comma list like even:unit,odd:t1 or odd:0 (an index)")
     plt.add_argument("--title")
-    plt.add_argument("--out", required=True, help="output SVG path")
+    plt.add_argument("--out", type=_path, required=True, help="output SVG path")
     plt.set_defaults(func=cmd_plot)
     return parser
 

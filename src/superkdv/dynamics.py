@@ -66,14 +66,12 @@ k_lim = grid.k_max_active, and a stability guard rejects dt beyond
 0.5/k_lim^3 (10x relaxed for ifrk4).
 """
 
-import math
-
 import numpy as np
 
 from . import fields
 from .algebra import run_calls
 from .errors import (NonFiniteFieldError, NumericalBlowup, StabilityError,
-                     SuperKdVError, whole_number)
+                     SuperKdVError, finite_number)
 from .fields import EvenField, OddField
 from .symbolic import _live_terms, _Program, nonlinear_terms
 
@@ -92,9 +90,8 @@ class SystemState:
     def __init__(self, kind, even, odd, time=0.0, lam=0.0, epsilon=0.0):
         if kind not in SYSTEM_KINDS:
             raise SuperKdVError(f"unknown system kind {kind!r}")
-        time, lam, epsilon = float(time), float(lam), float(epsilon)
-        if not all(map(math.isfinite, (time, lam, epsilon))):
-            raise SuperKdVError("time, lam and epsilon must be finite")
+        time, lam = finite_number("time", time), finite_number("lam", lam)
+        epsilon = finite_number("epsilon", epsilon)
         even._require_compatible(odd)
         if epsilon != 0.0 and kind != "gardner":
             raise SuperKdVError("epsilon is a gardner-only parameter")
@@ -384,10 +381,11 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False):
     finite, and NumericalBlowup (carrying the last finite state) when the
     fields stop being finite.
     """
-    if not 0 < dt < math.inf:
-        raise SuperKdVError(f"dt must be positive and finite, got {dt!r}")
-    steps = whole_number("steps", steps)
-    record_every = whole_number("record_every", record_every)
+    dt = finite_number("dt", dt)
+    steps = finite_number("steps", steps, int)
+    record_every = finite_number("record_every", record_every, int)
+    if dt <= 0:
+        raise SuperKdVError(f"dt must be positive, got {dt!r}")
     if steps < 1:
         raise SuperKdVError("steps must be >= 1")
     if record_every < 1:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the number checks that
-raise one."""
+"""Exception types shared across the package, and finite_number, the one
+check of every number the package is given, which raises one."""
 
 import math
+import numbers
 
 
 class SuperKdVError(Exception):
@@ -58,30 +59,18 @@ class ExpressionSyntaxError(SuperKdVError):
         self.position = position
 
 
-def whole_number(name, value):
-    """value as an int when it is a whole number, an int or an integral
-    float such as 3.0; otherwise, a bool included, a SuperKdVError naming
-    the setting."""
-    try:
-        whole = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise SuperKdVError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def finite_number(name, value, kind=float):
-    """value, a number or its text, as a finite number of the given kind,
-    else, a bool included, a SuperKdVError naming the setting; an int
-    setting takes an integral float such as 256.0 but not 2.5."""
+    """value as a finite number of the given kind: an int or a float,
+    numpy's included, passes, and an int setting takes 256.0 but not 2.5.
+    A bool, text, nan, inf or an int past the floats raises a SuperKdVError
+    naming the setting."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        number = kind(value)
-        finite = not isinstance(value, bool) and math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise SuperKdVError(f"{name} must be a finite {kind.__name__}, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise SuperKdVError(f"{name} must be an integer, got {value!r}")
+        number = kind(value) if ok else None
+        ok = ok and math.isfinite(number) and (kind is float or number == value)
+    except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+        ok = False
+    if not ok:
+        raise SuperKdVError(f"{name} must be a {'whole number' if kind is int else 'finite float'}, "
+                            f"got {value!r}")
     return number

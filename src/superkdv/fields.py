@@ -19,8 +19,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft runs
 
 from .algebra import EvenValue, OddValue, _Graded, _OddGraded
-from .errors import (DescriptorMismatch, NonFiniteFieldError, SuperKdVError, finite_number,
-                     whole_number)
+from .errors import DescriptorMismatch, NonFiniteFieldError, SuperKdVError, finite_number
 
 
 class PeriodicGrid:
@@ -34,10 +33,10 @@ class PeriodicGrid:
     handling.  rfft_calls and irfft_calls count the calls."""
 
     def __init__(self, L, N):
-        L = float(L)
-        N = whole_number("grid size", N)
-        if not 0 < L < np.inf:
-            raise SuperKdVError(f"grid length must be positive and finite, got {L}")
+        L = finite_number("grid length", L)
+        N = finite_number("grid size", N, int)
+        if L <= 0:
+            raise SuperKdVError(f"grid length must be positive, got {L}")
         if N < 16 or N & (N - 1):
             raise SuperKdVError(f"grid size must be a power of two >= 16, got {N}")
         self.L = L
@@ -309,6 +308,9 @@ def build_initial_condition(spec, grid, descriptor):
         if seed < 0:
             raise SuperKdVError(f"random_bandlimited needs a non-negative seed, "
                                 f"got {seed}")
+        if spec.max_mode >= grid.N // 2:
+            raise SuperKdVError(f"random_bandlimited needs max_mode < N // 2 = {grid.N // 2} "
+                                f"(higher modes alias), got {spec.max_mode}")
         rng = np.random.default_rng(seed)
         phase = 2.0 * np.pi * np.outer(np.arange(spec.max_mode + 1), x) / grid.L
         basis_cos, basis_sin = np.cos(phase), np.sin(phase)
@@ -329,9 +331,19 @@ _IC_CLASSES = {cls.name: cls for cls in (SolitonIC, GaussianIC,
                                          RandomBandlimitedIC, ZeroIC)}
 
 
+def _number(text):
+    """text as the int int() reads, else the float float() reads, else text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def parse_ic(text):
-    """Parse "name(arg=value, ...)" into an IC spec (CLI surface); the IC
-    class checks each value's text.
+    """Parse "name(arg=value, ...)" into an IC spec (CLI surface); each
+    value is read by _number, and the IC class checks it.
 
     Examples: soliton(kappa=1,x0=20); random_bandlimited(max_mode=5,
     amplitude=0.5,seed=7); gaussian(amplitude=0.2,width=3,channel=odd:e1).
@@ -353,7 +365,7 @@ def parse_ic(text):
                     raise SuperKdVError(f"IC arguments must be key=value, got {item!r}")
                 if key in kwargs:
                     raise SuperKdVError(f"IC argument {key!r} is given twice in {text!r}")
-                kwargs[key] = val
+                kwargs[key] = _number(val)
     try:
         return _IC_CLASSES[name](**kwargs)
     except TypeError as exc:

@@ -66,17 +66,17 @@ _SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "even", "odd"
 def state_from_dict(doc):
     """Rebuild a SystemState from a snapshot document.
 
-    Malformed content (a missing key or channel, a channel the declared
-    algebra lacks, an L, time, lambda, epsilon or sample that is not a
-    finite JSON number, true, false and text included, a row that is no
-    list N long) raises SuperKdVError.
+    Malformed content raises SuperKdVError: a missing key or channel, a
+    channel the declared algebra lacks, a row that is no list N long, or an
+    L, N, time, lambda, epsilon or sample that errors.finite_number
+    refuses (true, false, text such as "40", nan, and for N a fraction).
     """
     if not isinstance(doc, dict):
         raise SuperKdVError("a snapshot must be a JSON object")
     missing = [key for key in _SNAPSHOT_KEYS if key not in doc]
     if missing:
         raise SuperKdVError(f"snapshot lacks the keys {missing}")
-    grid = PeriodicGrid(finite_number("L", doc["L"]), doc["N"])
+    grid = PeriodicGrid(finite_number("L", doc["L"]), finite_number("N", doc["N"], int))
     desc = AlgebraDescriptor.from_string(str(doc["algebra"]))
     time, lam = finite_number("time", doc["time"]), finite_number("lambda", doc["lambda"])
     epsilon = finite_number("epsilon", doc.get("epsilon", 0.0))
@@ -96,16 +96,8 @@ def state_from_dict(doc):
             name, row = f"snapshot channel {part_name}:{label}", part[label]
             if not isinstance(row, list) or len(row) != grid.N:
                 raise SuperKdVError(f"{name} must be a list of {grid.N} samples")
-            field.data[i] = [_sample(name, sample) for sample in row]
+            field.data[i] = [finite_number(name, sample) for sample in row]
     return SystemState(doc["system"], even, odd, time=time, lam=lam, epsilon=epsilon)
-
-
-def _sample(name, value):
-    """value as a float when it is a finite JSON number; a bool or text,
-    which float() would read, raises SuperKdVError naming the channel."""
-    if type(value) not in (int, float):
-        raise SuperKdVError(f"{name} must be a finite float, got {value!r}")
-    return finite_number(name, value)
 
 
 def read_snapshot(path):

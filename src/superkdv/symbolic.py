@@ -47,7 +47,7 @@ import numpy as np
 
 from .algebra import get_algebra, run_calls
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
-                     NonFiniteFieldError, SuperKdVError, whole_number)
+                     NonFiniteFieldError, SuperKdVError, finite_number)
 from .fields import EvenField, OddField
 
 
@@ -1069,6 +1069,7 @@ def gardner_coefficients(order):
     """Symbolic inverse-deformation coefficients (z_n, sigma_n), n <= order.
 
     Built once per order and shared between calls; treat as read-only."""
+    order = finite_number("order", order, int)
     if order > 10:
         raise SuperKdVError("supported up to order 10")
     zs = [DiffPolynomial.u()]
@@ -1158,7 +1159,7 @@ def reproduce_conserved_quantities(max_order=6):
     exact rationals.  Every odd order must be a total derivative.  Returns
     a CoefficientTable.
     """
-    max_order = whole_number("max_order", max_order)
+    max_order = finite_number("max_order", max_order, int)
     if max_order < 0 or max_order % 2 or max_order > 6:
         raise SuperKdVError(f"max_order must be even, nonnegative and at most 6, got {max_order}")
     coeffs = gardner_coefficients(max_order)

@@ -24,7 +24,7 @@ a linear map on states that commutes with the extended flow.
 import numpy as np
 
 from .dynamics import SystemState, Trajectory, integrate, rhs_states
-from .errors import SuperKdVError
+from .errors import SuperKdVError, finite_number
 from .fields import OddField
 from .symbolic import DiffPolynomial, _Program, gardner_coefficients, map_terms
 
@@ -62,7 +62,7 @@ def inverse_gardner_series(u, xi, lam, eps, order=8):
     given order (at most 10): z = sum eps^n z_n and sigma = sum eps^n s_n
     over the symbolic coefficients (z_n, s_n).  The residual of the round
     trip is O(eps^(order+1))."""
-    if order < 0:
+    if finite_number("order", order, int) < 0:
         raise SuperKdVError("series order must be >= 0")
     return _series(enumerate(gardner_coefficients(order)), u, xi, lam, eps)
 

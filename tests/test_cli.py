@@ -161,7 +161,8 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
     for ic in ["random_bandlimited(seed=1.5)", "soliton(kappa=abc)", "gaussian(width=0)",
                "gaussian(width=-2)", "gaussian(amplitude=nan)", "soliton(x0=nan)",
                "soliton(kappa=inf)", "random_bandlimited(max_mode=-1)",
-               "random_bandlimited(max_mode=2.5)", "gaussian(center=1e999)"]:
+               "random_bandlimited(max_mode=2.5)", "gaussian(center=1e999)",
+               "random_bandlimited(max_mode=128)"]:
         refused["ic_" + re.sub(r"\W", "_", ic)] = ["--ic", ic]
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
@@ -726,9 +727,11 @@ def test_plot_refuses_data_that_is_no_finite_number(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("L", True), ("time", False), ("lambda", True),
-                                       ("epsilon", True), ("lambda", "nan")])
+                                       ("epsilon", True), ("lambda", "nan"), ("L", "40"),
+                                       ("time", "0.5"), ("lambda", "1e0")])
 def test_plot_refuses_a_snapshot_number_that_is_no_finite_number(key, value, tmp_path, capsys):
-    # JSON true and false are no numbers, as in a config file
+    # JSON true and false are no numbers, and neither is text, which
+    # float() would read
     doc = small_snapshot_doc()
     doc[key] = value
     path = tmp_path / "snap.json"
@@ -773,6 +776,54 @@ def test_plot_soliton_snapshot_minimum(tmp_path):
 
 def test_plot_requires_exactly_one_input(tmp_path):
     assert run(["plot", "--out", tmp_path / "x.svg"]) == 2
+
+
+@pytest.mark.parametrize("flags,unread", [
+    (["--snapshot", "snap.json", "--columns", "H0[unit]"], "--columns"),
+    (["--csv", "conserved.csv", "--channel", "even:unit"], "--channel")])
+def test_plot_refuses_the_other_inputs_flag(flags, unread, tmp_path, monkeypatch, capsys):
+    # --columns picks CSV columns and --channel snapshot channels; each is
+    # refused with the other input, as check refuses a flag its suite does
+    # not read, rather than ignored
+    monkeypatch.chdir(tmp_path)
+    write_plot_input(tmp_path / "snap.json", lambda doc: None)
+    (tmp_path / "conserved.csv").write_text("time,H0[unit]\n0.0,1.0\n0.1,1.0\n")
+    assert run(["plot", *flags, "--out", "x.svg"]) == 2
+    assert capsys.readouterr().err == f"error: plot {flags[0]} does not read {unread}\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_channel_takes_an_index_as_gaussian_does(tmp_path):
+    # --channel is read by the parser gaussian(channel=...) uses, so odd:0
+    # is the first odd channel, t1
+    assert run(["simulate", "--algebra", "grassmann:2", "--grid", 64, "--t-end", 0.002,
+                "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)",
+                "--out", tmp_path / "run"]) == 0
+    rows = {}
+    for spec in ("odd:0", "odd:t1", "odd:1"):
+        svg = tmp_path / f"{spec.replace(':', '_')}.svg"
+        assert run(["plot", "--snapshot", tmp_path / "run" / "snapshot_0000.json",
+                    "--channel", spec, "--out", svg]) == 0
+        rows[spec] = re.search(r'points="([^"]+)"', svg.read_text()).group(1)
+    assert rows["odd:0"] == rows["odd:t1"] != rows["odd:1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--grid", 64, "--t-end", 0.002],
+    ["check", "algebra", "--algebra", "scalar"],
+    ["plot", "--csv", "conserved.csv"]], ids=["simulate", "check", "plot"])
+def test_an_empty_out_is_refused(command, tmp_path, monkeypatch, capsys):
+    # an empty --out names no file: argparse refuses it, before anything
+    # runs, in each command alike
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conserved.csv").write_text("time,H0[unit]\n0.0,1.0\n0.1,1.0\n")
+    with pytest.raises(SystemExit) as info:
+        run([*command, "--out", ""])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --out: must not be empty" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["conserved.csv"]
 
 
 def test_no_command_exits_2(capsys):

@@ -188,6 +188,17 @@ def test_random_ic_reproducible_and_bandlimited():
     assert abs(e1.data[0].mean()) > 1e-3
 
 
+def test_random_ic_refuses_modes_that_alias():
+    # on N = 64 a max_mode of 32 or more aliases into the band, while the
+    # IC records the mode it was given; N // 2 - 1 = 31 is the highest kept
+    g, d = PeriodicGrid(40.0, 64), AlgebraDescriptor("grassmann", 2)
+    for max_mode in (32, 200):
+        with pytest.raises(SuperKdVError, match=rf"max_mode < N // 2 = 32 .*, got {max_mode}$"):
+            build_initial_condition(RandomBandlimitedIC(max_mode=max_mode), g, d)
+    even, _ = build_initial_condition(RandomBandlimitedIC(max_mode=31), g, d)
+    assert np.abs(np.fft.rfft(even.data[0]))[31] > 0.0
+
+
 def test_parse_ic():
     ic = parse_ic("soliton(kappa=2,x0=10)")
     assert isinstance(ic, SolitonIC) and ic.kappa == 2.0 and ic.x0 == 10.0
@@ -237,9 +248,10 @@ def test_ic_arguments_keep_their_values():
     # through a float, and finite floats for the others
     ic = parse_ic("random_bandlimited(max_mode=0,amplitude=1e-3,seed=12345678901234567891)")
     assert (ic.max_mode, ic.amplitude, ic.seed) == (0, 1e-3, 12345678901234567891)
-    assert RandomBandlimitedIC(seed=7.0).seed == 7  # an integral float, but not its text
-    with pytest.raises(SuperKdVError, match="seed"):
-        parse_ic("random_bandlimited(seed=7.0)")
+    # an integral float reads as its int, from its text as from the number
+    assert RandomBandlimitedIC(seed=7.0).seed == 7
+    ic = parse_ic("random_bandlimited(seed=7.0)")
+    assert ic.seed == 7 and type(ic.seed) is int
     ic = parse_ic("gaussian(amplitude=-2,width=1e-3,center=0)")
     assert (ic.amplitude, ic.width, ic.center) == (-2.0, 1e-3, 0.0)
     assert type(ic.amplitude) is float and type(ic.center) is float
