@@ -18,7 +18,7 @@ from inspect import signature
 
 import numpy as np
 
-from . import __version__, fields, snapshots
+from . import __version__, fields, invariants, snapshots
 from .algebra import AlgebraDescriptor, OddValue, validate_algebra
 from .dynamics import SYSTEM_KINDS, SystemState, integrate
 from .errors import NumericalBlowup, StabilityError, SuperKdVError, finite_number
@@ -61,7 +61,7 @@ def cmd_simulate(args):
     dt, t_end = _positive("--dt", args.dt), _positive("--t-end", args.t_end)
     lam = finite_number("--lambda", args.lam)
     eps = 0.0 if args.gardner_eps is None else finite_number("--gardner-eps", args.gardner_eps)
-    steps = max(1, round(t_end / dt))
+    steps = max(1, round(finite_number("--t-end / --dt", t_end / dt)))
     record_every = max(1, steps // 50) if args.record_every is None else args.record_every
 
     ic_spec = parse_ic(args.ic)
@@ -71,7 +71,8 @@ def cmd_simulate(args):
     even, odd = build_initial_condition(ic_spec, grid, AlgebraDescriptor.from_string(args.algebra))
     state = SystemState(args.system, even, odd, lam=lam, epsilon=eps)
 
-    # an --out where no directory can be made is refused before any step
+    # refused before any step: a report density past the floats, an unwritable --out
+    invariants._densities(args.system, grid, state.descriptor, lam)
     head = os.path.abspath(args.out)
     while not os.path.exists(head):
         head = os.path.dirname(head)

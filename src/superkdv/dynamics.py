@@ -31,13 +31,13 @@ would gather 1277.  Each op folds its products as its table's cost rule
 picks for the grid (algebra.ProductTable.fold): the small tables of
 scalar, grassmann:3 and symplectic through one dense matrix, those of
 grassmann:6 at N = 256 per output channel, so that each channel sums
-only its own pairs, at most 32, where one dense matrix summed all 183
-columns for each of the 32 channels.  A term [eta^(a), eta^(b)] eta^(c) with
-c equal to a or b is zero on a backend that proves [q1, q2] q3 totally
-antisymmetric, and is not compiled there: the modified odd source's
-terms in L [eta, eta'] eta' and L [eta, eta''] eta, and the gardner odd
-source's in L [sigma', sigma] sigma'.  So the modified odd source is
-3 v^2 eta' + 3 v v' eta, two ops, and no stage samples eta''.
+only its own pairs, at most 32 of the table's 183 columns.  A term
+[eta^(a), eta^(b)] eta^(c) with c equal to a or b is zero on a backend
+that proves [q1, q2] q3 totally antisymmetric, and is not compiled
+there: the modified odd source's terms in L [eta, eta'] eta' and
+L [eta, eta''] eta, and the gardner odd source's in L [sigma', sigma]
+sigma'.  So the modified odd source is 3 v^2 eta' + 3 v v' eta, two ops,
+and no stage samples eta''.
 
 Integration is one fixed-step RK4 loop that keeps the state as the rfft
 coefficients of the stacked even and odd fields, so each stage makes one
@@ -49,21 +49,22 @@ writes into in turn.  Per stage it holds the stage's formation, its
 samples (the copy and derivative multiplies into the program's spectra,
 the irfft into its head), the program's calls, the rfft and weight into
 its k and, for rk4, the dispersion term: 38 calls for scalar extended
-with ifrk4, where the hand-written step made 48.  A state is built only
-for a step that is recorded.  The samples of each new state are checked
-finite once; the stages are not, as a NaN in a stage's terms spreads
-through their rfft into the new state.  A step that fails the check is
-replayed from its kept spectrum by a list from the same builder that
-checks each stage, which tells a blow-up during the step from one after
-it, and the last finite state is rebuilt from that spectrum.  The ifrk4
-scheme is the Lawson integrating-factor form: it advances the -f''' term
-exactly with the factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical
-rk4 is the same loop with unit factors and the dispersion folded into
-each stage's right-hand side.  Every run is dealiased by the 2/3 rule:
-modes above grid.dealias_keep are cut from the initial state and from
-every nonlinear evaluation, so no active mode ever exceeds
-k_lim = grid.k_max_active, and a stability guard rejects dt beyond
-0.5/k_lim^3 (10x relaxed for ifrk4).
+with ifrk4.  A state is built only for a step that is recorded.  The
+samples of each new state are checked finite once; the stages are not,
+as a NaN in a stage's terms spreads through their rfft into the new
+state.  A step that fails the check is replayed from its kept spectrum by
+a list from the same builder that checks each stage, which tells a
+blow-up during the step from one after it, and the last finite state is
+rebuilt from that spectrum.  The dispersion is written once, as
+_SpectralRHS.linear = -(ik)^3.  The ifrk4 scheme is the Lawson
+integrating-factor form: it advances the -f''' term exactly with the
+factors exp(i k^3 dt/2) and exp(i k^3 dt).  Classical rk4 is the same
+loop with unit factors, each stage adding linear times its spectrum into
+k by the calls the standalone right-hand sides make.  Every run is
+dealiased by the 2/3 rule: modes above grid.dealias_keep are cut from
+the initial state and from every nonlinear evaluation, so no active mode
+ever exceeds k_lim = grid.k_max_active, and a stability guard rejects dt
+beyond 0.5/k_lim^3 (10x relaxed for ifrk4).
 """
 
 import numpy as np
@@ -80,6 +81,7 @@ from .symbolic import _live_terms, _Program, nonlinear_terms
 soliton_profile = fields.soliton_profile
 
 SYSTEM_KINDS = ("modified", "extended", "gardner")
+_ONE_RUN = ("kind", "grid", "descriptor", "lam", "epsilon")  # what the states of a run share
 
 
 class SystemState:
@@ -95,9 +97,7 @@ class SystemState:
         even._require_compatible(odd)
         if epsilon != 0.0 and kind != "gardner":
             raise SuperKdVError("epsilon is a gardner-only parameter")
-        self.kind = kind
-        self.even = even
-        self.odd = odd
+        self.kind, self.even, self.odd = kind, even, odd
         self.time, self.lam, self.epsilon = time, lam, epsilon
 
     @property
@@ -119,38 +119,38 @@ class SystemState:
 
 
 class _SpectralRHS(_Program):
-    """The nonlinear terms of one system on one grid and backend at fixed
+    """The right-hand side of one system on one grid and backend at fixed
     lam and eps, as a map from the spectrum y = rfft([even; odd]) to the
-    spectrum of D(flux) + source, masked by the 2/3 rule.
+    spectrum of D(flux) + source, masked by the 2/3 rule, and, when asked,
+    the dispersion: the package's one numeric -f''', `linear` = -(ik)^3.
 
     Everything static is made here, once: the terms that do not vanish at
     lam and eps or on the backend (symbolic._live_terms) with their float
     coefficients, the derivative orders they read, the rows some live flux
     or source writes into, and the program (symbolic._Program) that builds
     each live flux and source into its rows over one preallocated stack of
-    sample rows.  The stack holds, from the top, the samples `physical`
-    makes (one stacked irfft of [y; (ik)^a y_even for each u-order a;
-    (ik)^b y_odd for each xi-order b], written into the head), the
-    evaluated [flux; source] rows, and one block per product, group and
-    combined operand.  A call runs the program and makes one stacked rfft
-    of the [flux; source] rows into a buffer made once, which one
+    sample rows.  The stack holds, from the top, the samples
+    `physical_calls` make (one stacked irfft of [y; (ik)^a y_even for each
+    u-order a; (ik)^b y_odd for each xi-order b], written into the head),
+    the evaluated [flux; source] rows, and one block per product, group and
+    combined operand.  `calls_into` runs the program and makes one stacked
+    rfft of the [flux; source] rows into a buffer made once, which one
     precomputed (rows, modes) weight turns into [ik F; S], masked; k takes
-    the flux and source rows of that.  Where [flux; source] is exactly
-    [even; odd], as for modified, the rfft is written into k itself and
-    weighted there.  `physical_calls` and `calls_into` bind this work as
-    calls for integrate's steps, which make no array; only the finite
-    check, which they leave out, builds its mask.
+    the flux and source rows of that and, when asked, linear y made in the
+    `scratch` rows.  Where [flux; source] is [even; odd], as for modified,
+    the rfft is written into k itself and weighted there.  These two lists
+    of calls build every right-hand side, with no array but the mask of
+    the finite check.
     """
 
     def __init__(self, kind, grid, desc, lam, eps=0.0):
-        n_even, n_odd = desc.even_dim, desc.odd_dim
-        n_rows = n_even + n_odd
+        n_even, n_rows = desc.even_dim, desc.even_dim + desc.odd_dim
         # (even, odd) live terms of the fluxes and of the sources
         flux, source = ([], []), ([], [])
         for power, fluxes, sources in nonlinear_terms(kind):
             for parts, polys in ((flux, fluxes), (source, sources)):
                 for live, poly in zip(parts, polys):
-                    live += _live_terms(poly, lam, desc, eps ** power)
+                    live += _live_terms(poly, lam, desc, eps, power)
 
         # the rows of [even; odd] the live parts cover
         self.flux_rows = slice(0 if flux[0] else n_even, n_rows if flux[1] else n_even)
@@ -181,6 +181,8 @@ class _SpectralRHS(_Program):
         rows = [*range(self.flux_rows.start, self.flux_rows.stop),
                 *range(self.source_rows.start, self.source_rows.stop)]
         self.spec = None if rows == list(range(n_rows)) else np.empty_like(self.weight)
+        self.linear = -grid.derivative_symbol(3)  # f_t = -f''' in transform space
+        self.scratch = np.empty((n_rows, len(self.linear)), complex)
 
     def physical_calls(self, spec):
         """The calls that make the samples at the spectrum spec in the head:
@@ -191,38 +193,27 @@ class _SpectralRHS(_Program):
                 *self._derivative_calls(self.spectra),
                 (self.grid.irfft, (self.spectra, self.head))]
 
-    def physical(self, spec):
-        """Make the samples at spec into the head of the stack, which is
-        returned.  They stay valid until the next call."""
-        run_calls(self.physical_calls(spec))
-        return self.head
-
-    def calls_into(self, k, check):
-        """The calls that write ik F + S, masked, into k from the samples
-        in the head.  With check, non-finite flux or source samples raise
-        NonFiniteFieldError; without, they reach k, as a NaN spreads
-        through the rfft into every mode of its rows."""
+    def calls_into(self, k, check, spec=None):
+        """The calls that write ik F + S, masked, plus linear spec when given
+        spec, into k from the samples in the head.  With check, non-finite
+        flux or source samples raise NonFiniteFieldError; without, they reach
+        k, as a NaN spreads through the rfft into every mode of its rows."""
         calls = list(self.calls)
         if check:
             calls.append((_require_finite, (self.values,)))
-        spec = k if self.spec is None else self.spec
-        calls += [(self.grid.rfft, (self.values, spec)), (np.multiply, (spec, self.weight, spec))]
+        out = k if self.spec is None else self.spec
+        calls += [(self.grid.rfft, (self.values, out)), (np.multiply, (out, self.weight, out))]
         if self.spec is not None:
             n_flux, sources = self.n_flux, k[self.source_rows]
             if n_flux < self.n_rows:
                 calls.append((k.fill, (0.0,)))
-            calls.append((np.copyto, (k[self.flux_rows], spec[:n_flux])))
-            if n_flux < len(spec):
-                calls.append((np.add, (sources, spec[n_flux:], sources)))
+            calls.append((np.copyto, (k[self.flux_rows], out[:n_flux])))
+            if n_flux < len(out):
+                calls.append((np.add, (sources, out[n_flux:], sources)))
+        if spec is not None:
+            calls += [(np.multiply, (self.linear, spec, self.scratch)),
+                      (np.add, (k, self.scratch, k))]
         return calls
-
-    def __call__(self):
-        """ik F + S, masked, from the samples the last `physical` call made,
-        as a fresh array; non-finite flux or source samples raise
-        NonFiniteFieldError, as calls_into's check does."""
-        k = np.empty((self.n_rows, self.weight.shape[1]), complex)
-        run_calls(self.calls_into(k, True))
-        return k
 
 
 def _require_finite(values):
@@ -232,15 +223,14 @@ def _require_finite(values):
 
 def _rhs(kind, grid, desc, lam, eps, dispersion, fields):
     """The nonlinear terms, and the dispersion when asked, at each (even,
-    odd) pair of fields, as fields: one _SpectralRHS for them all, and per
-    pair one stacked rfft, the map and one stacked irfft."""
+    odd) pair of fields: per pair one rfft, the two lists of calls of one
+    _SpectralRHS for them all, and one irfft, into fresh fields."""
     nonlinear = _SpectralRHS(kind, grid, desc, lam, eps)
     for even, odd in fields:
         spec = grid.rfft(np.concatenate((even.data, odd.data)))
-        nonlinear.physical(spec)
-        k = nonlinear()
-        if dispersion:
-            k -= grid.derivative_symbol(3) * spec
+        k = np.empty_like(spec)
+        run_calls(nonlinear.physical_calls(spec)
+                  + nonlinear.calls_into(k, True, spec if dispersion else None))
         data = grid.irfft(k)
         yield (EvenField(grid, desc, data[:desc.even_dim]),
                OddField(grid, desc, data[desc.even_dim:]))
@@ -288,11 +278,8 @@ def rhs_state(state):
 def rhs_states(states):
     """rhs_state of each of several states of one system, grid, backend,
     lam and eps, as a list, through one _SpectralRHS."""
-    def key(s):
-        return s.kind, s.grid, s.descriptor, s.lam, s.epsilon
-
     first = states[0]
-    if any(key(s) != key(first) for s in states):
+    if any(getattr(s, name) != getattr(first, name) for s in states for name in _ONE_RUN):
         raise SuperKdVError("states must share system, grid, backend, lam and eps")
     return list(_rhs(first.kind, first.grid, first.descriptor, first.lam,
                      first.epsilon, True, [(s.even, s.odd) for s in states]))
@@ -315,8 +302,7 @@ class Trajectory:
             if not state.time > previous.time:
                 raise SuperKdVError(f"record times must strictly increase: "
                                     f"{previous.time!r} then {state.time!r}")
-            if any(getattr(state, name) != getattr(first, name)
-                   for name in ("kind", "grid", "descriptor", "lam", "epsilon")):
+            if any(getattr(state, name) != getattr(first, name) for name in _ONE_RUN):
                 raise SuperKdVError(f"not one run: {state!r} differs from {first!r}")
 
     @property
@@ -424,13 +410,13 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False):
         # (during the step) from a non-finite sum of finite ones (after).
         # The last finite state is the one before step, rebuilt from spec,
         # as no state is built for a step nothing reads
-        nonlinear.physical(spec)
+        run_calls(nonlinear.physical_calls(spec))
         try:
             run_calls(step_calls(spec, new, check=True))
             when = "after"
         except NonFiniteFieldError:
             when = "during"
-        nonlinear.physical(spec)
+        run_calls(nonlinear.physical_calls(spec))
         last = at(state.time + (step - 1) * dt) if step > 1 else first
         return NumericalBlowup(f"non-finite values {when} step {step} (t={last.time + dt:g})",
                                last, step, last.time + dt)
@@ -441,7 +427,7 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False):
     # step's k1.
     spec = grid.rfft(np.concatenate((state.even.data, state.odd.data)))
     spec[:, grid.dealias_keep + 1:] = 0.0
-    nonlinear.physical(spec)
+    run_calls(nonlinear.physical_calls(spec))
     first = at(None)
     records = [first]
 
@@ -469,52 +455,43 @@ class _RK4Step:
     """integrate's RK4 step, made once per call: called with the spectrum
     buffers spec, whose samples the head of the _SpectralRHS `nonlinear`
     holds, and new, it gives the step from spec into new, and new's
-    samples, as one flat list of bound calls.  The stages are formed in
-    buffers made here, with the operands of each product and the terms of
-    each sum in the order of the formulas noted beside them.  With check,
-    each stage's flux and source samples are checked finite."""
+    samples, as one flat list of bound calls.  The dispersion is the
+    map's linear: ifrk4's factors are its exponentials; rk4's calls_into
+    adds it.  The stages are formed in buffers made here and in the map's
+    scratch rows, the operands of each product and the terms of each sum
+    in the order of the formulas noted beside them.  With check, each
+    stage's flux and source samples are checked finite."""
 
     def __init__(self, nonlinear, dt, scheme):
-        self.nonlinear, self.dt = nonlinear, dt
-        dispersion = -nonlinear.grid.derivative_symbol(3)  # f_t = -f''' in transform space
-        if scheme == "ifrk4":
-            # exp(+i k^3 dt/2): exact half-step of f_t = -f'''
-            self.e_half, self.linear = np.exp(0.5 * dt * dispersion), None
-        else:
-            self.e_half, self.linear = 1.0, dispersion
+        self.nonlinear, self.dt, self.rk4 = nonlinear, dt, scheme == "rk4"
+        # ifrk4: exp(+i k^3 dt/2), the exact half-step of f_t = -f'''
+        self.e_half = 1.0 if self.rk4 else np.exp(0.5 * dt * nonlinear.linear)
         self.e_full = self.e_half * self.e_half
         # 2 (e_half k2) as one product: scaling by 2 commutes with rounding
         self.e_twice = 2.0 * self.e_half
-        self.stage, self.tmp, self.full, *self.k = np.empty(
-            (7, nonlinear.n_rows, len(dispersion)), complex)
-
-    def _rhs(self, spec, k, check):
-        # the calls that write the right-hand side at spec into k, from the
-        # samples of spec in the head
-        calls = self.nonlinear.calls_into(k, check)
-        if self.linear is not None:
-            calls += [(np.multiply, (self.linear, spec, self.tmp)), (np.add, (k, self.tmp, k))]
-        return calls
+        self.stage, self.full, *self.k = np.empty((6, *nonlinear.scratch.shape), complex)
 
     def __call__(self, spec, new, check=False):
-        stage, tmp, full, (k1, k2, k3, k4) = self.stage, self.tmp, self.full, self.k
+        stage, tmp, full, (k1, k2, k3, k4) = self.stage, self.nonlinear.scratch, self.full, self.k
         e_half, e_full, dt = self.e_half, self.e_full, self.dt
         half, physical = 0.5 * dt, self.nonlinear.physical_calls
-        multiply, add = np.multiply, np.add
+        multiply, add, rhs = np.multiply, np.add, self.nonlinear.calls_into
+        # rk4 adds the dispersion at spec into k1 and at stage into k2 to k4
+        at_spec, at_stage = (spec, stage) if self.rk4 else (None, None)
         return [
-            *self._rhs(spec, k1, check),
+            *rhs(k1, check, at_spec),
             # stage = e_half * (spec + half * k1)
             (multiply, (half, k1, stage)), (add, (spec, stage, stage)),
             (multiply, (e_half, stage, stage)),
-            *physical(stage), *self._rhs(stage, k2, check),
+            *physical(stage), *rhs(k2, check, at_stage),
             # stage = e_half * spec + half * k2
             (multiply, (e_half, spec, stage)), (multiply, (half, k2, tmp)),
             (add, (stage, tmp, stage)),
-            *physical(stage), *self._rhs(stage, k3, check),
+            *physical(stage), *rhs(k3, check, at_stage),
             # k3 = e_half * k3; full = e_full * spec; stage = full + dt * k3
             (multiply, (e_half, k3, k3)), (multiply, (e_full, spec, full)),
             (multiply, (dt, k3, tmp)), (add, (full, tmp, stage)),
-            *physical(stage), *self._rhs(stage, k4, check),
+            *physical(stage), *rhs(k4, check, at_stage),
             # new = full + sixth * (e_full * k1 + e_twice * k2 + 2.0 * k3 + k4)
             (multiply, (e_full, k1, k1)), (multiply, (self.e_twice, k2, k2)),
             (add, (k1, k2, k1)), (multiply, (2.0, k3, k3)), (add, (k1, k3, k1)),

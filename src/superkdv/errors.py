@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and finite_number, the one
-check of every number the package is given, which raises one."""
+"""Exception types shared across the package, and the checks that raise
+one: finite_number of every number given, term_coefficient of c lam^p eps^n."""
 
 import math
 import numbers
@@ -74,3 +74,16 @@ def finite_number(name, value, kind=float):
         raise SuperKdVError(f"{name} must be a {'whole number' if kind is int else 'finite float'}, "
                             f"got {value!r}")
     return number
+
+
+def term_coefficient(c, lam, power, eps=1.0, eps_power=0):
+    """(c lam^power) eps^eps_power, the one rule for a term coefficient: a
+    factor that takes it past the floats raises naming its parameter."""
+    for name, base, exponent in (("lam", lam, power), ("epsilon", eps, eps_power)):
+        try:
+            c = float(c) * base ** exponent  # float ** int raises OverflowError
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise SuperKdVError(f"{name} = {base!r} makes a term coefficient overflow the floats")
+    return c

@@ -98,16 +98,20 @@ class ConservedReport:
         return "\n".join(lines)
 
 
+def _densities(kind, grid, descriptor, lam):
+    """drift_report's labels for a run of kind and one program of their densities."""
+    labels = ("H",) if kind == "modified" else H_LABELS
+    return labels, _Program.compile(map(density_poly, labels), grid, descriptor, lam)
+
+
 def drift_report(traj):
     """Evaluate the conserved quantities of traj's system at every record
     and report their relative drifts."""
     kind = traj.kind
-    labels = ("H",) if kind == "modified" else H_LABELS
     if kind == "gardner":  # its H_k are those of the mapped fields
         traj = to_extended_trajectory(traj)
     first = traj[0]
-    densities = _Program.compile(map(density_poly, labels), first.grid,
-                                 first.descriptor, traj.lam)
+    labels, densities = _densities(kind, first.grid, first.descriptor, traj.lam)
     rows = [[quadrature(density).coords for density in densities(s.even, s.odd)]
             for s in traj]
     return ConservedReport(kind, traj.times, labels, first.descriptor.even_labels,

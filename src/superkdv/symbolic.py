@@ -47,7 +47,7 @@ import numpy as np
 
 from .algebra import get_algebra, run_calls
 from .errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
-                     NonFiniteFieldError, SuperKdVError, finite_number)
+                     NonFiniteFieldError, SuperKdVError, finite_number, term_coefficient)
 from .fields import EvenField, OddField
 
 
@@ -442,11 +442,11 @@ def to_text(poly):
 # ---------------------------------------------------------------------------
 # numeric instantiation: polynomials compiled into product programs
 
-def _live_terms(poly, lam, descriptor, weight=1.0):
+def _live_terms(poly, lam, descriptor, eps=1.0, eps_power=0):
     """(factors, odd order, coefficient) of each term of poly that does not
     vanish at coupling lam on the backend; the factors are the even orders
     and bracket pairs, the coefficient is evaluated at lam and scaled by
-    weight.
+    eps^eps_power (errors.term_coefficient).
 
     Two kinds of term vanish on a backend whatever the fields: every term
     with an odd symbol when it has no odd channels, and [xi^(a), xi^(b)]
@@ -465,10 +465,10 @@ def _live_terms(poly, lam, descriptor, weight=1.0):
                 and algebra.bracket_product_alternates):
             continue
         key = (even + comms, odd)
-        sums[key] = sums.get(key, 0) + float(c) * lam ** power
+        sums[key] = sums.get(key, 0) + term_coefficient(c, lam, power)
     live = []
     for (factors, odd), total in sums.items():
-        coeff = weight * total
+        coeff = term_coefficient(total, lam, 0, eps, eps_power)
         if coeff != 0.0:
             live.append((factors, odd, coeff))
     return live

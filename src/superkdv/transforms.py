@@ -24,7 +24,7 @@ a linear map on states that commutes with the extended flow.
 import numpy as np
 
 from .dynamics import SystemState, Trajectory, integrate, rhs_states
-from .errors import SuperKdVError, finite_number
+from .errors import SuperKdVError, finite_number, term_coefficient
 from .fields import OddField
 from .symbolic import DiffPolynomial, _Program, gardner_coefficients, map_terms
 
@@ -34,10 +34,11 @@ def _series_program(terms, grid, descriptor, lam, eps):
     times each polynomial, compiled in one program."""
     images = [DiffPolynomial(), DiffPolynomial()]
     for power, polys in terms:
-        weight = eps ** power
-        if weight:
-            for k, poly in enumerate(polys):
-                images[k] = images[k] + (poly if weight == 1.0 else poly.scaled(weight))
+        weight = term_coefficient(1, 1.0, 0, eps, power)
+        for k, poly in enumerate(polys):
+            for c in poly.terms.values():  # c eps^power past the floats is refused
+                term_coefficient(c, 1.0, 0, eps, power)
+            images[k] = images[k] + (poly if weight == 1.0 else poly.scaled(weight))
     return _Program.compile(images, grid, descriptor, lam)
 
 

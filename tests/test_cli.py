@@ -155,6 +155,21 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         "lam_inf": ["--lambda", "inf"],
         "eps_nan": ["--system", "gardner", "--gardner-eps", "nan"],
     }
+    # finite flags whose run overflows: a coupling or deformation past the
+    # floats in a term coefficient, a step count past the floats, and a
+    # grid length whose k_max_active ** 3 is no positive finite float.
+    # Each is refused before any step, naming its parameter
+    overflowing = {
+        "lam_huge": (["--algebra", "grassmann:2", "--lambda", 1e200, "--ic",
+                      "random_bandlimited", "--t-end", 0.01], "lam = 1e+200"),
+        "eps_huge": (["--system", "gardner", "--algebra", "symplectic:1",
+                      "--gardner-eps", 1e200, "--t-end", 0.01], "epsilon = 1e+200"),
+        "dt_tiny": (["--dt", 1e-320], "--t-end / --dt"),
+        "steps_huge": (["--t-end", 1e308, "--dt", 1e-10], "--t-end / --dt"),
+        "L_huge": (["--L", 1e300], "grid length 1e+300"),
+        "L_tiny": (["--grid", 16, "--L", 1e-300], "grid length 1e-300"),
+    }
+    refused.update((name, flags) for name, (flags, _) in overflowing.items())
     # initial-condition arguments that do not parse, are not finite or are
     # out of range, and one given twice
     refused["ic_repeated"] = ["--ic", "soliton(kappa=1,kappa=2)"]
@@ -170,6 +185,9 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         if name == "ic_repeated":
             assert "IC argument 'kappa' is given twice" in err, err
+        if name in overflowing:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err and overflowing[name][1] in err, err
 
 
 def test_system_skdv_is_refused(tmp_path, capsys):
@@ -551,6 +569,21 @@ def test_check_error_in_a_worker_exits_2_as_serially(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: non-finite values during step 4 (t=0.004)\n")
+
+
+@pytest.mark.parametrize("flags,named", [(["--gardner-eps", 1e300], "epsilon = 1e+300"),
+                                         (["--lambda", 1e200], "lam = 1e+200")])
+def test_check_gardner_coefficient_overflow_exits_2_as_serially(flags, named, monkeypatch,
+                                                                capsys):
+    # a term coefficient past the floats is refused where the worker builds
+    # its programs, by the same error forked and serially
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        assert run(["check", "gardner", *flags]) == 2
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {named} makes a term coefficient overflow the floats\n")
 
 
 @pytest.mark.parametrize("suite", ["miura", "gardner", "susy", "densities"])

@@ -25,7 +25,8 @@ import math
 import numpy as np
 import pytest
 
-from superkdv.algebra import Algebra, AlgebraDescriptor, ProductTable, get_algebra, value_norm
+from superkdv.algebra import (Algebra, AlgebraDescriptor, ProductTable, get_algebra, run_calls,
+                              value_norm)
 from superkdv.dynamics import (SYSTEM_KINDS, _RK4Step, _SpectralRHS, SystemState,
                                Trajectory, integrate, nonlinear_rhs, rhs_extended, rhs_gardner,
                                rhs_modified, rhs_skdv_grassmann, rhs_state,
@@ -559,8 +560,8 @@ def _unbuffered_steps(st, dt, steps, scheme):
     e_full = e_half * e_half
 
     def rhs(spec):
-        nonlinear.physical(spec)
-        k = nonlinear()
+        k = np.empty_like(spec)
+        run_calls(nonlinear.physical_calls(spec) + nonlinear.calls_into(k, True))
         if linear is not None:
             k += linear * spec
         return k
@@ -575,7 +576,8 @@ def _unbuffered_steps(st, dt, steps, scheme):
         k4 = rhs(e_full * spec + dt * e_half_k3)
         spec = e_full * spec + (dt / 6.0) * (e_full * k1 + 2.0 * (e_half * k2)
                                              + 2.0 * e_half_k3 + k4)
-    return nonlinear.physical(spec)[:desc.even_dim + desc.odd_dim]
+    run_calls(nonlinear.physical_calls(spec))
+    return nonlinear.head[:desc.even_dim + desc.odd_dim]
 
 
 @pytest.mark.parametrize("data", ["random", "wide", "zero"])
@@ -609,10 +611,10 @@ def test_integrate_owns_the_four_k_arrays(kind, desc_str, monkeypatch):
     st = random_state(kind, desc_str, 1.3, N=64, L=20.0, eps=0.4 if kind == "gardner" else 0.0)
     calls_into, handed, checked = _SpectralRHS.calls_into, [], []
 
-    def recording(self, k, check):
+    def recording(self, k, check, spec=None):
         handed.append(k)
         checked.append(check)
-        return calls_into(self, k, check)
+        return calls_into(self, k, check, spec)
 
     monkeypatch.setattr(_SpectralRHS, "calls_into", recording)
     integrate(st, dt=0.5 * stability_limit(st.grid, "ifrk4"), steps=10, scheme="ifrk4")
@@ -710,8 +712,8 @@ def _stage(kind, desc_str, lam=1.3, eps=0.4, wide=False):
     st = random_state(kind, desc_str, lam, N=64, L=20.0,
                       eps=eps if kind == "gardner" else 0.0, wide=wide)
     nonlinear = _SpectralRHS(kind, st.grid, st.descriptor, st.lam, st.epsilon)
-    nonlinear.physical(np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1))
-    nonlinear()
+    spec = np.fft.rfft(np.concatenate((st.even.data, st.odd.data)), axis=-1)
+    run_calls(nonlinear.physical_calls(spec) + nonlinear.calls_into(np.empty_like(spec), True))
     return st, nonlinear
 
 
@@ -1042,6 +1044,34 @@ def test_scalar_zero_states_keep_the_bits_of_the_1x1_matmul(kind, scheme):
         for record in integrate(st, 1e-3, 30, scheme=scheme, record_every=10):
             digest.update(record.even.data.tobytes())
     assert digest.hexdigest()[:16] == "6732d53a2be7a668"
+
+
+# sha256 prefixes of each system's standalone right-hand sides (rhs_states,
+# rhs_state, nonlinear_rhs) and a 7-step rk4 run, on six backends at N = 64
+# and 256, from data inside the 2/3 band and past it, recorded when the
+# standalone right-hand side added its dispersion apart from the stages'
+_RHS_DIGESTS = {"extended": "462242484ee35ac2", "modified": "7347916f1b48e21e",
+                "gardner": "30f33d75c5167a26"}
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_right_hand_sides_keep_their_bits(kind):
+    import hashlib
+    digest = hashlib.sha256()
+    for desc_str in ("scalar", "grassmann:3", "grassmann:4", "grassmann:6",
+                     "symplectic:1", "symplectic:2"):
+        for N in (64, 256):
+            states = [random_state(kind, desc_str, 1.3, N=N, L=20.0, seed=seed, wide=wide,
+                                   eps=0.4 if kind == "gardner" else 0.0)
+                      for seed, wide in ((1, False), (2, True))]
+            pairs = rhs_states(states)
+            for st in states:
+                pairs += [rhs_state(st), nonlinear_rhs(kind, st.even, st.odd, st.lam, st.epsilon)]
+            final = integrate(states[1], 0.5 * stability_limit(states[1].grid, "rk4"), 7).final
+            for even, odd in pairs + [(final.even, final.odd)]:
+                digest.update(even.data.tobytes())
+                digest.update(odd.data.tobytes())
+    assert digest.hexdigest()[:16] == _RHS_DIGESTS[kind]
 
 
 def test_rhs_states_match_rhs_state_one_at_a_time():

@@ -14,11 +14,12 @@ import pytest
 from superkdv.algebra import AlgebraDescriptor
 from superkdv.dynamics import SystemState, integrate
 from superkdv.errors import SuperKdVError, finite_number
+from superkdv.invariants import conserved_quantities, hamiltonian_density
 from superkdv.fields import (EvenField, GaussianIC, OddField, PeriodicGrid,
                              RandomBandlimitedIC, SolitonIC)
 from superkdv.snapshots import state_from_dict, state_to_dict
 from superkdv.symbolic import gardner_coefficients, reproduce_conserved_quantities
-from superkdv.transforms import inverse_gardner_series
+from superkdv.transforms import gardner_map, inverse_gardner_series
 
 
 def gardner_state():
@@ -110,3 +111,30 @@ def test_finite_number_refuses_a_huge_int(kind):
     # no OverflowError: 10**400 has no float, so it is no finite number here
     with pytest.raises(SuperKdVError, match=r"^x must be a .*, got 1000"):
         finite_number("x", 10 ** 400, kind)
+
+
+# a call per finite value that overflows: a term coefficient c lam^p eps^n
+# past the floats (Python's float ** int raises OverflowError there), and a
+# grid length whose k_max_active ** 3, which the stability guard divides
+# by, is no positive finite float
+OVERFLOWING = {
+    "conserved_quantities": ("lam = 1e+200", lambda: conserved_quantities(*fields(), 1e200)),
+    "hamiltonian_density": ("lam = 1e+200", lambda: hamiltonian_density(*fields(), 1e200)),
+    "gardner_map": ("epsilon = 1e+200", lambda: gardner_map(*fields(), 1.0, 1e200)),
+    "inverse_gardner_series": ("epsilon = 1e+200",
+                               lambda: inverse_gardner_series(*fields(), 1.0, 1e200)),
+    # eps^10 = 1.05e306 is a float, but the order-10 coefficient 7956 times it is not
+    "inverse_gardner_series order 10": ("epsilon = 4e+30", lambda: inverse_gardner_series(
+        *fields(), 1.0, 4e30, order=10)),
+    "integrate gardner": ("epsilon = 1e+200", lambda: integrate(
+        SystemState("gardner", *fields(), lam=1.0, epsilon=1e200), 1e-4, 2)),
+    "PeriodicGrid huge L": ("grid length 1e+300", lambda: PeriodicGrid(1e300, 16)),
+    "PeriodicGrid tiny L": ("grid length 1e-300", lambda: PeriodicGrid(1e-300, 16)),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING)
+def test_finite_values_that_overflow_raise_naming_the_parameter(call):
+    named, thunk = OVERFLOWING[call]
+    with pytest.raises(SuperKdVError, match=f"^{re.escape(named)} "):
+        thunk()
