@@ -5,7 +5,9 @@ are written once, on its argument in build_parser.  Exit codes: 0 success,
 1 a check failed, 2 usage error (an output that cannot be written
 included), 3 numeric blow-up (the last finite state is still written).
 All outputs are deterministic: rerunning with the same flags reproduces
-every artifact byte for byte.
+every artifact byte for byte.  With two or more CPUs, simulate encodes its
+snapshots in a second process while it steps, and the files, their bytes
+and the exit codes are the same as on one CPU.
 """
 
 import argparse
@@ -84,31 +86,96 @@ def cmd_simulate(args):
                 "scheme": args.scheme, "ic": {"name": ic_spec.name, "params": ic_spec.params()},
                 "seed": args.seed, "record_every": record_every, "force": args.force}
 
-    # a refused run writes nothing: the manifest follows the integration
+    # A refused run writes nothing: the manifest follows the integration.
+    # With two CPUs, a forked writer encodes each record while the run
+    # steps, and writes the snapshots only when sent the commit
+    writer = _SnapshotWriter(args.out) if _two_cpus() else None
     try:
-        traj = integrate(state, dt, steps, scheme=args.scheme,
-                         record_every=record_every, force=args.force)
-    except StabilityError as exc:
-        raise UsageError(f"{exc}; rerun with --force to override")
-    except NumericalBlowup as exc:
-        traj, blowup = None, exc
-    os.makedirs(args.out, exist_ok=True)
-    snapshots.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
-    if traj is None:
-        snapshots.write_snapshot(blowup.last_state,
-                                 os.path.join(args.out, "snapshot_last.json"))
-        print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
-              f"last finite state saved", file=sys.stderr)
-        return EXIT_NUMERIC
-
-    for i, recorded in enumerate(traj):
-        snapshots.write_snapshot(recorded,
-                                 os.path.join(args.out, f"snapshot_{i:04d}.json"))
-    report = drift_report(traj)
+        try:
+            traj = integrate(state, dt, steps, scheme=args.scheme, record_every=record_every,
+                             force=args.force, on_record=writer.send if writer else None)
+        except StabilityError as exc:
+            raise UsageError(f"{exc}; rerun with --force to override")
+        except NumericalBlowup as exc:
+            traj, blowup = None, exc
+            if writer:
+                writer.collect()
+        os.makedirs(args.out, exist_ok=True)
+        snapshots.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+        if traj is None:
+            snapshots.write_snapshot(blowup.last_state,
+                                     os.path.join(args.out, "snapshot_last.json"))
+            print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
+                  f"last finite state saved", file=sys.stderr)
+            return EXIT_NUMERIC
+        if writer:
+            writer.commit()
+        else:
+            for i, recorded in enumerate(traj):
+                snapshots.write_snapshot(recorded, _snapshot_path(args.out, i))
+        report = drift_report(traj)
+    finally:
+        # on every path; after a commit, the writer's error comes before
+        # the table's, as the serial order's does
+        if writer:
+            writer.collect()
     snapshots.write_report_csv(report, os.path.join(args.out, "conserved.csv"))
     print(f"wrote {len(traj)} snapshots over t in [0, {steps * dt:g}] "
           f"to {args.out}; max relative drift {report.max_drift:.3e}")
     return EXIT_OK
+
+
+def _snapshot_path(out, i):
+    return os.path.join(out, f"snapshot_{i:04d}.json")
+
+
+class _SnapshotWriter:
+    """A child, forked when this is made, that encodes each state given to
+    send at once, while this process steps the run.  After commit, it
+    writes the texts as the snapshot files in out; without one, nothing.
+    collect closes the records pipe and reaps the child, raising the
+    error it sent; later calls do nothing."""
+
+    def __init__(self, out):
+        read_end, write_end = os.pipe()
+        self.child = _forked(partial(_written_snapshots, read_end, write_end, out))
+        os.close(read_end)
+        self.records = os.fdopen(write_end, "wb")
+
+    def send(self, state):
+        self.records.write(pickle.dumps(state))
+        self.records.flush()
+
+    def commit(self):
+        self.send(None)
+
+    def collect(self):
+        if self.child is None:
+            return
+        child, self.child = self.child, None
+        try:
+            self.records.close()
+        finally:
+            _sent_value(*child)
+
+
+def _written_snapshots(records, write_end, out):
+    """The snapshot writer's work, in its child: each state pickled into
+    the pipe records encoded at once; at the commit, None, the texts
+    written into out, and at the pipe's end without one, nothing."""
+    os.close(write_end)  # the child's copy: the pipe ends when the parent closes its own
+    texts = []
+    with os.fdopen(records, "rb") as fh:
+        while True:
+            try:
+                state = pickle.load(fh)
+            except EOFError:
+                return
+            if state is None:
+                break
+            texts.append(snapshots.json_text(snapshots.state_to_dict(state)))
+    for i, text in enumerate(texts):
+        snapshots.write_text(text, _snapshot_path(out, i))
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +204,17 @@ def _random_fields(backend, seed, max_mode=4, amplitude=0.4, L=40.0, N=128):
                                    PeriodicGrid(L, N), AlgebraDescriptor.from_string(backend))
 
 
-def _in_parallel(*thunks):
-    """Each thunk's value, in order.  When this process may run on two or
-    more CPUs, the first thunk runs in one child forked from it while the
-    rest run here; otherwise all run here, one after another.  Either way
-    the error raised is the one the serial order raises first.  The child
-    sends back its value or its exception, pickled, through a pipe, and
-    ends with os._exit, so it runs none of this process's exit handlers."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return [thunk() for thunk in thunks]
+def _two_cpus():
+    """Whether this process may run on two or more CPUs, so that a child
+    forked from it works beside it."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _forked(thunk):
+    """Fork a child that runs thunk, sends back (True, its value) or
+    (False, its exception), pickled, through a pipe, and ends with
+    os._exit, so it runs none of this process's exit handlers.  Returns
+    the child's pid and the pipe's read end, which _sent_value takes."""
     sys.stdout.flush()
     sys.stderr.flush()
     read_end, write_end = os.pipe()
@@ -155,7 +224,7 @@ def _in_parallel(*thunks):
         try:
             os.close(read_end)
             try:
-                sent = pickle.dumps((True, thunks[0]()))
+                sent = pickle.dumps((True, thunk()))
             except Exception as exc:
                 sent = pickle.dumps((False, exc))
             with os.fdopen(write_end, "wb") as fh:
@@ -164,10 +233,21 @@ def _in_parallel(*thunks):
         finally:
             os._exit(status)
     os.close(write_end)
+    return pid, read_end
+
+
+def _in_parallel(*thunks):
+    """Each thunk's value, in order.  With two CPUs, the first thunk runs
+    in a forked child while the rest run here; otherwise all run here,
+    one after another.  Either way the error raised is the one the serial
+    order raises first."""
+    if not _two_cpus():
+        return [thunk() for thunk in thunks]
+    child = _forked(thunks[0])
     try:
         rest = [thunk() for thunk in thunks[1:]]
     finally:
-        first = _sent_value(pid, read_end)
+        first = _sent_value(*child)
     return [first, *rest]
 
 
@@ -179,7 +259,7 @@ def _sent_value(pid, read_end):
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise SuperKdVError(f"a check's worker process {how} before sending its result")
+        raise SuperKdVError(f"a worker process {how} before sending its result")
     ok, value = pickle.loads(sent)
     if not ok:
         raise value
@@ -349,8 +429,7 @@ def cmd_check(args):
     verdict, summary = check(**given)
     text = json.dumps(verdict, sort_keys=True, indent=2, default=snapshots.json_default) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        snapshots.write_text(text, args.out)
     print(summary, file=sys.stderr)
     print(text, end="")
     return EXIT_OK if verdict["pass"] else EXIT_CHECK_FAILED

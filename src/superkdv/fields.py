@@ -45,10 +45,11 @@ class PeriodicGrid:
         self.x = np.arange(N) * self.dx
         self.k = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)  # modes 0..N/2
         self.dealias_keep = N // 3  # highest surviving mode index
-        try:  # the stability guard's 0.5 / k_max_active ** 3
-            0.5 / self.k_max_active ** 3
+        try:  # the stability guard's 0.5 / k_max_active ** 3, and the dispersion's largest k ** 3
+            0.5 / self.k_max_active ** 3 + float(self.k[-1]) ** 3
         except (OverflowError, ZeroDivisionError):
-            raise SuperKdVError(f"grid length {L!r} has no finite k_max_active ** 3 > 0") from None
+            raise SuperKdVError(f"grid length {L!r} puts k_max_active ** 3 or the top "
+                                f"mode's k ** 3 outside the positive floats") from None
         self._symbols = {}
         self._inverse_scale = np.reciprocal(N, dtype=float)  # as numpy.fft's irfft
         self.rfft_calls = 0

@@ -29,10 +29,18 @@ def json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def dump_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default)
+def json_text(obj):
+    """The text of obj's JSON file: one compact line, keys sorted."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default) + "\n"
+
+
+def write_text(text, path):
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+
+
+def dump_json(obj, path):
+    write_text(json_text(obj), path)
 
 
 def load_json(path):
@@ -119,8 +127,7 @@ def write_csv(header, rows, path):
             raise SuperKdVError(
                 f"csv row has {len(row)} cells, header has {width}")
         lines.append(",".join(format_value(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text("\n".join(lines) + "\n", path)
 
 
 def read_csv(path):
@@ -246,8 +253,7 @@ def write_line_plot(path, x, series, title="", xlabel=""):
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
                      f'font-size="12">{escape(label)}</text>')
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text("\n".join(parts) + "\n", path)
 
 
 def write_report_csv(report, path):

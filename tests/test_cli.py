@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from superkdv import cli
+from superkdv import cli, snapshots
 from superkdv.algebra import AlgebraDescriptor
 from superkdv.cli import UsageError, _in_parallel, build_parser, main
 from superkdv.errors import (DescriptorMismatch, ExpressionSyntaxError, GradingError,
@@ -29,6 +29,35 @@ def simulate_soliton(outdir, extra=()):
     return run(["simulate", "--system", "extended", "--algebra", "scalar",
                 "--ic", "soliton(kappa=1)", "--L", 40, "--grid", 256,
                 "--dt", 5e-4, "--t-end", 0.05, "--out", outdir, *extra])
+
+
+FORKED, SERIAL = {0, 1}, {0}
+
+
+def cpus(monkeypatch, allowed):
+    """Make this process appear to run on the CPUs in allowed, which sets
+    whether simulate forks its snapshot writer and _in_parallel its child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_after_the_test():
+    # a child that a test leaves, running or ended, fails that test; the
+    # ended ones are reaped here, so that they fail no later test
+    yield
+    reaped = []
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            reaped.append(pid)
+    except ChildProcessError:  # no child is left
+        if not reaped:
+            return
+    pytest.fail(f"the test left child processes (reaped here: {reaped})")
 
 
 def test_simulate_writes_artifacts(tmp_path):
@@ -73,21 +102,75 @@ def test_same_seed_byte_identical(tmp_path):
         assert filecmp.cmp(snap_a, b / snap_a.name, shallow=False)
 
 
-def test_readme_run_reproduces_its_digest(tmp_path):
-    # the README's first simulate command at --seed 7: the sha256 of its 53
+def test_readme_run_reproduces_its_digest(tmp_path, monkeypatch):
+    # the README's first simulate command at --seed 7, with its snapshots
+    # written by the forked writer and serially: the sha256 of its 53
     # files, in sorted-name order, as perfbench/workloads.py's digest
     # computes it.  CHANGES.md records each move of this digest
-    out = tmp_path / "run1"
-    assert main(["simulate", "--system", "extended", "--algebra", "grassmann:3",
-                 "--lambda", "1.0", "--ic", "random_bandlimited(max_mode=5,amplitude=0.5)",
-                 "--seed", "7", "--L", "40", "--grid", "256", "--dt", "1e-3",
-                 "--t-end", "1.0", "--scheme", "ifrk4", "--out", str(out)]) == 0
-    names = sorted(p.name for p in out.iterdir())
-    digest = hashlib.sha256()
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        out = tmp_path / f"run{len(allowed)}"
+        assert main(["simulate", "--system", "extended", "--algebra", "grassmann:3",
+                     "--lambda", "1.0", "--ic", "random_bandlimited(max_mode=5,amplitude=0.5)",
+                     "--seed", "7", "--L", "40", "--grid", "256", "--dt", "1e-3",
+                     "--t-end", "1.0", "--scheme", "ifrk4", "--out", str(out)]) == 0
+        assert_no_child_left()
+        names = sorted(p.name for p in out.iterdir())
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update((out / name).read_bytes())
+        assert len(names) == 53
+        assert digest.hexdigest()[:12] == "487fecfb57bd"
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
     for name in names:
-        digest.update((out / name).read_bytes())
-    assert len(names) == 53
-    assert digest.hexdigest()[:12] == "487fecfb57bd"
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("flags", [
+    ["--system", "gardner", "--algebra", "symplectic:1", "--gardner-eps", 0.1],
+    ["--system", "modified", "--algebra", "grassmann:4"]], ids=["gardner", "modified"])
+def test_simulate_writes_the_same_bytes_forked_and_serially(flags, tmp_path, monkeypatch,
+                                                            capsys):
+    printed = {}
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        assert run(["simulate", *flags, "--lambda", 1,
+                    "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)", "--grid", 64,
+                    "--t-end", 0.01, "--out", tmp_path / str(len(allowed))]) == 0
+        assert_no_child_left()
+        printed[len(allowed)] = capsys.readouterr()
+    assert len(list((tmp_path / "1").glob("snapshot_*.json"))) == 11
+    assert_same_files(tmp_path / "2", tmp_path / "1")
+    assert printed[2].out.replace(str(tmp_path / "2"), str(tmp_path / "1")) == printed[1].out
+
+
+def test_a_snapshot_that_cannot_be_written_exits_2_as_serially(tmp_path, monkeypatch, capsys):
+    # the fourth snapshot's write fails, in the forked writer as serially:
+    # the manifest and the first three snapshots are written, no table
+    write_text = snapshots.write_text
+
+    def failing(text, path):
+        if os.path.basename(path) == "snapshot_0003.json":
+            raise PermissionError(13, "Permission denied", path)
+        write_text(text, path)
+
+    monkeypatch.setattr(snapshots, "write_text", failing)
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        out = tmp_path / str(len(allowed))
+        assert simulate_soliton(out) == 2
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        failed = out / "snapshot_0003.json"
+        assert (captured.out, captured.err) == (
+            "", f"error: cannot write {failed}: Permission denied\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "snapshot_0000.json", "snapshot_0001.json", "snapshot_0002.json"]
+    assert_same_files(tmp_path / "2", tmp_path / "1")
 
 
 def assert_one_line_json(directory):
@@ -101,17 +184,22 @@ def assert_one_line_json(directory):
         assert text == canonical + "\n", name
 
 
-def test_every_json_file_of_a_run_is_one_compact_line(tmp_path):
+def test_every_json_file_of_a_run_is_one_compact_line(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run(["simulate", "--system", "gardner", "--algebra", "grassmann:3",
                 "--gardner-eps", 0.1, "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)",
                 "--grid", 64, "--t-end", 0.002, "--out", out]) == 0
     assert_one_line_json(out)
-    blow = tmp_path / "blow"
-    assert run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05, "--scheme", "rk4",
-                "--t-end", 5, "--force", "--out", blow]) == 3
-    assert sorted(p.name for p in blow.iterdir()) == ["manifest.json", "snapshot_last.json"]
-    assert_one_line_json(blow)
+    # a blow-up's forked writer is sent no commit, so it writes nothing
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        blow = tmp_path / f"blow{len(allowed)}"
+        assert run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05, "--scheme", "rk4",
+                    "--t-end", 5, "--force", "--out", blow]) == 3
+        assert_no_child_left()
+        assert sorted(p.name for p in blow.iterdir()) == ["manifest.json", "snapshot_last.json"]
+        assert_one_line_json(blow)
+    assert_same_files(tmp_path / "blow2", tmp_path / "blow1")
 
 
 def test_seed_flag_feeds_random_ic(tmp_path):
@@ -133,12 +221,8 @@ def test_ic_seed_wins_over_the_seed_flag_however_written(tmp_path):
         outs[name] = tmp_path / name
         assert run(["simulate", "--ic", ic, "--grid", 64, "--t-end", 0.002,
                     "--seed", 5, "--out", outs[name]]) == 0
-    tight, spaced = outs["tight"], outs["spaced"]
-    assert load_json(tight / "manifest.json")["ic"]["params"]["seed"] == 3
-    names = sorted(p.name for p in tight.iterdir())
-    assert names == sorted(p.name for p in spaced.iterdir())
-    for name in names:
-        assert filecmp.cmp(tight / name, spaced / name, shallow=False), name
+    assert load_json(outs["tight"] / "manifest.json")["ic"]["params"]["seed"] == 3
+    assert_same_files(outs["tight"], outs["spaced"])
 
 
 def test_invalid_combinations_exit_2(tmp_path, capsys):
@@ -157,8 +241,9 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
     }
     # finite flags whose run overflows: a coupling or deformation past the
     # floats in a term coefficient, a step count past the floats, and a
-    # grid length whose k_max_active ** 3 is no positive finite float.
-    # Each is refused before any step, naming its parameter
+    # grid length whose k_max_active ** 3 or top mode's k ** 3 is no
+    # positive finite float.  Each is refused before any step, naming its
+    # parameter, with no numpy warning
     overflowing = {
         "lam_huge": (["--algebra", "grassmann:2", "--lambda", 1e200, "--ic",
                       "random_bandlimited", "--t-end", 0.01], "lam = 1e+200"),
@@ -168,6 +253,8 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         "steps_huge": (["--t-end", 1e308, "--dt", 1e-10], "--t-end / --dt"),
         "L_huge": (["--L", 1e300], "grid length 1e+300"),
         "L_tiny": (["--grid", 16, "--L", 1e-300], "grid length 1e-300"),
+        "L_tiny_top_mode": (["--grid", 16, "--L", 6.77e-102, "--dt", 1e-306, "--t-end", 1e-305,
+                             "--force", "--ic", "zero"], "grid length 6.77e-102"),
     }
     refused.update((name, flags) for name, (flags, _) in overflowing.items())
     # initial-condition arguments that do not parse, are not finite or are
@@ -221,12 +308,15 @@ def test_non_finite_initial_state_exits_2_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_stability_guard_refusal_exit_2(tmp_path, capsys):
-    code = run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05,
-                "--scheme", "rk4", "--t-end", 1, "--out", tmp_path / "g"])
-    assert code == 2
-    assert "dt" in capsys.readouterr().err
-    assert not (tmp_path / "g" / "manifest.json").exists()
+def test_stability_guard_refusal_exit_2(tmp_path, monkeypatch, capsys):
+    for allowed in (FORKED, SERIAL):
+        cpus(monkeypatch, allowed)
+        code = run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05,
+                    "--scheme", "rk4", "--t-end", 1, "--out", tmp_path / "g"])
+        assert code == 2
+        assert_no_child_left()
+        assert "dt" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
@@ -367,20 +457,6 @@ def test_check_verdict_shape(capsys):
 
 # ---------------------------------------------------------------------------
 # check suites that split their runs across two processes
-
-FORKED, SERIAL = {0, 1}, {0}
-
-
-def cpus(monkeypatch, allowed):
-    """Make this process appear to run on the CPUs in allowed, which sets
-    whether _in_parallel forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 # the sha256 of each suite's stdout, and its exit code, at its defaults,
 # and at a coupling where check susy fails: variation squared on

@@ -116,7 +116,8 @@ def test_finite_number_refuses_a_huge_int(kind):
 # a call per finite value that overflows: a term coefficient c lam^p eps^n
 # past the floats (Python's float ** int raises OverflowError there), and a
 # grid length whose k_max_active ** 3, which the stability guard divides
-# by, is no positive finite float
+# by, or whose top mode's k ** 3, which the dispersion holds, is no positive
+# finite float
 OVERFLOWING = {
     "conserved_quantities": ("lam = 1e+200", lambda: conserved_quantities(*fields(), 1e200)),
     "hamiltonian_density": ("lam = 1e+200", lambda: hamiltonian_density(*fields(), 1e200)),
@@ -130,6 +131,10 @@ OVERFLOWING = {
         SystemState("gardner", *fields(), lam=1.0, epsilon=1e200), 1e-4, 2)),
     "PeriodicGrid huge L": ("grid length 1e+300", lambda: PeriodicGrid(1e300, 16)),
     "PeriodicGrid tiny L": ("grid length 1e-300", lambda: PeriodicGrid(1e-300, 16)),
+    # k_max_active ** 3 is 1.0e308, but the Nyquist mode, 1.6 times
+    # k_max_active, cubes past the floats
+    "PeriodicGrid tiny L top mode": ("grid length 6.77e-102",
+                                     lambda: PeriodicGrid(6.77e-102, 16)),
 }
 
 
