@@ -5,9 +5,9 @@ are written once, on its argument in build_parser.  Exit codes: 0 success,
 1 a check failed, 2 usage error (an output that cannot be written
 included), 3 numeric blow-up (the last finite state is still written).
 All outputs are deterministic: rerunning with the same flags reproduces
-every artifact byte for byte.  With two or more CPUs, simulate encodes its
-snapshots in a second process while it steps, and the files, their bytes
-and the exit codes are the same as on one CPU.
+every artifact byte for byte.  simulate runs in this one process; with
+two or more CPUs, check miura, gardner and susy run one group of their
+runs in a forked child, and print the same bytes as on one CPU.
 """
 
 import argparse
@@ -35,6 +35,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# the most steps simulate takes: a step on the smallest grid, 16 points
+# on the scalar backend, takes about 46 microseconds on a 2-vCPU Xeon VM,
+# so 10**9 steps take over half a day; a larger --t-end / --dt is refused
+# before any step rather than left to run until killed
+MAX_STEPS = 10 ** 9
 
 DEFAULT_VALIDATION_SET = ("scalar", "grassmann:2", "grassmann:3", "grassmann:4",
                           "grassmann:5", "grassmann:6", "symplectic:1",
@@ -64,6 +70,8 @@ def cmd_simulate(args):
     lam = finite_number("--lambda", args.lam)
     eps = 0.0 if args.gardner_eps is None else finite_number("--gardner-eps", args.gardner_eps)
     steps = max(1, round(finite_number("--t-end / --dt", t_end / dt)))
+    if steps > MAX_STEPS:
+        raise UsageError(f"--t-end / --dt asks for {steps} steps, more than {MAX_STEPS}")
     record_every = max(1, steps // 50) if args.record_every is None else args.record_every
 
     ic_spec = parse_ic(args.ic)
@@ -86,96 +94,31 @@ def cmd_simulate(args):
                 "scheme": args.scheme, "ic": {"name": ic_spec.name, "params": ic_spec.params()},
                 "seed": args.seed, "record_every": record_every, "force": args.force}
 
-    # A refused run writes nothing: the manifest follows the integration.
-    # With two CPUs, a forked writer encodes each record while the run
-    # steps, and writes the snapshots only when sent the commit
-    writer = _SnapshotWriter(args.out) if _two_cpus() else None
+    # a refused run writes nothing: the manifest follows the integration
     try:
-        try:
-            traj = integrate(state, dt, steps, scheme=args.scheme, record_every=record_every,
-                             force=args.force, on_record=writer.send if writer else None)
-        except StabilityError as exc:
-            raise UsageError(f"{exc}; rerun with --force to override")
-        except NumericalBlowup as exc:
-            traj, blowup = None, exc
-            if writer:
-                writer.collect()
-        os.makedirs(args.out, exist_ok=True)
-        snapshots.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
-        if traj is None:
-            snapshots.write_snapshot(blowup.last_state,
-                                     os.path.join(args.out, "snapshot_last.json"))
-            print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
-                  f"last finite state saved", file=sys.stderr)
-            return EXIT_NUMERIC
-        if writer:
-            writer.commit()
-        else:
-            for i, recorded in enumerate(traj):
-                snapshots.write_snapshot(recorded, _snapshot_path(args.out, i))
-        report = drift_report(traj)
-    finally:
-        # on every path; after a commit, the writer's error comes before
-        # the table's, as the serial order's does
-        if writer:
-            writer.collect()
+        traj = integrate(state, dt, steps, scheme=args.scheme,
+                         record_every=record_every, force=args.force)
+    except StabilityError as exc:
+        raise UsageError(f"{exc}; rerun with --force to override")
+    except NumericalBlowup as exc:
+        traj, blowup = None, exc
+    os.makedirs(args.out, exist_ok=True)
+    snapshots.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    if traj is None:
+        snapshots.write_snapshot(blowup.last_state,
+                                 os.path.join(args.out, "snapshot_last.json"))
+        print(f"numeric blow-up at step {blowup.step} (t = {blowup.time:g}); "
+              f"last finite state saved", file=sys.stderr)
+        return EXIT_NUMERIC
+
+    for i, recorded in enumerate(traj):
+        snapshots.write_snapshot(recorded,
+                                 os.path.join(args.out, f"snapshot_{i:04d}.json"))
+    report = drift_report(traj)
     snapshots.write_report_csv(report, os.path.join(args.out, "conserved.csv"))
     print(f"wrote {len(traj)} snapshots over t in [0, {steps * dt:g}] "
           f"to {args.out}; max relative drift {report.max_drift:.3e}")
     return EXIT_OK
-
-
-def _snapshot_path(out, i):
-    return os.path.join(out, f"snapshot_{i:04d}.json")
-
-
-class _SnapshotWriter:
-    """A child, forked when this is made, that encodes each state given to
-    send at once, while this process steps the run.  After commit, it
-    writes the texts as the snapshot files in out; without one, nothing.
-    collect closes the records pipe and reaps the child, raising the
-    error it sent; later calls do nothing."""
-
-    def __init__(self, out):
-        read_end, write_end = os.pipe()
-        self.child = _forked(partial(_written_snapshots, read_end, write_end, out))
-        os.close(read_end)
-        self.records = os.fdopen(write_end, "wb")
-
-    def send(self, state):
-        self.records.write(pickle.dumps(state))
-        self.records.flush()
-
-    def commit(self):
-        self.send(None)
-
-    def collect(self):
-        if self.child is None:
-            return
-        child, self.child = self.child, None
-        try:
-            self.records.close()
-        finally:
-            _sent_value(*child)
-
-
-def _written_snapshots(records, write_end, out):
-    """The snapshot writer's work, in its child: each state pickled into
-    the pipe records encoded at once; at the commit, None, the texts
-    written into out, and at the pipe's end without one, nothing."""
-    os.close(write_end)  # the child's copy: the pipe ends when the parent closes its own
-    texts = []
-    with os.fdopen(records, "rb") as fh:
-        while True:
-            try:
-                state = pickle.load(fh)
-            except EOFError:
-                return
-            if state is None:
-                break
-            texts.append(snapshots.json_text(snapshots.state_to_dict(state)))
-    for i, text in enumerate(texts):
-        snapshots.write_text(text, _snapshot_path(out, i))
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +147,16 @@ def _random_fields(backend, seed, max_mode=4, amplitude=0.4, L=40.0, N=128):
                                    PeriodicGrid(L, N), AlgebraDescriptor.from_string(backend))
 
 
-def _two_cpus():
-    """Whether this process may run on two or more CPUs, so that a child
-    forked from it works beside it."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _forked(thunk):
-    """Fork a child that runs thunk, sends back (True, its value) or
-    (False, its exception), pickled, through a pipe, and ends with
-    os._exit, so it runs none of this process's exit handlers.  Returns
-    the child's pid and the pipe's read end, which _sent_value takes."""
+def _in_parallel(*thunks):
+    """Each thunk's value, in order.  When this process may run on two or
+    more CPUs, the first thunk runs in one child forked from it while the
+    rest run here; otherwise all run here, one after another.  Either way
+    the error raised is the one the serial order raises first.  The child
+    sends back (True, its value) or (False, its exception), pickled,
+    through a pipe, and ends with os._exit, so it runs none of this
+    process's exit handlers."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [thunk() for thunk in thunks]
     sys.stdout.flush()
     sys.stderr.flush()
     read_end, write_end = os.pipe()
@@ -224,7 +166,7 @@ def _forked(thunk):
         try:
             os.close(read_end)
             try:
-                sent = pickle.dumps((True, thunk()))
+                sent = pickle.dumps((True, thunks[0]()))
             except Exception as exc:
                 sent = pickle.dumps((False, exc))
             with os.fdopen(write_end, "wb") as fh:
@@ -233,21 +175,10 @@ def _forked(thunk):
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
-
-
-def _in_parallel(*thunks):
-    """Each thunk's value, in order.  With two CPUs, the first thunk runs
-    in a forked child while the rest run here; otherwise all run here,
-    one after another.  Either way the error raised is the one the serial
-    order raises first."""
-    if not _two_cpus():
-        return [thunk() for thunk in thunks]
-    child = _forked(thunks[0])
     try:
         rest = [thunk() for thunk in thunks[1:]]
     finally:
-        first = _sent_value(*child)
+        first = _sent_value(pid, read_end)
     return [first, *rest]
 
 
@@ -342,16 +273,17 @@ def _check_gardner(lam=1.0, gardner_eps=0.1, seed=0):
     tolerances = {"mapped flow residual": 1e-5, "deviation ratio band": [3.4, 4.6],
                   "slope band": [6.5, 7.5]}
     z, sigma = _random_fields("symplectic:1", seed)
-    (res, reached), (extended, halved) = _in_parallel(
+    # the round trip runs here, beside the child's 500-step run
+    (res, reached), ((extended, halved), slope) = _in_parallel(
         partial(_gardner_mapped, z, sigma, lam, gardner_eps),
-        partial(_gardner_references, z, sigma, lam, gardner_eps))
+        lambda: (_gardner_references(z, sigma, lam, gardner_eps), _roundtrip_slope(lam, seed)))
     # the gardner flow's deviation from the extended flow at eps and eps/2
     dev1, dev2 = (reached - extended).norm(), (halved - extended).norm()
     return _judged("gardner", tolerances, [
         ("mapped flow residual", res, "mapped flow residual"),
         ("flux deviation ratio under eps halving", dev1 / dev2 if dev2 else float("inf"),
          "deviation ratio band"),
-        ("round-trip eps-halving slope at order 6", _roundtrip_slope(lam, seed), "slope band"),
+        ("round-trip eps-halving slope at order 6", slope, "slope band"),
     ], ".4g")
 
 

@@ -351,7 +351,7 @@ def stability_limit(grid, scheme):
     return dt_max
 
 
-def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False, on_record=None):
+def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False):
     """Advance `state` by `steps` fixed steps of size `dt`, dealiased by
     the 2/3 rule.
 
@@ -360,10 +360,6 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False, on_re
     The spectra of the state, the stages and the four k's live in buffers
     made once per call, so a step makes no spectrum or sample array beyond
     the states it records.
-    When on_record is given, it is called with each recorded state, the
-    first included, right after the state is recorded, so a caller can
-    work on the records while the run steps; every refusal below that
-    comes before any step comes before its first call.
     Raises StabilityError when dt exceeds the guard (unless force=True),
     SuperKdVError before any step when the recorded times would not
     strictly increase (t + dt rounds to t near a large start time t),
@@ -434,8 +430,6 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False, on_re
     run_calls(nonlinear.physical_calls(spec))
     first = at(None)
     records = [first]
-    if on_record is not None:
-        on_record(first)
 
     # A step writes the new spectrum into the other of two buffers, so the
     # steps alternate between two lists of calls, each made once
@@ -454,8 +448,6 @@ def integrate(state, dt, steps, scheme="rk4", record_every=1, force=False, on_re
                 raise blowup(buffers[1 - step % 2], buffers[step % 2], step)
             if step % record_every == 0 or step == steps:
                 records.append(at(state.time + step * dt))
-                if on_record is not None:
-                    on_record(records[-1])
     return Trajectory(records)
 
 

@@ -4,10 +4,14 @@ tables, run manifests, and SVG line plots.
 Identical inputs produce byte-identical files.  Each JSON file is one
 line from the json module's own encoder, keys sorted, with no spaces and
 floats in Python repr form (shortest round-trip); `python -m json.tool
-FILE` pretty-prints one.  The plot writer formats coordinates with a fixed
-precision, so reruns of the same configuration compare by a byte diff.
+FILE` pretty-prints one.  A snapshot holds each channel's samples as the
+base64 text of their little-endian float64 bytes, as its "samples" key
+says, so a state is written and read back bit for bit, -0.0 included.
+The plot writer formats coordinates with a fixed precision, so reruns of
+the same configuration compare by a byte diff.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -29,23 +33,27 @@ def json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def json_text(obj):
-    """The text of obj's JSON file: one compact line, keys sorted."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default) + "\n"
-
-
 def write_text(text, path):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
 def dump_json(obj, path):
-    write_text(json_text(obj), path)
+    """obj's JSON file: one compact line, keys sorted."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default)
+    write_text(text + "\n", path)
 
 
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+SAMPLES = "float64 little-endian, base64"
+
+
+def _encoded(row):
+    return base64.b64encode(row.astype("<f8").tobytes()).decode("ascii")
 
 
 def state_to_dict(state):
@@ -56,8 +64,9 @@ def state_to_dict(state):
         "N": state.grid.N,
         "lambda": state.lam,
         "time": state.time,
-        "even": {label: row.tolist() for label, row in state.even.channels().items()},
-        "odd": {label: row.tolist() for label, row in state.odd.channels().items()},
+        "samples": SAMPLES,
+        "even": {label: _encoded(row) for label, row in state.even.channels().items()},
+        "odd": {label: _encoded(row) for label, row in state.odd.channels().items()},
     }
     if state.kind == "gardner":
         doc["epsilon"] = state.epsilon
@@ -68,22 +77,43 @@ def write_snapshot(state, path):
     dump_json(state_to_dict(state), path)
 
 
-_SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "even", "odd")
+_SNAPSHOT_KEYS = ("system", "algebra", "L", "N", "lambda", "time", "samples", "even", "odd")
+
+
+def _decoded(name, row, n):
+    """The n samples a snapshot row holds as SAMPLES text; a row that is no
+    such text, or a sample that is not finite, raises SuperKdVError naming it."""
+    try:
+        raw = base64.b64decode(row, validate=True) if isinstance(row, str) else b""
+    except ValueError:  # no base64 text, or not ASCII
+        raw = b""
+    if len(raw) != 8 * n:
+        raise SuperKdVError(f"{name} must be the base64 text of {n} little-endian float64 "
+                            f"samples")
+    samples = np.frombuffer(raw, "<f8")
+    refused = samples[~np.isfinite(samples)]
+    if refused.size:
+        finite_number(name, float(refused[0]))  # raises, naming the first
+    return samples
 
 
 def state_from_dict(doc):
     """Rebuild a SystemState from a snapshot document.
 
     Malformed content raises SuperKdVError: a missing key or channel, a
-    channel the declared algebra lacks, a row that is no list N long, or an
-    L, N, time, lambda, epsilon or sample that errors.finite_number
-    refuses (true, false, text such as "40", nan, and for N a fraction).
+    samples key other than SAMPLES (a snapshot whose rows are lists of
+    numbers has none), a channel the declared algebra lacks, a row that
+    is no base64 text of N float64 samples, a sample that is not finite,
+    or an L, N, time, lambda or epsilon that errors.finite_number refuses
+    (true, false, text such as "40", nan, and for N a fraction).
     """
     if not isinstance(doc, dict):
         raise SuperKdVError("a snapshot must be a JSON object")
     missing = [key for key in _SNAPSHOT_KEYS if key not in doc]
     if missing:
         raise SuperKdVError(f"snapshot lacks the keys {missing}")
+    if doc["samples"] != SAMPLES:
+        raise SuperKdVError(f"snapshot samples must be {SAMPLES!r}, got {doc['samples']!r}")
     grid = PeriodicGrid(finite_number("L", doc["L"]), finite_number("N", doc["N"], int))
     desc = AlgebraDescriptor.from_string(str(doc["algebra"]))
     time, lam = finite_number("time", doc["time"]), finite_number("lambda", doc["lambda"])
@@ -101,10 +131,8 @@ def state_from_dict(doc):
         for i, label in enumerate(field.labels):
             if label not in part:
                 raise SuperKdVError(f"snapshot missing channel {label!r}")
-            name, row = f"snapshot channel {part_name}:{label}", part[label]
-            if not isinstance(row, list) or len(row) != grid.N:
-                raise SuperKdVError(f"{name} must be a list of {grid.N} samples")
-            field.data[i] = [finite_number(name, sample) for sample in row]
+            field.data[i] = _decoded(f"snapshot channel {part_name}:{label}", part[label],
+                                     grid.N)
     return SystemState(doc["system"], even, odd, time=time, lam=lam, epsilon=epsilon)
 
 

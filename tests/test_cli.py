@@ -1,3 +1,4 @@
+import base64
 import filecmp
 import hashlib
 import json
@@ -36,7 +37,7 @@ FORKED, SERIAL = {0, 1}, {0}
 
 def cpus(monkeypatch, allowed):
     """Make this process appear to run on the CPUs in allowed, which sets
-    whether simulate forks its snapshot writer and _in_parallel its child."""
+    whether _in_parallel forks its child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
 
 
@@ -102,25 +103,21 @@ def test_same_seed_byte_identical(tmp_path):
         assert filecmp.cmp(snap_a, b / snap_a.name, shallow=False)
 
 
-def test_readme_run_reproduces_its_digest(tmp_path, monkeypatch):
-    # the README's first simulate command at --seed 7, with its snapshots
-    # written by the forked writer and serially: the sha256 of its 53
+def test_readme_run_reproduces_its_digest(tmp_path):
+    # the README's first simulate command at --seed 7: the sha256 of its 53
     # files, in sorted-name order, as perfbench/workloads.py's digest
     # computes it.  CHANGES.md records each move of this digest
-    for allowed in (FORKED, SERIAL):
-        cpus(monkeypatch, allowed)
-        out = tmp_path / f"run{len(allowed)}"
-        assert main(["simulate", "--system", "extended", "--algebra", "grassmann:3",
-                     "--lambda", "1.0", "--ic", "random_bandlimited(max_mode=5,amplitude=0.5)",
-                     "--seed", "7", "--L", "40", "--grid", "256", "--dt", "1e-3",
-                     "--t-end", "1.0", "--scheme", "ifrk4", "--out", str(out)]) == 0
-        assert_no_child_left()
-        names = sorted(p.name for p in out.iterdir())
-        digest = hashlib.sha256()
-        for name in names:
-            digest.update((out / name).read_bytes())
-        assert len(names) == 53
-        assert digest.hexdigest()[:12] == "487fecfb57bd"
+    out = tmp_path / "run"
+    assert main(["simulate", "--system", "extended", "--algebra", "grassmann:3",
+                 "--lambda", "1.0", "--ic", "random_bandlimited(max_mode=5,amplitude=0.5)",
+                 "--seed", "7", "--L", "40", "--grid", "256", "--dt", "1e-3",
+                 "--t-end", "1.0", "--scheme", "ifrk4", "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update((out / name).read_bytes())
+    assert len(names) == 53
+    assert digest.hexdigest()[:12] == "d0a1ddd31348"
 
 
 def assert_same_files(a, b):
@@ -133,24 +130,22 @@ def assert_same_files(a, b):
 @pytest.mark.parametrize("flags", [
     ["--system", "gardner", "--algebra", "symplectic:1", "--gardner-eps", 0.1],
     ["--system", "modified", "--algebra", "grassmann:4"]], ids=["gardner", "modified"])
-def test_simulate_writes_the_same_bytes_forked_and_serially(flags, tmp_path, monkeypatch,
-                                                            capsys):
-    printed = {}
-    for allowed in (FORKED, SERIAL):
-        cpus(monkeypatch, allowed)
-        assert run(["simulate", *flags, "--lambda", 1,
-                    "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)", "--grid", 64,
-                    "--t-end", 0.01, "--out", tmp_path / str(len(allowed))]) == 0
-        assert_no_child_left()
-        printed[len(allowed)] = capsys.readouterr()
-    assert len(list((tmp_path / "1").glob("snapshot_*.json"))) == 11
-    assert_same_files(tmp_path / "2", tmp_path / "1")
-    assert printed[2].out.replace(str(tmp_path / "2"), str(tmp_path / "1")) == printed[1].out
+def test_simulate_starts_no_process(flags, tmp_path, monkeypatch, capsys):
+    # with two CPUs in the affinity mask, a run still writes its snapshots
+    # in its own process: a fork would raise here
+    cpus(monkeypatch, FORKED)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("simulate forked"))
+    out = tmp_path / "run"
+    assert run(["simulate", *flags, "--lambda", 1,
+                "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)", "--grid", 64,
+                "--t-end", 0.01, "--out", out]) == 0
+    assert len(list(out.glob("snapshot_*.json"))) == 11
+    assert capsys.readouterr().out.startswith(f"wrote 11 snapshots over t in [0, 0.01] to {out};")
 
 
-def test_a_snapshot_that_cannot_be_written_exits_2_as_serially(tmp_path, monkeypatch, capsys):
-    # the fourth snapshot's write fails, in the forked writer as serially:
-    # the manifest and the first three snapshots are written, no table
+def test_a_snapshot_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
+    # the fourth snapshot's write fails: the manifest and the first three
+    # snapshots are written, no table
     write_text = snapshots.write_text
 
     def failing(text, path):
@@ -159,18 +154,14 @@ def test_a_snapshot_that_cannot_be_written_exits_2_as_serially(tmp_path, monkeyp
         write_text(text, path)
 
     monkeypatch.setattr(snapshots, "write_text", failing)
-    for allowed in (FORKED, SERIAL):
-        cpus(monkeypatch, allowed)
-        out = tmp_path / str(len(allowed))
-        assert simulate_soliton(out) == 2
-        assert_no_child_left()
-        captured = capsys.readouterr()
-        failed = out / "snapshot_0003.json"
-        assert (captured.out, captured.err) == (
-            "", f"error: cannot write {failed}: Permission denied\n")
-        assert sorted(p.name for p in out.iterdir()) == [
-            "manifest.json", "snapshot_0000.json", "snapshot_0001.json", "snapshot_0002.json"]
-    assert_same_files(tmp_path / "2", tmp_path / "1")
+    out = tmp_path / "run"
+    assert simulate_soliton(out) == 2
+    captured = capsys.readouterr()
+    failed = out / "snapshot_0003.json"
+    assert (captured.out, captured.err) == (
+        "", f"error: cannot write {failed}: Permission denied\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "snapshot_0000.json", "snapshot_0001.json", "snapshot_0002.json"]
 
 
 def assert_one_line_json(directory):
@@ -184,22 +175,18 @@ def assert_one_line_json(directory):
         assert text == canonical + "\n", name
 
 
-def test_every_json_file_of_a_run_is_one_compact_line(tmp_path, monkeypatch):
+def test_every_json_file_of_a_run_is_one_compact_line(tmp_path):
     out = tmp_path / "run"
     assert run(["simulate", "--system", "gardner", "--algebra", "grassmann:3",
                 "--gardner-eps", 0.1, "--ic", "random_bandlimited(max_mode=3,amplitude=0.3)",
                 "--grid", 64, "--t-end", 0.002, "--out", out]) == 0
     assert_one_line_json(out)
-    # a blow-up's forked writer is sent no commit, so it writes nothing
-    for allowed in (FORKED, SERIAL):
-        cpus(monkeypatch, allowed)
-        blow = tmp_path / f"blow{len(allowed)}"
-        assert run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05, "--scheme", "rk4",
-                    "--t-end", 5, "--force", "--out", blow]) == 3
-        assert_no_child_left()
-        assert sorted(p.name for p in blow.iterdir()) == ["manifest.json", "snapshot_last.json"]
-        assert_one_line_json(blow)
-    assert_same_files(tmp_path / "blow2", tmp_path / "blow1")
+    # a blow-up writes its manifest and last finite state, and no snapshot
+    blow = tmp_path / "blow"
+    assert run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05, "--scheme", "rk4",
+                "--t-end", 5, "--force", "--out", blow]) == 3
+    assert sorted(p.name for p in blow.iterdir()) == ["manifest.json", "snapshot_last.json"]
+    assert_one_line_json(blow)
 
 
 def test_seed_flag_feeds_random_ic(tmp_path):
@@ -225,7 +212,7 @@ def test_ic_seed_wins_over_the_seed_flag_however_written(tmp_path):
     assert_same_files(outs["tight"], outs["spaced"])
 
 
-def test_invalid_combinations_exit_2(tmp_path, capsys):
+def test_invalid_combinations_exit_2(tmp_path, monkeypatch, capsys):
     refused = {
         "y": ["--system", "extended", "--gardner-eps", 0.1],
         "z": ["--system", "extended", "--dt", -1],
@@ -240,8 +227,8 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
         "eps_nan": ["--system", "gardner", "--gardner-eps", "nan"],
     }
     # finite flags whose run overflows: a coupling or deformation past the
-    # floats in a term coefficient, a step count past the floats, and a
-    # grid length whose k_max_active ** 3 or top mode's k ** 3 is no
+    # floats in a term coefficient, a step count past the floats or past
+    # cli.MAX_STEPS, and a grid length whose k_max_active ** 3 or top mode's k ** 3 is no
     # positive finite float.  Each is refused before any step, naming its
     # parameter, with no numpy warning
     overflowing = {
@@ -251,6 +238,9 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
                       "--gardner-eps", 1e200, "--t-end", 0.01], "epsilon = 1e+200"),
         "dt_tiny": (["--dt", 1e-320], "--t-end / --dt"),
         "steps_huge": (["--t-end", 1e308, "--dt", 1e-10], "--t-end / --dt"),
+        "steps_past_the_bound": (["--t-end", 1e300, "--dt", 1e-3], "--t-end / --dt"),
+        "steps_one_past_the_bound": (["--t-end", cli.MAX_STEPS + 1, "--dt", 1],
+                                     f"more than {cli.MAX_STEPS}"),
         "L_huge": (["--L", 1e300], "grid length 1e+300"),
         "L_tiny": (["--grid", 16, "--L", 1e-300], "grid length 1e-300"),
         "L_tiny_top_mode": (["--grid", 16, "--L", 6.77e-102, "--dt", 1e-306, "--t-end", 1e-305,
@@ -266,6 +256,15 @@ def test_invalid_combinations_exit_2(tmp_path, capsys):
                "random_bandlimited(max_mode=2.5)", "gaussian(center=1e999)",
                "random_bandlimited(max_mode=128)"]:
         refused["ic_" + re.sub(r"\W", "_", ic)] = ["--ic", ic]
+    # a step count past the bound fails here rather than running until killed
+    integrate = cli.integrate
+
+    def bounded(state, dt, steps, **settings):
+        if steps > 10 ** 6:
+            pytest.fail(f"simulate started a run of {steps} steps")
+        return integrate(state, dt, steps, **settings)
+
+    monkeypatch.setattr(cli, "integrate", bounded)
     for name, flags in refused.items():
         assert run(["simulate", *flags, "--out", tmp_path / name]) == 2, flags
         assert not (tmp_path / name).exists(), flags
@@ -308,15 +307,12 @@ def test_non_finite_initial_state_exits_2_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_stability_guard_refusal_exit_2(tmp_path, monkeypatch, capsys):
-    for allowed in (FORKED, SERIAL):
-        cpus(monkeypatch, allowed)
-        code = run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05,
-                    "--scheme", "rk4", "--t-end", 1, "--out", tmp_path / "g"])
-        assert code == 2
-        assert_no_child_left()
-        assert "dt" in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
+def test_stability_guard_refusal_exit_2(tmp_path, capsys):
+    code = run(["simulate", "--ic", "soliton(kappa=1)", "--dt", 0.05,
+                "--scheme", "rk4", "--t-end", 1, "--out", tmp_path / "g"])
+    assert code == 2
+    assert "dt" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
@@ -762,17 +758,29 @@ def small_snapshot_doc():
     return state_to_dict(state)
 
 
-def drop_last_sample(doc):
-    doc["even"]["unit"].pop()
+def edit_samples(part, label, edit):
+    """An edit of a snapshot document that decodes the part:label row,
+    applies edit to its samples and writes the result back as its row."""
+    def edited(doc):
+        samples = np.frombuffer(base64.b64decode(doc[part][label]), "<f8").copy()
+        doc[part][label] = base64.b64encode(edit(samples).astype("<f8").tobytes()).decode()
+    return edited
+
+
+def set_row(part, label, row):
+    """An edit of a snapshot document that sets the part:label row to row."""
+    return lambda doc: doc[part].__setitem__(label, row)
 
 
 # flag, file content: None (no file), text, bytes, or an edit of a valid snapshot
 UNREADABLE_PLOT_INPUTS = {
     "missing-snapshot": ("--snapshot", None),
     "non-json-snapshot": ("--snapshot", "{not json"),
-    "snapshot-row-not-N-long": ("--snapshot", drop_last_sample),
+    "snapshot-row-not-N-long": ("--snapshot", edit_samples("even", "unit", lambda s: s[:-1])),
     "snapshot-without-L": ("--snapshot", lambda doc: doc.pop("L")),
-    "snapshot-non-numeric-sample": ("--snapshot", lambda doc: doc["odd"]["e1"].__setitem__(0, "x")),
+    # a row whose first character is outside the base64 alphabet
+    "snapshot-non-numeric-sample": ("--snapshot", lambda doc: doc["odd"].__setitem__(
+        "e1", "*" + doc["odd"]["e1"][1:])),
     "snapshot-not-an-object": ("--snapshot", "[1, 2]"),
     "non-utf8-snapshot": ("--snapshot", b"\xff\xfe{"),
     "csv-non-numeric-cell": ("--csv", "time,H0[unit]\n0.0,abc\n"),
@@ -805,7 +813,12 @@ def test_plot_unreadable_input_exit_2(case, tmp_path, capsys):
 
 def set_sample(value):
     """An edit of a snapshot document that sets its fourth even:unit sample."""
-    return lambda doc: doc["even"]["unit"].__setitem__(3, value)
+    return edit_samples("even", "unit", lambda samples: np.where(
+        np.arange(len(samples)) == 3, value, samples))
+
+
+NOT_SAMPLES = "error: snapshot channel even:unit must be the base64 text of 16 little-endian " \
+              "float64 samples"
 
 
 # flag, content as in UNREADABLE_PLOT_INPUTS, and the error that names the data
@@ -814,14 +827,14 @@ NON_NUMERIC_PLOT_DATA = {
                      "error: series 'H0[unit]' holds a non-finite value"),
     "csv-inf-time": ("--csv", "time,H0[unit]\n0.0,1.0\ninf,2.0\n",
                      "error: the x axis 'time' holds a non-finite value"),
-    # json reads NaN, true and "1.5", which float() would take as nan, 1.0, 1.5
+    # a row of samples holds NaN, or is JSON true or "1.5" (which float()
+    # would take as 1.0 and 1.5) rather than base64 text
     "snapshot-nan-sample": ("--snapshot", set_sample(float("nan")),
                             "error: snapshot channel even:unit must be a finite float, got nan"),
-    "snapshot-true-sample": ("--snapshot", set_sample(True),
-                             "error: snapshot channel even:unit must be a finite float, got True"),
-    "snapshot-text-sample": ("--snapshot", set_sample("1.5"),
-                             "error: snapshot channel even:unit must be a finite float, "
-                             "got '1.5'"),
+    "snapshot-inf-sample": ("--snapshot", set_sample(-float("inf")),
+                            "error: snapshot channel even:unit must be a finite float, got -inf"),
+    "snapshot-true-sample": ("--snapshot", set_row("even", "unit", True), NOT_SAMPLES),
+    "snapshot-text-sample": ("--snapshot", set_row("even", "unit", "1.5"), NOT_SAMPLES),
 }
 
 

@@ -329,22 +329,6 @@ def test_trajectory_recording():
     assert traj.final.time == pytest.approx(20e-4)
 
 
-def test_integrate_hands_each_record_to_on_record():
-    # on_record is given the trajectory's records, in order, the first
-    # included; a run refused before any step gives it none
-    st = random_state("extended", "grassmann:2", lam=1.0, N=64, L=20.0)
-    given = []
-    traj = integrate(st, dt=2e-4, steps=10, record_every=4, on_record=given.append)
-    assert len(given) == len(traj) == 4
-    for state, record in zip(given, traj):
-        assert state.time == record.time
-        assert np.array_equal(state.even.data, record.even.data)
-        assert np.array_equal(state.odd.data, record.odd.data)
-    with pytest.raises(StabilityError):
-        integrate(st, dt=1.0, steps=2, on_record=given.append)
-    assert len(given) == 4
-
-
 def test_trajectory_refuses_records_that_are_not_one_run():
     # times that do not strictly increase, or a kind, grid, backend, lam or
     # eps other than the first record's, are refused: six copies of one

@@ -1,3 +1,4 @@
+import base64
 import filecmp
 import json
 import re
@@ -82,6 +83,57 @@ def test_snapshot_channel_its_algebra_lacks_is_refused():
     # with only its own channels it loads
     doc["odd"] = {label: doc["odd"][label] for label in ("t1", "t2")}
     assert state_from_dict(doc).even.labels == ("unit", "t1t2")
+
+
+def test_snapshot_rows_are_base64_little_endian_float64():
+    state = sample_state()
+    doc = state_to_dict(state)
+    assert doc["samples"] == "float64 little-endian, base64"
+    row = np.frombuffer(base64.b64decode(doc["odd"]["t2"], validate=True), "<f8")
+    assert row.tobytes() == state.odd.data[1].astype("<f8").tobytes()
+
+
+def test_snapshot_of_lists_of_numbers_is_refused_by_name():
+    # the format before base64 rows: no samples key, each row a list
+    doc = state_to_dict(sample_state())
+    del doc["samples"]
+    for part in ("even", "odd"):
+        doc[part] = {label: [0.0] * 64 for label in doc[part]}
+    with pytest.raises(SuperKdVError, match=re.escape("snapshot lacks the keys ['samples']")):
+        state_from_dict(doc)
+    doc["samples"] = "float64 big-endian, base64"
+    with pytest.raises(SuperKdVError, match="snapshot samples must be 'float64 little-endian, "
+                                            "base64', got 'float64 big-endian, base64'"):
+        state_from_dict(doc)
+
+
+def encoded(samples):
+    return base64.b64encode(np.asarray(samples, "<f8").tobytes()).decode()
+
+
+NOT_SAMPLES = "snapshot channel odd:t3 must be the base64 text of 64 little-endian float64 samples"
+
+
+@pytest.mark.parametrize("row,message", [
+    ([0.0] * 64, NOT_SAMPLES),  # a list, as the former format had
+    (True, NOT_SAMPLES),
+    (None, NOT_SAMPLES),
+    (encoded([0.0] * 63), NOT_SAMPLES),
+    (encoded([0.0] * 65), NOT_SAMPLES),
+    (encoded([0.0] * 64)[:-1], NOT_SAMPLES),  # padding cut
+    (encoded([0.0] * 64) + "\n", NOT_SAMPLES),  # validate=True takes no newline
+    ("*" + encoded([0.0] * 64)[1:], NOT_SAMPLES),
+    ("\u00e9" + encoded([0.0] * 64)[1:], NOT_SAMPLES),  # not ASCII
+    (encoded([0.0] * 10 + [float("nan")] + [0.0] * 53),
+     "snapshot channel odd:t3 must be a finite float, got nan"),
+    (encoded([0.0] * 63 + [float("inf")]),
+     "snapshot channel odd:t3 must be a finite float, got inf"),
+])
+def test_snapshot_row_that_is_no_finite_samples_is_refused(row, message):
+    doc = state_to_dict(sample_state())
+    doc["odd"]["t3"] = row
+    with pytest.raises(SuperKdVError, match=re.escape(message)):
+        state_from_dict(doc)
 
 
 def test_snapshot_of_a_skdv_grassmann_state_is_refused(tmp_path):
@@ -182,15 +234,21 @@ def compact(doc):
     ("modified", "symplectic:2", 0.0), ("gardner", "grassmann:3", 0.25)])
 def test_snapshot_bytes_equal_the_json_module(tmp_path, kind, backend, eps):
     state = sample_state(kind, backend, eps)
-    state.even.data[0, :4] = [-0.0, 1e-300, 1e16, 1e-5]
-    state.odd.data[..., -2:] = [-1e-300, 0.0]
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    state.even.data[0, :4] = extremes
+    state.odd.data[..., -2:] = [-5e-324, 0.0]
     path = tmp_path / "snap.json"
     write_snapshot(state, path)
     expected = compact(state_to_dict(state))
     assert path.read_bytes() == expected.encode()
     assert expected.count("\n") == 1
     assert ('"epsilon"' in expected) == (kind == "gardner")
-    assert "[-0.0,1e-300,1e+16,1e-05," in expected
+    # the samples come back bit for bit, the sign of -0.0 and the subnormal
+    # and largest floats included
+    back = read_snapshot(path)
+    assert back.even.data.tobytes() == state.even.data.tobytes()
+    assert back.odd.data.tobytes() == state.odd.data.tobytes()
+    assert np.signbit(back.even.data[0, 0]) and back.even.data[0, :4].tolist() == extremes
 
 
 # a document, and the same document with numpy values written as Python ones

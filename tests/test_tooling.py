@@ -242,3 +242,32 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"simulate", "check", "plot"}
     for argv in commands:
         parser.parse_args(argv)
+
+
+def readme_python_blocks(text):
+    """The source of each ```python fenced block in text."""
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_decode_reads_a_snapshot_bit_for_bit(tmp_path, monkeypatch):
+    # the README's numpy one-liner is the snapshot format's documentation:
+    # run against a fresh snapshot, it gives read_snapshot's samples exactly
+    from superkdv.algebra import AlgebraDescriptor
+    from superkdv.dynamics import SystemState
+    from superkdv.fields import PeriodicGrid, build_initial_condition
+    from superkdv.snapshots import read_snapshot, write_snapshot
+
+    (block,) = [b for b in readme_python_blocks(README.read_text(encoding="utf-8"))
+                if "b64decode" in b]
+    path = re.search(r'"([^"]+\.json)"', block).group(1)
+    u, xi = build_initial_condition("random_bandlimited(max_mode=5,amplitude=0.5,seed=7)",
+                                    PeriodicGrid(40.0, 64),
+                                    AlgebraDescriptor.from_string("grassmann:3"))
+    u.data[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / path).parent.mkdir(parents=True)
+    write_snapshot(SystemState("extended", u, xi, time=0.5, lam=1.0), path)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["u"].tobytes() == read_snapshot(path).even.data[0].tobytes()
+    assert namespace["u"].tobytes() == u.data[0].tobytes()
